@@ -38,7 +38,8 @@ def build_parser() -> _Parser:
     common.add_argument("--out", type=Path, default=argparse.SUPPRESS,
                         help="output directory (default: ./out)")
     common.add_argument("--parallel", type=int, default=argparse.SUPPRESS,
-                        help="worker count for scenario evaluation")
+                        help="accepted for compatibility; scenario evaluation "
+                             "is serial")
 
     parser = _Parser(prog="urbanmix", parents=[common],
                      description="Urban electricity demand, renewable generation, "
@@ -146,8 +147,7 @@ def cmd_generation(args, config: SimulationConfig) -> int:
 
 
 def cmd_sweep(args, config: SimulationConfig) -> int:
-    grid = experiments.run_experiment1(config, out_dir=args.out,
-                                       parallel=args.parallel)
+    grid = experiments.run_experiment1(config, out_dir=args.out)
     rejected = {name: sum(1 for cell in grid.cells if cell.tests[name].reject)
                 for name in experiments.SWEEP_TEST_METRICS}
     print(f"swept {len(grid.cells)} scenarios "
@@ -197,29 +197,26 @@ def cmd_validate(args, config: SimulationConfig) -> int:
           flagged == documented,
           f"flagged={sorted(flagged)} documented={sorted(documented)}")
 
-    inputs = assemble(config)
-    residential, mixed, phi = build_load_cases(inputs.household, inputs.service)
+    prep = experiments.prepare(config)
+    residential, mixed, phi = prep.residential, prep.mixed, prep.phi
     check("load cases share annual energy",
           abs(residential.annual_energy - mixed.annual_energy)
           <= 1e-6 * mixed.annual_energy,
           f"residential={residential.annual_energy!r} mixed={mixed.annual_energy!r}")
     check("phi is positive and finite", 0 < phi < float("inf"), f"phi={phi!r}")
 
-    prep = experiments.prepare(config)
     cell = experiments.evaluate_cell(105.0, 105.0, prep)
     for case_name, agg, load in ((RESIDENTIAL_ONLY, cell.residential, prep.load_r_mw),
                                  (MIXED, cell.mixed, prep.load_m_mw)):
-        pv_gen, wind_gen = experiments.scenario_components(105.0, 105.0, prep)
-        g_total = float((pv_gen + wind_gen).sum())
         balance = agg.pos_mismatch + agg.neg_mismatch
-        expected = g_total - float(load.sum())
+        expected = agg.generation - float(load.sum())
         denom = max(abs(expected), 1.0)
         check(f"energy balance holds ({case_name})",
               abs(balance - expected) <= 1e-9 * denom,
               f"pos+neg={balance!r} vs G-L={expected!r}")
 
     national = validation.national_total_check(
-        inputs.service, households_per_100k=fixture.households_per_100k,
+        prep.inputs.service, households_per_100k=fixture.households_per_100k,
         benchmarks=config.benchmarks, real_inputs=config.real_inputs)
     if national.skipped:
         lines.append(f"SKIP national demand benchmarks: {national.reason}")

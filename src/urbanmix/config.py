@@ -199,6 +199,11 @@ def load_config(path) -> SimulationConfig:
     config = SimulationConfig(**kwargs)
     if config.sweep_steps < 2:
         raise ConfigError("config: sweep steps must be at least 2")
+    if not config.sweep_max_mw > 0:
+        raise ConfigError(f"config: sweep max_mw must be positive, got {config.sweep_max_mw}")
+    if not (config.mix_pv_mw >= 0 and config.mix_wind_mw >= 0):
+        raise ConfigError("config: mix_preset capacities must be non-negative, got "
+                          f"pv_mw={config.mix_pv_mw}, wind_mw={config.mix_wind_mw}")
     if config.households <= 0:
         raise ConfigError("config: households must be positive")
     if config.household_annual_kwh <= 0:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -12,10 +11,10 @@ import numpy as np
 from . import classify, tabular
 from .config import ModelInputs, SimulationConfig, assemble
 from .demand import MIXED, RESIDENTIAL_ONLY, LoadCase, build_load_cases
-from .generation import (TURBINE_UNIT_MW, area_budget_totals, pv_unit_series,
-                         round_half_away, wind_unit_series)
+from .generation import (TURBINE_UNIT_MW, area_budget_totals, capacity_coefficients,
+                         generation_mw, pv_unit_series, wind_unit_series)
 from .ingest import HourlySeries
-from .metrics import AggregateMetrics, delta_mismatch, hourly_self_consumption
+from .metrics import AggregateMetrics, delta_mismatch, hourly_split
 from .optimize import MixProblem, ga_optimize, solution_report
 from .stats import apply_holm, welch_t_test
 
@@ -60,30 +59,6 @@ def capacity_axis(max_mw: float = 525.0, steps: int = 11) -> tuple:
     return tuple(float(v) for v in np.linspace(0.0, max_mw, steps))
 
 
-def scenario_components(pv_mw: float, wind_mw: float, prep: Prepared):
-    """(pv generation MW, wind generation MW) hourly arrays for one scenario."""
-    rated = prep.config.pv.rated_power_density_wm2
-    panel_area_m2 = pv_mw * 1e6 / rated
-    n_turbines = round_half_away(wind_mw / TURBINE_UNIT_MW)
-    pv_gen = prep.pv_unit.values * panel_area_m2 / 1e6
-    wind_gen = prep.wind_unit.values * n_turbines / 1000.0
-    return pv_gen, wind_gen
-
-
-def _case_metrics(g: np.ndarray, load: np.ndarray):
-    mismatch = g - load
-    pos = np.maximum(mismatch, 0.0)
-    neg = np.minimum(mismatch, 0.0)
-    util = np.minimum(g, load)
-    g_total = float(g.sum())
-    sc = float(util.sum()) / g_total if g_total > 0 else None
-    agg = AggregateMetrics(pos_mismatch=float(pos.sum()),
-                           neg_mismatch=float(neg.sum()),
-                           utilisation=float(util.sum()),
-                           self_consumption=sc)
-    return agg, {"pos_mwh": pos, "neg_mwh": neg, "util_mwh": util}
-
-
 @dataclass(frozen=True)
 class ScenarioCell:
     pv_mw: float
@@ -111,52 +86,44 @@ class ScenarioGrid:
 
 def evaluate_cell(pv_mw: float, wind_mw: float, prep: Prepared,
                   pooled: bool = False) -> ScenarioCell:
-    pv_gen, wind_gen = scenario_components(pv_mw, wind_mw, prep)
-    g = pv_gen + wind_gen
-    agg_r, hourly_r = _case_metrics(g, prep.load_r_mw)
-    agg_m, hourly_m = _case_metrics(g, prep.load_m_mw)
+    area, turbines = capacity_coefficients(pv_mw, wind_mw, prep.config.pv)
+    g = generation_mw(area, turbines, prep.pv_unit.values, prep.wind_unit.values)
+    split_r = hourly_split(g, prep.load_r_mw)
+    split_m = hourly_split(g, prep.load_m_mw)
 
     tests = {}
     delta_sums = {}
     delta_means = {}
-    for name in ("pos_mwh", "neg_mwh", "util_mwh"):
-        a, b = hourly_r[name], hourly_m[name]
+    for name, term in (("pos_mwh", "positive"), ("neg_mwh", "negative"),
+                       ("util_mwh", "utilisation")):
+        a, b = getattr(split_r, term), getattr(split_m, term)
         tests[name] = welch_t_test(a, b, pooled=pooled)
         diff = b - a
         delta_sums[name] = float(diff.sum())
         delta_means[name] = float(diff.mean())
     lit = g > 0
     if lit.any():
-        sc_r = hourly_r["util_mwh"][lit] / g[lit]
-        sc_m = hourly_m["util_mwh"][lit] / g[lit]
-        tests["self_consumption"] = welch_t_test(sc_r, sc_m, pooled=pooled)
+        tests["self_consumption"] = welch_t_test(split_r.self_consumption()[lit],
+                                                 split_m.self_consumption()[lit],
+                                                 pooled=pooled)
     else:
         tests["self_consumption"] = welch_t_test(np.zeros(1), np.zeros(1), pooled=pooled)
     return ScenarioCell(pv_mw=pv_mw, wind_mw=wind_mw,
-                        residential=agg_r, mixed=agg_m, tests=tests,
-                        delta_sums=delta_sums, delta_hourly_means=delta_means)
+                        residential=split_r.annual(), mixed=split_m.annual(),
+                        tests=tests, delta_sums=delta_sums,
+                        delta_hourly_means=delta_means)
 
 
-def run_experiment1(config: SimulationConfig, out_dir=None,
-                    parallel: int = 1) -> ScenarioGrid:
+def run_experiment1(config: SimulationConfig, out_dir=None) -> ScenarioGrid:
     """Full capacity sweep: both load cases per cell, Holm-corrected tests.
 
-    Cells are evaluated in a fixed order (PV outer, wind inner) and reduced
-    in that order regardless of worker count, so parallel runs emit the same
-    bytes as serial ones.
+    Cells are evaluated one at a time in a fixed order, PV outer and wind
+    inner.
     """
     prep = prepare(config)
     caps = capacity_axis(config.sweep_max_mw, config.sweep_steps)
-    pairs = [(pv, wind) for pv in caps for wind in caps]
-
-    def work(pair):
-        return evaluate_cell(pair[0], pair[1], prep, pooled=config.pooled)
-
-    if parallel and parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            cells = list(pool.map(work, pairs))
-    else:
-        cells = [work(pair) for pair in pairs]
+    cells = [evaluate_cell(pv, wind, prep, pooled=config.pooled)
+             for pv in caps for wind in caps]
 
     # Holm families: one correction across all 121 scenarios per metric.
     corrected = {}
@@ -231,8 +198,10 @@ def run_experiment2(config: SimulationConfig, out_dir=None,
         wind_mw = config.mix_wind_mw
     calendar = prep.inputs.calendar
 
-    pv_gen, wind_gen = scenario_components(pv_mw, wind_mw, prep)
-    g = pv_gen + wind_gen
+    area, turbines = capacity_coefficients(pv_mw, wind_mw, config.pv)
+    # One scenario row each for PV alone, wind alone and the whole mix.
+    pv_gen, wind_gen, g = generation_mw([area, 0.0, area], [0, turbines, turbines],
+                                        prep.pv_unit.values, prep.wind_unit.values)
     solar_pct = classify.percent_of_capacity(pv_gen, pv_mw)
     wind_pct = classify.percent_of_capacity(wind_gen, wind_mw)
     daylight = prep.pv_unit.values > 0
@@ -243,9 +212,10 @@ def run_experiment2(config: SimulationConfig, out_dir=None,
 
     hourly = {}
     for case_name, load in ((RESIDENTIAL_ONLY, prep.load_r_mw), (MIXED, prep.load_m_mw)):
-        hourly[(case_name, "mismatch")] = g - load
-        hourly[(case_name, "utilisation")] = np.minimum(g, load)
-        hourly[(case_name, "self_consumption")] = hourly_self_consumption(g, load)
+        split = hourly_split(g, load)
+        hourly[(case_name, "mismatch")] = split.mismatch
+        hourly[(case_name, "utilisation")] = split.utilisation
+        hourly[(case_name, "self_consumption")] = split.self_consumption()
 
     aggregates = {pair: classify.aggregate_by_category(keys, values)
                   for pair, values in hourly.items()}
@@ -268,7 +238,7 @@ def run_experiment2(config: SimulationConfig, out_dir=None,
     summary = {
         "pv_mw": pv_mw,
         "wind_mw": wind_mw,
-        "turbines": round_half_away(wind_mw / TURBINE_UNIT_MW),
+        "turbines": turbines,
         "phi": prep.phi,
         "solar_edges_pct": [float(e) for e in edges.solar_edges],
         "wind_edges_pct": [float(e) for e in edges.wind_edges],

@@ -1,7 +1,8 @@
 """Solar and wind generation from weather.
 
 Per-unit series (W per m² of PV, kW per turbine) are built once from the
-weather year and scaled to installed capacities per scenario.
+weather year; `generation_mw` scales them to installed capacities, for one
+scenario or a batch of them.
 """
 
 from __future__ import annotations
@@ -186,25 +187,45 @@ def wind_unit_series(records, year: int, params: TurbineParams = TurbineParams()
     return HourlySeries(values=values, unit="kW", year=year)
 
 
-def scenario_generation(cap_pv_mw: float, cap_wind_mw: float,
-                        pv_unit: HourlySeries, wind_unit: HourlySeries,
-                        pv_params: PvParams = PvParams()) -> HourlySeries:
-    """Generation series in MW for installed PV and wind capacities.
+def capacity_coefficients(pv_mw: float, wind_mw: float,
+                          pv_params: PvParams = PvParams()) -> tuple[float, int]:
+    """(panel area in m², whole turbines) for installed capacities in MW.
 
-    PV capacity is converted to panel area via the rated power density;
-    wind capacity is rounded to whole 0.5 MW turbines.
+    PV capacity becomes panel area via the rated power density; wind
+    capacity is rounded half away from zero to whole 0.5 MW turbines.
     """
-    if cap_pv_mw < 0 or cap_wind_mw < 0:
+    if not (pv_mw >= 0 and wind_mw >= 0):
         raise GenerationError(
-            f"capacities must be non-negative, got ({cap_pv_mw}, {cap_wind_mw})"
+            f"capacities must be non-negative, got ({pv_mw}, {wind_mw})"
         )
-    if pv_unit.year != wind_unit.year:
-        raise GenerationError("per-unit series year mismatch")
-    panel_area_m2 = cap_pv_mw * 1e6 / pv_params.rated_power_density_wm2
-    n_turbines = round_half_away(cap_wind_mw / TURBINE_UNIT_MW)
-    values = (panel_area_m2 * pv_unit.values / 1e6
-              + n_turbines * wind_unit.values / 1000.0)
-    return HourlySeries(values=values, unit="MW", year=pv_unit.year)
+    return (pv_mw * 1e6 / pv_params.rated_power_density_wm2,
+            round_half_away(wind_mw / TURBINE_UNIT_MW))
+
+
+def generation_mw(panel_area_m2, turbines, g_pv, g_turbine) -> np.ndarray:
+    """Generation in MW: G = A_pv·g_pv/10⁶ + n·g_wt/10³.
+
+    ``g_pv`` is W per m² of panel and ``g_turbine`` kW per turbine, per hour.
+    The coefficients are scalars, giving G of shape (n_hours,), or
+    equal-length 1-D arrays, giving one row per scenario. Turbine counts need
+    not be whole. Non-negative coefficients and per-unit series make G ≥ 0.
+    """
+    area = np.asarray(panel_area_m2, dtype=float)
+    n = np.asarray(turbines, dtype=float)
+    g_pv = np.asarray(g_pv, dtype=float)
+    g_turbine = np.asarray(g_turbine, dtype=float)
+    if area.ndim > 1 or area.shape != n.shape:
+        raise GenerationError("coefficients must be scalars or equal-length 1-D arrays")
+    if g_pv.ndim != 1 or g_pv.shape != g_turbine.shape:
+        raise GenerationError(
+            f"per-unit series length mismatch: {g_pv.shape} vs {g_turbine.shape}")
+    if not ((area >= 0).all() and (n >= 0).all()):
+        raise GenerationError("panel area and turbine count must be non-negative, "
+                              f"got ({panel_area_m2}, {turbines})")
+    # min(initial=0) is negative exactly when some value is; empty arrays pass
+    if g_pv.min(initial=0.0) < 0 or g_turbine.min(initial=0.0) < 0:
+        raise GenerationError("per-unit generation must be non-negative")
+    return area[..., None] * g_pv / 1e6 + n[..., None] * g_turbine / 1000.0
 
 
 def area_budget_totals(mix: ServiceMix, n_households: int, budget: AreaBudget,

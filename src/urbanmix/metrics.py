@@ -1,15 +1,17 @@
-"""Renewable-integration metrics.
+"""Renewable-integration metrics: the one mismatch kernel.
 
-Per hour: mismatch M = G − L and utilisation min(G, L). Per year: positive
-and negative mismatch sums (negative kept signed, ≤ 0, so that
-pos + neg = ΣG − ΣL holds), utilisation, and self-consumption. The
-load-case difference identities ΔM and ΔR are provided as well.
+Generation G is split against load L hour by hour: mismatch M = G − L into
+M⁺ = max(M, 0) and M⁻ = min(M, 0), and utilisation U = min(G, L). Per year
+each term is summed (M⁻ kept signed, ≤ 0, so that pos + neg = ΣG − ΣL
+holds) next to ΣG, and self-consumption is ΣU/ΣG. G may carry a leading
+scenario axis, one row per scenario, against a single load series. The
+load-case difference identity ΔM is provided as well.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,64 +41,96 @@ def _check_same_year(*series):
 
 
 @dataclass(frozen=True)
-class HourMetrics:
-    mismatch: float
-    utilisation: float
-
-
-class HourMetricsSeries(Sequence):
-    """Per-hour mismatch and utilisation, indexable as HourMetrics."""
-
-    def __init__(self, mismatch: np.ndarray, utilisation: np.ndarray):
-        self.mismatch = mismatch
-        self.utilisation = utilisation
-
-    def __len__(self):
-        return len(self.mismatch)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return HourMetricsSeries(self.mismatch[i], self.utilisation[i])
-        return HourMetrics(mismatch=float(self.mismatch[i]),
-                           utilisation=float(self.utilisation[i]))
-
-
-def hourly_metrics(G, L) -> HourMetricsSeries:
-    g, load = _values(G), _values(L)
-    _check_same_length(g, load)
-    _check_same_year(G, L)
-    if np.any(load < 0) or np.any(g < 0):
-        raise MetricsError("generation and load must be non-negative")
-    return HourMetricsSeries(mismatch=g - load, utilisation=np.minimum(g, load))
-
-
-@dataclass(frozen=True)
 class AggregateMetrics:
+    """Annual sums: floats for one scenario, arrays over a scenario axis."""
     pos_mismatch: float
-    neg_mismatch: float           # signed, <= 0
+    neg_mismatch: float     # signed, <= 0
     utilisation: float
-    self_consumption: float | None  # None when no generation
+    generation: float       # ΣG
+
+    @property
+    def self_consumption(self) -> float | None:
+        """ΣU/ΣG of one scenario; None when there is no generation."""
+        if self.generation > 0:
+            return self.utilisation / self.generation
+        return None
 
     def as_row(self):
         return (self.pos_mismatch, self.neg_mismatch, self.utilisation,
                 self.self_consumption)
 
 
-def aggregate(hours: HourMetricsSeries, G) -> AggregateMetrics:
-    g = _values(G)
-    _check_same_length(hours.mismatch, g)
-    m = hours.mismatch
-    pos = float(np.maximum(m, 0.0).sum())
-    neg = float(np.minimum(m, 0.0).sum())
-    util = float(hours.utilisation.sum())
-    total_g = float(g.sum())
-    sc = util / total_g if total_g > 0 else None
-    return AggregateMetrics(pos_mismatch=pos, neg_mismatch=neg,
-                            utilisation=util, self_consumption=sc)
+class HourlySplit(NamedTuple):
+    """Hourly terms of generation G against load L, in MW."""
+    generation: np.ndarray     # G
+    positive: np.ndarray       # M⁺ = max(G − L, 0)
+    negative: np.ndarray       # M⁻ = min(G − L, 0), ≤ 0
+    utilisation: np.ndarray    # U = min(G, L)
+
+    @property
+    def mismatch(self) -> np.ndarray:
+        """M = G − L, rebuilt exactly: M⁺ or M⁻ is zero in every hour."""
+        return self.positive + self.negative
+
+    def self_consumption(self) -> np.ndarray:
+        """U/G per hour; NaN where G = 0 (undefined)."""
+        g = self.generation
+        return np.divide(self.utilisation, g, out=np.full(g.shape, np.nan), where=g > 0)
+
+    def annual(self) -> AggregateMetrics:
+        return _reduce(self[1:], self.generation)
 
 
-def aggregate_from_series(G, L) -> AggregateMetrics:
-    return aggregate(hourly_metrics(G, L), G)
+def _checked(G, L):
+    g, load = _values(G), _values(L)
+    _check_same_year(G, L)
+    if g.ndim not in (1, 2) or load.ndim != 1 or g.shape[-1] != len(load):
+        raise MetricsError(f"length mismatch: generation {g.shape}, load {load.shape}")
+    # min(initial=0) is negative exactly when some value is; empty arrays pass
+    if load.min(initial=0.0) < 0 or g.min(initial=0.0) < 0:
+        raise MetricsError("generation and load must be non-negative")
+    return g, load
+
+
+def _terms(g: np.ndarray, load: np.ndarray):
+    """Yield M⁺, M⁻ and U in turn.
+
+    M⁻ is written over M, which is not needed after it. A consumer that
+    reduces each term before taking the next holds at most three arrays the
+    size of G: G, M and one term.
+    """
+    m = g - load
+    yield np.maximum(m, 0.0)
+    yield np.minimum(m, 0.0, out=m)
+    yield np.minimum(g, load)
+
+
+def _hour_sum(a: np.ndarray):
+    return a.sum(axis=-1)
+
+
+def _reduce(terms, g: np.ndarray) -> AggregateMetrics:
+    # map() releases each term as soon as it is summed (see _terms).
+    sums = [*map(_hour_sum, terms), _hour_sum(g)]
+    if g.ndim == 1:
+        sums = [float(s) for s in sums]
+    return AggregateMetrics(*sums)
+
+
+def hourly_split(G, L) -> HourlySplit:
+    """Hourly M⁺, M⁻ and U of G against L; G may have a scenario axis."""
+    g, load = _checked(G, L)
+    return HourlySplit(g, *_terms(g, load))
+
+
+def annual_metrics(G, L) -> AggregateMetrics:
+    """Annual M⁺, M⁻, U and G sums of G against L, per scenario row.
+
+    Same numbers as ``hourly_split(G, L).annual()``, without keeping the
+    hourly terms.
+    """
+    g, load = _checked(G, L)
+    return _reduce(_terms(g, load), g)
 
 
 def delta_mismatch(s, h, phi: float):
@@ -111,27 +145,3 @@ def delta_mismatch(s, h, phi: float):
     if isinstance(h, HourlySeries):
         return h.with_values(values)
     return values
-
-
-def utilisation_sum(G, L) -> float:
-    g, load = _values(G), _values(L)
-    _check_same_length(g, load)
-    return float(np.minimum(g, load).sum())
-
-
-def delta_utilisation(G, L_r, L_m) -> float:
-    """Annual utilisation difference between load cases, residential minus mixed."""
-    g = _values(G)
-    _check_same_length(g, _values(L_r), _values(L_m))
-    _check_same_year(G, L_r, L_m)
-    return utilisation_sum(G, L_r) - utilisation_sum(G, L_m)
-
-
-def hourly_self_consumption(G, L) -> np.ndarray:
-    """min(G,L)/G per hour; NaN where G = 0 (undefined)."""
-    g, load = _values(G), _values(L)
-    _check_same_length(g, load)
-    out = np.full(len(g), np.nan)
-    mask = g > 0
-    out[mask] = np.minimum(g[mask], load[mask]) / g[mask]
-    return out

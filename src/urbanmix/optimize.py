@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .generation import generation_mw
+from .metrics import AggregateMetrics, annual_metrics
 from .scaling import round_half_away
 
 SIGN_CONVENTIONS = ("magnitude-neg", "signed-neg")
@@ -80,64 +82,47 @@ class MixProblem:
                 and -tol <= x_turbine <= self.turbine_area_max + tol
                 and x_pv + x_turbine <= self.total_area_max + tol)
 
-    def generation_mw(self, x_pv: float, x_turbine: float) -> np.ndarray:
-        turbines = x_turbine / self.turbine_footprint_m2
-        return x_pv * self.g_pv / 1e6 + turbines * self.g_turbine / 1000.0
+
+def _annual_at(x_pv, x_turbine, problem: MixProblem) -> AggregateMetrics:
+    """Annual terms at one point, or at many given as 1-D arrays.
+
+    Turbine counts stay fractional (x_turbine / footprint) while searching.
+    """
+    g = generation_mw(x_pv, x_turbine / problem.turbine_footprint_m2,
+                      problem.g_pv, problem.g_turbine)
+    return annual_metrics(g, problem.load_mw)
 
 
-@dataclass(frozen=True)
-class ObjectiveTerms:
-    pos_mismatch: float
-    neg_mismatch: float     # signed, <= 0
-    utilisation: float
-
-    def combined(self, weights, sign_convention: str) -> float:
-        p_pos, p_neg, p_ren = weights
-        neg = abs(self.neg_mismatch) if sign_convention == "magnitude-neg" else self.neg_mismatch
-        return p_pos * self.pos_mismatch + p_neg * neg + p_ren * self.utilisation
+def _combined(terms: AggregateMetrics, problem: MixProblem):
+    p_pos, p_neg, p_ren = problem.weights
+    neg = terms.neg_mismatch
+    if problem.sign_convention == "magnitude-neg":
+        neg = abs(neg)
+    return p_pos * terms.pos_mismatch + p_neg * neg + p_ren * terms.utilisation
 
 
-def objective_terms(x, problem: MixProblem) -> ObjectiveTerms:
+def objective_terms(x, problem: MixProblem) -> AggregateMetrics:
     x_pv, x_turbine = float(x[0]), float(x[1])
     if not problem.is_feasible(x_pv, x_turbine, tol=1e-9 * problem.total_area_max):
         raise OptimizeError(f"point ({x_pv}, {x_turbine}) violates the area constraints")
-    g = problem.generation_mw(x_pv, x_turbine)
-    load = problem.load_mw
-    mismatch = g - load
-    return ObjectiveTerms(
-        pos_mismatch=float(np.maximum(mismatch, 0.0).sum()),
-        neg_mismatch=float(np.minimum(mismatch, 0.0).sum()),
-        utilisation=float(np.minimum(g, load).sum()),
-    )
+    return _annual_at(x_pv, x_turbine, problem)
 
 
 def objective(x, problem: MixProblem) -> float:
-    return objective_terms(x, problem).combined(problem.weights, problem.sign_convention)
+    return _combined(objective_terms(x, problem), problem)
 
 
-def _batch_objective(x_pv, x_turbine, problem: MixProblem, chunk: int = 256) -> np.ndarray:
-    """Objective at many points; algebraic form sharing one relu pass.
+def _fitness(x_pv, x_turbine, problem: MixProblem, chunk: int = 16) -> np.ndarray:
+    """Objective at many feasible points, ``chunk`` points per kernel call.
 
-    Uses M+ = sum(max(G-L,0)), R = sum(G) - M+, M- = sum(G) - sum(L) - M+.
+    Small chunks keep the kernel's temporaries cache-sized (16 × 8760
+    doubles is 1.1 MB); rows are independent, so the chunk size never
+    changes a value.
     """
-    x_pv = np.asarray(x_pv, dtype=float)
-    x_turbine = np.asarray(x_turbine, dtype=float)
-    p_pos, p_neg, p_ren = problem.weights
-    magnitude = problem.sign_convention == "magnitude-neg"
-    load = problem.load_mw
-    sum_l = load.sum()
     out = np.empty(len(x_pv))
     for start in range(0, len(x_pv), chunk):
         sl = slice(start, start + chunk)
-        g = (x_pv[sl, None] * problem.g_pv[None, :] / 1e6
-             + (x_turbine[sl, None] / problem.turbine_footprint_m2)
-             * problem.g_turbine[None, :] / 1000.0)
-        m_pos = np.maximum(g - load[None, :], 0.0).sum(axis=1)
-        sum_g = g.sum(axis=1)
-        util = sum_g - m_pos
-        m_neg = sum_g - sum_l - m_pos
-        neg_term = np.abs(m_neg) if magnitude else m_neg
-        out[sl] = p_pos * m_pos + p_neg * neg_term + p_ren * util
+        out[sl] = _combined(_annual_at(x_pv[sl], x_turbine[sl], problem), problem)
     return out
 
 
@@ -149,7 +134,7 @@ class MixSolution:
     turbines: int
     objective: float
     objective_rounded: float
-    terms: ObjectiveTerms
+    terms: AggregateMetrics
     generations: int | None = None
     evaluations: int = 0
 
@@ -164,7 +149,7 @@ def _rounded_turbines(x_pv: float, x_turbine: float, problem: MixProblem) -> int
 def _solution_at(x_pv: float, x_turbine: float, problem: MixProblem,
                  generations=None, evaluations=0) -> MixSolution:
     terms = objective_terms((x_pv, x_turbine), problem)
-    f = terms.combined(problem.weights, problem.sign_convention)
+    f = _combined(terms, problem)
     turbines = _rounded_turbines(x_pv, x_turbine, problem)
     f_rounded = objective((x_pv, turbines * problem.turbine_footprint_m2), problem)
     return MixSolution(
@@ -230,7 +215,7 @@ def ga_optimize(problem: MixProblem, config: GAConfig = GAConfig(),
     sigma = config.mutation_sigma_frac * ranges
 
     pop = _project(rng.uniform(0.0, 1.0, size=(n, 2)) * ranges, problem)
-    fitness = _batch_objective(pop[:, 0], pop[:, 1], problem)
+    fitness = _fitness(pop[:, 0], pop[:, 1], problem)
     evaluations = n
     best_history = [float(fitness.min())]
     generation = 0
@@ -253,7 +238,7 @@ def ga_optimize(problem: MixProblem, config: GAConfig = GAConfig(),
             child = child + mutate * rng.normal(0.0, 1.0, size=2) * sigma
             children[i] = child
         pop = _project(children, problem)
-        fitness = _batch_objective(pop[:, 0], pop[:, 1], problem)
+        fitness = _fitness(pop[:, 0], pop[:, 1], problem)
         evaluations += n
 
         best_history.append(float(fitness.min()))
@@ -281,7 +266,7 @@ def grid_oracle(problem: MixProblem, resolution: int = 200) -> MixSolution:
     flat_wt = grid_wt.ravel()
     feasible = flat_pv + flat_wt <= problem.total_area_max * (1 + 1e-12)
     flat_pv, flat_wt = flat_pv[feasible], flat_wt[feasible]
-    values = _batch_objective(flat_pv, flat_wt, problem)
+    values = _fitness(flat_pv, flat_wt, problem)
     best = int(np.argmin(values))
     return _solution_at(float(flat_pv[best]), float(flat_wt[best]), problem,
                         evaluations=len(flat_pv))

@@ -19,11 +19,11 @@ from urbanmix.classify import all_category_keys, classify_year, compute_bins
 from urbanmix.cli import main
 from urbanmix.config import default_config
 from urbanmix.demand import compute_phi
-from urbanmix.experiments import (capacity_axis, prepare, run_experiment1,
-                                  scenario_components)
-from urbanmix.generation import TurbineParams, wind_power
+from urbanmix.experiments import capacity_axis, prepare, run_experiment1
+from urbanmix.generation import (TurbineParams, capacity_coefficients,
+                                 generation_mw, wind_power)
 from urbanmix.ingest import WeatherRecord, build_calendar
-from urbanmix.metrics import aggregate_from_series, hourly_metrics
+from urbanmix.metrics import annual_metrics, hourly_split
 from urbanmix.optimize import (MixProblem, ga_optimize, grid_oracle,
                                solution_report, tournament_comparison)
 from urbanmix.scaling import build_service_mix
@@ -91,7 +91,7 @@ def test_criterion_04_metric_identities():
             n = int(rng.integers(1, 40))
             g = rng.uniform(0.0, 200.0, n)
             load = rng.uniform(0.0, 200.0, n)
-            agg = aggregate_from_series(g, load)
+            agg = annual_metrics(g, load)
             balance = float(g.sum() - load.sum())
             scale = max(abs(balance), agg.pos_mismatch, abs(agg.neg_mismatch), 1.0)
             assert abs((agg.pos_mismatch + agg.neg_mismatch) - balance) / scale < 1e-9
@@ -120,8 +120,8 @@ def test_criterion_05_load_case_delta_is_generation_free():
             g2 = rng.integers(0, 2 ** 20, n).astype(float) / 1024.0
             load_r = phi * h
             load_m = h + s
-            d1 = hourly_metrics(g1, load_r).mismatch - hourly_metrics(g1, load_m).mismatch
-            d2 = hourly_metrics(g2, load_r).mismatch - hourly_metrics(g2, load_m).mismatch
+            d1 = hourly_split(g1, load_r).mismatch - hourly_split(g1, load_m).mismatch
+            d2 = hourly_split(g2, load_r).mismatch - hourly_split(g2, load_m).mismatch
             assert np.array_equal(d1, d2)
         assert time.monotonic() - start < 1.0
 
@@ -254,8 +254,8 @@ def test_criterion_11_directional_claims(config2014):
 
         for pv_mw, wind_mw in ((100.0, 0.0), (300.0, 0.0), (399.0, 30.0),
                                (52.5, 52.5), (0.0, 105.0), (525.0, 525.0)):
-            pv_gen, wind_gen = scenario_components(pv_mw, wind_mw, prep)
-            g = pv_gen + wind_gen
+            area, turbines = capacity_coefficients(pv_mw, wind_mw, prep.config.pv)
+            g = generation_mw(area, turbines, prep.pv_unit.values, prep.wind_unit.values)
             util_r = np.minimum(g, prep.load_r_mw)
             util_m = np.minimum(g, prep.load_m_mw)
             assert util_m[weekday_day].sum() >= util_r[weekday_day].sum()

@@ -142,3 +142,33 @@ def test_config_file_drives_run(tmp_path):
     summary = json.loads((out / "mix_summary.json").read_text())
     assert summary["pv_mw"] == 100.0
     assert summary["turbines"] == 20
+
+
+def test_parallel_flag_output_matches_serial(tmp_path):
+    # --parallel is still accepted; scenario evaluation is serial either way
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    assert main(["--out", str(serial), "--parallel", "1", "sweep"]) == 0
+    assert main(["--out", str(parallel), "--parallel", "4", "sweep"]) == 0
+    names = sorted(p.name for p in serial.iterdir())
+    assert names == sorted(p.name for p in parallel.iterdir())
+    for name in names:
+        assert filecmp.cmp(serial / name, parallel / name, shallow=False), name
+
+
+@pytest.mark.parametrize("raw", [
+    {"sweep": {"max_mw": -5, "steps": 2}},
+    {"sweep": {"max_mw": 0}},
+    {"mix_preset": {"pv_mw": -1.0}},
+    {"mix_preset": {"wind_mw": -0.2}},
+])
+def test_bad_capacities_exit_1(tmp_path, capsys, raw):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    command = "sweep" if "sweep" in raw else "classify"
+    assert main(["--config", str(cfg), "--out", str(out), command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ")
+    assert len(err.strip().splitlines()) == 1
+    assert not (out / "sweep_metrics.csv").exists()
+    assert not (out / "mix_summary.json").exists()

@@ -8,16 +8,22 @@ from urbanmix.demand import MIXED, RESIDENTIAL_ONLY
 from urbanmix.experiments import (CATEGORY_METRICS, SWEEP_TEST_METRICS,
                                   build_problem, capacity_axis, evaluate_cell,
                                   prepare, run_experiment1, run_experiment2,
-                                  run_optimize, scenario_components,
-                                  write_experiment1_tables,
+                                  run_optimize, write_experiment1_tables,
                                   write_experiment2_tables)
-from urbanmix.metrics import aggregate_from_series
+from urbanmix.generation import capacity_coefficients, generation_mw
 from urbanmix.stats import apply_holm
 
 
 @pytest.fixture(scope="module")
 def prep(config2014):
     return prepare(config2014)
+
+
+def components(pv_mw, wind_mw, prep):
+    area, turbines = capacity_coefficients(pv_mw, wind_mw, prep.config.pv)
+    pv_gen = generation_mw(area, 0, prep.pv_unit.values, prep.wind_unit.values)
+    wind_gen = generation_mw(0.0, turbines, prep.pv_unit.values, prep.wind_unit.values)
+    return pv_gen, wind_gen
 
 
 @pytest.fixture(scope="module")
@@ -72,15 +78,17 @@ def test_cell_matches_pipeline_composition(prep):
     # evaluate_cell must agree with composing the public pieces by hand
     pv_mw, wind_mw = 105.0, 157.5
     cell = evaluate_cell(pv_mw, wind_mw, prep)
-    pv_gen, wind_gen = scenario_components(pv_mw, wind_mw, prep)
+    pv_gen, wind_gen = components(pv_mw, wind_mw, prep)
     g = pv_gen + wind_gen
     for agg, load in ((cell.residential, prep.load_r_mw),
                       (cell.mixed, prep.load_m_mw)):
-        oracle = aggregate_from_series(g, load)
-        assert agg.pos_mismatch == pytest.approx(oracle.pos_mismatch, rel=1e-12)
-        assert agg.neg_mismatch == pytest.approx(oracle.neg_mismatch, rel=1e-12)
-        assert agg.utilisation == pytest.approx(oracle.utilisation, rel=1e-12)
-        assert agg.self_consumption == pytest.approx(oracle.self_consumption,
+        pos = float(np.maximum(g - load, 0).sum())
+        neg = float(np.minimum(g - load, 0).sum())
+        util = float(np.minimum(g, load).sum())
+        assert agg.pos_mismatch == pytest.approx(pos, rel=1e-12)
+        assert agg.neg_mismatch == pytest.approx(neg, rel=1e-12)
+        assert agg.utilisation == pytest.approx(util, rel=1e-12)
+        assert agg.self_consumption == pytest.approx(util / float(g.sum()),
                                                      rel=1e-12)
     # the delta columns are mixed minus residential
     m_r = g - prep.load_r_mw
@@ -92,12 +100,12 @@ def test_cell_matches_pipeline_composition(prep):
 
 
 def test_scenario_components_scale_linearly(prep):
-    pv1, wind1 = scenario_components(100.0, 50.0, prep)
-    pv2, wind2 = scenario_components(200.0, 50.0, prep)
+    pv1, wind1 = components(100.0, 50.0, prep)
+    pv2, wind2 = components(200.0, 50.0, prep)
     assert np.allclose(pv2, 2.0 * pv1, rtol=1e-12)
     assert np.array_equal(wind1, wind2)
     # 50 MW of 0.5 MW turbines = 100 machines
-    _, wind_one = scenario_components(0.0, 0.5, prep)
+    _, wind_one = components(0.0, 0.5, prep)
     assert np.allclose(wind1, 100.0 * wind_one, rtol=1e-12)
 
 
@@ -107,12 +115,6 @@ def test_holm_family_is_all_121_scenarios(grid, config2014):
         redone = apply_holm(family, alpha=config2014.alpha)
         assert [r.reject for r in redone] == [r.reject for r in family]
         assert any(r.reject for r in family)
-
-
-def test_parallel_matches_serial(config2014, grid):
-    parallel = run_experiment1(config2014, parallel=4)
-    assert parallel.cells == grid.cells
-    assert parallel.phi == grid.phi
 
 
 def test_experiment1_tables_deterministic(grid, tmp_path):
@@ -154,7 +156,7 @@ def test_experiment2_counts(exp2):
 def test_experiment2_dark_hours_land_in_solar_bin_1(exp2, prep):
     # hours without solar output sit below the first edge, hence bin 1;
     # the clock bands still leave some categories structurally empty
-    pv_gen, _ = scenario_components(exp2.pv_mw, exp2.wind_mw, prep)
+    pv_gen, _ = components(exp2.pv_mw, exp2.wind_mw, prep)
     for key, pv in zip(exp2.keys, pv_gen):
         if pv == 0.0:
             assert key.solar_bin == 1
@@ -163,7 +165,7 @@ def test_experiment2_dark_hours_land_in_solar_bin_1(exp2, prep):
 
 def test_experiment2_aggregates_consistent(exp2, prep):
     # category totals of the mismatch metric must sum to the annual total
-    pv_gen, wind_gen = scenario_components(exp2.pv_mw, exp2.wind_mw, prep)
+    pv_gen, wind_gen = components(exp2.pv_mw, exp2.wind_mw, prep)
     g = pv_gen + wind_gen
     for case, load in ((RESIDENTIAL_ONLY, prep.load_r_mw), (MIXED, prep.load_m_mw)):
         aggs = exp2.aggregates[(case, "mismatch")]

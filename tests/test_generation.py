@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from urbanmix.generation import (AreaBudget, GenerationError, PvParams,
                                  SingleDiodeParams, TurbineParams, air_density,
-                                 area_budget_totals, cell_temperature,
+                                 area_budget_totals, capacity_coefficients,
+                                 cell_temperature, generation_mw,
                                  hub_height_speed, pv_power, pv_unit_series,
-                                 scenario_generation, wind_power,
-                                 wind_unit_series)
+                                 wind_power, wind_unit_series)
 from urbanmix.ingest import WeatherRecord
 from urbanmix.scaling import ServiceMix
 
@@ -130,28 +130,62 @@ def test_unit_series_lengths(weather2014, pv_unit, wind_unit):
     assert float(pv_unit.values.min()) >= 0.0
 
 
+def generation_at(pv_mw, wind_mw, pv_unit, wind_unit):
+    area, turbines = capacity_coefficients(pv_mw, wind_mw)
+    return generation_mw(area, turbines, pv_unit.values, wind_unit.values)
+
+
 def test_scenario_generation_doubling_exact(pv_unit, wind_unit):
-    g1 = scenario_generation(100.0, 50.0, pv_unit, wind_unit)
-    g2 = scenario_generation(200.0, 100.0, pv_unit, wind_unit)
-    assert np.array_equal(g1.values + g1.values, g2.values)
+    g1 = generation_at(100.0, 50.0, pv_unit, wind_unit)
+    g2 = generation_at(200.0, 100.0, pv_unit, wind_unit)
+    assert np.array_equal(g1 + g1, g2)
 
 
 def test_scenario_generation_zero(pv_unit, wind_unit):
-    g = scenario_generation(0.0, 0.0, pv_unit, wind_unit)
-    assert float(np.abs(g.values).max()) == 0.0
+    g = generation_at(0.0, 0.0, pv_unit, wind_unit)
+    assert float(np.abs(g).max()) == 0.0
 
 
 def test_scenario_generation_turbine_rounding(pv_unit, wind_unit):
-    g_half_up = scenario_generation(0.0, 0.25, pv_unit, wind_unit)
-    g_one = scenario_generation(0.0, 0.5, pv_unit, wind_unit)
-    assert np.array_equal(g_half_up.values, g_one.values)
-    g_down = scenario_generation(0.0, 0.2, pv_unit, wind_unit)
-    assert float(np.abs(g_down.values).max()) == 0.0
+    g_half_up = generation_at(0.0, 0.25, pv_unit, wind_unit)
+    g_one = generation_at(0.0, 0.5, pv_unit, wind_unit)
+    assert np.array_equal(g_half_up, g_one)
+    g_down = generation_at(0.0, 0.2, pv_unit, wind_unit)
+    assert float(np.abs(g_down).max()) == 0.0
 
 
 def test_scenario_generation_rejects_negative(pv_unit, wind_unit):
     with pytest.raises(GenerationError):
-        scenario_generation(-1.0, 0.0, pv_unit, wind_unit)
+        generation_at(-1.0, 0.0, pv_unit, wind_unit)
+
+
+def test_generation_kernel_rejects_negative_coefficients(pv_unit, wind_unit):
+    with pytest.raises(GenerationError, match="non-negative"):
+        generation_mw(-1.0, 0.0, pv_unit.values, wind_unit.values)
+    with pytest.raises(GenerationError, match="non-negative"):
+        generation_mw(0.0, -0.5, pv_unit.values, wind_unit.values)
+    with pytest.raises(GenerationError, match="non-negative"):
+        generation_mw(np.array([10.0, -1.0]), np.array([1.0, 2.0]),
+                      pv_unit.values, wind_unit.values)
+    with pytest.raises(GenerationError, match="non-negative"):
+        generation_mw(1.0, 1.0, -pv_unit.values, wind_unit.values)
+
+
+def test_generation_kernel_batch_rows_match_scalar_calls(pv_unit, wind_unit):
+    areas = np.array([0.0, 1.0e5, 3.7e6])
+    turbines = np.array([4.0, 0.0, 2.5])
+    batch = generation_mw(areas, turbines, pv_unit.values, wind_unit.values)
+    assert batch.shape == (3, 8760)
+    for i in range(3):
+        row = generation_mw(areas[i], turbines[i], pv_unit.values, wind_unit.values)
+        assert np.array_equal(batch[i], row)
+
+
+def test_generation_kernel_shape_checks(pv_unit, wind_unit):
+    with pytest.raises(GenerationError, match="length"):
+        generation_mw(1.0, 1.0, pv_unit.values, wind_unit.values[:-1])
+    with pytest.raises(GenerationError, match="equal-length"):
+        generation_mw(np.ones(2), np.ones(3), pv_unit.values, wind_unit.values)
 
 
 def test_area_budget_totals(service_mix, fixture_nl):

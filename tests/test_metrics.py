@@ -5,10 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from urbanmix.ingest import HourlySeries
-from urbanmix.metrics import (AggregateMetrics, MetricsError,
-                              aggregate_from_series, delta_mismatch,
-                              delta_utilisation, hourly_metrics,
-                              hourly_self_consumption, utilisation_sum)
+from urbanmix.metrics import (AggregateMetrics, MetricsError, annual_metrics,
+                              delta_mismatch, hourly_split)
 
 
 def series(values, unit="MW", year=2014):
@@ -19,49 +17,40 @@ def series(values, unit="MW", year=2014):
 def test_mismatch_sign():
     g = np.array([5.0, 1.0, 3.0])
     load = np.array([2.0, 4.0, 3.0])
-    hours = hourly_metrics(g, load)
+    hours = hourly_split(g, load)
     assert np.array_equal(hours.mismatch, np.array([3.0, -3.0, 0.0]))
 
 
 def test_utilisation_pointwise_min():
     g = np.array([5.0, 1.0, 3.0])
     load = np.array([2.0, 4.0, 3.0])
-    hours = hourly_metrics(g, load)
+    hours = hourly_split(g, load)
     assert np.array_equal(hours.utilisation, np.array([2.0, 1.0, 3.0]))
-
-
-def test_hour_metrics_indexing():
-    hours = hourly_metrics(np.array([5.0, 1.0]), np.array([2.0, 4.0]))
-    assert len(hours) == 2
-    assert hours[1].mismatch == -3.0
-    assert hours[1].utilisation == 1.0
-    tail = hours[1:]
-    assert len(tail) == 1
 
 
 def test_rejects_negative_inputs():
     with pytest.raises(MetricsError, match="non-negative"):
-        hourly_metrics(np.array([-1.0]), np.array([1.0]))
+        hourly_split(np.array([-1.0]), np.array([1.0]))
     with pytest.raises(MetricsError, match="non-negative"):
-        hourly_metrics(np.array([1.0]), np.array([-1.0]))
+        hourly_split(np.array([1.0]), np.array([-1.0]))
 
 
 def test_rejects_length_mismatch():
     with pytest.raises(MetricsError, match="length"):
-        hourly_metrics(np.ones(3), np.ones(4))
+        hourly_split(np.ones(3), np.ones(4))
 
 
 def test_rejects_year_mismatch():
     g = series(np.ones(8760), year=2014)
     load = series(np.ones(8784), year=2012)
     with pytest.raises(MetricsError):
-        hourly_metrics(g, load)
+        hourly_split(g, load)
 
 
 def test_aggregate_fields():
     g = np.array([5.0, 1.0, 3.0])
     load = np.array([2.0, 4.0, 3.0])
-    agg = aggregate_from_series(g, load)
+    agg = annual_metrics(g, load)
     assert isinstance(agg, AggregateMetrics)
     assert agg.pos_mismatch == pytest.approx(3.0)
     assert agg.neg_mismatch == pytest.approx(-3.0)
@@ -72,20 +61,20 @@ def test_aggregate_fields():
 
 
 def test_negative_mismatch_kept_signed():
-    agg = aggregate_from_series(np.zeros(4), np.full(4, 2.5))
+    agg = annual_metrics(np.zeros(4), np.full(4, 2.5))
     assert agg.neg_mismatch == -10.0
     assert agg.pos_mismatch == 0.0
 
 
 def test_self_consumption_zero_generation_is_none():
-    agg = aggregate_from_series(np.zeros(5), np.ones(5))
+    agg = annual_metrics(np.zeros(5), np.ones(5))
     assert agg.self_consumption is None
 
 
 def test_hourly_self_consumption_nan_where_no_generation():
     g = np.array([4.0, 0.0, 2.0])
     load = np.array([2.0, 1.0, 3.0])
-    sc = hourly_self_consumption(g, load)
+    sc = hourly_split(g, load).self_consumption()
     assert sc[0] == pytest.approx(0.5)
     assert np.isnan(sc[1])
     assert sc[2] == pytest.approx(1.0)
@@ -98,7 +87,7 @@ def test_energy_balance_random_pairs():
         n = int(rng.integers(1, 50))
         g = rng.uniform(0.0, 100.0, n)
         load = rng.uniform(0.0, 100.0, n)
-        agg = aggregate_from_series(g, load)
+        agg = annual_metrics(g, load)
         balance = float(g.sum() - load.sum())
         scale = max(abs(balance), agg.pos_mismatch, abs(agg.neg_mismatch), 1.0)
         assert abs((agg.pos_mismatch + agg.neg_mismatch) - balance) / scale < 1e-9
@@ -109,7 +98,7 @@ def test_utilisation_matches_brute_force():
     g = rng.uniform(0.0, 50.0, 2000)
     load = rng.uniform(0.0, 50.0, 2000)
     expected = sum(min(a, b) for a, b in zip(g, load))
-    assert utilisation_sum(g, load) == pytest.approx(expected, rel=1e-12)
+    assert annual_metrics(g, load).utilisation == pytest.approx(expected, rel=1e-12)
 
 
 def test_self_consumption_in_unit_interval():
@@ -117,7 +106,7 @@ def test_self_consumption_in_unit_interval():
     for _ in range(200):
         g = rng.uniform(0.0, 10.0, 100)
         load = rng.uniform(0.0, 10.0, 100)
-        sc = aggregate_from_series(g, load).self_consumption
+        sc = annual_metrics(g, load).self_consumption
         assert sc is not None
         assert 0.0 <= sc <= 1.0
 
@@ -135,8 +124,8 @@ def test_delta_mismatch_generation_independent():
         g1 = rng.integers(0, 2 ** 20, n).astype(float) / 1024.0
         g2 = rng.integers(0, 2 ** 20, n).astype(float) / 1024.0
         direct = delta_mismatch(s, h, phi)
-        via_g1 = hourly_metrics(g1, phi * h).mismatch - hourly_metrics(g1, h + s).mismatch
-        via_g2 = hourly_metrics(g2, phi * h).mismatch - hourly_metrics(g2, h + s).mismatch
+        via_g1 = hourly_split(g1, phi * h).mismatch - hourly_split(g1, h + s).mismatch
+        via_g2 = hourly_split(g2, phi * h).mismatch - hourly_split(g2, h + s).mismatch
         assert np.array_equal(via_g1, via_g2)
         assert np.array_equal(via_g1, direct)
 
@@ -162,15 +151,16 @@ def test_delta_utilisation():
     l_r = np.array([2.0, 4.0, 3.0])
     l_m = np.array([3.0, 2.0, 3.0])
     expected = (2.0 + 1.0 + 3.0) - (3.0 + 1.0 + 3.0)
-    assert delta_utilisation(g, l_r, l_m) == pytest.approx(expected)
+    delta = annual_metrics(g, l_r).utilisation - annual_metrics(g, l_m).utilisation
+    assert delta == pytest.approx(expected)
 
 
 @settings(max_examples=100)
 @given(hnp.arrays(np.float64, 24, elements=st.floats(0, 1e6)),
        hnp.arrays(np.float64, 24, elements=st.floats(0, 1e6)))
 def test_split_reconstructs_mismatch(g, load):
-    agg = aggregate_from_series(g, load)
-    m = hourly_metrics(g, load).mismatch
+    agg = annual_metrics(g, load)
+    m = hourly_split(g, load).mismatch
     assert agg.pos_mismatch == float(np.maximum(m, 0.0).sum())
     assert agg.neg_mismatch == float(np.minimum(m, 0.0).sum())
 
@@ -179,7 +169,48 @@ def test_split_reconstructs_mismatch(g, load):
 @given(hnp.arrays(np.float64, 24, elements=st.floats(0, 1e6)),
        hnp.arrays(np.float64, 24, elements=st.floats(0, 1e6)))
 def test_utilisation_bounded_by_both(g, load):
-    u = hourly_metrics(g, load).utilisation
+    u = hourly_split(g, load).utilisation
     assert (u <= g).all()
     assert (u <= load).all()
     assert (u >= 0.0).all()
+
+
+def test_batched_generation_needs_matching_hours():
+    with pytest.raises(MetricsError, match="length"):
+        annual_metrics(np.ones((3, 4)), np.ones(5))
+    with pytest.raises(MetricsError, match="non-negative"):
+        annual_metrics(np.array([[1.0, 2.0], [0.5, -0.1]]), np.ones(2))
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_batched_kernel_rows_match_single_scenario(data):
+    # The GA scores a population as one (k, n) batch, while the sweep and
+    # the reported objective evaluate one scenario at a time: row i of the
+    # batch must be the single-scenario result on row i, bit for bit.
+    k = data.draw(st.integers(1, 6), label="k")
+    n = data.draw(st.integers(1, 64), label="n")
+    g = data.draw(hnp.arrays(np.float64, (k, n), elements=st.floats(0, 1e6)), label="G")
+    load = data.draw(hnp.arrays(np.float64, n, elements=st.floats(0, 1e6)), label="L")
+    batch = annual_metrics(g, load)
+    batch_split = hourly_split(g, load)
+    for i in range(k):
+        single = annual_metrics(g[i], load)
+        for field in ("pos_mismatch", "neg_mismatch", "utilisation", "generation"):
+            assert _bits(getattr(batch, field)[i]) == _bits(getattr(single, field))
+        row_split = hourly_split(g[i], load)
+        for got, want in zip(batch_split, row_split):
+            assert np.array_equal(got[i], want)
+        assert row_split.annual() == single
+
+        total_g, total_l = float(g[i].sum()), float(load.sum())
+        assert single.pos_mismatch >= 0.0
+        assert single.neg_mismatch <= 0.0
+        scale = max(total_g, total_l, 1.0)
+        balance = single.pos_mismatch + single.neg_mismatch - (total_g - total_l)
+        assert abs(balance) <= 1e-9 * scale
+        assert 0.0 <= single.utilisation <= min(total_g, total_l)

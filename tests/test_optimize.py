@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from urbanmix.optimize import (GAConfig, MixProblem, OptimizeError,
-                               _batch_objective, _project, ga_optimize,
+                               _fitness, _project, ga_optimize,
                                grid_oracle, objective, objective_terms,
                                solution_report, tournament_comparison)
 
@@ -110,7 +110,7 @@ def test_batch_objective_matches_pointwise():
         scale = p.total_area_max / (x_pv + x_wt)
         x_pv[over] *= scale[over]
         x_wt[over] *= scale[over]
-        batch = _batch_objective(x_pv, x_wt, p)
+        batch = _fitness(x_pv, x_wt, p)
         for i in range(0, 600, 37):
             direct = objective((x_pv[i], x_wt[i]), p)
             assert batch[i] == pytest.approx(direct, rel=1e-9)

@@ -42,7 +42,7 @@ def test_write_csv_rejects_ragged_rows(tmp_path):
 
 def test_metric_row_none_self_consumption():
     agg = AggregateMetrics(pos_mismatch=0.0, neg_mismatch=-5.0,
-                           utilisation=0.0, self_consumption=None)
+                           utilisation=0.0, generation=0.0)
     row = metric_row(52.5, 0.0, "mixed", agg)
     assert row == (52.5, 0.0, "mixed", 0.0, -5.0, 0.0, None)
 
