@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import ingest
-from .generation import AreaBudget, PvParams, TurbineParams
+from .generation import AreaBudget, PvParams, SingleDiodeParams, TurbineParams
 from .ingest import Calendar, HourlySeries, IngestError, WeatherRecord
 from .optimize import GAConfig
 from .scaling import (ScalingError, ScalingFixture, ServiceMix,
@@ -97,18 +97,23 @@ def _load_fixture(raw: dict, base_dir: Path) -> ScalingFixture:
     return load_default_fixture()
 
 
-def _params_from(raw: dict, key: str, factory):
+def _params_from(raw: dict, key: str, factory, label: str | None = None):
+    label = label or key
     section = raw.get(key)
     if section is None:
         return factory()
     if not isinstance(section, dict):
-        raise ConfigError(f"config: {key} must be an object")
+        raise ConfigError(f"config: {label} must be an object")
     try:
         return factory(**section)
-    except TypeError as exc:
-        raise ConfigError(f"config: bad {key} options: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"config: bad {key} options: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config: bad {label} options: {exc}") from exc
+
+
+def _bool(value, label: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"config: {label} must be true or false")
+    return value
 
 
 def load_config(path) -> SimulationConfig:
@@ -149,21 +154,21 @@ def load_config(path) -> SimulationConfig:
     if "household_annual_kwh" in raw:
         kwargs["household_annual_kwh"] = _require(raw, "household_annual_kwh", float, "config")
     if "real_inputs" in raw:
-        if not isinstance(raw["real_inputs"], bool):
-            raise ConfigError("config: real_inputs must be true or false")
-        kwargs["real_inputs"] = raw["real_inputs"]
+        kwargs["real_inputs"] = _bool(raw["real_inputs"], "real_inputs")
     if "seed" in raw:
         kwargs["seed"] = _require(raw, "seed", int, "config")
     if "holidays_as_weekend" in raw:
-        if not isinstance(raw["holidays_as_weekend"], bool):
-            raise ConfigError("config: holidays_as_weekend must be true or false")
-        kwargs["holidays_as_weekend"] = raw["holidays_as_weekend"]
+        kwargs["holidays_as_weekend"] = _bool(raw["holidays_as_weekend"], "holidays_as_weekend")
 
     kwargs["turbine"] = _params_from(raw, "turbine", TurbineParams)
-    kwargs["pv"] = _params_from(raw, "pv", PvParams)
+    pv_raw = raw.get("pv")
+    if isinstance(pv_raw, dict) and "diode" in pv_raw:
+        pv_raw = dict(pv_raw, diode=_params_from(pv_raw, "diode", SingleDiodeParams,
+                                                 label="pv.diode"))
+    kwargs["pv"] = _params_from({"pv": pv_raw}, "pv", PvParams)
     area_raw = dict(raw.get("area") or {})
     if "roof_only_pv" in area_raw:
-        kwargs["roof_only_pv"] = bool(area_raw.pop("roof_only_pv"))
+        kwargs["roof_only_pv"] = _bool(area_raw.pop("roof_only_pv"), "area.roof_only_pv")
     kwargs["area"] = _params_from({"area": area_raw} if area_raw else {}, "area", AreaBudget)
 
     sweep = raw.get("sweep") or {}
@@ -180,7 +185,7 @@ def load_config(path) -> SimulationConfig:
     if "alpha" in stats_raw:
         kwargs["alpha"] = float(stats_raw["alpha"])
     if "pooled" in stats_raw:
-        kwargs["pooled"] = bool(stats_raw["pooled"])
+        kwargs["pooled"] = _bool(stats_raw["pooled"], "stats.pooled")
     if "weights" in raw:
         w = raw["weights"]
         if not isinstance(w, (list, tuple)) or len(w) != 3:

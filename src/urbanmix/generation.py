@@ -8,12 +8,12 @@ scenario or a batch of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
 
-from .ingest import HourlySeries, MIN_TEMP_C, WeatherRecord
+from .ingest import HourlySeries, MIN_TEMP_C, WeatherRecord, weather_arrays
 from .scaling import ServiceMix, round_half_away
 
 R_DRY_AIR = 287.05          # J/(kg K)
@@ -22,6 +22,7 @@ STC_IRRADIANCE = 1000.0     # W/m²
 STC_CELL_TEMP = 25.0        # °C
 NOCT_IRRADIANCE = 800.0     # W/m²
 TURBINE_UNIT_MW = 0.5
+PV_BLOCK_HOURS = 64          # daylight hours per single-diode kernel call
 
 
 class GenerationError(ValueError):
@@ -74,6 +75,9 @@ class PvParams:
             raise GenerationError("temperature coefficient must be <= 0")
         if self.model not in ("linear-derate", "single-diode"):
             raise GenerationError(f"unknown PV model {self.model!r}")
+        if self.diode is not None and not isinstance(self.diode, SingleDiodeParams):
+            raise GenerationError("diode must be SingleDiodeParams or None, "
+                                  f"got {type(self.diode).__name__}")
 
 
 @dataclass(frozen=True)
@@ -87,6 +91,20 @@ class SingleDiodeParams:
     rs_ohm: float = 0.008
     isc_temp_coeff: float = 0.0024      # A/°C
     voc_temp_coeff: float = -0.08       # V/°C
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise GenerationError(f"{f.name} must be a finite number, got {value!r}")
+        if not isinstance(self.n_cells, int) or self.n_cells < 1:
+            raise GenerationError(f"n_cells must be an integer >= 1, got {self.n_cells!r}")
+        for name in ("isc_a", "voc_v", "ideality"):
+            if getattr(self, name) <= 0:
+                raise GenerationError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.rs_ohm < 0:
+            raise GenerationError(f"rs_ohm must be >= 0, got {self.rs_ohm}")
 
 
 @dataclass(frozen=True)
@@ -139,45 +157,63 @@ def cell_temperature(temp, ghi, params: PvParams):
 
 def pv_power(record: WeatherRecord, params: PvParams = PvParams()) -> float:
     """W per m² of panel for the given hour."""
-    if record.ghi <= 0:
-        return 0.0
-    if params.model == "single-diode":
-        diode = params.diode or SingleDiodeParams()
-        watts = _single_diode_mpp(record.ghi, record.temp, params, diode)
-        return watts / params.panel_area_m2
-    t_cell = cell_temperature(record.temp, record.ghi, params)
-    p = (params.rated_power_density_wm2 * (record.ghi / STC_IRRADIANCE)
-         * (1.0 + params.temp_coefficient * (t_cell - STC_CELL_TEMP)))
-    return float(np.clip(p, 0.0, params.rated_power_density_wm2))
+    return float(_pv_wm2(np.array([record.ghi]), np.array([record.temp]), params)[0])
 
 
-def _single_diode_mpp(ghi, temp, params: PvParams, diode: SingleDiodeParams) -> float:
-    # Module-level one-diode model: photocurrent proportional to irradiance,
-    # saturation current fixed by the open-circuit point at cell temperature.
-    # The maximum power point is located numerically on a voltage grid, with
-    # the implicit current solved by damped fixed-point iteration.
+def _pv_wm2(ghi: np.ndarray, temp: np.ndarray, params: PvParams) -> np.ndarray:
+    """W per m² of panel for each hour of the ``ghi`` and ``temp`` columns."""
+    if params.model == "linear-derate":
+        t_cell = cell_temperature(temp, ghi, params)
+        p = (params.rated_power_density_wm2 * (ghi / STC_IRRADIANCE)
+             * (1.0 + params.temp_coefficient * (t_cell - STC_CELL_TEMP)))
+        return np.where(ghi <= 0, 0.0, np.clip(p, 0.0, params.rated_power_density_wm2))
+    diode = params.diode or SingleDiodeParams()
+    # "not <= 0" rather than "> 0": a NaN input stays NaN instead of reading as night
+    day = np.flatnonzero(~(ghi <= 0))
+    watts = np.zeros(len(ghi))
+    for start in range(0, len(day), PV_BLOCK_HOURS):
+        block = day[start:start + PV_BLOCK_HOURS]
+        watts[block] = _single_diode_mpp(ghi[block], temp[block], params, diode)
+    return watts / params.panel_area_m2
+
+
+def _single_diode_mpp(ghi: np.ndarray, temp: np.ndarray, params: PvParams,
+                      diode: SingleDiodeParams) -> np.ndarray:
+    """Module maximum-power-point watts, one per hour of daylight columns.
+
+    Module-level one-diode model: photocurrent proportional to irradiance,
+    saturation current fixed by the open-circuit point at cell temperature.
+    Each hour's maximum power point is located numerically on its own voltage
+    grid (one row), with the implicit current solved by damped fixed-point
+    iteration. Hours without photocurrent or open-circuit voltage give 0.
+    """
     t_cell = cell_temperature(temp, ghi, params) + 273.15
     vt_module = diode.n_cells * diode.ideality * 1.380649e-23 * t_cell / 1.602176634e-19
     t_delta = (t_cell - 273.15) - STC_CELL_TEMP
     i_ph = diode.isc_a * (ghi / STC_IRRADIANCE) * (1.0 + diode.isc_temp_coeff / diode.isc_a * t_delta)
     voc = diode.voc_v + diode.voc_temp_coeff * t_delta
-    if i_ph <= 0 or voc <= 0:
-        return 0.0
-    i_sat = i_ph / math.expm1(voc / vt_module)
+    mpp = np.zeros(len(ghi))
+    lit = ~((i_ph <= 0) | (voc <= 0))
+    i_ph, voc, vt = i_ph[lit], voc[lit], vt_module[lit]
+    # math.expm1, not np.expm1: the two differ in the last bit on some inputs
+    i_sat = i_ph / np.array([math.expm1(x) for x in (voc / vt).tolist()])
     rs = diode.rs_ohm * diode.n_cells
-    v_grid = np.linspace(0.0, voc, 200)
-    i = np.full_like(v_grid, i_ph)
+    v_grid = np.linspace(0.0, voc, 200, axis=1)
+    i_ph, i_sat, vt = i_ph[:, None], i_sat[:, None], vt[:, None]
+    i = np.repeat(i_ph, 200, axis=1)
     for _ in range(40):
-        arg = np.clip((v_grid + i * rs) / vt_module, None, 80.0)
+        arg = np.clip((v_grid + i * rs) / vt, None, 80.0)
         i_new = i_ph - i_sat * np.expm1(arg)
         i = 0.7 * i + 0.3 * i_new
     i = np.clip(i, 0.0, None)
-    return float(np.max(v_grid * i))
+    mpp[lit] = np.max(v_grid * i, axis=1)
+    return mpp
 
 
 def pv_unit_series(records, year: int, params: PvParams = PvParams()) -> HourlySeries:
     """Per-m² PV output for a weather year, W/m²."""
-    values = np.array([pv_power(r, params) for r in records])
+    columns = weather_arrays(records)
+    values = _pv_wm2(columns["ghi"], columns["temp"], params)
     return HourlySeries(values=values, unit="W/m2", year=year)
 
 

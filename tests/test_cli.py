@@ -1,6 +1,7 @@
 import filecmp
 import json
 
+import numpy as np
 import pytest
 
 from urbanmix.cli import main
@@ -172,3 +173,47 @@ def test_bad_capacities_exit_1(tmp_path, capsys, raw):
     assert len(err.strip().splitlines()) == 1
     assert not (out / "sweep_metrics.csv").exists()
     assert not (out / "mix_summary.json").exists()
+
+
+def single_diode_generation(tmp_path, name, pv):
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps({"pv": pv}))
+    out = tmp_path / name
+    assert main(["--config", str(cfg), "--out", str(out), "generation"]) == 0
+    return out
+
+
+def test_single_diode_generation_is_deterministic(tmp_path):
+    first = single_diode_generation(tmp_path, "first", {"model": "single-diode"})
+    second = single_diode_generation(tmp_path, "second", {"model": "single-diode"})
+    rows = (first / "generation_pv_unit.csv").read_text().splitlines()[1:]
+    values = np.array([float(row.split(",")[1]) for row in rows])
+    assert len(values) == 8760
+    assert np.isfinite(values).all() and values.min() >= 0.0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        assert filecmp.cmp(first / name, second / name, shallow=False), name
+
+
+def test_pv_diode_object_configures_generation(tmp_path):
+    def peak(out):
+        return json.loads((out / "generation_summary.json").read_text())["pv_peak_w_per_m2"]
+
+    default = single_diode_generation(tmp_path, "default", {"model": "single-diode"})
+    stronger = single_diode_generation(tmp_path, "stronger",
+                                       {"model": "single-diode", "diode": {"isc_a": 4.0}})
+    assert peak(stronger) > peak(default)
+
+
+@pytest.mark.parametrize("diode", [{"isc": 4.0}, 4.0, {"n_cells": 0},
+                                   {"voc_temp_coeff": "x"}])
+def test_bad_pv_diode_exits_1(tmp_path, capsys, diode):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"pv": {"model": "single-diode", "diode": diode}}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "generation"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and "pv.diode" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (out / "generation_pv_unit.csv").exists()

@@ -110,7 +110,7 @@ def test_section_overrides(tmp_path):
     config = load_config(write(tmp_path, {
         "year": 2014,
         "turbine": {"cut_in_ms": 3.0},
-        "pv": {"temp_coefficient": -0.004},
+        "pv": {"temp_coefficient": -0.004, "diode": {"isc_a": 4.0}},
         "sweep": {"max_mw": 100.0, "steps": 3},
         "mix_preset": {"pv_mw": 50.0, "wind_mw": 5.0},
         "stats": {"alpha": 0.01, "pooled": True},
@@ -120,6 +120,7 @@ def test_section_overrides(tmp_path):
     }))
     assert config.turbine.cut_in_ms == 3.0
     assert config.pv.temp_coefficient == -0.004
+    assert config.pv.diode.isc_a == 4.0 and config.pv.diode.n_cells == 36
     assert config.sweep_max_mw == 100.0
     assert config.sweep_steps == 3
     assert config.mix_pv_mw == 50.0
@@ -142,6 +143,17 @@ def test_area_section_carries_roof_only(tmp_path):
         "year": 2014, "area": {"roof_only_pv": True, "phi_area": 2.0}}))
     assert config.roof_only_pv is True
     assert config.area.phi_area == 2.0
+
+
+@pytest.mark.parametrize("payload, label", [
+    ({"stats": {"pooled": "false"}}, "stats.pooled"),
+    ({"stats": {"pooled": 0}}, "stats.pooled"),
+    ({"area": {"roof_only_pv": "false"}}, "area.roof_only_pv"),
+    ({"area": {"roof_only_pv": 1}}, "area.roof_only_pv"),
+])
+def test_non_boolean_flags_rejected(tmp_path, payload, label):
+    with pytest.raises(ConfigError, match=f"{label} must be true or false"):
+        load_config(write(tmp_path, {"year": 2014, **payload}))
 
 
 def test_benchmarks_override(tmp_path):

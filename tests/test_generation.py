@@ -1,14 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urbanmix.generation import (AreaBudget, GenerationError, PvParams,
-                                 SingleDiodeParams, TurbineParams, air_density,
-                                 area_budget_totals, capacity_coefficients,
-                                 cell_temperature, generation_mw,
-                                 hub_height_speed, pv_power, pv_unit_series,
-                                 wind_power, wind_unit_series)
+from urbanmix.generation import (STC_CELL_TEMP, STC_IRRADIANCE, AreaBudget,
+                                 GenerationError, PvParams, SingleDiodeParams,
+                                 TurbineParams, air_density, area_budget_totals,
+                                 capacity_coefficients, cell_temperature,
+                                 generation_mw, hub_height_speed, pv_power,
+                                 pv_unit_series, wind_power, wind_unit_series)
 from urbanmix.ingest import WeatherRecord
 from urbanmix.scaling import ServiceMix
 
@@ -92,6 +94,11 @@ def test_pv_power_linear_derate_hand_value():
     assert w == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("model", ["linear-derate", "single-diode"])
+def test_pv_power_keeps_nan_irradiance(model):
+    assert math.isnan(pv_power(record(ghi=float("nan")), PvParams(model=model)))
+
+
 def test_pv_power_clamped_to_rated():
     params = PvParams()
     # very cold and bright: the temperature boost would exceed the rating
@@ -119,6 +126,70 @@ def test_single_diode_monotonic_in_irradiance():
     low = pv_power(record(ghi=200.0, temp=15.0), single)
     high = pv_power(record(ghi=800.0, temp=15.0), single)
     assert 0 < low < high
+
+
+def diode_operating_point(ghi, temp, params, diode):
+    """(photocurrent A, open-circuit V, module thermal voltage V) for one hour."""
+    t_cell = cell_temperature(temp, ghi, params) + 273.15
+    vt_module = diode.n_cells * diode.ideality * 1.380649e-23 * t_cell / 1.602176634e-19
+    t_delta = (t_cell - 273.15) - STC_CELL_TEMP
+    i_ph = diode.isc_a * (ghi / STC_IRRADIANCE) * (1.0 + diode.isc_temp_coeff / diode.isc_a * t_delta)
+    voc = diode.voc_v + diode.voc_temp_coeff * t_delta
+    return i_ph, voc, vt_module
+
+
+def reference_mpp(ghi, temp, params, diode):
+    """One hour's maximum-power-point watts, solved on its own: the oracle."""
+    i_ph, voc, vt_module = diode_operating_point(ghi, temp, params, diode)
+    if i_ph <= 0 or voc <= 0:
+        return 0.0
+    i_sat = i_ph / math.expm1(voc / vt_module)
+    rs = diode.rs_ohm * diode.n_cells
+    v_grid = np.linspace(0.0, voc, 200)
+    i = np.full_like(v_grid, i_ph)
+    for _ in range(40):
+        arg = np.clip((v_grid + i * rs) / vt_module, None, 80.0)
+        i_new = i_ph - i_sat * np.expm1(arg)
+        i = 0.7 * i + 0.3 * i_new
+    i = np.clip(i, 0.0, None)
+    return float(np.max(v_grid * i))
+
+
+def test_single_diode_year_matches_per_hour_oracle(weather2014, calendar2014):
+    params = PvParams(model="single-diode")
+    series = pv_unit_series(weather2014, calendar2014.year, params).values
+    day = [h for h, r in enumerate(weather2014) if r.ghi > 0]
+    hours = sorted(set(day[::10]) | {day[0], day[-1]})
+    expected = np.array([reference_mpp(weather2014[h].ghi, weather2014[h].temp,
+                                       params, SingleDiodeParams())
+                         for h in hours]) / params.panel_area_m2
+    assert np.array_equal(series[hours], expected)
+    assert pv_power(weather2014[day[0]], params) == series[day[0]]
+    night = np.ones(len(series), dtype=bool)
+    night[day] = False
+    assert not series[night].any()
+    # the year's sum, pinned to the last bit
+    assert float(series.sum()) == 109162.18999894528
+
+
+def test_linear_year_sum_pinned(pv_unit):
+    assert float(pv_unit.values.sum()) == 104019.80827083281
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"isc_a": 0.0}, {"isc_a": float("nan")}, {"voc_v": 0.0}, {"voc_v": -21.1},
+    {"n_cells": 0}, {"n_cells": 36.0}, {"n_cells": True},
+    {"ideality": 0.0}, {"ideality": -1.2}, {"rs_ohm": -0.008},
+    {"voc_temp_coeff": "x"}, {"isc_temp_coeff": float("inf")},
+])
+def test_single_diode_params_validated(kwargs):
+    with pytest.raises(GenerationError, match=next(iter(kwargs))):
+        SingleDiodeParams(**kwargs)
+
+
+def test_pv_params_reject_non_diode_object():
+    with pytest.raises(GenerationError, match="diode"):
+        PvParams(model="single-diode", diode={"isc_a": 4.0})
 
 
 def test_unit_series_lengths(weather2014, pv_unit, wind_unit):
@@ -222,8 +293,13 @@ def test_wind_power_bounded(v, temp, pressure):
 
 @settings(max_examples=50)
 @given(st.floats(min_value=0.0, max_value=1300.0),
-       st.floats(min_value=-20.0, max_value=45.0))
-def test_pv_power_bounded(ghi, temp):
-    params = PvParams()
+       st.floats(min_value=-20.0, max_value=45.0),
+       st.sampled_from(["linear-derate", "single-diode"]))
+def test_pv_power_bounded(ghi, temp, model):
+    params = PvParams(model=model)
     w = pv_power(record(ghi=ghi, temp=temp), params)
-    assert 0.0 <= w <= params.rated_power_density_wm2
+    if model == "linear-derate":
+        assert 0.0 <= w <= params.rated_power_density_wm2
+    else:
+        i_ph, voc, _ = diode_operating_point(ghi, temp, params, SingleDiodeParams())
+        assert 0.0 <= w * params.panel_area_m2 <= i_ph * voc
