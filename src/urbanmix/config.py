@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -68,6 +69,8 @@ def _require(mapping: dict, key: str, kind, context: str):
         value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ConfigError(f"{context}: {key} must be {kind.__name__}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{context}: {key} must be finite, got {value}")
     return value
 
 
@@ -108,6 +111,19 @@ def _params_from(raw: dict, key: str, factory, label: str | None = None):
         return factory(**section)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config: bad {label} options: {exc}") from exc
+
+
+def _section(raw: dict, key: str, allowed: set) -> dict:
+    """A flat config section: an object (or absent/null) with only known keys."""
+    section = raw.get(key)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"config: {key} must be an object")
+    unknown = set(section) - allowed
+    if unknown:
+        raise ConfigError(f"config: unknown {key} keys {sorted(unknown)}")
+    return section
 
 
 def _bool(value, label: str) -> bool:
@@ -171,19 +187,19 @@ def load_config(path) -> SimulationConfig:
         kwargs["roof_only_pv"] = _bool(area_raw.pop("roof_only_pv"), "area.roof_only_pv")
     kwargs["area"] = _params_from({"area": area_raw} if area_raw else {}, "area", AreaBudget)
 
-    sweep = raw.get("sweep") or {}
+    sweep = _section(raw, "sweep", {"max_mw", "steps"})
     if "max_mw" in sweep:
-        kwargs["sweep_max_mw"] = float(sweep["max_mw"])
+        kwargs["sweep_max_mw"] = _require(sweep, "max_mw", float, "config: sweep")
     if "steps" in sweep:
-        kwargs["sweep_steps"] = int(sweep["steps"])
-    preset = raw.get("mix_preset") or {}
+        kwargs["sweep_steps"] = _require(sweep, "steps", int, "config: sweep")
+    preset = _section(raw, "mix_preset", {"pv_mw", "wind_mw"})
     if "pv_mw" in preset:
-        kwargs["mix_pv_mw"] = float(preset["pv_mw"])
+        kwargs["mix_pv_mw"] = _require(preset, "pv_mw", float, "config: mix_preset")
     if "wind_mw" in preset:
-        kwargs["mix_wind_mw"] = float(preset["wind_mw"])
-    stats_raw = raw.get("stats") or {}
+        kwargs["mix_wind_mw"] = _require(preset, "wind_mw", float, "config: mix_preset")
+    stats_raw = _section(raw, "stats", {"alpha", "pooled"})
     if "alpha" in stats_raw:
-        kwargs["alpha"] = float(stats_raw["alpha"])
+        kwargs["alpha"] = _require(stats_raw, "alpha", float, "config: stats")
     if "pooled" in stats_raw:
         kwargs["pooled"] = _bool(stats_raw["pooled"], "stats.pooled")
     if "weights" in raw:
@@ -206,6 +222,8 @@ def load_config(path) -> SimulationConfig:
         raise ConfigError("config: sweep steps must be at least 2")
     if not config.sweep_max_mw > 0:
         raise ConfigError(f"config: sweep max_mw must be positive, got {config.sweep_max_mw}")
+    if not 0 < config.alpha < 1:
+        raise ConfigError(f"config: stats alpha must lie in (0, 1), got {config.alpha}")
     if not (config.mix_pv_mw >= 0 and config.mix_wind_mw >= 0):
         raise ConfigError("config: mix_preset capacities must be non-negative, got "
                           f"pv_mw={config.mix_pv_mw}, wind_mw={config.mix_wind_mw}")

@@ -29,6 +29,15 @@ class GenerationError(ValueError):
     pass
 
 
+def _require_numbers(params, names) -> None:
+    """Each named field must be a finite real number; bools do not count."""
+    for name in names:
+        value = getattr(params, name)
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise GenerationError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TurbineParams:
     hub_height_m: float = 50.0
@@ -67,6 +76,8 @@ class PvParams:
     diode: "SingleDiodeParams | None" = None
 
     def __post_init__(self):
+        _require_numbers(self, ("rated_power_density_wm2", "temp_coefficient",
+                                "noct_offset_c", "panel_area_m2"))
         if self.rated_power_density_wm2 <= 0:
             raise GenerationError("rated power density must be positive")
         if self.panel_area_m2 <= 0:
@@ -93,11 +104,7 @@ class SingleDiodeParams:
     voc_temp_coeff: float = -0.08       # V/°C
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value)):
-                raise GenerationError(f"{f.name} must be a finite number, got {value!r}")
+        _require_numbers(self, [f.name for f in fields(self)])
         if not isinstance(self.n_cells, int) or self.n_cells < 1:
             raise GenerationError(f"n_cells must be an integer >= 1, got {self.n_cells!r}")
         for name in ("isc_a", "voc_v", "ideality"):

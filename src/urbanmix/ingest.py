@@ -32,6 +32,11 @@ def hours_in_year(year: int) -> int:
     return 8784 if _stdcal.isleap(year) else 8760
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class WeatherRecord:
     """One hour of weather in canonical units."""
@@ -96,6 +101,8 @@ class Calendar:
             if day.year != self.year:
                 raise ValueError(f"holiday {day} falls outside year {self.year}")
         instants = [t for t, _ in self.transitions]
+        if any(t.tzinfo is None or t.utcoffset() is None for t in instants):
+            raise ValueError("DST transition instants must be timezone-aware")
         if instants != sorted(instants):
             raise ValueError("DST transitions must be sorted by instant")
 
@@ -124,35 +131,44 @@ class Calendar:
         return (utc + dt.timedelta(hours=self.offset_hours_at(utc))).replace(tzinfo=None)
 
     @cached_property
-    def _local_times(self) -> list[dt.datetime]:
-        return [self.local_time(i) for i in range(self.n_hours)]
+    def _local(self) -> np.ndarray:
+        """Local wall-clock time of every UTC hour, as ``datetime64[us]``.
+
+        Offsets round to microseconds exactly as ``local_time`` does.
+        """
+        utc = (np.datetime64(f"{self.year:04d}-01-01T00", "us")
+               + np.arange(self.n_hours) * np.timedelta64(1, "h"))
+        instants = np.array([t.astimezone(dt.timezone.utc).replace(tzinfo=None)
+                             for t, _ in self.transitions], dtype="datetime64[us]")
+        offsets = [self.base_utc_offset_hours, *(o for _, o in self.transitions)]
+        offsets_us = np.array([dt.timedelta(hours=o) // dt.timedelta(microseconds=1)
+                               for o in offsets], dtype="timedelta64[us]")
+        return utc + offsets_us[np.searchsorted(instants, utc, side="right")]
+
+    def _local_days(self) -> np.ndarray:
+        return self._local.astype("datetime64[D]")
 
     @cached_property
     def local_hour(self) -> np.ndarray:
         """Local clock hour (0..23) for every UTC hour index."""
-        arr = np.array([t.hour for t in self._local_times], dtype=np.int64)
-        arr.flags.writeable = False
-        return arr
+        return _read_only((self._local - self._local_days()) // np.timedelta64(1, "h"))
 
     @cached_property
     def local_day_of_year(self) -> np.ndarray:
-        arr = np.array([t.timetuple().tm_yday for t in self._local_times], dtype=np.int64)
-        arr.flags.writeable = False
-        return arr
+        """Day of the local date within its own year (1..366)."""
+        days = self._local_days()
+        return _read_only((days - days.astype("datetime64[Y]")).astype(np.int64) + 1)
 
     @cached_property
     def is_weekend_day(self) -> np.ndarray:
         """True where the local date is a Saturday or Sunday."""
-        arr = np.array([t.weekday() >= 5 for t in self._local_times], dtype=bool)
-        arr.flags.writeable = False
-        return arr
+        # 1970-01-01, day 0, was a Thursday (weekday 3).
+        return _read_only((self._local_days().astype(np.int64) + 3) % 7 >= 5)
 
     @cached_property
     def is_holiday(self) -> np.ndarray:
-        arr = np.array([t.date() in self.holiday_dates for t in self._local_times],
-                       dtype=bool)
-        arr.flags.writeable = False
-        return arr
+        holidays = np.array(sorted(self.holiday_dates), dtype="datetime64[D]")
+        return _read_only(np.isin(self._local_days(), holidays))
 
     def weekend_kind(self, holidays_as_weekend: bool = True) -> np.ndarray:
         """Hours classified as weekend-kind (weekend, plus holidays by default)."""
@@ -227,6 +243,14 @@ def _parse_float(cell: str, row_num: int, column: str) -> float:
         ) from exc
 
 
+def _require_finite(path: Path, columns) -> None:
+    """Reject nan/inf cells, which pass the comparison-based range checks."""
+    for column, values in columns:
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            raise IngestError(f"{path}: non-finite {column} at hour {bad[0]}")
+
+
 def load_weather(path, calendar: Calendar) -> list[WeatherRecord]:
     """Load the hourly weather CSV and validate it against the calendar.
 
@@ -281,12 +305,10 @@ def load_weather(path, calendar: Calendar) -> list[WeatherRecord]:
         shown = ", ".join(f"gap at hour {h}" for h in gaps[:10])
         more = "" if len(gaps) <= 10 else f" (and {len(gaps) - 10} more)"
         raise IngestError(f"weather file incomplete: {shown}{more}")
+    _require_finite(path, zip(WEATHER_COLUMNS[1:], (ghi, temp, pressure, wind)))
 
-    return [
-        WeatherRecord(hour_index=i, ghi=float(ghi[i]), temp=float(temp[i]),
-                      pressure=float(pressure[i]), wind_speed_10m=float(wind[i]))
-        for i in range(n)
-    ]
+    return list(map(WeatherRecord, range(n), ghi.tolist(), temp.tolist(),
+                    pressure.tolist(), wind.tolist()))
 
 
 def weather_arrays(records) -> dict[str, np.ndarray]:
@@ -351,6 +373,7 @@ def _read_hour_value_csv(path: Path, n: int, expected_header=None) -> np.ndarray
         gaps = np.flatnonzero(~seen)
         shown = ", ".join(f"gap at hour {h}" for h in gaps[:10])
         raise IngestError(f"{path} incomplete: {shown}")
+    _require_finite(path, [(header[1].strip(), values)])
     return values
 
 

@@ -3,16 +3,17 @@
 The default t-test is Welch's (unequal variances) since category sample
 sizes and variances differ widely; a pooled-variance variant is available
 behind a flag. Two-sided p-values come from the regularized incomplete
-beta form of the Student-t survival function.
+beta form of the Student-t survival function. scipy is imported at the
+first p-value, so commands that never test pay nothing for it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
-from scipy.special import betainc
 
 
 class StatsError(ValueError):
@@ -32,6 +33,12 @@ UNTESTABLE = TestResult(t_stat=float("nan"), dof=float("nan"), p_value=1.0,
                         untestable=True)
 
 
+@cache
+def _betainc():
+    from scipy.special import betainc
+    return betainc
+
+
 def student_t_two_sided_p(t: float, dof: float) -> float:
     """P(|T| >= |t|) for T ~ Student-t with ``dof`` degrees of freedom."""
     if dof <= 0:
@@ -41,7 +48,7 @@ def student_t_two_sided_p(t: float, dof: float) -> float:
     if t == 0.0:
         return 1.0
     x = dof / (dof + t * t)
-    return float(betainc(dof / 2.0, 0.5, x))
+    return float(_betainc()(dof / 2.0, 0.5, x))
 
 
 def welch_t_test(a, b, pooled: bool = False) -> TestResult:

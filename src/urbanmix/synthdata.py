@@ -91,13 +91,15 @@ def _seasonal(day_of_year: np.ndarray, amplitude: float, peak_day: int = 15) -> 
 
 def _ar1(rng: np.random.Generator, n: int, rho: float, sigma: float) -> np.ndarray:
     """Stationary AR(1) noise with unit-free innovations of std `sigma`."""
-    eps = rng.normal(0.0, sigma, size=n)
-    out = np.empty(n)
+    eps = rng.normal(0.0, sigma, size=n).tolist()
     stationary_std = sigma / math.sqrt(1.0 - rho * rho)
-    out[0] = rng.normal(0.0, stationary_std)
-    for i in range(1, n):
-        out[i] = rho * out[i - 1] + eps[i]
-    return out
+    x = float(rng.normal(0.0, stationary_std))
+    out = [x]
+    # Python floats: the same IEEE operations as numpy scalars, without their overhead.
+    for e in eps[1:]:
+        x = rho * x + e
+        out.append(x)
+    return np.array(out)
 
 
 def household_weights(calendar: Calendar, holidays_as_weekend: bool = True) -> np.ndarray:
@@ -164,12 +166,9 @@ def synthetic_weather_frame(calendar: Calendar, seed: int = DEFAULT_SEED) -> dic
 def synthetic_weather_records(calendar: Calendar,
                               seed: int = DEFAULT_SEED) -> list[WeatherRecord]:
     frame = synthetic_weather_frame(calendar, seed)
-    return [WeatherRecord(hour_index=i,
-                          ghi=float(frame["ghi"][i]),
-                          temp=float(frame["temp"][i]),
-                          pressure=float(frame["pressure"][i]),
-                          wind_speed_10m=float(frame["wind_speed"][i]))
-            for i in range(calendar.n_hours)]
+    return list(map(WeatherRecord, range(calendar.n_hours), frame["ghi"].tolist(),
+                    frame["temp"].tolist(), frame["pressure"].tolist(),
+                    frame["wind_speed"].tolist()))
 
 
 def write_weather_csv(path, frame: dict) -> None:

@@ -1,10 +1,19 @@
 import filecmp
 import json
+import os
+import shutil
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import urbanmix
 from urbanmix.cli import main
+from urbanmix.config import default_config
+from urbanmix.synthdata import write_input_set
 
 
 def run(tmp_path, *args):
@@ -163,6 +172,10 @@ def test_parallel_flag_output_matches_serial(tmp_path):
     {"mix_preset": {"wind_mw": -0.2}},
 ])
 def test_bad_capacities_exit_1(tmp_path, capsys, raw):
+    assert_config_error(tmp_path, capsys, raw)
+
+
+def assert_config_error(tmp_path, capsys, raw):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(raw))
     out = tmp_path / "out"
@@ -173,6 +186,72 @@ def test_bad_capacities_exit_1(tmp_path, capsys, raw):
     assert len(err.strip().splitlines()) == 1
     assert not (out / "sweep_metrics.csv").exists()
     assert not (out / "mix_summary.json").exists()
+
+
+@pytest.mark.parametrize("raw", [
+    {"sweep": {"stepz": 3}},
+    {"sweep": {"max_mw": "big"}},
+    {"sweep": {"steps": 2.7}},
+    {"sweep": {"max_mw": float("inf")}},
+    {"sweep": [3]},
+    {"mix_preset": {"pv_mw": "a"}},
+    {"mix_preset": {"pv": 1.0}},
+    {"stats": {"alpha": "x"}},
+    {"stats": {"alpha": 7}},
+    {"stats": {"alpha": 0}},
+    {"stats": {"alhpa": 0.1}},
+    {"pv": {"noct_offset_c": "x"}},
+    {"pv": {"panel_area_m2": True}},
+])
+def test_bad_config_sections_exit_1(tmp_path, capsys, raw):
+    assert_config_error(tmp_path, capsys, raw)
+
+
+@pytest.fixture(scope="module")
+def input_set(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    write_input_set(root, default_config().calendar, seed=0)
+    return root
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, column, cell", [
+    ("weather.csv", "ghi_wm2", "nan"),
+    ("household.csv", "weight", "inf"),
+    ("profiles/hospital.csv", "kw", "-inf"),
+])
+def test_non_finite_input_cell_exits_2(tmp_path, capsys, input_set, name, column, cell):
+    inputs = tmp_path / "inputs"
+    shutil.copytree(input_set, inputs)
+    target = inputs / name
+    lines = target.read_text().splitlines()
+    cells = lines[1 + 17].split(",")
+    cells[lines[0].split(",").index(column)] = cell
+    lines[1 + 17] = ",".join(cells)
+    target.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(inputs / "config.json"), "--out", str(out), "profiles"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"validation error: {target}: non-finite {column} at hour 17\n"
+    assert not (out / "profiles_summary.json").exists()
+
+
+def test_scipy_is_imported_only_for_p_values(tmp_path):
+    script = textwrap.dedent("""
+        import sys
+        from urbanmix.cli import main
+        for command in ("scale", "profiles", "generation", "optimize"):
+            assert main(["--out", sys.argv[1], command]) == 0, command
+            assert "scipy" not in sys.modules, command
+        assert main(["--out", sys.argv[1], "sweep"]) == 0
+        assert "scipy.special" in sys.modules
+    """)
+    src = str(Path(urbanmix.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out")],
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
 
 
 def single_diode_generation(tmp_path, name, pv):

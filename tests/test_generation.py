@@ -187,6 +187,15 @@ def test_single_diode_params_validated(kwargs):
         SingleDiodeParams(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"noct_offset_c": "x"}, {"rated_power_density_wm2": float("nan")},
+    {"panel_area_m2": True}, {"temp_coefficient": float("-inf")},
+])
+def test_pv_params_numbers_validated(kwargs):
+    with pytest.raises(GenerationError, match=next(iter(kwargs))):
+        PvParams(**kwargs)
+
+
 def test_pv_params_reject_non_diode_object():
     with pytest.raises(GenerationError, match="diode"):
         PvParams(model="single-diode", diode={"isc_a": 4.0})

@@ -2,7 +2,7 @@ import datetime as dt
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urbanmix.ingest import (Calendar, HourlySeries, IngestError, build_calendar,
@@ -90,6 +90,52 @@ def test_calendar_weekend_and_holiday(calendar2014):
     assert not calendar2014.weekend_kind(False)[wed_idx].any()
 
 
+def per_hour_calendar_arrays(calendar):
+    times = [calendar.local_time(i) for i in range(calendar.n_hours)]
+    return (np.array([t.hour for t in times], dtype=np.int64),
+            np.array([t.timetuple().tm_yday for t in times], dtype=np.int64),
+            np.array([t.weekday() >= 5 for t in times], dtype=bool),
+            np.array([t.date() in calendar.holiday_dates for t in times], dtype=bool))
+
+
+@st.composite
+def calendars(draw):
+    year = draw(st.integers(min_value=1970, max_value=2100))
+    offsets = st.sampled_from([0.0, 1.0, -5.0, 5.5, -3.5, 5.75, 12.0, -11.0, 1 / 3]) | \
+        st.floats(min_value=-12.0, max_value=14.0)
+    start = dt.datetime(year, 1, 1, tzinfo=dt.timezone.utc)
+    instant_zones = st.sampled_from([dt.timezone.utc, dt.timezone(dt.timedelta(hours=3)),
+                                     dt.timezone(dt.timedelta(hours=-9, minutes=-30))])
+    # whole hours hit the "instant <= utc" edge; arbitrary seconds fall between hours
+    seconds = (st.integers(min_value=-48, max_value=367 * 24).map(lambda h: h * 3600)
+               | st.integers(min_value=-2 * 86400, max_value=367 * 86400))
+    transitions = draw(st.lists(
+        st.tuples(seconds, instant_zones,
+                  offsets).map(lambda t: ((start + dt.timedelta(seconds=t[0])).astimezone(t[1]),
+                                          t[2])),
+        max_size=3))
+    holidays = draw(st.sampled_from([(), (dt.date(year, 1, 1),), (dt.date(year, 12, 31),),
+                                     (dt.date(year, 1, 1), dt.date(year, 12, 31))]))
+    return build_calendar(year, holidays, draw(offsets), transitions)
+
+
+@settings(max_examples=40, deadline=None)
+@given(calendars())
+def test_calendar_arrays_match_per_hour_local_time(calendar):
+    arrays = (calendar.local_hour, calendar.local_day_of_year,
+              calendar.is_weekend_day, calendar.is_holiday)
+    for got, expected in zip(arrays, per_hour_calendar_arrays(calendar)):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        assert not got.flags.writeable
+
+
+def test_calendar_rejects_naive_transition_instants():
+    with pytest.raises(ValueError, match="timezone-aware"):
+        Calendar(year=2014, holiday_dates=frozenset(), base_utc_offset_hours=1.0,
+                 transitions=((dt.datetime(2014, 3, 30, 1), 2.0),))
+
+
 def test_build_calendar_rejects_bad_holiday():
     with pytest.raises(IngestError, match="malformed holiday date"):
         build_calendar(2014, holidays=["not-a-date"])
@@ -146,6 +192,18 @@ def test_load_weather_range_checks(tmp_path, calendar2014):
         path = write_weather(tmp_path / "w.csv", rows)
         with pytest.raises(IngestError, match=column):
             load_weather(path, calendar2014)
+
+
+@pytest.mark.parametrize("cell, column", [("nan", "ghi_wm2"), ("inf", "pressure_pa"),
+                                          ("nan", "temp_c"), ("inf", "wind_ms")])
+def test_load_weather_rejects_non_finite(tmp_path, calendar2014, cell, column):
+    rows = full_weather_rows()
+    cells = rows[17].split(",")
+    cells[WEATHER_HEADER.split(",").index(column)] = cell
+    rows[17] = ",".join(cells)
+    path = write_weather(tmp_path / "w.csv", rows)
+    with pytest.raises(IngestError, match=f"non-finite {column} at hour 17"):
+        load_weather(path, calendar2014)
 
 
 def test_load_weather_rejects_non_numeric(tmp_path, calendar2014):
