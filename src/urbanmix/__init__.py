@@ -11,7 +11,8 @@ from .config import ConfigError, ModelInputs, SimulationConfig, assemble, defaul
 from .demand import MIXED, RESIDENTIAL_ONLY, LoadCase, build_load_cases, compute_phi
 from .generation import (AreaBudget, PvParams, TurbineParams, capacity_coefficients, generation_mw,
                          pv_unit_series, wind_unit_series)
-from .ingest import Calendar, HourlySeries, IngestError, WeatherRecord, build_calendar, load_profile, load_weather
+from .ingest import (Calendar, HourlySeries, IngestError, WeatherFrame, WeatherRecord, build_calendar,
+                     load_profile, load_weather)
 from .metrics import AggregateMetrics, HourlySplit, annual_metrics, delta_mismatch, hourly_split
 from .optimize import GAConfig, MixProblem, MixSolution, ga_optimize, grid_oracle
 from .scaling import ScalingFixture, ServiceMix, build_service_mix, load_default_fixture, round_half_away
@@ -25,7 +26,7 @@ __all__ = [
     "HourlySeries", "HourlySplit", "IngestError", "LoadCase", "MIXED",
     "MixProblem", "MixSolution", "ModelInputs", "PvParams", "RESIDENTIAL_ONLY",
     "ScalingFixture", "ServiceMix", "SimulationConfig", "TestResult",
-    "TurbineParams", "WeatherRecord", "annual_metrics", "assemble",
+    "TurbineParams", "WeatherFrame", "WeatherRecord", "annual_metrics", "assemble",
     "build_calendar", "build_load_cases", "build_service_mix",
     "capacity_coefficients", "compute_phi", "default_config", "delta_mismatch",
     "ga_optimize", "generation_mw", "grid_oracle", "holm_bonferroni",

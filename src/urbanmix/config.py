@@ -9,8 +9,8 @@ from pathlib import Path
 
 from . import ingest
 from .generation import AreaBudget, PvParams, SingleDiodeParams, TurbineParams
-from .ingest import Calendar, HourlySeries, IngestError, WeatherRecord
-from .optimize import GAConfig
+from .ingest import Calendar, HourlySeries, IngestError, WeatherFrame
+from .optimize import SIGN_CONVENTIONS, GAConfig
 from .scaling import (ScalingError, ScalingFixture, ServiceMix,
                       build_service_mix, load_default_fixture, load_scaling_fixture)
 from .validation import DEFAULT_BENCHMARKS, Benchmark
@@ -132,6 +132,12 @@ def _bool(value, label: str) -> bool:
     return value
 
 
+def _benchmark(entry, context: str) -> Benchmark:
+    if not isinstance(entry, dict) or set(entry) != {"name", "twh"}:
+        raise ConfigError(f"{context}: must be an object with keys name and twh")
+    return Benchmark(_require(entry, "name", str, context), _require(entry, "twh", float, context))
+
+
 def load_config(path) -> SimulationConfig:
     """Parse a JSON run configuration; relative paths resolve against its directory."""
     path = Path(path)
@@ -206,16 +212,20 @@ def load_config(path) -> SimulationConfig:
         w = raw["weights"]
         if not isinstance(w, (list, tuple)) or len(w) != 3:
             raise ConfigError("config: weights must be a list of three numbers")
-        kwargs["weights"] = tuple(float(v) for v in w)
+        entries = {f"weights[{i}]": v for i, v in enumerate(w)}
+        kwargs["weights"] = tuple(_require(entries, key, float, "config") for key in entries)
     if "sign_convention" in raw:
-        kwargs["sign_convention"] = str(raw["sign_convention"])
+        convention = _require(raw, "sign_convention", str, "config")
+        if convention not in SIGN_CONVENTIONS:
+            raise ConfigError(f"config: sign_convention must be one of {SIGN_CONVENTIONS}, "
+                              f"got {convention!r}")
+        kwargs["sign_convention"] = convention
     kwargs["ga"] = _params_from(raw, "ga", GAConfig)
     if "benchmarks" in raw:
-        try:
-            kwargs["benchmarks"] = tuple(Benchmark(str(b["name"]), float(b["twh"]))
-                                         for b in raw["benchmarks"])
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"config: bad benchmarks entry: {exc}") from exc
+        if not isinstance(raw["benchmarks"], list):
+            raise ConfigError("config: bad benchmarks: must be a list of objects")
+        kwargs["benchmarks"] = tuple(_benchmark(entry, f"config: bad benchmarks entry {i}")
+                                     for i, entry in enumerate(raw["benchmarks"]))
 
     config = SimulationConfig(**kwargs)
     if config.sweep_steps < 2:
@@ -246,7 +256,7 @@ class ModelInputs:
     """Everything the experiments need, assembled from one configuration."""
     config: SimulationConfig
     calendar: Calendar
-    weather: list
+    weather: WeatherFrame
     service_mix: ServiceMix
     household: HourlySeries
     service: HourlySeries
@@ -254,11 +264,6 @@ class ModelInputs:
     @property
     def seed(self) -> int:
         return self.config.seed
-
-
-def _synthetic_weather(config: SimulationConfig) -> list[WeatherRecord]:
-    from . import synthdata
-    return synthdata.synthetic_weather_records(config.calendar, config.seed)
 
 
 def assemble(config: SimulationConfig) -> ModelInputs:
@@ -278,7 +283,7 @@ def assemble(config: SimulationConfig) -> ModelInputs:
         except OSError as exc:
             raise ConfigError(f"cannot read weather file {config.weather_path}: {exc}") from exc
     else:
-        weather = _synthetic_weather(config)
+        weather = synthdata.synthetic_weather_frame(calendar, config.seed)
 
     annual = config.household_annual_kwh * config.households
     if config.household_profile_path is not None:

@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .ingest import HourlySeries, MIN_TEMP_C, WeatherRecord, weather_arrays
+from .ingest import HourlySeries, MIN_TEMP_C, WeatherFrame, WeatherRecord
 from .scaling import ServiceMix, round_half_away
 
 R_DRY_AIR = 287.05          # J/(kg K)
@@ -150,8 +150,14 @@ def wind_power(record: WeatherRecord, params: TurbineParams = TurbineParams()) -
     Swept-area power 0.5 ρ A V³ Cp at hub-height speed, zero outside the
     cut-in/cut-out window, clipped at nominal power.
     """
-    rho = air_density(record.temp, record.pressure)
-    v = hub_height_speed(record.wind_speed_10m, params)
+    return _wind_kw(record.wind_speed_10m, record.temp, record.pressure, params)
+
+
+def _wind_kw(wind_speed_10m: float, temp: float, pressure: float,
+             params: TurbineParams) -> float:
+    # Python floats: numpy's v ** 3 can differ in the last bit.
+    rho = air_density(temp, pressure)
+    v = hub_height_speed(wind_speed_10m, params)
     if v < params.cut_in_ms or v > params.cut_out_ms:
         return 0.0
     raw_w = 0.5 * rho * params.rotor_area_m2 * v ** 3 * params.cp
@@ -217,16 +223,19 @@ def _single_diode_mpp(ghi: np.ndarray, temp: np.ndarray, params: PvParams,
     return mpp
 
 
-def pv_unit_series(records, year: int, params: PvParams = PvParams()) -> HourlySeries:
+def pv_unit_series(weather: WeatherFrame, year: int,
+                   params: PvParams = PvParams()) -> HourlySeries:
     """Per-m² PV output for a weather year, W/m²."""
-    columns = weather_arrays(records)
-    values = _pv_wm2(columns["ghi"], columns["temp"], params)
+    values = _pv_wm2(weather.ghi, weather.temp, params)
     return HourlySeries(values=values, unit="W/m2", year=year)
 
 
-def wind_unit_series(records, year: int, params: TurbineParams = TurbineParams()) -> HourlySeries:
+def wind_unit_series(weather: WeatherFrame, year: int,
+                     params: TurbineParams = TurbineParams()) -> HourlySeries:
     """Per-turbine output for a weather year, kW."""
-    values = np.array([wind_power(r, params) for r in records])
+    hours = zip(weather.wind_speed_10m.tolist(), weather.temp.tolist(),
+                weather.pressure.tolist())
+    values = np.array([_wind_kw(v, t, p, params) for v, t, p in hours])
     return HourlySeries(values=values, unit="kW", year=year)
 
 

@@ -12,7 +12,8 @@ import calendar as _stdcal
 import csv
 import datetime as dt
 import json
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -22,6 +23,11 @@ WEATHER_COLUMNS = ("hour_utc", "ghi_wm2", "temp_c", "pressure_pa", "wind_ms")
 PROFILE_COLUMNS = ("hour", "weight")
 
 MIN_TEMP_C = -90.0
+# Physical ranges of weather cells: (column, comparison, bound).
+WEATHER_LIMITS = (("ghi_wm2", ">=", 0), ("pressure_pa", ">", 0), ("wind_ms", ">=", 0),
+                  ("temp_c", ">", MIN_TEMP_C))
+# Comma-separated numbers, optionally quoted; no comment syntax.
+_CSV_DIALECT = {"delimiter": ",", "comments": None, "quotechar": '"'}
 
 
 class IngestError(ValueError):
@@ -39,13 +45,35 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeatherRecord:
-    """One hour of weather in canonical units."""
+    """One hour of weather in canonical units (the argument of per-hour models)."""
 
     hour_index: int
     ghi: float            # global horizontal irradiance, W/m²
     temp: float           # ambient temperature, °C
     pressure: float       # Pa
     wind_speed_10m: float  # m/s at 10 m
+
+
+@dataclass(frozen=True)
+class WeatherFrame:
+    """A weather year as read-only columns in canonical units, one value per hour."""
+
+    ghi: np.ndarray             # global horizontal irradiance, W/m²
+    temp: np.ndarray            # ambient temperature, °C
+    pressure: np.ndarray        # Pa
+    wind_speed_10m: np.ndarray  # m/s at 10 m
+
+    def __post_init__(self):
+        n = len(self.ghi)
+        for column in fields(self):
+            arr = np.array(getattr(self, column.name), dtype=float)
+            if arr.shape != (n,):
+                raise ValueError(f"weather column {column.name} must have {n} values, "
+                                 f"got {arr.shape}")
+            object.__setattr__(self, column.name, _read_only(arr))
+
+    def __len__(self) -> int:
+        return len(self.ghi)
 
 
 @dataclass(frozen=True)
@@ -234,91 +262,113 @@ def load_calendar_config(path) -> Calendar:
     return build_calendar(year, holidays, base, transitions)
 
 
-def _parse_float(cell: str, row_num: int, column: str) -> float:
-    try:
-        return float(cell)
-    except ValueError as exc:
-        raise IngestError(
-            f"row {row_num}: non-numeric value {cell!r} in column {column}"
-        ) from exc
+def _data_lines(path: Path) -> list[tuple[int, str]]:
+    """(line number, text) of each row ``np.loadtxt`` reads: the non-empty
+    lines after the header. Only error paths rescan a file this way."""
+    with path.open(encoding="utf-8") as handle:
+        return [(num, line) for num, line in enumerate(handle, start=1)
+                if num > 1 and line != "\n"]
 
 
-def _require_finite(path: Path, columns) -> None:
-    """Reject nan/inf cells, which pass the comparison-based range checks."""
-    for column, values in columns:
-        bad = np.flatnonzero(~np.isfinite(values))
+def _reject_row(path: Path, names: tuple[str, ...], exc: Exception | None):
+    """Raise for the first row of the wrong width or with a cell that does not parse."""
+    for num, line in _data_lines(path):
+        cells = next(csv.reader([line]))
+        if len(cells) != len(names):
+            raise IngestError(f"{path} row {num}: expected {len(names)} cells, got {len(cells)}")
+        try:
+            np.loadtxt([line], **_CSV_DIALECT)
+        except ValueError:
+            for column, (name, cell) in enumerate(zip(names, cells)):
+                try:
+                    np.loadtxt([line], usecols=column, **_CSV_DIALECT)
+                except ValueError:
+                    raise IngestError(f"{path} row {num}: non-numeric value {cell!r} "
+                                      f"in column {name}") from None
+    raise IngestError(f"{path}: {exc}")
+
+
+def _read_columns(path: Path, header: tuple, n: int, limits=()) -> np.ndarray:
+    """Value columns of an hourly CSV in hour order, shape (len(header) - 1, n).
+
+    ``header`` names the columns (``None`` accepts any name); the first holds
+    the hour, each of 0..n-1 exactly once, rows in any order. One
+    ``np.loadtxt`` call parses the body, skipping empty lines; the hour,
+    finiteness and ``limits`` ((column, ">=" or ">", bound) in file-row order)
+    checks then run over whole columns. Every rejection is an IngestError that
+    names the file, and the row and column where one is at fault.
+    """
+    with path.open(encoding="utf-8") as handle:
+        got = next(csv.reader([handle.readline()]), None)
+        if got is None:
+            raise IngestError(f"{path}: empty file")
+        names = tuple(cell.strip() for cell in got)
+        if len(names) != len(header) or any(want not in (None, name)
+                                            for want, name in zip(header, names)):
+            raise IngestError(f"{path}: header must be "
+                              f"{','.join(want or '*' for want in header)}, got {got}")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a header-only file
+                body = np.loadtxt(handle, ndmin=2, **_CSV_DIALECT)
+        except ValueError as exc:
+            _reject_row(path, names, exc)
+    if body.size and body.shape[1] != len(names):
+        _reject_row(path, names, None)
+
+    def row(i) -> tuple[int, str]:
+        return _data_lines(path)[i]
+
+    hours = body[:, 0]
+    bad = np.flatnonzero(~((hours >= 0) & (hours < n) & (hours == np.trunc(hours))))
+    if len(bad):
+        num, line = row(bad[0])
+        raise IngestError(f"{path} row {num}: {names[0]} {line.split(',')[0]!r} "
+                          f"is not a whole hour in 0..{n - 1}")
+    index = hours.astype(np.intp)
+    order = np.argsort(index, kind="stable")
+    repeats = order[1:][index[order[1:]] == index[order[:-1]]]
+    if len(repeats):
+        first = repeats.min()
+        raise IngestError(f"{path} row {row(first)[0]}: "
+                          f"duplicate timestamp at hour {index[first]}")
+    if len(index) < n:
+        seen = np.zeros(n, dtype=bool)
+        seen[index] = True
+        gaps = np.flatnonzero(~seen)
+        shown = ", ".join(f"gap at hour {h}" for h in gaps[:10])
+        more = "" if len(gaps) <= 10 else f" (and {len(gaps) - 10} more)"
+        raise IngestError(f"{path} incomplete: {shown}{more}")
+
+    values = body[:, 1:]
+    bad_cells = np.argwhere(~np.isfinite(values))
+    if len(bad_cells):
+        i, column = bad_cells[0]
+        raise IngestError(f"{path}: non-finite {names[column + 1]} at hour {index[i]}")
+    for name, op, bound in limits:
+        column = values[:, names.index(name) - 1]
+        bad = np.flatnonzero(~(column >= bound if op == ">=" else column > bound))
         if len(bad):
-            raise IngestError(f"{path}: non-finite {column} at hour {bad[0]}")
+            raise IngestError(f"{path} row {row(bad[0])[0]}: {name} must be {op} {bound}, "
+                              f"got {column[bad[0]]}")
+    columns = np.empty((len(names) - 1, n))
+    columns[:, index] = values.T
+    return columns
 
 
-def load_weather(path, calendar: Calendar) -> list[WeatherRecord]:
+def load_weather(path, calendar: Calendar) -> WeatherFrame:
     """Load the hourly weather CSV and validate it against the calendar.
 
     Expects header ``hour_utc,ghi_wm2,temp_c,pressure_pa,wind_ms`` and
     exactly one row per calendar hour. Raises IngestError on gaps,
-    duplicates, non-numeric cells, or physical-range violations.
+    duplicates, non-numeric or non-finite cells, or physical-range violations.
     """
     path = Path(path)
     if not path.exists():
         raise IngestError(f"weather file not found: {path}")
-    n = calendar.n_hours
-    ghi = np.full(n, np.nan)
-    temp = np.full(n, np.nan)
-    pressure = np.full(n, np.nan)
-    wind = np.full(n, np.nan)
-    seen = np.zeros(n, dtype=bool)
-
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != WEATHER_COLUMNS:
-            raise IngestError(
-                f"weather header must be {','.join(WEATHER_COLUMNS)}, got {header}"
-            )
-        for row_num, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(WEATHER_COLUMNS):
-                raise IngestError(f"row {row_num}: expected {len(WEATHER_COLUMNS)} cells")
-            hour_f = _parse_float(row[0], row_num, "hour_utc")
-            hour = int(hour_f)
-            if hour != hour_f or hour < 0 or hour >= n:
-                raise IngestError(f"row {row_num}: hour_utc {row[0]!r} outside 0..{n - 1}")
-            if seen[hour]:
-                raise IngestError(f"duplicate timestamp at hour {hour}")
-            seen[hour] = True
-            ghi[hour] = _parse_float(row[1], row_num, "ghi_wm2")
-            temp[hour] = _parse_float(row[2], row_num, "temp_c")
-            pressure[hour] = _parse_float(row[3], row_num, "pressure_pa")
-            wind[hour] = _parse_float(row[4], row_num, "wind_ms")
-            if ghi[hour] < 0:
-                raise IngestError(f"row {row_num}: ghi_wm2 must be >= 0, got {ghi[hour]}")
-            if pressure[hour] <= 0:
-                raise IngestError(f"row {row_num}: pressure_pa must be > 0, got {pressure[hour]}")
-            if wind[hour] < 0:
-                raise IngestError(f"row {row_num}: wind_ms must be >= 0, got {wind[hour]}")
-            if temp[hour] <= MIN_TEMP_C:
-                raise IngestError(f"row {row_num}: temp_c must be > {MIN_TEMP_C}, got {temp[hour]}")
-
-    if not seen.all():
-        gaps = np.flatnonzero(~seen)
-        shown = ", ".join(f"gap at hour {h}" for h in gaps[:10])
-        more = "" if len(gaps) <= 10 else f" (and {len(gaps) - 10} more)"
-        raise IngestError(f"weather file incomplete: {shown}{more}")
-    _require_finite(path, zip(WEATHER_COLUMNS[1:], (ghi, temp, pressure, wind)))
-
-    return list(map(WeatherRecord, range(n), ghi.tolist(), temp.tolist(),
-                    pressure.tolist(), wind.tolist()))
-
-
-def weather_arrays(records) -> dict[str, np.ndarray]:
-    """Column-oriented view of a weather record sequence."""
-    return {
-        "ghi": np.array([r.ghi for r in records]),
-        "temp": np.array([r.temp for r in records]),
-        "pressure": np.array([r.pressure for r in records]),
-        "wind_speed_10m": np.array([r.wind_speed_10m for r in records]),
-    }
+    ghi, temp, pressure, wind = _read_columns(path, WEATHER_COLUMNS, calendar.n_hours,
+                                              WEATHER_LIMITS)
+    return WeatherFrame(ghi=ghi, temp=temp, pressure=pressure, wind_speed_10m=wind)
 
 
 def load_profile(path, annual_energy_kwh: float, calendar: Calendar) -> HourlySeries:
@@ -331,50 +381,15 @@ def load_profile(path, annual_energy_kwh: float, calendar: Calendar) -> HourlySe
     path = Path(path)
     if not path.exists():
         raise IngestError(f"profile file not found: {path}")
-    weights = _read_hour_value_csv(path, calendar.n_hours, expected_header=PROFILE_COLUMNS)
+    weights = _read_columns(path, PROFILE_COLUMNS, calendar.n_hours)[0]
     if np.any(weights < 0):
         first = int(np.flatnonzero(weights < 0)[0])
-        raise IngestError(f"profile weight at hour {first} is negative")
+        raise IngestError(f"{path}: profile weight at hour {first} is negative")
     total = weights.sum()
     if total <= 0:
-        raise IngestError("profile weights are all zero, cannot normalize")
+        raise IngestError(f"{path}: profile weights are all zero, cannot normalize")
     values = weights * (annual_energy_kwh / total)
     return HourlySeries(values=values, unit="kW", year=calendar.year)
-
-
-def _read_hour_value_csv(path: Path, n: int, expected_header=None) -> np.ndarray:
-    values = np.full(n, np.nan)
-    seen = np.zeros(n, dtype=bool)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise IngestError(f"{path}: empty file")
-        if expected_header is not None:
-            got = tuple(h.strip() for h in header)
-            if got != tuple(expected_header):
-                raise IngestError(
-                    f"{path}: header must be {','.join(expected_header)}, got {header}"
-                )
-        for row_num, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 2:
-                raise IngestError(f"{path} row {row_num}: expected 2 cells")
-            hour_f = _parse_float(row[0], row_num, "hour")
-            hour = int(hour_f)
-            if hour != hour_f or hour < 0 or hour >= n:
-                raise IngestError(f"{path} row {row_num}: hour {row[0]!r} outside 0..{n - 1}")
-            if seen[hour]:
-                raise IngestError(f"{path}: duplicate timestamp at hour {hour}")
-            seen[hour] = True
-            values[hour] = _parse_float(row[1], row_num, header[1].strip())
-    if not seen.all():
-        gaps = np.flatnonzero(~seen)
-        shown = ", ".join(f"gap at hour {h}" for h in gaps[:10])
-        raise IngestError(f"{path} incomplete: {shown}")
-    _require_finite(path, [(header[1].strip(), values)])
-    return values
 
 
 def write_series(series: HourlySeries, path, value_column: str = "value") -> None:
@@ -385,10 +400,10 @@ def write_series(series: HourlySeries, path, value_column: str = "value") -> Non
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    rows = "".join([f"{i},{value!r}\n" for i, value in enumerate(series.values.tolist())])
     with path.open("w", newline="", encoding="utf-8") as handle:
         handle.write(f"hour,{value_column}\n")
-        for i, value in enumerate(series.values):
-            handle.write(f"{i},{float(value)!r}\n")
+        handle.write(rows)
 
 
 def read_series(path, unit: str, year: int, value_column: str | None = None) -> HourlySeries:
@@ -397,6 +412,5 @@ def read_series(path, unit: str, year: int, value_column: str | None = None) -> 
     When ``value_column`` is given the file header must be exactly
     ``hour,<value_column>``.
     """
-    expected = ("hour", value_column) if value_column is not None else None
-    values = _read_hour_value_csv(Path(path), hours_in_year(year), expected_header=expected)
+    values = _read_columns(Path(path), ("hour", value_column), hours_in_year(year))[0]
     return HourlySeries(values=values, unit=unit, year=year)

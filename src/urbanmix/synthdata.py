@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import Calendar, HourlySeries, WeatherRecord, write_series
+from .ingest import Calendar, HourlySeries, WeatherFrame, write_series
 
 LATITUDE_DEG = 52.1
 DEFAULT_SEED = 1234
@@ -126,8 +126,8 @@ def reference_profile_values(name: str, calendar: Calendar,
     return w * (annual_kwh / w.sum())
 
 
-def synthetic_weather_frame(calendar: Calendar, seed: int = DEFAULT_SEED) -> dict:
-    """Hourly weather arrays keyed ghi/temp/pressure/wind_speed.
+def synthetic_weather_frame(calendar: Calendar, seed: int = DEFAULT_SEED) -> WeatherFrame:
+    """One synthetic weather year.
 
     GHI is a clear-sky elevation model modulated by smoothly varying
     cloudiness, exactly zero whenever the sun is below the horizon. Wind is
@@ -160,25 +160,15 @@ def synthetic_weather_frame(calendar: Calendar, seed: int = DEFAULT_SEED) -> dic
     wind = np.abs(5.2 + 2.2 * breeze
                   + 0.8 * np.cos(2 * np.pi * (doy - 20) / 365.0))
 
-    return {"ghi": ghi, "temp": temp, "pressure": pressure, "wind_speed": wind}
+    return WeatherFrame(ghi=ghi, temp=temp, pressure=pressure, wind_speed_10m=wind)
 
 
-def synthetic_weather_records(calendar: Calendar,
-                              seed: int = DEFAULT_SEED) -> list[WeatherRecord]:
-    frame = synthetic_weather_frame(calendar, seed)
-    return list(map(WeatherRecord, range(calendar.n_hours), frame["ghi"].tolist(),
-                    frame["temp"].tolist(), frame["pressure"].tolist(),
-                    frame["wind_speed"].tolist()))
-
-
-def write_weather_csv(path, frame: dict) -> None:
-    path = Path(path)
-    lines = ["hour_utc,ghi_wm2,temp_c,pressure_pa,wind_ms"]
-    n = len(frame["ghi"])
-    for i in range(n):
-        lines.append(f"{i},{float(frame['ghi'][i])!r},{float(frame['temp'][i])!r},"
-                     f"{float(frame['pressure'][i])!r},{float(frame['wind_speed'][i])!r}")
-    path.write_text("\n".join(lines) + "\n")
+def write_weather_csv(path, frame: WeatherFrame) -> None:
+    columns = (frame.ghi, frame.temp, frame.pressure, frame.wind_speed_10m)
+    with Path(path).open("w") as handle:
+        handle.write("hour_utc,ghi_wm2,temp_c,pressure_pa,wind_ms\n")
+        handle.writelines(f"{i},{g!r},{t!r},{p!r},{w!r}\n" for i, (g, t, p, w)
+                          in enumerate(zip(*(c.tolist() for c in columns))))
 
 
 def write_input_set(out_dir, calendar: Calendar, seed: int = DEFAULT_SEED,

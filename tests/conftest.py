@@ -7,7 +7,7 @@ from urbanmix.ingest import HourlySeries
 from urbanmix.scaling import build_service_mix, load_default_fixture
 from urbanmix.synthdata import (SHAPES, household_weights,
                                 reference_profile_values,
-                                synthetic_weather_records)
+                                synthetic_weather_frame)
 
 HOUSEHOLDS = 100_000
 HOUSEHOLD_ANNUAL_KWH = 3500.0
@@ -36,7 +36,7 @@ def service_mix(fixture_nl):
 
 @pytest.fixture(scope="session")
 def weather2014(calendar2014):
-    return synthetic_weather_records(calendar2014, seed=1234)
+    return synthetic_weather_frame(calendar2014, seed=1234)
 
 
 @pytest.fixture(scope="session")

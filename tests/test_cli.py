@@ -202,6 +202,11 @@ def assert_config_error(tmp_path, capsys, raw):
     {"stats": {"alhpa": 0.1}},
     {"pv": {"noct_offset_c": "x"}},
     {"pv": {"panel_area_m2": True}},
+    {"weights": ["x", 1, 1]},
+    {"weights": [float("inf"), 1, 1]},
+    {"benchmarks": [{"name": "X", "twh": "x"}]},
+    {"benchmarks": [{"name": 3, "twh": 30.0}]},
+    {"sign_convention": "bogus"},
 ])
 def test_bad_config_sections_exit_1(tmp_path, capsys, raw):
     assert_config_error(tmp_path, capsys, raw)
@@ -233,6 +238,27 @@ def test_non_finite_input_cell_exits_2(tmp_path, capsys, input_set, name, column
     assert main(["--config", str(inputs / "config.json"), "--out", str(out), "profiles"]) == 2
     err = capsys.readouterr().err
     assert err == f"validation error: {target}: non-finite {column} at hour 17\n"
+    assert not (out / "profiles_summary.json").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, row, cell", [
+    ("weather.csv", "17,abc,10.0,101325.0,4.0", "abc"),
+    ("household.csv", "17,1_000", "1_000"),
+    ("profiles/hospital.csv", "17,", ""),
+])
+def test_non_numeric_input_cell_exits_2(tmp_path, capsys, input_set, name, row, cell):
+    inputs = tmp_path / "inputs"
+    shutil.copytree(input_set, inputs)
+    target = inputs / name
+    lines = target.read_text().splitlines()
+    lines[1 + 17] = row
+    target.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(inputs / "config.json"), "--out", str(out), "profiles"]) == 2
+    column = lines[0].split(",")[1]
+    assert capsys.readouterr().err == (f"validation error: {target} row 19: "
+                                       f"non-numeric value {cell!r} in column {column}\n")
     assert not (out / "profiles_summary.json").exists()
 
 

@@ -178,6 +178,6 @@ def test_assemble_synthetic_fallback():
 def test_assemble_seed_controls_weather():
     base = assemble(default_config())
     other = assemble(default_config().with_seed(5))
-    assert base.weather[100].temp != other.weather[100].temp
+    assert base.weather.temp[100] != other.weather.temp[100]
     again = assemble(default_config())
-    assert base.weather[100].temp == again.weather[100].temp
+    assert base.weather.temp[100] == again.weather.temp[100]

@@ -158,18 +158,26 @@ def reference_mpp(ghi, temp, params, diode):
 def test_single_diode_year_matches_per_hour_oracle(weather2014, calendar2014):
     params = PvParams(model="single-diode")
     series = pv_unit_series(weather2014, calendar2014.year, params).values
-    day = [h for h, r in enumerate(weather2014) if r.ghi > 0]
+    ghi, temp = weather2014.ghi, weather2014.temp
+    day = np.flatnonzero(ghi > 0).tolist()
     hours = sorted(set(day[::10]) | {day[0], day[-1]})
-    expected = np.array([reference_mpp(weather2014[h].ghi, weather2014[h].temp,
-                                       params, SingleDiodeParams())
+    expected = np.array([reference_mpp(ghi[h], temp[h], params, SingleDiodeParams())
                          for h in hours]) / params.panel_area_m2
     assert np.array_equal(series[hours], expected)
-    assert pv_power(weather2014[day[0]], params) == series[day[0]]
+    assert pv_power(record(ghi=ghi[day[0]], temp=temp[day[0]]), params) == series[day[0]]
     night = np.ones(len(series), dtype=bool)
     night[day] = False
     assert not series[night].any()
     # the year's sum, pinned to the last bit
     assert float(series.sum()) == 109162.18999894528
+
+
+def test_wind_year_matches_per_hour_power(weather2014, wind_unit):
+    hours = zip(weather2014.temp.tolist(), weather2014.pressure.tolist(),
+                weather2014.wind_speed_10m.tolist())
+    expected = [wind_power(record(temp=t, pressure=p, wind=v)) for t, p, v in hours]
+    assert np.array_equal(wind_unit.values, expected)
+    assert wind_unit.values.any()
 
 
 def test_linear_year_sum_pinned(pv_unit):

@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from urbanmix.ingest import (Calendar, HourlySeries, IngestError, build_calendar,
                              hours_in_year, load_profile, load_weather,
-                             read_series, weather_arrays, write_series)
+                             read_series, write_series)
 
 WEATHER_HEADER = "hour_utc,ghi_wm2,temp_c,pressure_pa,wind_ms"
 
@@ -149,12 +150,10 @@ def test_calendar_rejects_foreign_holiday():
 
 def test_load_weather_roundtrip(tmp_path, calendar2014):
     path = write_weather(tmp_path / "w.csv", full_weather_rows())
-    records = load_weather(path, calendar2014)
-    assert len(records) == 8760
-    assert records[17].hour_index == 17
-    arrays = weather_arrays(records)
-    assert arrays["ghi"].shape == (8760,)
-    assert float(arrays["pressure"].min()) == 101325.0
+    weather = load_weather(path, calendar2014)
+    assert len(weather) == 8760
+    assert weather.ghi.shape == (8760,)
+    assert float(weather.pressure.min()) == 101325.0
 
 
 def test_load_weather_rejects_bad_header(tmp_path, calendar2014):
@@ -266,3 +265,149 @@ def test_read_series_header_enforced(tmp_path):
 def test_hours_in_year_matches_calendar(year):
     days = (dt.date(year + 1, 1, 1) - dt.date(year, 1, 1)).days
     assert hours_in_year(year) == days * 24
+
+
+# --- the columnar reader against a row-by-row oracle -------------------------
+
+EDGE_CELLS = ("-0.0", "0", "-2", "+3", "12", ".5", "7.", "1E5", "5e-324",
+              "2.225073858507201e-308", "2.2250738585072014e-308", "1e308", "-1e308",
+              "1.7976931348623157e308", "-1.7976931348623157e308")
+WEATHER_LOWER = {"ghi_wm2": (">=", 0.0), "temp_c": (">", -90.0),
+                 "pressure_pa": (">", 0.0), "wind_ms": (">=", 0.0)}
+
+
+def cell_text(column):
+    """Finite numbers as CSV text: edge values, any float's repr, whole numbers."""
+    op, bound = WEATHER_LOWER.get(column, (">=", -float("inf")))
+    text = (st.sampled_from(EDGE_CELLS)
+            | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+            | st.integers(min_value=-10**18, max_value=10**18).map(str))
+    return text.filter(lambda t: float(t) >= bound if op == ">=" else float(t) > bound)
+
+
+def background_cells(rng, column):
+    low, high = {"ghi_wm2": (0, 1000), "temp_c": (-20, 40), "pressure_pa": (9e4, 1.1e5),
+                 "wind_ms": (0, 25)}.get(column, (-1e3, 1e3))
+    values = rng.uniform(low, high, 8760)
+    return [str(int(v)) if rng.random() < 0.1 else repr(v) for v in values.tolist()]
+
+
+@st.composite
+def tables(draw, columns):
+    """(rows of cell text in file order, line end, empty-line and quoting flags, rng).
+
+    Every hour of 2014 appears once; a few rows carry drawn edge values."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    body = [background_cells(rng, column) for column in columns[1:]]
+    rows = [[str(h)] + list(cells) for h, cells in enumerate(zip(*body))]
+    for hour, cells in draw(st.lists(st.tuples(st.integers(0, 8759),
+                                               st.tuples(*map(cell_text, columns[1:]))),
+                                     max_size=12)):
+        rows[hour][1:] = cells
+    for row in rows[::97]:
+        row[0] += ".0"
+    if draw(st.booleans()):
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+    return rows, draw(st.sampled_from(["\n", "\r\n"])), draw(st.booleans()), \
+        draw(st.booleans()), rng
+
+
+def write_table(path, columns, rows, line_end, empty_lines, quoted, rng):
+    """Write the table; returns the line number of each row (the header is line 1)."""
+    lines, numbers = [",".join(columns)], []
+    for cells in rows:
+        if empty_lines and rng.random() < 0.01:
+            lines.append("")
+        if quoted:
+            cells = [f'"{c}"' if rng.random() < 0.05 else c for c in cells]
+        lines.append(",".join(cells))
+        numbers.append(len(lines))
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(line_end.join(lines) + line_end)
+    return numbers
+
+
+def oracle(path):
+    """csv.reader and float() per cell; each row's values land at its hour."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = [row for row in csv.reader(handle) if row][1:]
+    out = np.full((len(rows[0]) - 1, len(rows)), np.nan)
+    for row in rows:
+        out[:, int(float(row[0]))] = [float(cell) for cell in row[1:]]
+    return out
+
+
+SERIES_COLUMNS = ("hour", "kw")
+WEATHER_COLUMNS = tuple(WEATHER_HEADER.split(","))
+TABLE_SETTINGS = settings(max_examples=25, deadline=None)
+
+
+@TABLE_SETTINGS
+@given(tables(SERIES_COLUMNS))
+def test_read_series_matches_row_oracle(tmp_path_factory, table):
+    path = tmp_path_factory.mktemp("series") / "kw.csv"
+    write_table(path, SERIES_COLUMNS, *table)
+    got = read_series(path, unit="kW", year=2014, value_column="kw").values
+    assert got.tobytes() == oracle(path)[0].tobytes()
+
+
+@TABLE_SETTINGS
+@given(tables(WEATHER_COLUMNS))
+def test_load_weather_matches_row_oracle(tmp_path_factory, calendar2014, table):
+    path = tmp_path_factory.mktemp("weather") / "weather.csv"
+    write_table(path, WEATHER_COLUMNS, *table)
+    weather = load_weather(path, calendar2014)
+    got = np.array([weather.ghi, weather.temp, weather.pressure, weather.wind_speed_10m])
+    assert got.tobytes() == oracle(path).tobytes()
+
+
+FAULTS = ("non-numeric", "width", "fractional hour", "hour out of range",
+          "duplicate hour", "gap", "nan")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([SERIES_COLUMNS, WEATHER_COLUMNS]).flatmap(
+    lambda columns: st.tuples(st.just(columns), tables(columns))),
+    st.sampled_from(FAULTS), st.integers(0, 8759), st.integers(0, 8759),
+    st.sampled_from(["abc", "1_000", "", " ", "1e", "0x10", "--1", "１"]))
+def test_single_fault_names_file_and_row(tmp_path_factory, calendar2014, case, fault,
+                                         at, other, junk):
+    columns, (rows, line_end, empty_lines, quoted, rng) = case
+    rows = [list(row) for row in rows]
+    column = 1 + at % (len(columns) - 1)
+    hour = int(float(rows[at][0]))
+    if fault == "non-numeric":
+        rows[at][at % len(columns)] = junk
+    elif fault == "width":
+        rows[at] = rows[at][:-1] if at % 2 else rows[at] + ["1"]
+    elif fault == "fractional hour":
+        rows[at][0] = f"{hour}.5"
+    elif fault == "hour out of range":
+        rows[at][0] = str(8760 if at % 2 else -1)
+    elif fault == "duplicate hour":
+        other = other if other != at else (at + 1) % len(rows)
+        rows[at][0] = rows[other][0]
+        hour = int(float(rows[other][0]))
+    elif fault == "gap":
+        del rows[at]
+    else:
+        rows[at][column] = "nan"
+    path = tmp_path_factory.mktemp("fault") / "table.csv"
+    lines = write_table(path, columns, rows, line_end, empty_lines, quoted, rng)
+    with pytest.raises(IngestError) as info:
+        if columns == WEATHER_COLUMNS:
+            load_weather(path, calendar2014)
+        else:
+            read_series(path, unit="kW", year=2014, value_column="kw")
+    message = str(info.value)
+    if fault == "gap":
+        assert message == f"{path} incomplete: gap at hour {hour}"
+    elif fault == "nan":
+        assert message == f"{path}: non-finite {columns[column]} at hour {hour}"
+    elif fault == "duplicate hour":
+        assert message == (f"{path} row {lines[max(at, other)]}: "
+                           f"duplicate timestamp at hour {hour}")
+    else:
+        kind = {"non-numeric": "non-numeric value", "width": f"expected {len(columns)} cells"}
+        assert message.startswith(f"{path} row {lines[at]}: ")
+        assert kind.get(fault, "is not a whole hour in 0..8759") in message

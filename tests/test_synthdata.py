@@ -7,14 +7,13 @@ import pytest
 from urbanmix.config import assemble, load_config
 from urbanmix.synthdata import (SHAPES, TYPE_ANNUAL_KWH, household_weights,
                                 reference_profile_values,
-                                synthetic_weather_frame,
-                                synthetic_weather_records, write_input_set)
+                                synthetic_weather_frame, write_input_set)
 
 
 def test_weather_frame_shapes_and_ranges(calendar2014):
     frame = synthetic_weather_frame(calendar2014, seed=1)
-    ghi, temp = frame["ghi"], frame["temp"]
-    pressure, wind = frame["pressure"], frame["wind_speed"]
+    ghi, temp = frame.ghi, frame.temp
+    pressure, wind = frame.pressure, frame.wind_speed_10m
     assert len(ghi) == len(temp) == len(pressure) == len(wind) == 8760
     assert float(ghi.min()) >= 0.0
     assert float(ghi.max()) < 1100.0
@@ -24,7 +23,7 @@ def test_weather_frame_shapes_and_ranges(calendar2014):
 
 
 def test_ghi_zero_through_the_night(calendar2014):
-    ghi = synthetic_weather_frame(calendar2014, seed=1)["ghi"]
+    ghi = synthetic_weather_frame(calendar2014, seed=1).ghi
     # local midnight-to-3am hours never see the sun at 52° latitude
     local = calendar2014.local_hour
     dark = (local >= 0) & (local < 3)
@@ -34,7 +33,7 @@ def test_ghi_zero_through_the_night(calendar2014):
 
 
 def test_wind_series_is_tie_free(calendar2014):
-    wind = synthetic_weather_frame(calendar2014, seed=1234)["wind_speed"]
+    wind = synthetic_weather_frame(calendar2014, seed=1234).wind_speed_10m
     assert len(np.unique(wind)) == 8760
 
 
@@ -42,20 +41,18 @@ def test_weather_deterministic_per_seed(calendar2014):
     a = synthetic_weather_frame(calendar2014, seed=5)
     b = synthetic_weather_frame(calendar2014, seed=5)
     c = synthetic_weather_frame(calendar2014, seed=6)
-    for key in a:
-        assert np.array_equal(a[key], b[key])
-    assert not np.array_equal(a["temp"], c["temp"])
+    for column in ("ghi", "temp", "pressure", "wind_speed_10m"):
+        assert np.array_equal(getattr(a, column), getattr(b, column))
+    assert not np.array_equal(a.temp, c.temp)
 
 
-def test_weather_records_match_frame(calendar2014):
+def test_weather_frame_columns_are_read_only(calendar2014):
     frame = synthetic_weather_frame(calendar2014, seed=2)
-    records = synthetic_weather_records(calendar2014, seed=2)
-    assert len(records) == 8760
-    assert records[0].hour_index == 0
-    assert records[4000].ghi == frame["ghi"][4000]
-    assert records[4000].temp == frame["temp"][4000]
-    assert records[4000].pressure == frame["pressure"][4000]
-    assert records[4000].wind_speed_10m == frame["wind_speed"][4000]
+    assert len(frame) == 8760
+    for column in (frame.ghi, frame.temp, frame.pressure, frame.wind_speed_10m):
+        assert column.shape == (8760,) and not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 1.0
 
 
 def test_household_weights_daily_structure(calendar2014):
@@ -112,7 +109,9 @@ def test_write_input_set_round_trip(tmp_path, calendar2014, config2014):
     synthetic = assemble(config2014.with_seed(1234))
     assert inputs.household.values == pytest.approx(synthetic.household.values,
                                                     rel=1e-12)
-    assert inputs.weather[3000].ghi == synthetic.weather[3000].ghi
+    for column in ("ghi", "temp", "pressure", "wind_speed_10m"):
+        assert np.array_equal(getattr(inputs.weather, column),
+                              getattr(synthetic.weather, column))
     for name in ("hospital", "warehouse"):
         assert (out / "profiles" / f"{name}.csv").exists()
 
