@@ -6,16 +6,26 @@ Exit codes: 0 success, 2 validation failure, 1 I/O or configuration error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from pathlib import Path
 
 from . import experiments, tabular, validation
+from .classify import ClassifyError
 from .config import ConfigError, SimulationConfig, assemble, default_config, load_config
-from .demand import MIXED, RESIDENTIAL_ONLY, build_load_cases
-from .generation import pv_unit_series, wind_unit_series
-from .ingest import write_series
-from .scaling import build_service_mix
+from .demand import MIXED, RESIDENTIAL_ONLY, DemandError, build_load_cases
+from .generation import GenerationError, pv_unit_series, wind_unit_series
+from .ingest import IngestError, write_series
+from .metrics import MetricsError
+from .optimize import OptimizeError
+from .scaling import ScalingError, build_service_mix
+from .stats import StatsError
+
+# The project's own rejections of its inputs. Any other exception, a plain
+# ValueError from numpy included, is a fault and surfaces as a traceback.
+_VALIDATION_ERRORS = (ClassifyError, DemandError, GenerationError, IngestError,
+                      MetricsError, OptimizeError, ScalingError, StatsError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -262,7 +272,27 @@ _FLAG_DEFAULTS = {"config": None, "seed": None, "out": Path("out"), "parallel": 
                   "pv_mw": None, "wind_mw": None}
 
 
+def _keep_freed_memory() -> None:
+    """Fix glibc's malloc thresholds so freed numpy buffers stay in the process.
+
+    Each sweep scenario and GA generation allocates and frees a dozen or so
+    year-long arrays. Under glibc's adaptive defaults the freed top of the
+    heap is handed back to the OS after every scenario and faults in again
+    on the next: a 61x61 sweep took 330,000 minor page faults instead of
+    10,000, about 0.5 s of its 4 s, and `optimize` 58,000 instead of 6,500.
+    Fixed thresholds keep buffers under 16 MiB on the heap and trim it only
+    past 32 MiB of free top. Peak memory is unchanged. Linux only.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -282,7 +312,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except _VALIDATION_ERRORS as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
 

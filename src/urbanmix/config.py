@@ -11,8 +11,8 @@ from . import ingest
 from .generation import AreaBudget, PvParams, SingleDiodeParams, TurbineParams
 from .ingest import Calendar, HourlySeries, IngestError, WeatherFrame
 from .optimize import SIGN_CONVENTIONS, GAConfig
-from .scaling import (ScalingError, ScalingFixture, ServiceMix,
-                      build_service_mix, load_default_fixture, load_scaling_fixture)
+from .scaling import (ScalingFixture, ServiceMix, build_service_mix, load_default_fixture,
+                      load_scaling_fixture)
 from .validation import DEFAULT_BENCHMARKS, Benchmark
 
 
@@ -95,7 +95,7 @@ def _load_fixture(raw: dict, base_dir: Path) -> ScalingFixture:
         path = base_dir / raw["scaling"]
         try:
             return load_scaling_fixture(path)
-        except (OSError, ScalingError) as exc:
+        except (OSError, TypeError, ValueError) as exc:  # ScalingError or a bad number
             raise ConfigError(f"cannot read scaling file {path}: {exc}") from exc
     return load_default_fixture()
 

@@ -68,8 +68,8 @@ class WeatherFrame:
         for column in fields(self):
             arr = np.array(getattr(self, column.name), dtype=float)
             if arr.shape != (n,):
-                raise ValueError(f"weather column {column.name} must have {n} values, "
-                                 f"got {arr.shape}")
+                raise IngestError(f"weather column {column.name} must have {n} values, "
+                                  f"got {arr.shape}")
             object.__setattr__(self, column.name, _read_only(arr))
 
     def __len__(self) -> int:
@@ -88,11 +88,11 @@ class HourlySeries:
         arr = np.asarray(self.values, dtype=float)
         expected = hours_in_year(self.year)
         if arr.shape != (expected,):
-            raise ValueError(
+            raise IngestError(
                 f"series for {self.year} must have {expected} values, got {arr.shape}"
             )
         if not np.all(np.isfinite(arr)):
-            raise ValueError("series contains non-finite values")
+            raise IngestError("series contains non-finite values")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -124,15 +124,15 @@ class Calendar:
 
     def __post_init__(self):
         if self.year < 1970:
-            raise ValueError(f"year must be >= 1970, got {self.year}")
+            raise IngestError(f"year must be >= 1970, got {self.year}")
         for day in self.holiday_dates:
             if day.year != self.year:
-                raise ValueError(f"holiday {day} falls outside year {self.year}")
+                raise IngestError(f"holiday {day} falls outside year {self.year}")
         instants = [t for t, _ in self.transitions]
         if any(t.tzinfo is None or t.utcoffset() is None for t in instants):
-            raise ValueError("DST transition instants must be timezone-aware")
+            raise IngestError("DST transition instants must be timezone-aware")
         if instants != sorted(instants):
-            raise ValueError("DST transitions must be sorted by instant")
+            raise IngestError("DST transitions must be sorted by instant")
 
     @property
     def n_hours(self) -> int:
@@ -224,15 +224,19 @@ def build_calendar(year: int, holidays, base_utc_offset_hours: float = 0.0,
                 raise IngestError(f"malformed holiday date {item!r}: {exc}") from exc
     transitions = []
     for instant, offset in dst_transitions:
-        if isinstance(instant, str):
-            when = dt.datetime.fromisoformat(instant)
-        else:
-            when = instant
+        try:
+            when = dt.datetime.fromisoformat(instant) if isinstance(instant, str) else instant
+            if not isinstance(when, dt.datetime):
+                raise TypeError(f"instant must be an ISO datetime, got {type(when).__name__}")
+            offset = float(offset)
+        except (TypeError, ValueError) as exc:
+            raise IngestError(f"malformed DST transition ({instant!r}, {offset!r}): "
+                              f"{exc}") from exc
         if when.tzinfo is not None:
             when = when.astimezone(dt.timezone.utc)
         else:
             when = when.replace(tzinfo=dt.timezone.utc)
-        transitions.append((when, float(offset)))
+        transitions.append((when, offset))
     transitions.sort(key=lambda pair: pair[0])
     return Calendar(
         year=year,
@@ -412,5 +416,8 @@ def read_series(path, unit: str, year: int, value_column: str | None = None) -> 
     When ``value_column`` is given the file header must be exactly
     ``hour,<value_column>``.
     """
-    values = _read_columns(Path(path), ("hour", value_column), hours_in_year(year))[0]
+    path = Path(path)
+    if not path.exists():
+        raise IngestError(f"profile file not found: {path}")
+    values = _read_columns(path, ("hour", value_column), hours_in_year(year))[0]
     return HourlySeries(values=values, unit=unit, year=year)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import urbanmix
+from urbanmix import cli
 from urbanmix.cli import main
 from urbanmix.config import default_config
 from urbanmix.synthdata import write_input_set
@@ -262,15 +263,41 @@ def test_non_numeric_input_cell_exits_2(tmp_path, capsys, input_set, name, row, 
     assert not (out / "profiles_summary.json").exists()
 
 
-def test_scipy_is_imported_only_for_p_values(tmp_path):
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, kind", [
+    ("weather.csv", "weather"),
+    ("household.csv", "profile"),
+    ("profiles/hospital.csv", "profile"),
+])
+def test_missing_input_file_exits_2(tmp_path, capsys, input_set, name, kind):
+    inputs = tmp_path / "inputs"
+    shutil.copytree(input_set, inputs)
+    target = inputs / name
+    target.unlink()
+    out = tmp_path / "out"
+    assert main(["--config", str(inputs / "config.json"), "--out", str(out), "profiles"]) == 2
+    assert capsys.readouterr().err == f"validation error: {kind} file not found: {target}\n"
+    assert not (out / "profiles_summary.json").exists()
+
+
+def test_unexpected_value_error_is_not_a_validation_error(tmp_path, capsys, monkeypatch):
+    def broken(args, config):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setitem(cli._HANDLERS, "scale", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["--out", str(tmp_path / "out"), "scale"])
+    assert "validation error" not in capsys.readouterr().err
+
+
+def test_no_command_imports_scipy(tmp_path):
     script = textwrap.dedent("""
         import sys
         from urbanmix.cli import main
-        for command in ("scale", "profiles", "generation", "optimize"):
+        for command in ("scale", "profiles", "generation", "sweep", "classify",
+                        "optimize", "validate"):
             assert main(["--out", sys.argv[1], command]) == 0, command
             assert "scipy" not in sys.modules, command
-        assert main(["--out", sys.argv[1], "sweep"]) == 0
-        assert "scipy.special" in sys.modules
     """)
     src = str(Path(urbanmix.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

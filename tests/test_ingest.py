@@ -142,6 +142,14 @@ def test_build_calendar_rejects_bad_holiday():
         build_calendar(2014, holidays=["not-a-date"])
 
 
+@pytest.mark.parametrize("instant, offset", [
+    ("not-a-date", 2.0), (5, 2.0), ("2014-03-30T01:00:00", "x"), ("2014-03-30T01:00:00", None),
+])
+def test_build_calendar_rejects_bad_dst_transition(instant, offset):
+    with pytest.raises(IngestError, match="malformed DST transition"):
+        build_calendar(2014, holidays=[], dst_transitions=[(instant, offset)])
+
+
 def test_calendar_rejects_foreign_holiday():
     with pytest.raises(ValueError, match="outside year"):
         Calendar(year=2014, holiday_dates=frozenset({dt.date(2015, 1, 1)}),

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from urbanmix.stats import (StatsError, apply_holm, holm_bonferroni,
@@ -17,6 +17,19 @@ def mp_two_sided_p(t, dof):
     x = mpmath.mpf(dof) / (dof + mpmath.mpf(t) ** 2)
     return float(mpmath.betainc(mpmath.mpf(dof) / 2, mpmath.mpf("0.5"),
                                 0, x, regularized=True))
+
+
+def mp_two_sided_p_50(t, dof):
+    """The reference p-value at 50 significant digits, as an mpf."""
+    with mpmath.workdps(50):
+        t, dof = mpmath.mpf(t), mpmath.mpf(dof)
+        return mpmath.betainc(dof / 2, mpmath.mpf(1) / 2, 0, dof / (dof + t * t),
+                              regularized=True)
+
+
+# Largest Welch or pooled dof: two leap-year samples of 8,784 hours, minus 2.
+MAX_DOF = 2 * 8784 - 2
+SMALLEST_NORMAL = 2.2250738585072014e-308
 
 
 def holm_oracle(p_values, alpha):
@@ -47,6 +60,48 @@ def test_p_value_limits():
     assert student_t_two_sided_p(1e6, 10.0) < 1e-12
     with pytest.raises(StatsError, match="degrees of freedom"):
         student_t_two_sided_p(1.0, 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@example(2.203998738969269, False, 17383.863653640612)  # largest error seen, 1.4e-12
+@example(4.0e-5, True, 17516.85)  # scipy.special.betainc is off by 2.6e-8 here
+@example(1e300, False, 1.0)  # t * t overflows, the Cauchy tail does not
+@given(st.one_of(st.just(0.0),
+                 st.floats(min_value=5e-324, max_value=SMALLEST_NORMAL),
+                 st.just(1e-200),
+                 st.floats(min_value=0.0, max_value=43.0),
+                 st.just(1e300)),
+       st.booleans(),
+       st.floats(min_value=1.0, max_value=MAX_DOF))
+def test_p_value_relative_error_against_mpmath(abs_t, negative, dof):
+    t = -abs_t if negative else abs_t
+    got = student_t_two_sided_p(t, dof)
+    want = mp_two_sided_p_50(t, dof)
+    if want < SMALLEST_NORMAL:
+        # the reference underflows a double: only its size can be compared
+        assert 0.0 <= got <= SMALLEST_NORMAL
+    else:
+        assert abs(got - want) <= 1e-11 * want, (t, dof, got, want)
+
+
+def test_p_value_where_t_squared_leaves_the_double_range():
+    for t in (1e300, -1e300, 1.5e154):  # t * t overflows to inf
+        # heavy tails are still normal doubles; lighter ones underflow to 0
+        for dof in (1e-3, 1.0):
+            want = mp_two_sided_p_50(t, dof)
+            assert abs(student_t_two_sided_p(t, dof) - want) <= 1e-11 * want
+        for dof in (7.5, float(MAX_DOF)):
+            assert student_t_two_sided_p(t, dof) == 0.0
+    for t in (1e-200, 5e-324, -5e-324, 1e-160):  # t * t or t * t / dof underflows
+        for dof in (1.0, 7.5, float(MAX_DOF)):
+            assert student_t_two_sided_p(t, dof) == 1.0
+    want = mp_two_sided_p_50(1e154, 1e-3)  # only t * t / dof overflows
+    assert abs(student_t_two_sided_p(1e154, 1e-3) - want) <= 1e-11 * want
+    assert student_t_two_sided_p(math.inf, 1.0) == 0.0
+    assert math.isnan(student_t_two_sided_p(math.nan, 3.0))
+    for dof in (math.nan, math.inf, -1.0):
+        with pytest.raises(StatsError, match="degrees of freedom"):
+            student_t_two_sided_p(1.0, dof)
 
 
 def test_p_value_symmetric_in_t():
