@@ -94,17 +94,20 @@ def evaluate_cell(pv_mw: float, wind_mw: float, prep: Prepared,
     tests = {}
     delta_sums = {}
     delta_means = {}
-    for name, term in (("pos_mwh", "positive"), ("neg_mwh", "negative"),
-                       ("util_mwh", "utilisation")):
-        a, b = getattr(split_r, term), getattr(split_m, term)
+    n_hours = len(g)
+    for name, a, b in (("pos_mwh", split_r.positive, split_m.positive),
+                       ("neg_mwh", split_r.negative, split_m.negative),
+                       ("util_mwh", split_r.utilisation, split_m.utilisation)):
         tests[name] = welch_t_test(a, b, pooled=pooled)
-        diff = b - a
-        delta_sums[name] = float(diff.sum())
-        delta_means[name] = float(diff.mean())
+        total = float((b - a).sum())
+        delta_sums[name] = total
+        delta_means[name] = total / n_hours     # what ndarray.mean computes
+    # hourly self-consumption U/G over the lit hours only (G > 0)
     lit = g > 0
     if lit.any():
-        tests["self_consumption"] = welch_t_test(split_r.self_consumption()[lit],
-                                                 split_m.self_consumption()[lit],
+        g_lit = g[lit]
+        tests["self_consumption"] = welch_t_test(split_r.utilisation[lit] / g_lit,
+                                                 split_m.utilisation[lit] / g_lit,
                                                  pooled=pooled)
     else:
         tests["self_consumption"] = welch_t_test(np.zeros(1), np.zeros(1), pooled=pooled)
@@ -125,14 +128,15 @@ def run_experiment1(config: SimulationConfig, out_dir=None) -> ScenarioGrid:
     cells = [evaluate_cell(pv, wind, prep, pooled=config.pooled)
              for pv in caps for wind in caps]
 
-    # Holm families: one correction across all 121 scenarios per metric.
-    corrected = {}
-    for name in SWEEP_TEST_METRICS:
-        family = [cell.tests[name] for cell in cells]
-        corrected[name] = apply_holm(family, alpha=config.alpha)
-    cells = [replace(cell, tests={name: corrected[name][i]
-                                  for name in SWEEP_TEST_METRICS})
-             for i, cell in enumerate(cells)]
+    # Holm families: one correction across all scenarios per metric.
+    corrected = [apply_holm([cell.tests[name] for cell in cells], alpha=config.alpha)
+                 for name in SWEEP_TEST_METRICS]
+    cells = [ScenarioCell(pv_mw=cell.pv_mw, wind_mw=cell.wind_mw,
+                          residential=cell.residential, mixed=cell.mixed,
+                          tests=dict(zip(SWEEP_TEST_METRICS, tests)),
+                          delta_sums=cell.delta_sums,
+                          delta_hourly_means=cell.delta_hourly_means)
+             for cell, tests in zip(cells, zip(*corrected))]
 
     grid = ScenarioGrid(pv_caps=caps, wind_caps=caps, cells=tuple(cells), phi=prep.phi)
     if out_dir is not None:

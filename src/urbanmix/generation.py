@@ -244,14 +244,22 @@ def capacity_coefficients(pv_mw: float, wind_mw: float,
     """(panel area in m², whole turbines) for installed capacities in MW.
 
     PV capacity becomes panel area via the rated power density; wind
-    capacity is rounded half away from zero to whole 0.5 MW turbines.
+    capacity is rounded half away from zero to whole 0.5 MW turbines. An
+    infinite capacity, or one whose area or turbine count overflows, is
+    rejected.
     """
     if not (pv_mw >= 0 and wind_mw >= 0):
         raise GenerationError(
             f"capacities must be non-negative, got ({pv_mw}, {wind_mw})"
         )
-    return (pv_mw * 1e6 / pv_params.rated_power_density_wm2,
-            round_half_away(wind_mw / TURBINE_UNIT_MW))
+    area = pv_mw * 1e6 / pv_params.rated_power_density_wm2
+    turbines = wind_mw / TURBINE_UNIT_MW
+    if not (area < math.inf and turbines < math.inf):
+        raise GenerationError(
+            f"capacities must be finite, got ({pv_mw}, {wind_mw}) MW: "
+            f"{area} m² of panel, {turbines} turbines"
+        )
+    return area, round_half_away(turbines)
 
 
 def generation_mw(panel_area_m2, turbines, g_pv, g_turbine) -> np.ndarray:

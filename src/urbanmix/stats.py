@@ -13,7 +13,7 @@ cancellation of two large lgammas (DiDonato & Morris 1992, ACM TOMS 18:360).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,10 +60,11 @@ def _lgamma_half_ratio(a: float) -> float:
 def _beta_cf(a: float, b: float, x: float) -> float:
     """Continued fraction of I_x(a, b), modified Lentz; converges fast for
     x < (a + 1)/(a + b + 2). Step counts are floats: int-float arithmetic
-    is the slower kind in this loop."""
+    is the slower kind in this loop, and the |v| < tol guards are chained
+    comparisons, which skip a call to abs."""
     c = 1.0
     d = 1.0 - (a + b) * x / (a + 1.0)
-    if abs(d) < _CF_TINY:
+    if -_CF_TINY < d < _CF_TINY:
         d = _CF_TINY
     d = 1.0 / d
     h = d
@@ -74,25 +75,25 @@ def _beta_cf(a: float, b: float, x: float) -> float:
         # odd step: m (b - m) x / ((a + 2m - 1)(a + 2m))
         aa = m * (b - m) * x / ((a2m - 1.0) * a2m)
         d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
+        if -_CF_TINY < d < _CF_TINY:
             d = _CF_TINY
         c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
+        if -_CF_TINY < c < _CF_TINY:
             c = _CF_TINY
         d = 1.0 / d
         h *= d * c
         # even step: -(a + m)(a + b + m) x / ((a + 2m)(a + 2m + 1))
         aa = -(a + m) * (a + b + m) * x / (a2m * (a2m + 1.0))
         d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
+        if -_CF_TINY < d < _CF_TINY:
             d = _CF_TINY
         c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
+        if -_CF_TINY < c < _CF_TINY:
             c = _CF_TINY
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
+        if -_CF_EPS < delta - 1.0 < _CF_EPS:
             return h
     raise StatsError(f"incomplete beta continued fraction did not converge "
                      f"(a={a!r}, b={b!r}, x={x!r})")
@@ -125,6 +126,19 @@ def student_t_two_sided_p(t: float, dof: float) -> float:
     return 1.0 - 2.0 * front * _beta_cf(0.5, a, y)
 
 
+def _moments(x: np.ndarray) -> tuple[float, float]:
+    """Mean and ddof=1 variance of a 1-D sample of two or more values.
+
+    The same ufunc steps as ``np.mean`` and ``np.var(ddof=1)``, so the same
+    bits, with the plain sum taken once for both.
+    """
+    n = len(x)
+    mean = float(x.sum()) / n
+    d = x - mean
+    np.multiply(d, d, out=d)
+    return mean, float(d.sum()) / (n - 1)
+
+
 def welch_t_test(a, b, pooled: bool = False) -> TestResult:
     """Two-sample t-test of mean difference.
 
@@ -139,9 +153,9 @@ def welch_t_test(a, b, pooled: bool = False) -> TestResult:
     na, nb = len(a), len(b)
     if na < 2 or nb < 2:
         return UNTESTABLE
-    var_a = float(np.var(a, ddof=1))
-    var_b = float(np.var(b, ddof=1))
-    diff = float(np.mean(a) - np.mean(b))
+    mean_a, var_a = _moments(a)
+    mean_b, var_b = _moments(b)
+    diff = mean_a - mean_b
     if pooled:
         dof = na + nb - 2
         sp2 = ((na - 1) * var_a + (nb - 1) * var_b) / dof
@@ -188,5 +202,7 @@ def holm_bonferroni(p_values, alpha: float = 0.05) -> np.ndarray:
 def apply_holm(results, alpha: float = 0.05) -> list[TestResult]:
     """Correct a family of TestResults; untestable entries count as p = 1."""
     p = [1.0 if r.untestable else r.p_value for r in results]
-    flags = holm_bonferroni(p, alpha=alpha)
-    return [replace(r, reject=bool(flag)) for r, flag in zip(results, flags)]
+    flags = holm_bonferroni(p, alpha=alpha).tolist()
+    return [TestResult(t_stat=r.t_stat, dof=r.dof, p_value=r.p_value, reject=flag,
+                       untestable=r.untestable)
+            for r, flag in zip(results, flags)]

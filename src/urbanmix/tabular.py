@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+import numpy as np
+
 METRIC_HEADER = ("scenario_pv_mw", "scenario_wind_mw", "load_case",
                  "pos_mwh", "neg_mwh", "util_mwh", "self_consumption")
 CATEGORY_HEADER = ("day_kind", "time_band", "solar_bin", "wind_bin",
@@ -12,17 +14,33 @@ CATEGORY_HEADER = ("day_kind", "time_band", "solar_bin", "wind_bin",
 SIGNIFICANCE_COLUMNS = ("t", "dof", "p", "reject_holm")
 
 
+def _float_cell(value: float) -> str:
+    return "" if math.isnan(value) else repr(value)
+
+
+def _bool_cell(value) -> str:
+    return "true" if value else "false"
+
+
 def fmt(value) -> str:
-    """One CSV cell: floats via repr for exact round-trips, None/NaN empty."""
+    """One CSV cell: floats via repr for exact round-trips, None/NaN empty.
+
+    numpy scalars are written as the Python value they hold.
+    """
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        return repr(value)
+    if isinstance(value, (bool, np.bool_)):
+        return _bool_cell(value)
+    if isinstance(value, (float, np.floating)):
+        return _float_cell(float(value))
+    if isinstance(value, np.integer):
+        return str(int(value))
     return str(value)
+
+
+# write_csv formats the common cell types by exact type; any other type,
+# numpy scalars and subclasses included, goes through fmt.
+_CELL_FORMATS = {float: _float_cell, str: str, int: str, bool: _bool_cell}
 
 
 def write_csv(path, header, rows) -> Path:
@@ -32,7 +50,7 @@ def write_csv(path, header, rows) -> Path:
     for row in rows:
         if len(row) != len(header):
             raise ValueError(f"row width {len(row)} != header width {len(header)}")
-        lines.append(",".join(fmt(cell) for cell in row))
+        lines.append(",".join([_CELL_FORMATS.get(type(cell), fmt)(cell) for cell in row]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 

@@ -176,6 +176,23 @@ def test_bad_capacities_exit_1(tmp_path, capsys, raw):
     assert_config_error(tmp_path, capsys, raw)
 
 
+@pytest.mark.parametrize("raw, command", [
+    ({"sweep": {"max_mw": 1e308, "steps": 2}}, ["sweep"]),
+    ({}, ["classify", "--wind-mw", "inf"]),
+])
+def test_infinite_turbine_count_exits_2(tmp_path, capsys, raw, command):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), *command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: capacities must be finite")
+    assert "inf turbines" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (out / "sweep_metrics.csv").exists()
+    assert not (out / "mix_summary.json").exists()
+
+
 def assert_config_error(tmp_path, capsys, raw):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(raw))

@@ -11,7 +11,8 @@ from urbanmix.experiments import (CATEGORY_METRICS, SWEEP_TEST_METRICS,
                                   run_optimize, write_experiment1_tables,
                                   write_experiment2_tables)
 from urbanmix.generation import capacity_coefficients, generation_mw
-from urbanmix.stats import apply_holm
+from urbanmix.metrics import hourly_split
+from urbanmix.stats import apply_holm, welch_t_test
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +98,21 @@ def test_cell_matches_pipeline_composition(prep):
     assert cell.delta_sums["pos_mwh"] == pytest.approx(pos_diff, rel=1e-9)
     assert cell.delta_hourly_means["pos_mwh"] == pytest.approx(pos_diff / 8760.0,
                                                                rel=1e-9)
+
+
+@pytest.mark.parametrize("pv_mw, wind_mw", [(105.0, 0.0), (105.0, 157.5)])
+def test_self_consumption_test_is_over_lit_hours(prep, pv_mw, wind_mw):
+    cell = evaluate_cell(pv_mw, wind_mw, prep)
+    pv_gen, wind_gen = components(pv_mw, wind_mw, prep)
+    g = pv_gen + wind_gen
+    lit = g > 0
+    assert lit.any() and not lit.all()
+    split_r = hourly_split(g, prep.load_r_mw)
+    split_m = hourly_split(g, prep.load_m_mw)
+    expected = welch_t_test(split_r.self_consumption()[lit],
+                            split_m.self_consumption()[lit])
+    assert not expected.untestable
+    assert cell.tests["self_consumption"] == expected
 
 
 def test_scenario_components_scale_linearly(prep):

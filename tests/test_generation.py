@@ -247,6 +247,15 @@ def test_scenario_generation_rejects_negative(pv_unit, wind_unit):
         generation_at(-1.0, 0.0, pv_unit, wind_unit)
 
 
+@pytest.mark.parametrize("pv_mw, wind_mw", [
+    (math.inf, 0.0), (0.0, math.inf), (1e308, 0.0), (0.0, 1e308),
+])
+def test_capacity_coefficients_reject_non_finite(pv_mw, wind_mw):
+    # 1e308 MW is finite, but its panel area or turbine count is not
+    with pytest.raises(GenerationError, match="capacities must be finite"):
+        capacity_coefficients(pv_mw, wind_mw)
+
+
 def test_generation_kernel_rejects_negative_coefficients(pv_unit, wind_unit):
     with pytest.raises(GenerationError, match="non-negative"):
         generation_mw(-1.0, 0.0, pv_unit.values, wind_unit.values)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from urbanmix.stats import (StatsError, apply_holm, holm_bonferroni,
+from urbanmix.stats import (UNTESTABLE, StatsError, apply_holm, holm_bonferroni,
                             student_t_two_sided_p, welch_t_test)
 from urbanmix.stats import TestResult as TResult
 
@@ -167,6 +167,61 @@ def test_constant_but_different_samples_pooled():
 def test_rejects_multidimensional():
     with pytest.raises(StatsError, match="one-dimensional"):
         welch_t_test(np.ones((2, 2)), np.ones(4))
+
+
+def reference_welch(a, b, pooled):
+    """The t-test from np.mean and np.var(ddof=1), step for step."""
+    na, nb = len(a), len(b)
+    if na < 2 or nb < 2:
+        return UNTESTABLE
+    var_a = float(np.var(a, ddof=1))
+    var_b = float(np.var(b, ddof=1))
+    diff = float(np.mean(a) - np.mean(b))
+    sa2, sb2 = var_a / na, var_b / nb
+    if pooled:
+        dof = na + nb - 2
+        denom2 = ((na - 1) * var_a + (nb - 1) * var_b) / dof * (1.0 / na + 1.0 / nb)
+    else:
+        denom2 = sa2 + sb2
+    if denom2 <= 0:
+        return UNTESTABLE
+    if not pooled:
+        dof = denom2 ** 2 / (sa2 ** 2 / (na - 1) + sb2 ** 2 / (nb - 1))
+    t = diff / math.sqrt(denom2)
+    return TResult(t, float(dof), student_t_two_sided_p(t, float(dof)))
+
+
+def bits(result):
+    return (result.t_stat.hex(), result.dof.hex(), result.p_value.hex(),
+            result.untestable)
+
+
+@st.composite
+def samples(draw):
+    """A 1-D sample like the sweep's: plain, clipped at zero as M+ is,
+    constant, or a boolean-masked or strided slice of a longer series."""
+    n = draw(st.integers(min_value=2, max_value=9000))
+    kind = draw(st.sampled_from(("normal", "clipped", "constant", "masked", "strided")))
+    loc = draw(st.floats(min_value=-1e3, max_value=1e3))
+    scale = draw(st.floats(min_value=1e-6, max_value=1e3))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    if kind == "constant":
+        return np.full(n, loc)
+    if kind == "masked":
+        series = rng.normal(loc, scale, 2 * n)
+        return series[series > loc]
+    if kind == "strided":
+        return rng.normal(loc, scale, 2 * n)[::2]
+    x = rng.normal(loc, scale, n)
+    return np.maximum(x, 0.0) if kind == "clipped" else x
+
+
+@settings(max_examples=60, deadline=None)
+@example(np.arange(2.0), np.arange(9000.0), False)
+@example(np.full(3, 2.0), np.full(5, 2.0), True)
+@given(samples(), samples(), st.booleans())
+def test_welch_bit_equal_to_mean_var_formula(a, b, pooled):
+    assert bits(welch_t_test(a, b, pooled=pooled)) == bits(reference_welch(a, b, pooled))
 
 
 def test_holm_worked_example():

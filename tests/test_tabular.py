@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from urbanmix.metrics import AggregateMetrics
@@ -26,6 +27,32 @@ def test_fmt_float_round_trips_exactly():
 def test_fmt_int_and_str():
     assert fmt(42) == "42"
     assert fmt("mixed") == "mixed"
+
+
+def test_fmt_numpy_float():
+    assert fmt(np.float64(1.5)) == "1.5"
+    assert fmt(np.float64(0.1)) == repr(0.1)
+    assert fmt(np.float32(0.1)) == repr(float(np.float32(0.1)))
+    assert fmt(np.float64("nan")) == ""
+
+
+def test_fmt_numpy_bool():
+    assert fmt(np.bool_(True)) == "true"
+    assert fmt(np.bool_(False)) == "false"
+
+
+def test_fmt_numpy_int():
+    assert fmt(np.int64(42)) == "42"
+    assert fmt(np.uint8(7)) == "7"
+
+
+def test_write_csv_numpy_scalars_match_python_values(tmp_path):
+    header = ("f", "b", "i", "n")
+    numpy_row = (np.float64(0.1), np.bool_(False), np.int64(-3), np.float64("nan"))
+    python_row = (0.1, False, -3, float("nan"))
+    a = write_csv(tmp_path / "numpy.csv", header, [numpy_row]).read_text()
+    b = write_csv(tmp_path / "python.csv", header, [python_row]).read_text()
+    assert a == b == "f,b,i,n\n0.1,false,-3,\n"
 
 
 def test_write_csv_layout(tmp_path):
