@@ -22,7 +22,8 @@ STC_IRRADIANCE = 1000.0     # W/m²
 STC_CELL_TEMP = 25.0        # °C
 NOCT_IRRADIANCE = 800.0     # W/m²
 TURBINE_UNIT_MW = 0.5
-PV_BLOCK_HOURS = 64          # daylight hours per single-diode kernel call
+PV_BLOCK_HOURS = 256         # daylight hours per single-diode kernel call
+PV_COARSE_STRIDE = 16        # every 16th grid point is solved first
 
 
 class GenerationError(ValueError):
@@ -196,9 +197,17 @@ def _single_diode_mpp(ghi: np.ndarray, temp: np.ndarray, params: PvParams,
 
     Module-level one-diode model: photocurrent proportional to irradiance,
     saturation current fixed by the open-circuit point at cell temperature.
-    Each hour's maximum power point is located numerically on its own voltage
-    grid (one row), with the implicit current solved by damped fixed-point
-    iteration. Hours without photocurrent or open-circuit voltage give 0.
+    Each hour's maximum power point is the largest power on its own 200-point
+    voltage grid (one row), with the implicit current solved by damped
+    fixed-point iteration. Hours without photocurrent or open-circuit voltage
+    give 0.
+
+    Only the grid points that can hold a row's maximum are iterated. Since
+    expm1 >= -1, every iterate of the current is at most i_ph + i_sat, so
+    v·(i_ph + i_sat) bounds the power at voltage v. Every PV_COARSE_STRIDE-th
+    point is solved first; its best power is a lower bound on the row's
+    maximum, and only the points whose bound reaches it are solved next.
+    Points never solved lie strictly below the maximum, so it is unchanged.
     """
     t_cell = cell_temperature(temp, ghi, params) + 273.15
     vt_module = diode.n_cells * diode.ideality * 1.380649e-23 * t_cell / 1.602176634e-19
@@ -212,15 +221,45 @@ def _single_diode_mpp(ghi: np.ndarray, temp: np.ndarray, params: PvParams,
     i_sat = i_ph / np.array([math.expm1(x) for x in (voc / vt).tolist()])
     rs = diode.rs_ohm * diode.n_cells
     v_grid = np.linspace(0.0, voc, 200, axis=1)
-    i_ph, i_sat, vt = i_ph[:, None], i_sat[:, None], vt[:, None]
-    i = np.repeat(i_ph, 200, axis=1)
-    for _ in range(40):
-        arg = np.clip((v_grid + i * rs) / vt, None, 80.0)
-        i_new = i_ph - i_sat * np.expm1(arg)
-        i = 0.7 * i + 0.3 * i_new
-    i = np.clip(i, 0.0, None)
-    mpp[lit] = np.max(v_grid * i, axis=1)
+    power = np.full(v_grid.shape, -np.inf)
+    power[:, ::PV_COARSE_STRIDE] = _diode_power(v_grid[:, ::PV_COARSE_STRIDE], i_ph[:, None],
+                                                i_sat[:, None], vt[:, None], rs)
+    best = power.max(axis=1)
+    # The 1e-12 slack covers rounding, which stays relative while the best
+    # power is far above the subnormal range. Rows with a tiny best power, an
+    # i_sat that is not finite and >= 0 (a cell below 0 K) or a NaN input are
+    # solved in full.
+    bounded = (i_sat >= 0) & (i_sat < np.inf) & (best > 1e-250 * (1.0 + voc))
+    i_max = np.where(bounded, i_ph + i_sat, 0.0)
+    reach = v_grid * (i_max * (1.0 + 1e-12))[:, None] >= best[:, None]
+    reach[~bounded] = True
+    reach[:, ::PV_COARSE_STRIDE] = False
+    row, col = np.nonzero(reach)
+    power[row, col] = _diode_power(v_grid[row, col], i_ph[row], i_sat[row], vt[row], rs)
+    mpp[lit] = power.max(axis=1)
     return mpp
+
+
+def _diode_power(v: np.ndarray, i_ph, i_sat, vt, rs: float) -> np.ndarray:
+    """Power v·i at each voltage v after 40 damped fixed-point steps for the
+    current i (clipped at 0); i_ph, i_sat and vt broadcast against v."""
+    i = np.broadcast_to(i_ph, v.shape).copy()
+    step = np.empty(v.shape)
+    for _ in range(40):
+        # step = i_ph - i_sat·expm1(min((v + i·rs) / vt, 80)); i = 0.7·i + 0.3·step
+        np.multiply(i, rs, out=step)
+        step += v
+        step /= vt
+        np.minimum(step, 80.0, out=step)
+        np.expm1(step, out=step)
+        step *= i_sat
+        np.subtract(i_ph, step, out=step)
+        step *= 0.3
+        i *= 0.7
+        i += step
+    np.maximum(i, 0.0, out=i)
+    i *= v
+    return i
 
 
 def pv_unit_series(weather: WeatherFrame, year: int,
@@ -269,6 +308,8 @@ def generation_mw(panel_area_m2, turbines, g_pv, g_turbine) -> np.ndarray:
     The coefficients are scalars, giving G of shape (n_hours,), or
     equal-length 1-D arrays, giving one row per scenario. Turbine counts need
     not be whole. Non-negative coefficients and per-unit series make G ≥ 0.
+    A G that overflows (or meets an infinite per-unit value) is rejected,
+    naming the first scenario's coefficients that give it.
     """
     area = np.asarray(panel_area_m2, dtype=float)
     n = np.asarray(turbines, dtype=float)
@@ -285,7 +326,15 @@ def generation_mw(panel_area_m2, turbines, g_pv, g_turbine) -> np.ndarray:
     # min(initial=0) is negative exactly when some value is; empty arrays pass
     if g_pv.min(initial=0.0) < 0 or g_turbine.min(initial=0.0) < 0:
         raise GenerationError("per-unit generation must be non-negative")
-    return area[..., None] * g_pv / 1e6 + n[..., None] * g_turbine / 1000.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = area[..., None] * g_pv / 1e6 + n[..., None] * g_turbine / 1000.0
+    # G >= 0 where it is a number, so its largest value is finite exactly when all of it is
+    if not g.max(initial=0.0) < math.inf:
+        row = np.flatnonzero(~np.isfinite(g).all(axis=-1))[0]
+        raise GenerationError(
+            f"generation is not finite for {float(area.flat[row])} m² of panel and "
+            f"{float(n.flat[row])} turbines")
+    return g
 
 
 def area_budget_totals(mix: ServiceMix, n_households: int, budget: AreaBudget,

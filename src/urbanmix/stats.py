@@ -164,9 +164,14 @@ def welch_t_test(a, b, pooled: bool = False) -> TestResult:
         sa2, sb2 = var_a / na, var_b / nb
         denom2 = sa2 + sb2
         if denom2 > 0:
-            dof = denom2 ** 2 / (
-                sa2 ** 2 / (na - 1) + sb2 ** 2 / (nb - 1)
-            )
+            try:
+                dof = denom2 ** 2 / (
+                    sa2 ** 2 / (na - 1) + sb2 ** 2 / (nb - 1)
+                )
+            except (OverflowError, ZeroDivisionError):
+                # the squares left the double range; the ratio is scale-free
+                ra, rb = sa2 / denom2, sb2 / denom2
+                dof = 1.0 / (ra ** 2 / (na - 1) + rb ** 2 / (nb - 1))
         else:
             dof = float("nan")
     if denom2 <= 0:

@@ -193,6 +193,24 @@ def test_infinite_turbine_count_exits_2(tmp_path, capsys, raw, command):
     assert not (out / "mix_summary.json").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("raw, command", [
+    ({"sweep": {"max_mw": 1e307, "steps": 2}}, ["sweep"]),
+    ({}, ["classify", "--wind-mw", "1e307"]),
+])
+def test_overflowing_generation_exits_2(tmp_path, capsys, raw, command):
+    # 2e307 turbines is a finite count, but their MW overflow
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), *command]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("validation error: generation is not finite for "
+                            "0.0 m² of panel and 2e+307 turbines\n")
+    assert not (out / "sweep_metrics.csv").exists()
+    assert not (out / "mix_summary.json").exists()
+
+
 def assert_config_error(tmp_path, capsys, raw):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(raw))

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urbanmix.generation import (STC_CELL_TEMP, STC_IRRADIANCE, AreaBudget,
-                                 GenerationError, PvParams, SingleDiodeParams,
-                                 TurbineParams, air_density, area_budget_totals,
+from urbanmix.generation import (PV_BLOCK_HOURS, STC_CELL_TEMP, STC_IRRADIANCE,
+                                 AreaBudget, GenerationError, PvParams,
+                                 SingleDiodeParams, TurbineParams, _pv_wm2,
+                                 air_density, area_budget_totals,
                                  capacity_coefficients, cell_temperature,
                                  generation_mw, hub_height_speed, pv_power,
                                  pv_unit_series, wind_power, wind_unit_series)
@@ -94,6 +95,7 @@ def test_pv_power_linear_derate_hand_value():
     assert w == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("model", ["linear-derate", "single-diode"])
 def test_pv_power_keeps_nan_irradiance(model):
     assert math.isnan(pv_power(record(ghi=float("nan")), PvParams(model=model)))
@@ -153,6 +155,92 @@ def reference_mpp(ghi, temp, params, diode):
         i = 0.7 * i + 0.3 * i_new
     i = np.clip(i, 0.0, None)
     return float(np.max(v_grid * i))
+
+
+def full_grid_mpp(ghi, temp, params, diode):
+    """Maximum-power-point watts for many hours, every one of the 200 grid
+    points iterated: the oracle for the kernel, which iterates only those
+    that can hold the maximum."""
+    i_ph, voc, vt = diode_operating_point(ghi, temp, params, diode)
+    mpp = np.zeros(len(ghi))
+    lit = ~((i_ph <= 0) | (voc <= 0))
+    i_ph, voc, vt = i_ph[lit], voc[lit], vt[lit]
+    i_sat = i_ph / np.array([math.expm1(x) for x in (voc / vt).tolist()])
+    rs = diode.rs_ohm * diode.n_cells
+    v_grid = np.linspace(0.0, voc, 200, axis=1)
+    i_ph, i_sat, vt = i_ph[:, None], i_sat[:, None], vt[:, None]
+    i = np.repeat(i_ph, 200, axis=1)
+    for _ in range(40):
+        arg = np.clip((v_grid + i * rs) / vt, None, 80.0)
+        i_new = i_ph - i_sat * np.expm1(arg)
+        i = 0.7 * i + 0.3 * i_new
+    i = np.clip(i, 0.0, None)
+    mpp[lit] = np.max(v_grid * i, axis=1)
+    return mpp
+
+
+def full_grid_wm2(ghi, temp, params):
+    """What the kernel must return for these hours, bit for bit."""
+    diode = params.diode or SingleDiodeParams()
+    day = np.flatnonzero(~(ghi <= 0))
+    watts = np.zeros(len(ghi))
+    watts[day] = full_grid_mpp(ghi[day], temp[day], params, diode)
+    return watts / params.panel_area_m2
+
+
+@pytest.mark.parametrize("diode", [
+    SingleDiodeParams(),
+    SingleDiodeParams(rs_ohm=0.0),
+    SingleDiodeParams(isc_a=8.5, voc_v=37.5, n_cells=60, ideality=1.5, rs_ohm=0.05),
+], ids=["default", "no-series-resistance", "60-cell"])
+def test_single_diode_year_matches_full_grid_oracle(weather2014, calendar2014, diode):
+    params = PvParams(model="single-diode", diode=diode)
+    series = pv_unit_series(weather2014, calendar2014.year, params).values
+    # every hour of the year, each daylight hour among them
+    assert np.array_equal(series, full_grid_wm2(weather2014.ghi, weather2014.temp, params))
+
+
+@st.composite
+def diode_params(draw):
+    """Diode parameters from the validated ranges, kept physical enough that
+    exp(V_oc / V_t) stays a double even in the coldest hour."""
+    n_cells = draw(st.integers(1, 144))
+    return SingleDiodeParams(
+        isc_a=draw(st.floats(0.05, 15.0)),
+        voc_v=n_cells * draw(st.floats(0.3, 0.8)),
+        n_cells=n_cells,
+        ideality=draw(st.floats(0.8, 2.5)),
+        rs_ohm=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5))),
+        isc_temp_coeff=draw(st.floats(-0.01, 0.01)),
+        voc_temp_coeff=n_cells * draw(st.floats(-0.005, 0.001)),
+    )
+
+
+EXTREME_HOURS = {
+    "tiny": (st.floats(5e-324, 1e-200), st.floats(-20.0, 35.0)),
+    "bright": (st.floats(1500.0, 1e5), st.floats(-20.0, 35.0)),
+    "hot": (st.floats(0.0, 1100.0), st.floats(45.0, 80.0)),
+    "cold": (st.floats(0.0, 1100.0), st.floats(-89.9, -40.0)),
+    "nan": (st.just(math.nan), st.floats(-20.0, 35.0)),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(diode=diode_params(), n_hours=st.integers(1, PV_BLOCK_HOURS + 3),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_pruned_kernel_bit_equal_to_full_grid(diode, n_hours, seed, data):
+    rng = np.random.default_rng(seed)
+    ghi = rng.uniform(0.0, 1100.0, n_hours)
+    temp = rng.uniform(-20.0, 35.0, n_hours)
+    kinds = data.draw(st.lists(st.sampled_from(sorted(EXTREME_HOURS)), max_size=6))
+    for kind in kinds:
+        hour = data.draw(st.integers(0, n_hours - 1))
+        ghi_st, temp_st = EXTREME_HOURS[kind]
+        ghi[hour], temp[hour] = data.draw(ghi_st), data.draw(temp_st)
+    params = PvParams(model="single-diode", diode=diode)
+    got = _pv_wm2(ghi, temp, params)
+    assert np.array_equal(got, full_grid_wm2(ghi, temp, params), equal_nan=True)
+    assert np.isnan(got).tolist() == np.isnan(ghi).tolist()
 
 
 def test_single_diode_year_matches_per_hour_oracle(weather2014, calendar2014):

@@ -186,7 +186,11 @@ def reference_welch(a, b, pooled):
     if denom2 <= 0:
         return UNTESTABLE
     if not pooled:
-        dof = denom2 ** 2 / (sa2 ** 2 / (na - 1) + sb2 ** 2 / (nb - 1))
+        try:
+            dof = denom2 ** 2 / (sa2 ** 2 / (na - 1) + sb2 ** 2 / (nb - 1))
+        except (OverflowError, ZeroDivisionError):
+            ra, rb = sa2 / denom2, sb2 / denom2
+            dof = 1.0 / (ra ** 2 / (na - 1) + rb ** 2 / (nb - 1))
     t = diff / math.sqrt(denom2)
     return TResult(t, float(dof), student_t_two_sided_p(t, float(dof)))
 
@@ -219,9 +223,21 @@ def samples(draw):
 @settings(max_examples=60, deadline=None)
 @example(np.arange(2.0), np.arange(9000.0), False)
 @example(np.full(3, 2.0), np.full(5, 2.0), True)
+@example(np.zeros(2), np.full(10, 1.63685356e-119), False)
 @given(samples(), samples(), st.booleans())
 def test_welch_bit_equal_to_mean_var_formula(a, b, pooled):
     assert bits(welch_t_test(a, b, pooled=pooled)) == bits(reference_welch(a, b, pooled))
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e100])
+def test_welch_dof_where_its_squares_leave_the_double_range(scale):
+    # the variance squares underflow to 0 or overflow; t and dof are scale-free
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(0.0, 1.0, 40), rng.normal(0.5, 2.0, 60)
+    plain, scaled = welch_t_test(a, b), welch_t_test(a * scale, b * scale)
+    assert scaled.dof == pytest.approx(plain.dof, rel=1e-12)
+    assert scaled.t_stat == pytest.approx(plain.t_stat, rel=1e-12)
+    assert scaled.p_value == pytest.approx(plain.p_value, rel=1e-9)
 
 
 def test_holm_worked_example():
