@@ -158,9 +158,8 @@ def cmd_generation(args, config: SimulationConfig) -> int:
 
 def cmd_sweep(args, config: SimulationConfig) -> int:
     grid = experiments.run_experiment1(config, out_dir=args.out)
-    rejected = {name: sum(1 for cell in grid.cells if cell.tests[name].reject)
-                for name in experiments.SWEEP_TEST_METRICS}
-    print(f"swept {len(grid.cells)} scenarios "
+    rejected = dict(zip(experiments.SWEEP_TEST_METRICS, grid.reject.sum(axis=0).tolist()))
+    print(f"swept {len(grid.table)} scenarios "
           f"({len(grid.pv_caps)}x{len(grid.wind_caps)}); phi = {grid.phi!r}")
     print("Holm rejections per metric: "
           + ", ".join(f"{k}={v}" for k, v in rejected.items()))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -16,9 +17,10 @@ from .generation import (TURBINE_UNIT_MW, area_budget_totals, capacity_coefficie
 from .ingest import HourlySeries
 from .metrics import AggregateMetrics, delta_mismatch, hourly_split
 from .optimize import MixProblem, ga_optimize, solution_report
-from .stats import apply_holm, welch_t_test
+from .stats import StatsError, TestResult, apply_holm, welch_t_test
 
 SWEEP_TEST_METRICS = ("pos_mwh", "neg_mwh", "util_mwh", "self_consumption")
+DELTA_METRICS = SWEEP_TEST_METRICS[:3]
 CATEGORY_METRICS = ("mismatch", "utilisation", "self_consumption")
 LOAD_CASES = (RESIDENTIAL_ONLY, MIXED)
 
@@ -70,18 +72,59 @@ class ScenarioCell:
     delta_hourly_means: dict
 
 
+# Columns of ScenarioGrid.table, one row per scenario.
+_SUMS = slice(0, 8)          # ΣM⁺, ΣM⁻, ΣU, ΣG: residential, then mixed
+_TESTS = slice(8, 20)        # t, dof, p per SWEEP_TEST_METRICS
+_UNTESTABLE = slice(20, 24)  # 1.0 where that test is untestable, else 0.0
+_DELTAS = slice(24, 30)      # annual sum, hourly mean per DELTA_METRICS
+TABLE_WIDTH = 30
+
+
+def _cell_row(cell: ScenarioCell) -> list:
+    """One ScenarioGrid.table row: the cell's floats in column order."""
+    r, m = cell.residential, cell.mixed
+    row = [r.pos_mismatch, r.neg_mismatch, r.utilisation, r.generation,
+           m.pos_mismatch, m.neg_mismatch, m.utilisation, m.generation]
+    tests = [cell.tests[name] for name in SWEEP_TEST_METRICS]
+    for test in tests:
+        row += (test.t_stat, test.dof, test.p_value)
+    row += [test.untestable for test in tests]
+    for name in DELTA_METRICS:
+        row += (cell.delta_sums[name], cell.delta_hourly_means[name])
+    return row
+
+
 @dataclass(frozen=True)
 class ScenarioGrid:
+    """Sweep results in columns: one ``table`` row per scenario (see _SUMS,
+    _TESTS, _UNTESTABLE, _DELTAS) and one ``reject`` row of Holm flags per
+    scenario, in the sweep's order, PV outer and wind inner. ``cell`` is the
+    one per-cell view.
+    """
     pv_caps: tuple
     wind_caps: tuple
-    cells: tuple
     phi: float
+    table: np.ndarray     # (scenarios, TABLE_WIDTH) float64
+    reject: np.ndarray    # (scenarios, len(SWEEP_TEST_METRICS)) bool
 
     def cell(self, pv_mw: float, wind_mw: float) -> ScenarioCell:
-        for cell in self.cells:
-            if cell.pv_mw == pv_mw and cell.wind_mw == wind_mw:
-                return cell
-        raise KeyError(f"no scenario cell ({pv_mw}, {wind_mw})")
+        try:
+            i, j = self.pv_caps.index(pv_mw), self.wind_caps.index(wind_mw)
+        except ValueError:
+            raise KeyError(f"no scenario cell ({pv_mw}, {wind_mw})") from None
+        row = i * len(self.wind_caps) + j
+        values = self.table[row].tolist()
+        tests, untestable, deltas = values[_TESTS], values[_UNTESTABLE], values[_DELTAS]
+        return ScenarioCell(
+            pv_mw=self.pv_caps[i], wind_mw=self.wind_caps[j],
+            residential=AggregateMetrics(*values[0:4]),
+            mixed=AggregateMetrics(*values[4:8]),
+            tests={name: TestResult(*tests[3 * k:3 * k + 3], reject=flag,
+                                    untestable=untestable[k] == 1.0)
+                   for k, (name, flag) in enumerate(zip(SWEEP_TEST_METRICS,
+                                                        self.reject[row].tolist()))},
+            delta_sums=dict(zip(DELTA_METRICS, deltas[0::2])),
+            delta_hourly_means=dict(zip(DELTA_METRICS, deltas[1::2])))
 
 
 def evaluate_cell(pv_mw: float, wind_mw: float, prep: Prepared,
@@ -121,55 +164,61 @@ def run_experiment1(config: SimulationConfig, out_dir=None) -> ScenarioGrid:
     """Full capacity sweep: both load cases per cell, Holm-corrected tests.
 
     Cells are evaluated one at a time in a fixed order, PV outer and wind
-    inner.
+    inner; each is copied into its table row and dropped.
     """
     prep = prepare(config)
     caps = capacity_axis(config.sweep_max_mw, config.sweep_steps)
-    cells = [evaluate_cell(pv, wind, prep, pooled=config.pooled)
-             for pv in caps for wind in caps]
+    table = np.empty((len(caps) ** 2, TABLE_WIDTH))
+    for row, (pv, wind) in enumerate(itertools.product(caps, caps)):
+        try:
+            table[row] = _cell_row(evaluate_cell(pv, wind, prep, pooled=config.pooled))
+        except StatsError as exc:
+            raise StatsError(f"{exc} at {pv!r} MW PV and {wind!r} MW wind") from None
 
     # Holm families: one correction across all scenarios per metric.
-    corrected = [apply_holm([cell.tests[name] for cell in cells], alpha=config.alpha)
-                 for name in SWEEP_TEST_METRICS]
-    cells = [ScenarioCell(pv_mw=cell.pv_mw, wind_mw=cell.wind_mw,
-                          residential=cell.residential, mixed=cell.mixed,
-                          tests=dict(zip(SWEEP_TEST_METRICS, tests)),
-                          delta_sums=cell.delta_sums,
-                          delta_hourly_means=cell.delta_hourly_means)
-             for cell, tests in zip(cells, zip(*corrected))]
+    reject = np.empty((len(table), len(SWEEP_TEST_METRICS)), dtype=bool)
+    tests, untestable = table[:, _TESTS], table[:, _UNTESTABLE] == 1.0
+    for k in range(len(SWEEP_TEST_METRICS)):
+        family = [TestResult(t, dof, p, untestable=u) for t, dof, p, u
+                  in zip(*tests[:, 3 * k:3 * k + 3].T.tolist(), untestable[:, k].tolist())]
+        reject[:, k] = [r.reject for r in apply_holm(family, alpha=config.alpha)]
 
-    grid = ScenarioGrid(pv_caps=caps, wind_caps=caps, cells=tuple(cells), phi=prep.phi)
+    grid = ScenarioGrid(pv_caps=caps, wind_caps=caps, phi=prep.phi,
+                        table=table, reject=reject)
     if out_dir is not None:
         write_experiment1_tables(grid, out_dir)
     return grid
 
 
+def _long_rows(grid: ScenarioGrid, columns: slice, labels: tuple):
+    """A table block holding one equal group of columns per label, as
+    ((pv, wind, label), *group values) per scenario and label, in table order."""
+    block = grid.table[:, columns]
+    values = block.reshape(len(block) * len(labels), -1).T.tolist()
+    return zip(itertools.product(grid.pv_caps, grid.wind_caps, labels), *values)
+
+
 def write_experiment1_tables(grid: ScenarioGrid, out_dir) -> list:
+    """The three sweep tables; each one's rows exist only while it is written.
+    An untestable test's NaN t and dof write empty cells, as None does."""
     out_dir = Path(out_dir)
-    metric_rows = []
-    sig_rows = []
-    delta_rows = []
-    for cell in grid.cells:
-        metric_rows.append(tabular.metric_row(cell.pv_mw, cell.wind_mw,
-                                              RESIDENTIAL_ONLY, cell.residential))
-        metric_rows.append(tabular.metric_row(cell.pv_mw, cell.wind_mw,
-                                              MIXED, cell.mixed))
-        for name in SWEEP_TEST_METRICS:
-            sig_rows.append((cell.pv_mw, cell.wind_mw, name)
-                            + tabular.significance_cells(cell.tests[name]))
-        for name in ("pos_mwh", "neg_mwh", "util_mwh"):
-            delta_rows.append((cell.pv_mw, cell.wind_mw, name,
-                               cell.delta_sums[name], cell.delta_hourly_means[name]))
-    paths = [
-        tabular.write_csv(out_dir / "sweep_metrics.csv", tabular.METRIC_HEADER, metric_rows),
+    return [
+        tabular.write_csv(out_dir / "sweep_metrics.csv", tabular.METRIC_HEADER,
+                          [tabular.metric_row(pv, wind, case, AggregateMetrics(*sums))
+                           for (pv, wind, case), *sums
+                           in _long_rows(grid, _SUMS, LOAD_CASES)]),
         tabular.write_csv(out_dir / "sweep_significance.csv",
                           ("scenario_pv_mw", "scenario_wind_mw", "metric")
-                          + tabular.SIGNIFICANCE_COLUMNS, sig_rows),
+                          + tabular.SIGNIFICANCE_COLUMNS,
+                          [(*key, t, dof, p, flag) for (key, t, dof, p), flag
+                           in zip(_long_rows(grid, _TESTS, SWEEP_TEST_METRICS),
+                                  grid.reject.ravel().tolist())]),
         tabular.write_csv(out_dir / "sweep_deltas.csv",
                           ("scenario_pv_mw", "scenario_wind_mw", "metric",
-                           "annual_sum_diff_mwh", "hourly_mean_diff_mw"), delta_rows),
+                           "annual_sum_diff_mwh", "hourly_mean_diff_mw"),
+                          [(*key, *values)
+                           for key, *values in _long_rows(grid, _DELTAS, DELTA_METRICS)]),
     ]
-    return paths
 
 
 @dataclass(frozen=True)
@@ -234,8 +283,11 @@ def run_experiment2(config: SimulationConfig, out_dir=None,
     for metric in CATEGORY_METRICS:
         members_r = classify.member_values(keys, hourly[(RESIDENTIAL_ONLY, metric)])
         members_m = classify.member_values(keys, hourly[(MIXED, metric)])
-        family = [welch_t_test(members_r[key], members_m[key], pooled=config.pooled)
-                  for key in all_keys]
+        try:
+            family = [welch_t_test(members_r[key], members_m[key], pooled=config.pooled)
+                      for key in all_keys]
+        except StatsError as exc:
+            raise StatsError(f"{exc} at {pv_mw!r} MW PV and {wind_mw!r} MW wind") from None
         corrected = apply_holm(family, alpha=config.alpha)
         tests[metric] = dict(zip(all_keys, corrected))
 

@@ -8,6 +8,7 @@ scenario or a batch of them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Mapping
 
@@ -24,6 +25,7 @@ NOCT_IRRADIANCE = 800.0     # W/m²
 TURBINE_UNIT_MW = 0.5
 PV_BLOCK_HOURS = 256         # daylight hours per single-diode kernel call
 PV_COARSE_STRIDE = 16        # every 16th grid point is solved first
+_EXPM1_MAX = math.log(sys.float_info.max)  # math.expm1 overflows above this
 
 
 class GenerationError(ValueError):
@@ -217,8 +219,13 @@ def _single_diode_mpp(ghi: np.ndarray, temp: np.ndarray, params: PvParams,
     mpp = np.zeros(len(ghi))
     lit = ~((i_ph <= 0) | (voc <= 0))
     i_ph, voc, vt = i_ph[lit], voc[lit], vt_module[lit]
+    ratio = voc / vt
+    if (ratio > _EXPM1_MAX).any():
+        raise GenerationError(f"single-diode voc/vt reaches {float(np.nanmax(ratio))!r} "
+                              f"(voc_v={diode.voc_v!r}, n_cells={diode.n_cells!r}); "
+                              f"exp overflows above {_EXPM1_MAX!r}")
     # math.expm1, not np.expm1: the two differ in the last bit on some inputs
-    i_sat = i_ph / np.array([math.expm1(x) for x in (voc / vt).tolist()])
+    i_sat = i_ph / np.array([math.expm1(x) for x in ratio.tolist()])
     rs = diode.rs_ohm * diode.n_cells
     v_grid = np.linspace(0.0, voc, 200, axis=1)
     power = np.full(v_grid.shape, -np.inf)

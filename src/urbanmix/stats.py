@@ -145,6 +145,7 @@ def welch_t_test(a, b, pooled: bool = False) -> TestResult:
     Returns the distinguished untestable result (p = 1) when either sample
     has fewer than two values or both samples are constant, instead of
     raising: such cases occur naturally for sparse categories.
+    A sample whose variance overflows the double range raises StatsError.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -153,8 +154,11 @@ def welch_t_test(a, b, pooled: bool = False) -> TestResult:
     na, nb = len(a), len(b)
     if na < 2 or nb < 2:
         return UNTESTABLE
-    mean_a, var_a = _moments(a)
-    mean_b, var_b = _moments(b)
+    with np.errstate(over="ignore"):
+        mean_a, var_a = _moments(a)
+        mean_b, var_b = _moments(b)
+    if var_a == math.inf or var_b == math.inf:
+        raise StatsError("sample variance overflows the double range")
     diff = mean_a - mean_b
     if pooled:
         dof = na + nb - 2

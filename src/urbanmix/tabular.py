@@ -44,14 +44,22 @@ _CELL_FORMATS = {float: _float_cell, str: str, int: str, bool: _bool_cell}
 
 
 def write_csv(path, header, rows) -> Path:
+    """Write ``header`` and the sequence ``rows`` as CSV, one line per row.
+
+    Every row's width is checked before the file is opened, so a ragged row
+    leaves no file behind; then each row is formatted and written in turn.
+    """
+    width = len(header)
+    for row in rows:
+        if len(row) != width:
+            raise ValueError(f"row width {len(row)} != header width {width}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    for row in rows:
-        if len(row) != len(header):
-            raise ValueError(f"row width {len(row)} != header width {len(header)}")
-        lines.append(",".join([_CELL_FORMATS.get(type(cell), fmt)(cell) for cell in row]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as out:
+        out.write(",".join(header) + "\n")
+        for row in rows:
+            cells = [_CELL_FORMATS.get(type(cell), fmt)(cell) for cell in row]
+            out.write(",".join(cells) + "\n")
     return path
 
 

@@ -218,7 +218,7 @@ def test_criterion_10_sweep_shape(config2014):
     with verdict("criterion 10 capacity sweep shape"):
         start = time.monotonic()
         grid = run_experiment1(config2014)
-        assert len(grid.cells) == 121
+        assert len(grid.table) == 121
         caps = capacity_axis()
         assert grid.pv_caps == caps
         assert grid.wind_caps == caps

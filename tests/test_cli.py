@@ -211,6 +211,24 @@ def test_overflowing_generation_exits_2(tmp_path, capsys, raw, command):
     assert not (out / "mix_summary.json").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("raw, command, where", [
+    ({"sweep": {"max_mw": 1e300, "steps": 2}}, ["sweep"], "0.0 MW PV and 1e+300 MW wind"),
+    ({}, ["classify", "--pv-mw", "1e300"], "1e+300 MW PV and 30.0 MW wind"),
+])
+def test_overflowing_variance_exits_2(tmp_path, capsys, raw, command, where):
+    # the generation is finite, but the squares of its deviations are not
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), *command]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("validation error: sample variance overflows the double "
+                            f"range at {where}\n")
+    assert not (out / "sweep_metrics.csv").exists()
+    assert not (out / "mix_summary.json").exists()
+
+
 def assert_config_error(tmp_path, capsys, raw):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(raw))
@@ -382,5 +400,20 @@ def test_bad_pv_diode_exits_1(tmp_path, capsys, diode):
     assert main(["--config", str(cfg), "--out", str(out), "generation"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: config: ") and "pv.diode" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (out / "generation_pv_unit.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_diode_exponent_exits_2(tmp_path, capsys):
+    # 60 V over one cell puts voc/vt near 2,000, where exp leaves the double range
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"pv": {"model": "single-diode",
+                                      "diode": {"voc_v": 60.0, "n_cells": 1}}}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "generation"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: single-diode voc/vt reaches ")
+    assert "(voc_v=60.0, n_cells=1); exp overflows above 709.78" in err
     assert len(err.strip().splitlines()) == 1
     assert not (out / "generation_pv_unit.csv").exists()

@@ -1,11 +1,12 @@
 import filecmp
 import json
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from urbanmix.demand import MIXED, RESIDENTIAL_ONLY
-from urbanmix.experiments import (CATEGORY_METRICS, SWEEP_TEST_METRICS,
+from urbanmix.experiments import (CATEGORY_METRICS, SWEEP_TEST_METRICS, TABLE_WIDTH,
                                   build_problem, capacity_axis, evaluate_cell,
                                   prepare, run_experiment1, run_experiment2,
                                   run_optimize, write_experiment1_tables,
@@ -56,12 +57,52 @@ def test_prepare_units(prep):
     assert not prep.load_r_mw.flags.writeable
 
 
+def all_cells(grid):
+    return [grid.cell(pv, wind) for pv in grid.pv_caps for wind in grid.wind_caps]
+
+
 def test_grid_has_121_cells(grid):
-    assert len(grid.cells) == 121
+    assert grid.table.shape == (121, TABLE_WIDTH)
+    assert grid.reject.shape == (121, len(SWEEP_TEST_METRICS))
     assert grid.pv_caps == capacity_axis()
     assert grid.wind_caps == capacity_axis()
-    seen = {(c.pv_mw, c.wind_mw) for c in grid.cells}
+    seen = {(c.pv_mw, c.wind_mw) for c in all_cells(grid)}
     assert len(seen) == 121
+    with pytest.raises(KeyError, match="no scenario cell"):
+        grid.cell(1.0, 0.0)
+
+
+def hexed(cell):
+    """Every field of a ScenarioCell with its type, floats as float.hex."""
+    def exact(values):
+        return tuple((type(v), float.hex(v) if isinstance(v, float) else v)
+                     for v in values)
+    return (exact((cell.pv_mw, cell.wind_mw)),
+            exact(astuple(cell.residential)), exact(astuple(cell.mixed)),
+            {name: exact(astuple(test)) for name, test in cell.tests.items()},
+            {name: exact((value,)) for name, value in cell.delta_sums.items()},
+            {name: exact((value,)) for name, value in cell.delta_hourly_means.items()})
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["welch", "pooled"])
+def test_grid_cell_is_evaluate_cell_with_holm_flags(config2014, pooled):
+    # the columnar grid gives back, bit for bit, what evaluate_cell returned,
+    # with the reject flags of apply_holm over each metric's family
+    config = replace(config2014, sweep_steps=4, pooled=pooled)
+    grid = run_experiment1(config)
+    prep = prepare(config)
+    cells = {(pv, wind): evaluate_cell(pv, wind, prep, pooled=pooled)
+             for pv in grid.pv_caps for wind in grid.wind_caps}
+    flags = {name: [r.reject for r in apply_holm([c.tests[name] for c in cells.values()],
+                                                 alpha=config.alpha)]
+             for name in SWEEP_TEST_METRICS}
+    for i, ((pv, wind), cell) in enumerate(cells.items()):
+        expected = replace(cell, tests={name: replace(test, reject=flags[name][i])
+                                        for name, test in cell.tests.items()})
+        assert hexed(grid.cell(pv, wind)) == hexed(expected)
+    assert len(cells) == len(grid.table) == 16
+    assert grid.cell(0.0, 0.0).tests["self_consumption"].untestable
+    assert any(any(f) for f in flags.values()) and not all(all(f) for f in flags.values())
 
 
 def test_zero_capacity_cell(grid, prep):
@@ -127,7 +168,7 @@ def test_scenario_components_scale_linearly(prep):
 
 def test_holm_family_is_all_121_scenarios(grid, config2014):
     for name in SWEEP_TEST_METRICS:
-        family = [cell.tests[name] for cell in grid.cells]
+        family = [cell.tests[name] for cell in all_cells(grid)]
         redone = apply_holm(family, alpha=config2014.alpha)
         assert [r.reject for r in redone] == [r.reject for r in family]
         assert any(r.reject for r in family)

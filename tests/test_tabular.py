@@ -62,9 +62,33 @@ def test_write_csv_layout(tmp_path):
     assert text == "a,b\n1,2.5\n,true\n"
 
 
+def join_oracle(header, rows) -> bytes:
+    """The file as written by joining the whole table into one string."""
+    lines = [",".join(header)] + [",".join(fmt(cell) for cell in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_write_csv_streams_the_joined_bytes(tmp_path):
+    header = ("f", "i", "s", "b", "x")
+    rows = [(0.1, 1, "mixed", True, None),
+            (float("nan"), -3, "", False, 1e-300),
+            (-0.0, 0, "résumé", None, float("inf")),
+            (np.float64(2.5), np.int64(7), np.bool_(True), np.float32(0.1),
+             np.float64("nan")),
+            (1 / 3, 10**20, "a b", False, np.uint8(255))]
+    path = write_csv(tmp_path / "t.csv", header, rows)
+    assert path.read_bytes() == join_oracle(header, rows)
+    assert write_csv(tmp_path / "h.csv", header, []).read_bytes() == join_oracle(header, [])
+
+
 def test_write_csv_rejects_ragged_rows(tmp_path):
     with pytest.raises(ValueError, match="row width"):
         write_csv(tmp_path / "t.csv", ("a", "b"), [(1, 2, 3)])
+    # the good first row is not written either: no file is left behind
+    with pytest.raises(ValueError, match="row width 1 != header width 2"):
+        write_csv(tmp_path / "u.csv", ("a", "b"), [(1, 2), (1,)])
+    assert not (tmp_path / "t.csv").exists()
+    assert not (tmp_path / "u.csv").exists()
 
 
 def test_metric_row_none_self_consumption():
