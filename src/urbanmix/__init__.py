@@ -5,33 +5,42 @@ area from reference-building data, models PV and wind generation from hourly
 weather, and quantifies how well different installed mixes match the load:
 mismatch, utilisation, self-consumption, category statistics, and an
 area-constrained search for the best mix.
+
+The names below are loaded on first access (PEP 562), so `import urbanmix`
+imports none of the submodules.
 """
 
-from .config import ConfigError, ModelInputs, SimulationConfig, assemble, default_config, load_config
-from .demand import MIXED, RESIDENTIAL_ONLY, LoadCase, build_load_cases, compute_phi
-from .generation import (AreaBudget, PvParams, TurbineParams, capacity_coefficients, generation_mw,
-                         pv_unit_series, wind_unit_series)
-from .ingest import (Calendar, HourlySeries, IngestError, WeatherFrame, WeatherRecord, build_calendar,
-                     load_profile, load_weather)
-from .metrics import AggregateMetrics, HourlySplit, annual_metrics, delta_mismatch, hourly_split
-from .optimize import GAConfig, MixProblem, MixSolution, ga_optimize, grid_oracle
-from .scaling import ScalingFixture, ServiceMix, build_service_mix, load_default_fixture, round_half_away
-from .stats import TestResult, holm_bonferroni, welch_t_test
-from .validation import reconcile_published, render_reconciliation
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AggregateMetrics", "AreaBudget", "Calendar", "ConfigError", "GAConfig",
-    "HourlySeries", "HourlySplit", "IngestError", "LoadCase", "MIXED",
-    "MixProblem", "MixSolution", "ModelInputs", "PvParams", "RESIDENTIAL_ONLY",
-    "ScalingFixture", "ServiceMix", "SimulationConfig", "TestResult",
-    "TurbineParams", "WeatherFrame", "WeatherRecord", "annual_metrics", "assemble",
-    "build_calendar", "build_load_cases", "build_service_mix",
-    "capacity_coefficients", "compute_phi", "default_config", "delta_mismatch",
-    "ga_optimize", "generation_mw", "grid_oracle", "holm_bonferroni",
-    "hourly_split", "load_config", "load_default_fixture", "load_profile",
-    "load_weather", "pv_unit_series", "reconcile_published",
-    "render_reconciliation", "round_half_away", "welch_t_test",
-    "wind_unit_series",
-]
+_EXPORTS = {
+    "config": ("ConfigError", "ModelInputs", "SimulationConfig", "assemble",
+               "default_config", "load_config", "GAConfig"),
+    "demand": ("MIXED", "RESIDENTIAL_ONLY", "LoadCase", "build_load_cases", "compute_phi"),
+    "generation": ("AreaBudget", "PvParams", "TurbineParams", "capacity_coefficients",
+                   "generation_mw", "pv_unit_series", "wind_unit_series"),
+    "ingest": ("Calendar", "HourlySeries", "IngestError", "WeatherFrame", "WeatherRecord",
+               "build_calendar", "load_profile", "load_weather"),
+    "metrics": ("AggregateMetrics", "HourlySplit", "annual_metrics", "delta_mismatch",
+                "hourly_split"),
+    "optimize": ("MixProblem", "MixSolution", "ga_optimize", "grid_oracle"),
+    "scaling": ("ScalingFixture", "ServiceMix", "build_service_mix", "load_default_fixture",
+                "round_half_away"),
+    "stats": ("TestResult", "holm_bonferroni", "welch_t_test"),
+    "validation": ("reconcile_published", "render_reconciliation"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted([*globals(), *__all__])

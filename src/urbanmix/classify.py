@@ -4,25 +4,29 @@ Every hour of the year is assigned to one of 150 categories: day kind
 (weekday/weekend) × time band (night/day/evening) × solar quintile ×
 wind quintile. Quintile edges are the 20/40/60/80 percentiles of
 generation expressed as percent of installed capacity; solar edges use
-daylight hours only.
+daylight hours only. An hour's category is an integer code, the index of
+its key in `all_category_keys()`, so a year is one array of 8760 codes.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .ingest import Calendar, HourlySeries
+from .ingest import Calendar, HourlySeries, ValidationError
 
 DAY_KINDS = ("weekday", "weekend")
 TIME_BANDS = ("night", "day", "evening")
 N_BINS = 5
 QUANTILE_LEVELS = (20, 40, 60, 80)
+N_CATEGORIES = len(DAY_KINDS) * len(TIME_BANDS) * N_BINS * N_BINS
 
 
-class ClassifyError(ValueError):
+class ClassifyError(ValidationError):
     pass
 
 
@@ -44,15 +48,16 @@ class CategoryKey:
             )
 
 
-def all_category_keys() -> list[CategoryKey]:
-    """The 150 possible keys in canonical order."""
-    return [
+@functools.cache
+def all_category_keys() -> tuple[CategoryKey, ...]:
+    """The 150 possible keys in canonical order; category code i is key i."""
+    return tuple(
         CategoryKey(day_kind=dk, time_band=tb, solar_bin=sb, wind_bin=wb)
         for dk in DAY_KINDS
         for tb in TIME_BANDS
         for sb in range(1, N_BINS + 1)
         for wb in range(1, N_BINS + 1)
-    ]
+    )
 
 
 @dataclass(frozen=True)
@@ -125,8 +130,9 @@ def time_band_of(local_hour) -> np.ndarray:
 
 
 def classify_year(solar_pct, wind_pct, edges: BinEdges, calendar: Calendar,
-                  holidays_as_weekend: bool = True) -> list[CategoryKey]:
-    """CategoryKey for every hour of the calendar year."""
+                  holidays_as_weekend: bool = True) -> np.ndarray:
+    """Category code of every hour of the calendar year: the index of its
+    key in ``all_category_keys()``."""
     solar = _as_array(solar_pct)
     wind = _as_array(wind_pct)
     if len(solar) != calendar.n_hours or len(wind) != calendar.n_hours:
@@ -135,76 +141,57 @@ def classify_year(solar_pct, wind_pct, edges: BinEdges, calendar: Calendar,
     bands = time_band_of(calendar.local_hour)
     solar_bins = _bin_of(solar, edges.solar_edges)
     wind_bins = _bin_of(wind, edges.wind_edges)
-    return [
-        CategoryKey(
-            day_kind=DAY_KINDS[1] if weekend[i] else DAY_KINDS[0],
-            time_band=TIME_BANDS[bands[i]],
-            solar_bin=int(solar_bins[i]),
-            wind_bin=int(wind_bins[i]),
-        )
-        for i in range(calendar.n_hours)
-    ]
+    return ((weekend * len(TIME_BANDS) + bands) * N_BINS + solar_bins - 1) * N_BINS + wind_bins - 1
 
 
-def classify_hour(hour_index: int, solar_pct_value: float, wind_pct_value: float,
-                  edges: BinEdges, calendar: Calendar,
-                  holidays_as_weekend: bool = True) -> CategoryKey:
-    weekend = calendar.weekend_kind(holidays_as_weekend)[hour_index]
-    band = int(time_band_of(np.array([calendar.local_hour[hour_index]]))[0])
-    return CategoryKey(
-        day_kind=DAY_KINDS[1] if weekend else DAY_KINDS[0],
-        time_band=TIME_BANDS[band],
-        solar_bin=int(_bin_of(np.array([solar_pct_value]), edges.solar_edges)[0]),
-        wind_bin=int(_bin_of(np.array([wind_pct_value]), edges.wind_edges)[0]),
-    )
-
-
-@dataclass(frozen=True)
-class CategoryAggregate:
+class CategoryAggregate(NamedTuple):
     count: int
     mean: float | None
     total: float
 
 
-def aggregate_by_category(keys, metric) -> dict[CategoryKey, CategoryAggregate]:
+def _checked_codes(codes) -> np.ndarray:
+    codes = np.asarray(codes)
+    if len(codes) and not (codes.dtype.kind in "iu" and 0 <= codes.min()
+                           and codes.max() < N_CATEGORIES):
+        raise ClassifyError(f"category codes must be integers in [0, {N_CATEGORIES})")
+    return codes.astype(np.intp, copy=False)
+
+
+def _defined(codes, metric) -> tuple[np.ndarray, np.ndarray]:
+    """The codes and values of the hours where the metric is defined (not NaN)."""
+    codes = _checked_codes(codes)
+    values = _as_array(metric)
+    if len(codes) != len(values):
+        raise ClassifyError("codes and metric length mismatch")
+    ok = ~np.isnan(values)
+    return codes[ok], values[ok]
+
+
+def aggregate_by_category(codes, metric) -> dict[CategoryKey, CategoryAggregate]:
     """Count, mean, and sum of a metric per category.
 
     All 150 keys are present in the result; empty categories carry count 0
     and an undefined mean. NaN metric values mark hours where the metric is
-    undefined and are left out of that category's count.
+    undefined and are left out of that category's count. Each sum adds its
+    hours in hour order, starting from 0.0.
     """
-    values = _as_array(metric)
-    if len(keys) != len(values):
-        raise ClassifyError("keys and metric length mismatch")
-    sums: dict[CategoryKey, float] = {}
-    counts: dict[CategoryKey, int] = {}
-    for key, value in zip(keys, values):
-        if np.isnan(value):
-            continue
-        sums[key] = sums.get(key, 0.0) + float(value)
-        counts[key] = counts.get(key, 0) + 1
-    out = {}
-    for key in all_category_keys():
-        n = counts.get(key, 0)
-        total = sums.get(key, 0.0)
-        out[key] = CategoryAggregate(count=n, mean=total / n if n else None, total=total)
-    return out
+    codes, values = _defined(codes, metric)
+    counts = np.bincount(codes, minlength=N_CATEGORIES).tolist()
+    # an empty selection gives integer zeros; the sums are floats regardless
+    sums = np.bincount(codes, weights=values, minlength=N_CATEGORIES).astype(float).tolist()
+    return {key: CategoryAggregate(count=n, mean=total / n if n else None, total=total)
+            for key, n, total in zip(all_category_keys(), counts, sums)}
 
 
-def member_values(keys, metric) -> dict[CategoryKey, np.ndarray]:
-    """Raw metric samples per category (NaN entries dropped), for testing."""
-    values = _as_array(metric)
-    if len(keys) != len(values):
-        raise ClassifyError("keys and metric length mismatch")
-    grouped: dict[CategoryKey, list[float]] = {key: [] for key in all_category_keys()}
-    for key, value in zip(keys, values):
-        if not np.isnan(value):
-            grouped[key].append(float(value))
-    return {key: np.array(vals) for key, vals in grouped.items()}
+def member_values(codes, metric) -> dict[CategoryKey, np.ndarray]:
+    """Metric samples per category in hour order, NaN entries dropped."""
+    codes, values = _defined(codes, metric)
+    order = np.argsort(codes, kind="stable")
+    bounds = np.cumsum(np.bincount(codes, minlength=N_CATEGORIES))[:-1]
+    return dict(zip(all_category_keys(), np.split(values[order], bounds)))
 
 
-def category_counts(keys) -> dict[CategoryKey, int]:
-    counts = {key: 0 for key in all_category_keys()}
-    for key in keys:
-        counts[key] += 1
-    return counts
+def category_counts(codes) -> dict[CategoryKey, int]:
+    counts = np.bincount(_checked_codes(codes), minlength=N_CATEGORIES)
+    return dict(zip(all_category_keys(), counts.tolist()))

@@ -1,6 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 validation failure, 1 I/O or configuration error.
+Each command imports the modules it runs inside its handler, so a command
+loads only what it uses.
 """
 
 from __future__ import annotations
@@ -11,21 +13,8 @@ import json
 import sys
 from pathlib import Path
 
-from . import experiments, tabular, validation
-from .classify import ClassifyError
 from .config import ConfigError, SimulationConfig, assemble, default_config, load_config
-from .demand import MIXED, RESIDENTIAL_ONLY, DemandError, build_load_cases
-from .generation import GenerationError, pv_unit_series, wind_unit_series
-from .ingest import IngestError, write_series
-from .metrics import MetricsError
-from .optimize import OptimizeError
-from .scaling import ScalingError, build_service_mix
-from .stats import StatsError
-
-# The project's own rejections of its inputs. Any other exception, a plain
-# ValueError from numpy included, is a fault and surfaces as a traceback.
-_VALIDATION_ERRORS = (ClassifyError, DemandError, GenerationError, IngestError,
-                      MetricsError, OptimizeError, ScalingError, StatsError)
+from .ingest import ValidationError, write_series
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,6 +73,9 @@ def _resolve_config(args) -> SimulationConfig:
 
 
 def cmd_scale(args, config: SimulationConfig) -> int:
+    from . import tabular, validation
+    from .scaling import build_service_mix
+
     fixture = config.scaling_fixture
     report = validation.reconcile_published(fixture)
     text = validation.render_reconciliation(report)
@@ -117,6 +109,8 @@ def cmd_scale(args, config: SimulationConfig) -> int:
 
 
 def cmd_profiles(args, config: SimulationConfig) -> int:
+    from .demand import MIXED, RESIDENTIAL_ONLY, build_load_cases
+
     inputs = assemble(config)
     residential, mixed, phi = build_load_cases(inputs.household, inputs.service)
     out: Path = args.out
@@ -138,6 +132,8 @@ def cmd_profiles(args, config: SimulationConfig) -> int:
 
 
 def cmd_generation(args, config: SimulationConfig) -> int:
+    from .generation import pv_unit_series, wind_unit_series
+
     inputs = assemble(config)
     pv_unit = pv_unit_series(inputs.weather, inputs.calendar.year, config.pv)
     wind_unit = wind_unit_series(inputs.weather, inputs.calendar.year, config.turbine)
@@ -157,6 +153,8 @@ def cmd_generation(args, config: SimulationConfig) -> int:
 
 
 def cmd_sweep(args, config: SimulationConfig) -> int:
+    from . import experiments
+
     grid = experiments.run_experiment1(config, out_dir=args.out)
     rejected = dict(zip(experiments.SWEEP_TEST_METRICS, grid.reject.sum(axis=0).tolist()))
     print(f"swept {len(grid.table)} scenarios "
@@ -167,6 +165,8 @@ def cmd_sweep(args, config: SimulationConfig) -> int:
 
 
 def cmd_classify(args, config: SimulationConfig) -> int:
+    from . import experiments
+
     result = experiments.run_experiment2(config, out_dir=args.out,
                                          pv_mw=args.pv_mw, wind_mw=args.wind_mw)
     print(f"classified 8760 hours at mix ({result.pv_mw} MW PV, "
@@ -177,6 +177,8 @@ def cmd_classify(args, config: SimulationConfig) -> int:
 
 
 def cmd_optimize(args, config: SimulationConfig) -> int:
+    from . import experiments
+
     problem, solution, report = experiments.run_optimize(config, out_dir=args.out)
     print(f"best mix: {solution.pv_mw:.1f} MW PV "
           f"({solution.x_pv_m2:.0f} m2 panels), {solution.turbines} turbines "
@@ -188,6 +190,9 @@ def cmd_optimize(args, config: SimulationConfig) -> int:
 
 
 def cmd_validate(args, config: SimulationConfig) -> int:
+    from . import experiments, validation
+    from .demand import MIXED, RESIDENTIAL_ONLY
+
     fixture = config.scaling_fixture
     lines = []
     failures = 0
@@ -311,7 +316,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _VALIDATION_ERRORS as exc:
+    except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
 

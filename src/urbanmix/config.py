@@ -6,18 +6,73 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from . import ingest
-from .generation import AreaBudget, PvParams, SingleDiodeParams, TurbineParams
-from .ingest import Calendar, HourlySeries, IngestError, WeatherFrame
-from .optimize import SIGN_CONVENTIONS, GAConfig
+from .generation import AreaBudget, PvParams, SingleDiodeParams, TurbineParams, _require_numbers
+from .ingest import Calendar, HourlySeries, IngestError, ValidationError, WeatherFrame
 from .scaling import (ScalingFixture, ServiceMix, build_service_mix, load_default_fixture,
                       load_scaling_fixture)
-from .validation import DEFAULT_BENCHMARKS, Benchmark
 
 
 class ConfigError(ValueError):
     pass
+
+
+# The optimizer's settings live here, with the rest of the run configuration,
+# so that loading a configuration does not import the optimizer.
+SIGN_CONVENTIONS = ("magnitude-neg", "signed-neg")
+
+
+class OptimizeError(ValidationError):
+    pass
+
+
+@dataclass(frozen=True)
+class GAConfig:
+    population: int = 50
+    tournament_k: int = 3
+    blend_alpha: float = 0.5
+    mutation_sigma_frac: float = 0.02
+    mutation_rate: float = 0.9
+    elite: int = 2
+    stall_generations: int = 20
+    stall_rel_tol: float = 1e-6
+    max_generations: int = 400
+
+    def __post_init__(self):
+        _require_numbers(self, ("population", "tournament_k", "elite", "stall_generations",
+                                "max_generations"), OptimizeError, kinds=int)
+        _require_numbers(self, ("blend_alpha", "mutation_sigma_frac", "mutation_rate",
+                                "stall_rel_tol"), OptimizeError)
+        if self.population < 4:
+            raise OptimizeError("population must be at least 4")
+        if not 1 <= self.tournament_k <= self.population:
+            raise OptimizeError("tournament size must be within the population")
+        if self.elite < 0 or self.elite >= self.population:
+            raise OptimizeError("elite count must be smaller than the population")
+        if not 0 <= self.mutation_rate <= 1:
+            raise OptimizeError(f"mutation_rate must lie in [0, 1], got {self.mutation_rate}")
+        for name in ("blend_alpha", "mutation_sigma_frac", "stall_rel_tol"):
+            if getattr(self, name) < 0:
+                raise OptimizeError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.stall_generations < 1:
+            raise OptimizeError(f"stall_generations must be >= 1, got {self.stall_generations}")
+        if self.max_generations < 0:
+            raise OptimizeError(f"max_generations must be >= 0, got {self.max_generations}")
+
+
+class Benchmark(NamedTuple):
+    name: str
+    twh: float
+
+
+DEFAULT_BENCHMARKS = (
+    # national statistics reference totals for annual service-sector
+    # electricity demand in the Netherlands, TWh
+    Benchmark(name="PBL", twh=33.6),
+    Benchmark(name="CBS", twh=30.6),
+)
 
 
 _TOP_LEVEL_KEYS = {
@@ -54,6 +109,11 @@ class SimulationConfig:
     sign_convention: str = "magnitude-neg"
     ga: GAConfig = field(default_factory=GAConfig)
     benchmarks: tuple = DEFAULT_BENCHMARKS
+
+    def __post_init__(self):
+        # numpy's generators take no negative seed; reject it before any run
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @property
     def year(self) -> int:
@@ -227,7 +287,10 @@ def load_config(path) -> SimulationConfig:
         kwargs["benchmarks"] = tuple(_benchmark(entry, f"config: bad benchmarks entry {i}")
                                      for i, entry in enumerate(raw["benchmarks"]))
 
-    config = SimulationConfig(**kwargs)
+    try:
+        config = SimulationConfig(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"config: {exc}") from None
     if config.sweep_steps < 2:
         raise ConfigError("config: sweep steps must be at least 2")
     if not config.sweep_max_mw > 0:

@@ -6,11 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import HourlySeries
+from .ingest import HourlySeries, ValidationError
 from .scaling import ServiceMix
 
 
-class DemandError(ValueError):
+class DemandError(ValidationError):
     pass
 
 

@@ -1,4 +1,8 @@
-"""End-to-end experiment drivers: capacity sweep and category study."""
+"""End-to-end experiment drivers: capacity sweep, category study and mix search.
+
+`classify` and `optimize` are imported by the drivers that use them, so the
+sweep loads neither.
+"""
 
 from __future__ import annotations
 
@@ -6,18 +10,22 @@ import itertools
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from . import classify, tabular
+from . import tabular
 from .config import ModelInputs, SimulationConfig, assemble
 from .demand import MIXED, RESIDENTIAL_ONLY, LoadCase, build_load_cases
 from .generation import (TURBINE_UNIT_MW, area_budget_totals, capacity_coefficients,
                          generation_mw, pv_unit_series, wind_unit_series)
 from .ingest import HourlySeries
 from .metrics import AggregateMetrics, delta_mismatch, hourly_split
-from .optimize import MixProblem, ga_optimize, solution_report
 from .stats import StatsError, TestResult, apply_holm, welch_t_test
+
+if TYPE_CHECKING:
+    from . import classify
+    from .optimize import MixProblem
 
 SWEEP_TEST_METRICS = ("pos_mwh", "neg_mwh", "util_mwh", "self_consumption")
 DELTA_METRICS = SWEEP_TEST_METRICS[:3]
@@ -61,8 +69,7 @@ def capacity_axis(max_mw: float = 525.0, steps: int = 11) -> tuple:
     return tuple(float(v) for v in np.linspace(0.0, max_mw, steps))
 
 
-@dataclass(frozen=True)
-class ScenarioCell:
+class ScenarioCell(NamedTuple):
     pv_mw: float
     wind_mw: float
     residential: AggregateMetrics
@@ -221,13 +228,12 @@ def write_experiment1_tables(grid: ScenarioGrid, out_dir) -> list:
     ]
 
 
-@dataclass(frozen=True)
-class Experiment2Result:
+class Experiment2Result(NamedTuple):
     pv_mw: float
     wind_mw: float
     phi: float
     edges: classify.BinEdges
-    keys: list
+    keys: np.ndarray          # category code per hour, see classify.all_category_keys
     counts: dict
     aggregates: dict          # (load_case, metric) -> {CategoryKey: CategoryAggregate}
     delta_aggregates: dict    # CategoryKey -> CategoryAggregate
@@ -244,6 +250,8 @@ def run_experiment2(config: SimulationConfig, out_dir=None,
     categories then aggregate mismatch, utilisation, and self-consumption per
     load case, with Holm-corrected between-case tests per category.
     """
+    from . import classify
+
     prep = prepare(config)
     if pv_mw is None:
         pv_mw = config.mix_pv_mw
@@ -278,18 +286,17 @@ def run_experiment2(config: SimulationConfig, out_dir=None,
     delta_values = delta.values if isinstance(delta, HourlySeries) else delta
     delta_aggregates = classify.aggregate_by_category(keys, delta_values)
 
-    all_keys = classify.all_category_keys()
     tests = {}
     for metric in CATEGORY_METRICS:
         members_r = classify.member_values(keys, hourly[(RESIDENTIAL_ONLY, metric)])
         members_m = classify.member_values(keys, hourly[(MIXED, metric)])
         try:
             family = [welch_t_test(members_r[key], members_m[key], pooled=config.pooled)
-                      for key in all_keys]
+                      for key in members_r]
         except StatsError as exc:
             raise StatsError(f"{exc} at {pv_mw!r} MW PV and {wind_mw!r} MW wind") from None
         corrected = apply_holm(family, alpha=config.alpha)
-        tests[metric] = dict(zip(all_keys, corrected))
+        tests[metric] = dict(zip(members_r, corrected))
 
     summary = {
         "pv_mw": pv_mw,
@@ -316,6 +323,8 @@ def run_experiment2(config: SimulationConfig, out_dir=None,
 
 
 def _category_rows(aggregates: dict, metric: str) -> list:
+    from . import classify
+
     rows = []
     for key in classify.all_category_keys():
         agg = aggregates[key]
@@ -325,6 +334,8 @@ def _category_rows(aggregates: dict, metric: str) -> list:
 
 
 def write_experiment2_tables(result: Experiment2Result, out_dir) -> list:
+    from . import classify
+
     out_dir = Path(out_dir)
     paths = []
     for case_name in LOAD_CASES:
@@ -340,15 +351,13 @@ def write_experiment2_tables(result: Experiment2Result, out_dir) -> list:
 
     # Table-2 style occupancy matrix: one row per (day kind, band, solar bin).
     matrix_rows = []
+    keys = classify.all_category_keys()
     bins = range(1, classify.N_BINS + 1)
-    for day_kind in classify.DAY_KINDS:
-        for band in classify.TIME_BANDS:
-            for solar_bin in bins:
-                row_counts = [result.counts[classify.CategoryKey(day_kind, band,
-                                                                 solar_bin, w)]
-                              for w in bins]
-                matrix_rows.append((day_kind, band, solar_bin, *row_counts,
-                                    sum(row_counts)))
+    for start in range(0, len(keys), classify.N_BINS):   # wind bin is the inner axis
+        key = keys[start]
+        row_counts = [result.counts[k] for k in keys[start:start + classify.N_BINS]]
+        matrix_rows.append((key.day_kind, key.time_band, key.solar_bin, *row_counts,
+                            sum(row_counts)))
     col_totals = [sum(row[3 + i] for row in matrix_rows) for i in range(classify.N_BINS)]
     matrix_rows.append(("all", "all", "all", *col_totals, sum(col_totals)))
     paths.append(tabular.write_csv(
@@ -377,6 +386,8 @@ def write_experiment2_tables(result: Experiment2Result, out_dir) -> list:
 
 def build_problem(prep: Prepared) -> MixProblem:
     """Area-constrained mix problem for the prepared inputs (mixed load)."""
+    from .optimize import MixProblem
+
     config = prep.config
     budget = config.area
     if not budget.service_roofs:
@@ -398,6 +409,8 @@ def build_problem(prep: Prepared) -> MixProblem:
 
 def run_optimize(config: SimulationConfig, out_dir=None):
     """GA search for the best mix; returns (problem, solution, report dict)."""
+    from .optimize import ga_optimize, solution_report
+
     prep = prepare(config)
     problem = build_problem(prep)
     solution = ga_optimize(problem, config.ga, seed=config.seed)

@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .ingest import HourlySeries, MIN_TEMP_C, WeatherFrame, WeatherRecord
+from .ingest import MIN_TEMP_C, HourlySeries, ValidationError, WeatherFrame, WeatherRecord
 from .scaling import ServiceMix, round_half_away
 
 R_DRY_AIR = 287.05          # J/(kg K)
@@ -28,17 +28,19 @@ PV_COARSE_STRIDE = 16        # every 16th grid point is solved first
 _EXPM1_MAX = math.log(sys.float_info.max)  # math.expm1 overflows above this
 
 
-class GenerationError(ValueError):
+class GenerationError(ValidationError):
     pass
 
 
-def _require_numbers(params, names) -> None:
-    """Each named field must be a finite real number; bools do not count."""
+def _require_numbers(params, names, error=GenerationError, kinds=(int, float)) -> None:
+    """Each named field must be a finite number of one of ``kinds``; bools do
+    not count."""
     for name in names:
         value = getattr(params, name)
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
+        if (isinstance(value, bool) or not isinstance(value, kinds)
                 or not math.isfinite(value)):
-            raise GenerationError(f"{name} must be a finite number, got {value!r}")
+            noun = "an integer" if kinds is int else "a finite number"
+            raise error(f"{name} must be {noun}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -278,10 +280,21 @@ def pv_unit_series(weather: WeatherFrame, year: int,
 
 def wind_unit_series(weather: WeatherFrame, year: int,
                      params: TurbineParams = TurbineParams()) -> HourlySeries:
-    """Per-turbine output for a weather year, kW."""
-    hours = zip(weather.wind_speed_10m.tolist(), weather.temp.tolist(),
-                weather.pressure.tolist())
-    values = np.array([_wind_kw(v, t, p, params) for v, t, p in hours])
+    """Per-turbine output for a weather year, kW: `wind_power` of every hour,
+    over the columns."""
+    temp, pressure = weather.temp, weather.pressure
+    bad = np.flatnonzero((temp <= MIN_TEMP_C) | (pressure <= 0))
+    if len(bad):
+        air_density(float(temp[bad[0]]), float(pressure[bad[0]]))  # raises its message
+    rho = pressure / (R_DRY_AIR * (temp + 273.15))
+    v = hub_height_speed(weather.wind_speed_10m, params)
+    # "not outside" rather than "inside": a NaN speed gives NaN, as per hour
+    run = ~((v < params.cut_in_ms) | (v > params.cut_out_ms))
+    # Python floats: numpy's v ** 3 can differ in the last bit.
+    v_cubed = np.array([x ** 3 for x in v[run].tolist()])
+    raw_w = 0.5 * rho[run] * params.rotor_area_m2 * v_cubed * params.cp
+    values = np.zeros(len(v))
+    values[run] = np.minimum(raw_w / 1000.0, params.nominal_power_kw)
     return HourlySeries(values=values, unit="kW", year=year)
 
 

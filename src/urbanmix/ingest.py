@@ -16,6 +16,7 @@ import warnings
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +31,15 @@ WEATHER_LIMITS = (("ghi_wm2", ">=", 0), ("pressure_pa", ">", 0), ("wind_ms", ">=
 _CSV_DIALECT = {"delimiter": ",", "comments": None, "quotechar": '"'}
 
 
-class IngestError(ValueError):
+class ValidationError(ValueError):
+    """The model rejects an input or a parameter: the CLI exits 2 on it.
+
+    Each module's own error (IngestError, GenerationError, ...) derives from
+    this class, so the CLI names none of them.
+    """
+
+
+class IngestError(ValidationError):
     """Raised when an input file fails schema or invariant validation."""
 
 
@@ -43,8 +52,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class WeatherRecord:
+class WeatherRecord(NamedTuple):
     """One hour of weather in canonical units (the argument of per-hour models)."""
 
     hour_index: int

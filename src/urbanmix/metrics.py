@@ -15,10 +15,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ingest import HourlySeries
+from .ingest import HourlySeries, ValidationError
 
 
-class MetricsError(ValueError):
+class MetricsError(ValidationError):
     pass
 
 

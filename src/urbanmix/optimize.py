@@ -12,19 +12,15 @@ oracle validates it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .config import SIGN_CONVENTIONS, GAConfig, OptimizeError
 from .generation import generation_mw
 from .metrics import AggregateMetrics, annual_metrics
 from .scaling import round_half_away
-
-SIGN_CONVENTIONS = ("magnitude-neg", "signed-neg")
-
-
-class OptimizeError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -126,8 +122,7 @@ def _fitness(x_pv, x_turbine, problem: MixProblem, chunk: int = 16) -> np.ndarra
     return out
 
 
-@dataclass(frozen=True)
-class MixSolution:
+class MixSolution(NamedTuple):
     x_pv_m2: float
     x_turbine_m2: float
     pv_mw: float
@@ -163,27 +158,6 @@ def _solution_at(x_pv: float, x_turbine: float, problem: MixProblem,
         generations=generations,
         evaluations=evaluations,
     )
-
-
-@dataclass(frozen=True)
-class GAConfig:
-    population: int = 50
-    tournament_k: int = 3
-    blend_alpha: float = 0.5
-    mutation_sigma_frac: float = 0.02
-    mutation_rate: float = 0.9
-    elite: int = 2
-    stall_generations: int = 20
-    stall_rel_tol: float = 1e-6
-    max_generations: int = 400
-
-    def __post_init__(self):
-        if self.population < 4:
-            raise OptimizeError("population must be at least 4")
-        if not 1 <= self.tournament_k <= self.population:
-            raise OptimizeError("tournament size must be within the population")
-        if self.elite < 0 or self.elite >= self.population:
-            raise OptimizeError("elite count must be smaller than the population")
 
 
 def _project(points: np.ndarray, problem: MixProblem) -> np.ndarray:

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
+
+from .ingest import ValidationError
 
 HOUSEHOLDS_PER_100K = 75.9
 
@@ -42,7 +44,7 @@ _METHOD_INPUTS = {
 }
 
 
-class ScalingError(ValueError):
+class ScalingError(ValidationError):
     """Raised for invalid scaling specs or inputs."""
 
 
@@ -108,8 +110,7 @@ class OfficeBand:
         return (self.min_m2 + self.max_m2) / 2.0
 
 
-@dataclass(frozen=True)
-class OfficeBandResult:
+class OfficeBandResult(NamedTuple):
     band: OfficeBand
     count_raw: float
     count: int

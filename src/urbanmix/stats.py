@@ -13,17 +13,18 @@ cancellation of two large lgammas (DiDonato & Morris 1992, ACM TOMS 18:360).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .ingest import ValidationError
 
-class StatsError(ValueError):
+
+class StatsError(ValidationError):
     pass
 
 
-@dataclass(frozen=True)
-class TestResult:
+class TestResult(NamedTuple):
     t_stat: float
     dof: float
     p_value: float

@@ -8,8 +8,11 @@ statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
+from .config import DEFAULT_BENCHMARKS
 from .ingest import HourlySeries
 from .scaling import (
     ScalingFixture,
@@ -29,8 +32,7 @@ VERDICT_INCONSISTENT = "inconsistent"
 NATIONAL_TOLERANCE = 1
 
 
-@dataclass(frozen=True)
-class ReconciliationRow:
+class ReconciliationRow(NamedTuple):
     name: str
     published_national: int
     recomputed_national_raw: float
@@ -43,8 +45,7 @@ class ReconciliationRow:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class BandRow:
+class BandRow(NamedTuple):
     label: str
     published_count: int | None
     recomputed_count: int
@@ -181,24 +182,9 @@ def render_reconciliation(report: ReconciliationReport) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class Benchmark:
-    name: str
-    twh: float
-
-
-DEFAULT_BENCHMARKS = (
-    # national statistics reference totals for annual service-sector
-    # electricity demand in the Netherlands, TWh
-    Benchmark(name="PBL", twh=33.6),
-    Benchmark(name="CBS", twh=30.6),
-)
-
-
-@dataclass(frozen=True)
-class NationalTotalReport:
+class NationalTotalReport(NamedTuple):
     modeled_twh: float | None
-    ratios: dict = field(default_factory=dict)
+    ratios: Mapping[str, float] = MappingProxyType({})
     skipped: bool = False
     reason: str = ""
 

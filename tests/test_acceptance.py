@@ -136,7 +136,8 @@ def test_criterion_06_classifier_equal_fill():
         assert len(np.unique(wind)) == cal.n_hours
         solar = rng.uniform(0.0, 100.0, cal.n_hours)
         edges = compute_bins(solar, wind, np.ones(cal.n_hours, dtype=bool))
-        keys = classify_year(solar, wind, edges, cal)
+        keys = [all_category_keys()[code] for code in classify_year(solar, wind, edges,
+                                                                     cal).tolist()]
         wind_fill = {b: 0 for b in range(1, 6)}
         for key in keys:
             wind_fill[key.wind_bin] += 1

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from urbanmix.classify import (DAY_KINDS, N_BINS, TIME_BANDS, BinEdges,
-                               CategoryKey, ClassifyError, aggregate_by_category,
-                               all_category_keys, category_counts,
-                               classify_hour, classify_year, compute_bins,
-                               member_values, percent_of_capacity, time_band_of)
+from category_oracle import (classify_hour, decode, hexed, oracle_aggregate, oracle_counts,
+                             oracle_members)
+from urbanmix.classify import (N_BINS, N_CATEGORIES, BinEdges, CategoryKey, ClassifyError,
+                               aggregate_by_category, all_category_keys, category_counts,
+                               classify_year, compute_bins, member_values,
+                               percent_of_capacity, time_band_of)
 from urbanmix.ingest import build_calendar
 
 
@@ -63,7 +66,7 @@ def test_value_on_edge_goes_to_upper_bin():
     e = edges()
     solar = np.full(cal.n_hours, 40.0)
     wind = np.full(cal.n_hours, 0.0)
-    keys = classify_year(solar, wind, e, cal)
+    keys = decode(classify_year(solar, wind, e, cal))
     assert all(k.solar_bin == 3 for k in keys)
     assert all(k.wind_bin == 1 for k in keys)
     key = classify_hour(0, 80.0, 20.0, e, cal)
@@ -116,7 +119,7 @@ def test_tie_free_wind_fills_bins_equally():
     solar = np.zeros(cal.n_hours)
     solar_src = np.linspace(0.0, 100.0, cal.n_hours)
     e = compute_bins(solar_src, wind, np.ones(cal.n_hours, dtype=bool))
-    keys = classify_year(solar_src, wind, e, cal)
+    keys = decode(classify_year(solar_src, wind, e, cal))
     wind_counts = {b: 0 for b in range(1, N_BINS + 1)}
     for k in keys:
         wind_counts[k.wind_bin] += 1
@@ -130,6 +133,7 @@ def test_classify_year_covers_every_hour(calendar2014):
     e = compute_bins(solar, wind, np.ones(calendar2014.n_hours, dtype=bool))
     keys = classify_year(solar, wind, e, calendar2014)
     assert len(keys) == 8760
+    assert keys.dtype.kind == "i" and 0 <= keys.min() and keys.max() < N_CATEGORIES
     counts = category_counts(keys)
     assert len(counts) == 150
     assert sum(counts.values()) == 8760
@@ -147,8 +151,8 @@ def test_day_kind_uses_calendar():
     solar = np.zeros(cal.n_hours)
     wind = np.zeros(cal.n_hours)
     e = edges()
-    as_weekend = classify_year(solar, wind, e, cal, holidays_as_weekend=True)
-    as_weekday = classify_year(solar, wind, e, cal, holidays_as_weekend=False)
+    as_weekend = decode(classify_year(solar, wind, e, cal, holidays_as_weekend=True))
+    as_weekday = decode(classify_year(solar, wind, e, cal, holidays_as_weekend=False))
     assert all(k.day_kind == "weekend" for k in as_weekend[:24])
     assert all(k.day_kind == "weekday" for k in as_weekday[:24])
 
@@ -207,7 +211,7 @@ def test_generation_atoms_respect_equal_fill(pv_unit, wind_unit, calendar2014):
     solar_pct = percent_of_capacity(pv_unit.values, 107.9)
     daylight = pv_unit.values > 0
     e = compute_bins(solar_pct, wind_pct, daylight)
-    keys = classify_year(solar_pct, wind_pct, e, calendar2014)
+    keys = decode(classify_year(solar_pct, wind_pct, e, calendar2014))
     wind_counts = {b: 0 for b in range(1, N_BINS + 1)}
     solar_counts = {b: 0 for b in range(1, N_BINS + 1)}
     for k in keys:
@@ -220,3 +224,79 @@ def test_generation_atoms_respect_equal_fill(pv_unit, wind_unit, calendar2014):
     assert solar_counts[1] == (8760 - n_day) + per_bin
     for b in range(2, 6):
         assert abs(solar_counts[b] - per_bin) <= 1
+
+
+def test_category_codes_follow_key_order():
+    # code ((weekend·3 + band)·5 + solar_bin − 1)·5 + wind_bin − 1 is the key's index
+    for code, key in enumerate(all_category_keys()):
+        day = ("weekday", "weekend").index(key.day_kind)
+        band = ("night", "day", "evening").index(key.time_band)
+        assert ((day * 3 + band) * 5 + key.solar_bin - 1) * 5 + key.wind_bin - 1 == code
+    assert len(all_category_keys()) == N_CATEGORIES
+
+
+@pytest.mark.parametrize("holidays_as_weekend", [True, False])
+def test_classify_year_matches_per_hour_oracle(calendar2014, holidays_as_weekend):
+    # random percentages with a share of hours placed exactly on an edge
+    rng = np.random.default_rng(11)
+    n = calendar2014.n_hours
+    e = edges(solar=(0.0, 12.5, 40.0, 40.0), wind=(5.0, 20.0, 55.5, 100.0))
+    solar = rng.uniform(0, 100, n)
+    wind = rng.uniform(0, 100, n)
+    solar[::7] = rng.choice(e.solar_edges, size=len(solar[::7]))
+    wind[::5] = rng.choice(e.wind_edges, size=len(wind[::5]))
+    codes = classify_year(solar, wind, e, calendar2014, holidays_as_weekend)
+    expected = [classify_hour(i, s, w, e, calendar2014, holidays_as_weekend)
+                for i, (s, w) in enumerate(zip(solar.tolist(), wind.tolist()))]
+    assert decode(codes) == expected
+
+
+_metric_values = st.one_of(st.just(float("nan")), st.just(-0.0), st.just(0.0),
+                           st.floats(allow_nan=False, width=64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(0, 150),
+       codes_from=st.sampled_from(["all", "few"]), all_nan=st.booleans())
+def test_columnar_categories_equal_dict_loops(data, n, codes_from, all_nan):
+    # "few" leaves most of the 150 categories empty, as a zero-capacity mix does
+    top = N_CATEGORIES - 1 if codes_from == "all" else 3
+    codes = np.array(data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n)),
+                     dtype=np.int64)
+    if all_nan:
+        values = np.full(n, np.nan)
+    else:
+        values = np.array(data.draw(st.lists(_metric_values, min_size=n, max_size=n)),
+                          dtype=float)
+    keys = decode(codes)
+
+    aggregates, expected = aggregate_by_category(codes, values), oracle_aggregate(keys, values)
+    assert list(aggregates) == list(expected) == list(all_category_keys())
+    for key, agg in aggregates.items():
+        want = expected[key]
+        assert type(agg.count) is int and agg.count == want.count
+        assert (hexed(agg.mean), hexed(agg.total)) == (hexed(want.mean), hexed(want.total))
+
+    members, want_members = member_values(codes, values), oracle_members(keys, values)
+    assert list(members) == list(want_members)
+    for key, sample in members.items():
+        assert sample.dtype == np.float64 and sample.shape == want_members[key].shape
+        assert [float.hex(v) for v in sample.tolist()] == \
+            [float.hex(v) for v in want_members[key].tolist()]
+
+    counts = category_counts(codes)
+    assert counts == oracle_counts(keys)
+    assert all(type(c) is int for c in counts.values())
+
+
+@pytest.mark.parametrize("codes", [[-1], [N_CATEGORIES], [0.0], ["a"]])
+def test_category_codes_are_checked(codes):
+    with pytest.raises(ClassifyError, match="category codes"):
+        category_counts(np.array(codes))
+    with pytest.raises(ClassifyError, match="category codes"):
+        aggregate_by_category(np.array(codes), np.zeros(1))
+
+
+def test_codes_and_metric_lengths_must_match():
+    with pytest.raises(ClassifyError, match="length"):
+        member_values(np.zeros(3, dtype=int), np.zeros(2))

@@ -417,3 +417,102 @@ def test_overflowing_diode_exponent_exits_2(tmp_path, capsys):
     assert "(voc_v=60.0, n_cells=1); exp overflows above 709.78" in err
     assert len(err.strip().splitlines()) == 1
     assert not (out / "generation_pv_unit.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["scale", "profiles", "generation", "sweep", "classify",
+                                     "optimize", "validate"])
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_negative_seed_exits_1(tmp_path, capsys, command, form):
+    # numpy's generators take no negative seed; every command rejects it up front
+    out = tmp_path / "out"
+    if form == "flag":
+        argv = ["--seed", "-1"]
+        expected = "error: seed must be a non-negative integer, got -1\n"
+    else:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"seed": -3}))
+        argv = ["--config", str(cfg)]
+        expected = "error: config: seed must be a non-negative integer, got -3\n"
+    assert main([*argv, "--out", str(out), command]) == 1
+    assert capsys.readouterr().err == expected
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("ga, message", [
+    ({"population": 4.5}, "population must be an integer, got 4.5"),
+    ({"elite": True}, "elite must be an integer, got True"),
+    ({"max_generations": "9"}, "max_generations must be an integer, got '9'"),
+    ({"tournament_k": 2.0}, "tournament_k must be an integer, got 2.0"),
+    ({"blend_alpha": float("nan")}, "blend_alpha must be a finite number, got nan"),
+    ({"mutation_sigma_frac": float("inf")},
+     "mutation_sigma_frac must be a finite number, got inf"),
+    ({"stall_rel_tol": False}, "stall_rel_tol must be a finite number, got False"),
+    ({"mutation_rate": 7}, "mutation_rate must lie in [0, 1], got 7"),
+    ({"mutation_rate": -0.1}, "mutation_rate must lie in [0, 1], got -0.1"),
+    ({"blend_alpha": -0.5}, "blend_alpha must be >= 0, got -0.5"),
+    ({"mutation_sigma_frac": -1e-9}, "mutation_sigma_frac must be >= 0, got -1e-09"),
+    ({"stall_rel_tol": -1.0}, "stall_rel_tol must be >= 0, got -1.0"),
+    ({"stall_generations": -1}, "stall_generations must be >= 1, got -1"),
+    ({"stall_generations": 0}, "stall_generations must be >= 1, got 0"),
+    ({"max_generations": -2}, "max_generations must be >= 0, got -2"),
+    ({"population": 3}, "population must be at least 4"),
+    ({"populaton": 50}, "unexpected keyword argument 'populaton'"),
+])
+def test_bad_ga_options_exit_1(tmp_path, capsys, ga, message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"ga": ga}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "optimize"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: bad ga options: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (out / "optimize_report.json").exists()
+
+
+# The urbanmix modules each command must not load: what it does not run.
+UNUSED_MODULES = {
+    "scale": {"classify", "demand", "experiments", "metrics", "optimize", "stats",
+              "synthdata"},
+    "profiles": {"classify", "experiments", "metrics", "optimize", "stats", "tabular",
+                 "validation"},
+    "generation": {"classify", "experiments", "metrics", "optimize", "stats", "tabular",
+                   "validation"},
+    "sweep": {"classify", "optimize", "validation"},
+    "classify": {"optimize", "validation"},
+    "optimize": {"classify", "validation"},
+    "validate": {"classify", "optimize"},
+}
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    script = textwrap.dedent("""
+        import json, sys
+        from urbanmix.cli import main
+        assert main(["--out", sys.argv[1], sys.argv[2]]) == 0
+        print(json.dumps(sorted(name for name in sys.modules if name.startswith("urbanmix"))))
+    """)
+    src = str(Path(urbanmix.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for command, unused in UNUSED_MODULES.items():
+        result = subprocess.run([sys.executable, "-c", script, str(tmp_path / command),
+                                 command], env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        loaded = {name.split(".")[1] for name in json.loads(result.stdout.splitlines()[-1])
+                  if "." in name}
+        assert not loaded & unused, (command, sorted(loaded & unused))
+        assert {"cli", "config"} <= loaded
+
+
+def test_import_urbanmix_loads_no_submodule():
+    script = ("import sys, urbanmix; "
+              "assert [m for m in sys.modules if m.startswith('urbanmix.')] == []; "
+              "assert urbanmix.welch_t_test.__module__ == 'urbanmix.stats'; "
+              "assert 'welch_t_test' in dir(urbanmix)")
+    src = str(Path(urbanmix.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        urbanmix.nonexistent  # noqa: B018

@@ -5,6 +5,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
+from category_oracle import decode, oracle_aggregate, oracle_members
 from urbanmix.demand import MIXED, RESIDENTIAL_ONLY
 from urbanmix.experiments import (CATEGORY_METRICS, SWEEP_TEST_METRICS, TABLE_WIDTH,
                                   build_problem, capacity_axis, evaluate_cell,
@@ -79,7 +80,7 @@ def hexed(cell):
                      for v in values)
     return (exact((cell.pv_mw, cell.wind_mw)),
             exact(astuple(cell.residential)), exact(astuple(cell.mixed)),
-            {name: exact(astuple(test)) for name, test in cell.tests.items()},
+            {name: exact(tuple(test)) for name, test in cell.tests.items()},
             {name: exact((value,)) for name, value in cell.delta_sums.items()},
             {name: exact((value,)) for name, value in cell.delta_hourly_means.items()})
 
@@ -97,7 +98,7 @@ def test_grid_cell_is_evaluate_cell_with_holm_flags(config2014, pooled):
                                                  alpha=config.alpha)]
              for name in SWEEP_TEST_METRICS}
     for i, ((pv, wind), cell) in enumerate(cells.items()):
-        expected = replace(cell, tests={name: replace(test, reject=flags[name][i])
+        expected = cell._replace(tests={name: test._replace(reject=flags[name][i])
                                         for name, test in cell.tests.items()})
         assert hexed(grid.cell(pv, wind)) == hexed(expected)
     assert len(cells) == len(grid.table) == 16
@@ -214,7 +215,7 @@ def test_experiment2_dark_hours_land_in_solar_bin_1(exp2, prep):
     # hours without solar output sit below the first edge, hence bin 1;
     # the clock bands still leave some categories structurally empty
     pv_gen, _ = components(exp2.pv_mw, exp2.wind_mw, prep)
-    for key, pv in zip(exp2.keys, pv_gen):
+    for key, pv in zip(decode(exp2.keys), pv_gen):
         if pv == 0.0:
             assert key.solar_bin == 1
     assert any(n == 0 for n in exp2.counts.values())
@@ -236,12 +237,37 @@ def test_experiment2_delta_is_generation_free(exp2, prep):
     delta = (prep.inputs.service.values / 1000.0
              - (prep.phi - 1.0) * prep.inputs.household.values / 1000.0)
     direct = {}
-    for key, value in zip(exp2.keys, delta):
+    for key, value in zip(decode(exp2.keys), delta):
         direct[key] = direct.get(key, 0.0) + float(value)
     for key, agg in exp2.delta_aggregates.items():
         assert agg.total == pytest.approx(direct.get(key, 0.0), abs=1e-9)
     # the annual delta is ~zero because phi equalizes annual energies
     assert abs(float(delta.sum())) < 1e-6
+
+
+def test_experiment2_categories_bit_equal_to_dict_loops(exp2, prep, config2014):
+    # on the fixture, the columnar aggregates, and the tests built from the
+    # columnar members, equal those of the per-hour dict loops bit for bit
+    pv_gen, wind_gen = components(exp2.pv_mw, exp2.wind_mw, prep)
+    keys = decode(exp2.keys)
+    splits = [hourly_split(pv_gen + wind_gen, load) for load in (prep.load_r_mw, prep.load_m_mw)]
+    for metric in CATEGORY_METRICS:
+        hourly = [split.self_consumption() if metric == "self_consumption"
+                  else getattr(split, metric) for split in splits]
+        for case, values in zip((RESIDENTIAL_ONLY, MIXED), hourly):
+            assert exact_rows(exp2.aggregates[(case, metric)].values()) == \
+                exact_rows(oracle_aggregate(keys, values).values())
+        members = [oracle_members(keys, values) for values in hourly]
+        family = [welch_t_test(members[0][key], members[1][key], pooled=config2014.pooled)
+                  for key in members[0]]
+        assert list(exp2.tests[metric]) == list(members[0])
+        assert exact_rows(exp2.tests[metric].values()) == \
+            exact_rows(apply_holm(family, alpha=config2014.alpha))
+
+
+def exact_rows(rows):
+    """Tuples with their floats as float.hex."""
+    return [tuple(float.hex(v) if isinstance(v, float) else v for v in row) for row in rows]
 
 
 def test_experiment2_tests_cover_all_categories(exp2):

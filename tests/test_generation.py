@@ -12,7 +12,7 @@ from urbanmix.generation import (PV_BLOCK_HOURS, STC_CELL_TEMP, STC_IRRADIANCE,
                                  capacity_coefficients, cell_temperature,
                                  generation_mw, hub_height_speed, pv_power,
                                  pv_unit_series, wind_power, wind_unit_series)
-from urbanmix.ingest import WeatherRecord
+from urbanmix.ingest import WeatherFrame, WeatherRecord
 from urbanmix.scaling import ServiceMix
 
 
@@ -266,6 +266,56 @@ def test_wind_year_matches_per_hour_power(weather2014, wind_unit):
     expected = [wind_power(record(temp=t, pressure=p, wind=v)) for t, p, v in hours]
     assert np.array_equal(wind_unit.values, expected)
     assert wind_unit.values.any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n_hours=st.integers(1, 40), hub_height_m=st.sampled_from([10.0, 50.0]))
+def test_wind_columns_bit_equal_to_wind_power(data, n_hours, hub_height_m):
+    # hub speeds drawn freely and exactly at (and one ulp either side of) the
+    # cut-in, the cut-out and the nominal clip of each hour's air density; at
+    # a 10 m hub the shear factor is exactly 1, so those speeds are hit exactly
+    params = TurbineParams(hub_height_m=hub_height_m)
+    factor = hub_height_speed(1.0, params)
+    temps = data.draw(st.lists(st.floats(-89.0, 50.0), min_size=n_hours, max_size=n_hours))
+    pressures = data.draw(st.lists(st.floats(50_000.0, 110_000.0),
+                                   min_size=n_hours, max_size=n_hours))
+    speeds = []
+    for temp, pressure in zip(temps, pressures):
+        swept = 0.5 * air_density(temp, pressure) * params.rotor_area_m2 * params.cp
+        clip = (params.nominal_power_kw * 1000.0 / swept) ** (1 / 3)
+        edge = data.draw(st.sampled_from([params.cut_in_ms, params.cut_out_ms, clip]))
+        hub = data.draw(st.one_of(st.floats(0.0, 40.0), st.just(edge),
+                                  st.just(math.nextafter(edge, 0.0)),
+                                  st.just(math.nextafter(edge, math.inf))))
+        speeds.append(hub / factor)
+    # a 2014 series has 8760 hours: the drawn ones come first, calm hours follow
+    calm = 8760 - n_hours
+    frame = WeatherFrame(ghi=np.zeros(8760), temp=temps + [15.0] * calm,
+                         pressure=pressures + [101325.0] * calm,
+                         wind_speed_10m=speeds + [0.0] * calm)
+    columns = wind_unit_series(frame, 2014, params).values.tolist()
+    per_hour = [wind_power(record(temp=t, pressure=p, wind=v), params)
+                for t, p, v in zip(temps, pressures, speeds)]
+    assert [float.hex(x) for x in columns[:n_hours]] == [float.hex(x) for x in per_hour]
+    assert columns[n_hours:] == [0.0] * calm
+
+
+@pytest.mark.parametrize("temp, pressure, message", [
+    (-90.0, 101325.0, "temperature must be above -90.0 °C, got -90.0"),
+    (15.0, 0.0, "pressure must be positive, got 0.0"),
+    (-95.0, -1.0, "temperature must be above -90.0 °C, got -95.0"),
+])
+def test_wind_columns_report_first_bad_hour(temp, pressure, message):
+    # the first hour that fails names itself as the per-hour model does
+    temps = np.full(8760, 15.0)
+    pressures = np.full(8760, 101325.0)
+    temps[1:3], pressures[1:3] = (temp, -100.0), (pressure, -5.0)
+    frame = WeatherFrame(ghi=np.zeros(8760), temp=temps, pressure=pressures,
+                         wind_speed_10m=np.full(8760, 8.0))
+    with pytest.raises(GenerationError, match=f"^{message}$"):
+        wind_unit_series(frame, 2014)
+    with pytest.raises(GenerationError, match=f"^{message}$"):
+        wind_power(record(temp=temp, pressure=pressure, wind=8.0))
 
 
 def test_linear_year_sum_pinned(pv_unit):

@@ -215,8 +215,7 @@ def test_tournament_comparison_semantics():
     base = tiny_problem(n=48)
     oracle = grid_oracle(base, resolution=10)
     assert tournament_comparison(oracle, oracle)
-    worse = type(oracle)(**{**oracle.__dict__,
-                            "objective": oracle.objective + abs(oracle.objective)})
+    worse = oracle._replace(objective=oracle.objective + abs(oracle.objective))
     assert not tournament_comparison(worse, oracle, rel_tol=0.02)
 
 
