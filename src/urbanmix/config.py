@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 from . import ingest
-from .generation import AreaBudget, PvParams, SingleDiodeParams, TurbineParams, _require_numbers
+from .generation import (AreaBudget, PvParams, SingleDiodeParams, TurbineParams, _is_number,
+                         _require_numbers)
 from .ingest import Calendar, HourlySeries, IngestError, ValidationError, WeatherFrame
-from .scaling import (ScalingFixture, ServiceMix, build_service_mix, load_default_fixture,
+from .scaling import (ScalingFixture, ServiceMix, build_service_mix, default_fixture_path,
                       load_scaling_fixture)
 
 
@@ -75,14 +76,6 @@ DEFAULT_BENCHMARKS = (
 )
 
 
-_TOP_LEVEL_KEYS = {
-    "year", "calendar", "weather", "household_profile", "reference_profile_dir",
-    "scaling", "households", "household_annual_kwh", "real_inputs", "seed",
-    "holidays_as_weekend", "turbine", "pv", "area", "sweep", "mix_preset",
-    "stats", "ga", "weights", "sign_convention", "benchmarks",
-}
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     calendar: Calendar
@@ -123,199 +116,162 @@ class SimulationConfig:
         return replace(self, seed=seed)
 
 
-def _require(mapping: dict, key: str, kind, context: str):
-    value = mapping[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ConfigError(f"{context}: {key} must be {kind.__name__}")
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(f"{context}: {key} must be finite, got {value}")
-    return value
+_BUILTIN_CALENDAR = Path(__file__).parent / "data" / "calendar_nl2014.json"
+
+# Every config key, one row each: (path, kind, constraint, SimulationConfig field).
+# "a.b" is key b of object a, which may be null and, unless it has a row of its
+# own, takes no other keys. `_read` says how each kind is read, and `_within` what
+# each constraint allows. A row with no field hands its value to its parent's record.
+_SCHEMA = (
+    ("year", int, ">= 1970", "year"),  # not a field: checked against the calendar
+    ("calendar", Path, None, "calendar"),  # the two files `_resolve` reads
+    ("scaling", Path, None, "scaling_fixture"),
+    ("weather", Path, None, "weather_path"),
+    ("household_profile", Path, None, "household_profile_path"),
+    ("reference_profile_dir", Path, None, "reference_profile_dir"),
+    ("households", int, "> 0", "households"),
+    ("household_annual_kwh", float, "> 0", "household_annual_kwh"),
+    ("real_inputs", bool, None, "real_inputs"),
+    ("seed", int, None, "seed"),  # SimulationConfig checks >= 0, for --seed too
+    ("holidays_as_weekend", bool, None, "holidays_as_weekend"),
+    ("turbine", TurbineParams, None, "turbine"),
+    ("pv.diode", SingleDiodeParams, None, None),
+    ("pv", PvParams, None, "pv"),
+    ("area.roof_only_pv", bool, None, "roof_only_pv"),
+    ("area", AreaBudget, None, "area"),
+    ("sweep.max_mw", float, "> 0", "sweep_max_mw"),
+    ("sweep.steps", int, ">= 2", "sweep_steps"),
+    ("mix_preset.pv_mw", float, ">= 0", "mix_pv_mw"),
+    ("mix_preset.wind_mw", float, ">= 0", "mix_wind_mw"),
+    ("stats.alpha", float, "in (0, 1)", "alpha"),
+    ("stats.pooled", bool, None, "pooled"),
+    ("weights", [float], 3, "weights"),
+    ("sign_convention", str, SIGN_CONVENTIONS, "sign_convention"),
+    ("ga", GAConfig, None, "ga"),
+    ("benchmarks", [Benchmark], None, "benchmarks"),
+)
+
+# scalar kind: (the JSON types it takes, what an error message calls it)
+_SCALARS = {int: (int, "an integer"), float: ((int, float), "a finite number"),
+            bool: (bool, "true or false"), str: (str, "a string"), Path: (str, "a file name")}
 
 
-def _load_calendar(raw: dict, base_dir: Path) -> Calendar:
-    if "calendar" in raw:
-        path = base_dir / raw["calendar"]
-        try:
-            return ingest.load_calendar_config(path)
-        except (OSError, IngestError) as exc:
-            raise ConfigError(f"cannot read calendar file {path}: {exc}") from exc
-    year = raw.get("year", 2014)
-    if not isinstance(year, int) or isinstance(year, bool):
-        raise ConfigError("config: year must be an integer")
-    if year == 2014:
-        builtin = Path(__file__).parent / "data" / "calendar_nl2014.json"
-        return ingest.load_calendar_config(builtin)
-    return ingest.build_calendar(year, holidays=())
-
-
-def _load_fixture(raw: dict, base_dir: Path) -> ScalingFixture:
-    if "scaling" in raw:
-        path = base_dir / raw["scaling"]
-        try:
-            return load_scaling_fixture(path)
-        except (OSError, TypeError, ValueError) as exc:  # ScalingError or a bad number
-            raise ConfigError(f"cannot read scaling file {path}: {exc}") from exc
-    return load_default_fixture()
-
-
-def _params_from(raw: dict, key: str, factory, label: str | None = None):
-    label = label or key
-    section = raw.get(key)
-    if section is None:
-        return factory()
-    if not isinstance(section, dict):
-        raise ConfigError(f"config: {label} must be an object")
+@contextmanager
+def _config_error(prefix: str, errors=OSError):
+    """Raise any of ``errors`` as a one-line ConfigError that starts with ``prefix``."""
     try:
-        return factory(**section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config: bad {label} options: {exc}") from exc
+        yield
+    except errors as exc:
+        raise ConfigError(f"{prefix}: {exc}") from exc
 
 
-def _section(raw: dict, key: str, allowed: set) -> dict:
-    """A flat config section: an object (or absent/null) with only known keys."""
-    section = raw.get(key)
-    if section is None:
+def _object(path: str, value) -> dict:
+    if value is None:
         return {}
-    if not isinstance(section, dict):
-        raise ConfigError(f"config: {key} must be an object")
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"config: unknown {key} keys {sorted(unknown)}")
-    return section
-
-
-def _bool(value, label: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"config: {label} must be true or false")
+    if not isinstance(value, dict):
+        raise ConfigError(f"config: {path} must be an object")
     return value
 
 
-def _benchmark(entry, context: str) -> Benchmark:
-    if not isinstance(entry, dict) or set(entry) != {"name", "twh"}:
-        raise ConfigError(f"{context}: must be an object with keys name and twh")
-    return Benchmark(_require(entry, "name", str, context), _require(entry, "twh", float, context))
+def _within(value, constraint) -> bool:
+    """A constraint is "> x", ">= x", "in (low, high)", a tuple of the allowed
+    values or, for a list, its length (checked in `_read`)."""
+    if isinstance(constraint, tuple):
+        return value in constraint
+    if constraint.startswith("in ("):
+        low, high = map(float, constraint[4:-1].split(","))
+        return low < value < high
+    op, bound = constraint.split()
+    return value > float(bound) if op == ">" else value >= float(bound)
+
+
+def _read(path: str, value, kind, constraint, base_dir: Path):
+    """``value`` read as ``kind``; a one-line ConfigError naming ``path`` if it is not one."""
+    if isinstance(kind, list):  # a list of kind[0] values, read into a tuple
+        if not isinstance(value, list) or constraint not in (None, len(value)):
+            size = f" of {constraint} values" if constraint else ""
+            raise ConfigError(f"config: {path} must be a list{size}, got {value!r}")
+        return tuple(_read(f"{path}[{i}]", item, kind[0], None, base_dir)
+                     for i, item in enumerate(value))
+    if is_dataclass(kind):  # a record, which checks its own fields
+        fields = _object(path, value)
+        with _config_error(f"config: bad {path} options", (TypeError, ValueError)):
+            return kind(**fields)
+    if kind not in _SCALARS:  # a NamedTuple: exactly its fields, each of its annotated kind
+        hints = get_type_hints(kind)
+        if set(_object(path, value)) != set(hints):
+            raise ConfigError(f"config: {path} must have the keys {' and '.join(hints)}")
+        return kind(*(_read(f"{path}.{name}", value[name], hint, None, base_dir)
+                      for name, hint in hints.items()))
+    accepts, noun = _SCALARS[kind]  # a float is finite; a Path resolves against base_dir
+    if not (_is_number(value, accepts) if kind in (int, float) else isinstance(value, accepts)):
+        raise ConfigError(f"config: {path} must be {noun}, got {value!r}")
+    value = float(value) if kind is float else base_dir / value if kind is Path else value
+    if constraint is not None and not _within(value, constraint):
+        allowed = f"one of {constraint}" if isinstance(constraint, tuple) else constraint
+        raise ConfigError(f"config: {path} must be {allowed}, got {value!r}")
+    return value
+
+
+def _resolve(raw: dict, base_dir: Path) -> SimulationConfig:
+    """The configuration a parsed JSON object sets, each row read and checked once;
+    file names resolve against ``base_dir``."""
+    kwargs = {}
+    objects = {"": raw}  # the objects the rows reach, by path; rows take their keys out
+    for path, kind, constraint, target in _SCHEMA:
+        parent, _, key = path.rpartition(".")
+        if parent not in objects:
+            objects[parent] = _object(parent, raw.pop(parent, None))
+        if path in objects:  # a record whose own rows came first
+            value = objects.pop(path)
+        elif key in objects[parent]:
+            value = objects[parent].pop(key)
+        else:
+            continue
+        value = _read(path, value, kind, constraint, base_dir)
+        if target is None:
+            objects[parent][key] = value
+        else:
+            kwargs[target] = value
+    unknown = [f"{parent}.{key}" if parent else key
+               for parent, leftover in objects.items() for key in leftover]
+    if unknown:
+        raise ConfigError(f"config: unknown keys {sorted(unknown)}")
+
+    year = kwargs.pop("year", None)
+    calendar_file = kwargs.get("calendar", _BUILTIN_CALENDAR if year in (None, 2014) else None)
+    with _config_error(f"cannot read calendar file {calendar_file}", (OSError, IngestError)):
+        calendar = kwargs["calendar"] = (ingest.build_calendar(year, holidays=())
+                                         if calendar_file is None
+                                         else ingest.load_calendar_config(calendar_file))
+    if year is not None and year != calendar.year:
+        raise ConfigError(f"config year {year} does not match calendar year {calendar.year}")
+    scaling_file = kwargs.get("scaling_fixture", default_fixture_path())
+    with _config_error(f"cannot read scaling file {scaling_file}",
+                       (OSError, TypeError, ValueError)):  # ScalingError or a bad number
+        kwargs["scaling_fixture"] = load_scaling_fixture(scaling_file)
+    with _config_error("config", ConfigError):
+        return SimulationConfig(**kwargs)
 
 
 def load_config(path) -> SimulationConfig:
     """Parse a JSON run configuration; relative paths resolve against its directory."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    with _config_error(f"cannot read config {path}", (OSError, UnicodeDecodeError)):
+        text = path.read_text()
+    with _config_error(f"config {path} is not valid JSON", json.JSONDecodeError):
+        raw = json.loads(text)
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must contain a JSON object")
-    unknown = set(raw) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(f"config {path}: unknown keys {sorted(unknown)}")
-
-    base_dir = path.parent
-    calendar = _load_calendar(raw, base_dir)
-    if "year" in raw and raw["year"] != calendar.year:
-        raise ConfigError(f"config year {raw['year']} does not match calendar year {calendar.year}")
-    fixture = _load_fixture(raw, base_dir)
-
-    def resolve(key: str) -> Path | None:
-        if key not in raw:
-            return None
-        return base_dir / raw[key]
-
-    kwargs: dict = {
-        "calendar": calendar,
-        "scaling_fixture": fixture,
-        "weather_path": resolve("weather"),
-        "household_profile_path": resolve("household_profile"),
-        "reference_profile_dir": resolve("reference_profile_dir"),
-    }
-    if "households" in raw:
-        kwargs["households"] = _require(raw, "households", int, "config")
-    if "household_annual_kwh" in raw:
-        kwargs["household_annual_kwh"] = _require(raw, "household_annual_kwh", float, "config")
-    if "real_inputs" in raw:
-        kwargs["real_inputs"] = _bool(raw["real_inputs"], "real_inputs")
-    if "seed" in raw:
-        kwargs["seed"] = _require(raw, "seed", int, "config")
-    if "holidays_as_weekend" in raw:
-        kwargs["holidays_as_weekend"] = _bool(raw["holidays_as_weekend"], "holidays_as_weekend")
-
-    kwargs["turbine"] = _params_from(raw, "turbine", TurbineParams)
-    pv_raw = raw.get("pv")
-    if isinstance(pv_raw, dict) and "diode" in pv_raw:
-        pv_raw = dict(pv_raw, diode=_params_from(pv_raw, "diode", SingleDiodeParams,
-                                                 label="pv.diode"))
-    kwargs["pv"] = _params_from({"pv": pv_raw}, "pv", PvParams)
-    area_raw = dict(raw.get("area") or {})
-    if "roof_only_pv" in area_raw:
-        kwargs["roof_only_pv"] = _bool(area_raw.pop("roof_only_pv"), "area.roof_only_pv")
-    kwargs["area"] = _params_from({"area": area_raw} if area_raw else {}, "area", AreaBudget)
-
-    sweep = _section(raw, "sweep", {"max_mw", "steps"})
-    if "max_mw" in sweep:
-        kwargs["sweep_max_mw"] = _require(sweep, "max_mw", float, "config: sweep")
-    if "steps" in sweep:
-        kwargs["sweep_steps"] = _require(sweep, "steps", int, "config: sweep")
-    preset = _section(raw, "mix_preset", {"pv_mw", "wind_mw"})
-    if "pv_mw" in preset:
-        kwargs["mix_pv_mw"] = _require(preset, "pv_mw", float, "config: mix_preset")
-    if "wind_mw" in preset:
-        kwargs["mix_wind_mw"] = _require(preset, "wind_mw", float, "config: mix_preset")
-    stats_raw = _section(raw, "stats", {"alpha", "pooled"})
-    if "alpha" in stats_raw:
-        kwargs["alpha"] = _require(stats_raw, "alpha", float, "config: stats")
-    if "pooled" in stats_raw:
-        kwargs["pooled"] = _bool(stats_raw["pooled"], "stats.pooled")
-    if "weights" in raw:
-        w = raw["weights"]
-        if not isinstance(w, (list, tuple)) or len(w) != 3:
-            raise ConfigError("config: weights must be a list of three numbers")
-        entries = {f"weights[{i}]": v for i, v in enumerate(w)}
-        kwargs["weights"] = tuple(_require(entries, key, float, "config") for key in entries)
-    if "sign_convention" in raw:
-        convention = _require(raw, "sign_convention", str, "config")
-        if convention not in SIGN_CONVENTIONS:
-            raise ConfigError(f"config: sign_convention must be one of {SIGN_CONVENTIONS}, "
-                              f"got {convention!r}")
-        kwargs["sign_convention"] = convention
-    kwargs["ga"] = _params_from(raw, "ga", GAConfig)
-    if "benchmarks" in raw:
-        if not isinstance(raw["benchmarks"], list):
-            raise ConfigError("config: bad benchmarks: must be a list of objects")
-        kwargs["benchmarks"] = tuple(_benchmark(entry, f"config: bad benchmarks entry {i}")
-                                     for i, entry in enumerate(raw["benchmarks"]))
-
-    try:
-        config = SimulationConfig(**kwargs)
-    except ConfigError as exc:
-        raise ConfigError(f"config: {exc}") from None
-    if config.sweep_steps < 2:
-        raise ConfigError("config: sweep steps must be at least 2")
-    if not config.sweep_max_mw > 0:
-        raise ConfigError(f"config: sweep max_mw must be positive, got {config.sweep_max_mw}")
-    if not 0 < config.alpha < 1:
-        raise ConfigError(f"config: stats alpha must lie in (0, 1), got {config.alpha}")
-    if not (config.mix_pv_mw >= 0 and config.mix_wind_mw >= 0):
-        raise ConfigError("config: mix_preset capacities must be non-negative, got "
-                          f"pv_mw={config.mix_pv_mw}, wind_mw={config.mix_wind_mw}")
-    if config.households <= 0:
-        raise ConfigError("config: households must be positive")
-    if config.household_annual_kwh <= 0:
-        raise ConfigError("config: household_annual_kwh must be positive")
-    return config
+    return _resolve(raw, path.parent)
 
 
 def default_config() -> SimulationConfig:
     """Built-in 2014 calendar and scaling fixture, no input files attached."""
-    builtin = Path(__file__).parent / "data" / "calendar_nl2014.json"
-    return SimulationConfig(calendar=ingest.load_calendar_config(builtin),
-                            scaling_fixture=load_default_fixture())
+    return _resolve({}, Path())
 
 
-@dataclass(frozen=True)
-class ModelInputs:
+class ModelInputs(NamedTuple):
     """Everything the experiments need, assembled from one configuration."""
     config: SimulationConfig
     calendar: Calendar
@@ -341,20 +297,15 @@ def assemble(config: SimulationConfig) -> ModelInputs:
 
     calendar = config.calendar
     if config.weather_path is not None:
-        try:
+        with _config_error(f"cannot read weather file {config.weather_path}"):
             weather = ingest.load_weather(config.weather_path, calendar)
-        except OSError as exc:
-            raise ConfigError(f"cannot read weather file {config.weather_path}: {exc}") from exc
     else:
         weather = synthdata.synthetic_weather_frame(calendar, config.seed)
 
     annual = config.household_annual_kwh * config.households
     if config.household_profile_path is not None:
-        try:
+        with _config_error(f"cannot read household profile {config.household_profile_path}"):
             household = ingest.load_profile(config.household_profile_path, annual, calendar)
-        except OSError as exc:
-            raise ConfigError(
-                f"cannot read household profile {config.household_profile_path}: {exc}") from exc
     else:
         weights = synthdata.household_weights(calendar, config.holidays_as_weekend)
         household = HourlySeries(weights * (annual / weights.sum()), unit="kW",
@@ -366,12 +317,10 @@ def assemble(config: SimulationConfig) -> ModelInputs:
     for name in mix.names:
         if config.reference_profile_dir is not None:
             profile_path = config.reference_profile_dir / f"{name}.csv"
-            try:
+            with _config_error(f"cannot read reference profile {profile_path}"):
                 profiles[name] = ingest.read_series(profile_path, unit="kW",
                                                     year=calendar.year,
                                                     value_column="kw")
-            except OSError as exc:
-                raise ConfigError(f"cannot read reference profile {profile_path}: {exc}") from exc
         else:
             values = synthdata.reference_profile_values(name, calendar,
                                                         holidays_as_weekend=config.holidays_as_weekend)

@@ -32,13 +32,18 @@ class GenerationError(ValidationError):
     pass
 
 
-def _require_numbers(params, names, error=GenerationError, kinds=(int, float)) -> None:
-    """Each named field must be a finite number of one of ``kinds``; bools do
+def _is_number(value, kinds=(int, float)) -> bool:
+    """A number of one of ``kinds`` within the finite double range; bools do
     not count."""
+    return (isinstance(value, kinds) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _require_numbers(params, names, error=GenerationError, kinds=(int, float)) -> None:
+    """Each named field must be a finite number of one of ``kinds``."""
     for name in names:
         value = getattr(params, name)
-        if (isinstance(value, bool) or not isinstance(value, kinds)
-                or not math.isfinite(value)):
+        if not _is_number(value, kinds):
             noun = "an integer" if kinds is int else "a finite number"
             raise error(f"{name} must be {noun}, got {value!r}")
 
@@ -54,6 +59,7 @@ class TurbineParams:
     shear_exponent: float = 0.15
 
     def __post_init__(self):
+        _require_numbers(self, [f.name for f in fields(self)])
         if not 0 < self.cp < BETZ_LIMIT:
             raise GenerationError(f"cp must be in (0, {BETZ_LIMIT}), got {self.cp}")
         if not self.cut_in_ms < self.cut_out_ms:
@@ -127,6 +133,13 @@ class AreaBudget:
     turbine_footprint_km2_per_mw: float = 0.345
 
     def __post_init__(self):
+        _require_numbers(self, ("household_roof_m2_each", "phi_area",
+                                "turbine_footprint_km2_per_mw"))
+        roofs = self.service_roofs
+        if not (isinstance(roofs, Mapping) and all(isinstance(name, str) and _is_number(m2)
+                                                   and m2 >= 0 for name, m2 in roofs.items())):
+            raise GenerationError("service_roofs must map building names to finite numbers "
+                                  f">= 0, got {roofs!r}")
         if self.household_roof_m2_each <= 0 or self.phi_area <= 0:
             raise GenerationError("area budget values must be positive")
         if self.turbine_footprint_km2_per_mw <= 0:

@@ -261,6 +261,14 @@ def assert_config_error(tmp_path, capsys, raw):
     {"benchmarks": [{"name": "X", "twh": "x"}]},
     {"benchmarks": [{"name": 3, "twh": 30.0}]},
     {"sign_convention": "bogus"},
+    {"area": 5},
+    {"area": "x"},
+    {"area": []},
+    {"turbine": {"rotor_area_m2": float("inf")}},
+    {"turbine": {"shear_exponent": float("nan")}},
+    {"area": {"phi_area": float("nan")}},
+    {"turbine": {"hub_height_m": "x"}},
+    {"area": {"service_roofs": {"office": -1.0}}},
 ])
 def test_bad_config_sections_exit_1(tmp_path, capsys, raw):
     assert_config_error(tmp_path, capsys, raw)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -10,6 +11,10 @@ def write(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return path
+
+
+def exactly(message: str) -> str:
+    return f"^{re.escape(message)}$"
 
 
 def test_default_config():
@@ -94,13 +99,14 @@ def test_relative_paths_resolve_against_config_dir(tmp_path):
 
 
 def test_numeric_type_checks(tmp_path):
-    with pytest.raises(ConfigError, match="households must be int"):
+    with pytest.raises(ConfigError,
+                       match=exactly("config: households must be an integer, got 'many'")):
         load_config(write(tmp_path, {"year": 2014, "households": "many"}))
     with pytest.raises(ConfigError, match="must be true or false"):
         load_config(write(tmp_path, {"year": 2014, "real_inputs": "yes"}))
-    with pytest.raises(ConfigError, match="households must be positive"):
+    with pytest.raises(ConfigError, match=exactly("config: households must be > 0, got -5")):
         load_config(write(tmp_path, {"year": 2014, "households": -5}))
-    with pytest.raises(ConfigError, match="sweep steps"):
+    with pytest.raises(ConfigError, match=exactly("config: sweep.steps must be >= 2, got 1")):
         load_config(write(tmp_path, {"year": 2014, "sweep": {"steps": 1}}))
     with pytest.raises(ConfigError, match="household_annual_kwh"):
         load_config(write(tmp_path, {"year": 2014, "household_annual_kwh": 0}))
@@ -134,7 +140,8 @@ def test_section_overrides(tmp_path):
 def test_bad_section_option_is_config_error(tmp_path):
     with pytest.raises(ConfigError, match="bad turbine options"):
         load_config(write(tmp_path, {"year": 2014, "turbine": {"rotor": 1}}))
-    with pytest.raises(ConfigError, match="weights must be a list of three"):
+    with pytest.raises(ConfigError,
+                       match=exactly("config: weights must be a list of 3 values, got [1.0]")):
         load_config(write(tmp_path, {"year": 2014, "weights": [1.0]}))
 
 
@@ -161,7 +168,8 @@ def test_benchmarks_override(tmp_path):
         "year": 2014, "benchmarks": [{"name": "X", "twh": 5.0}]}))
     assert len(config.benchmarks) == 1
     assert config.benchmarks[0].name == "X"
-    with pytest.raises(ConfigError, match="bad benchmarks"):
+    with pytest.raises(ConfigError,
+                       match=exactly("config: benchmarks[0] must have the keys name and twh")):
         load_config(write(tmp_path, {"year": 2014, "benchmarks": [{"name": "X"}]}))
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -340,6 +341,34 @@ def test_single_diode_params_validated(kwargs):
 def test_pv_params_numbers_validated(kwargs):
     with pytest.raises(GenerationError, match=next(iter(kwargs))):
         PvParams(**kwargs)
+
+
+@pytest.mark.parametrize("params, kwargs, message", [
+    (TurbineParams, {"rotor_area_m2": float("inf")},
+     "rotor_area_m2 must be a finite number, got inf"),
+    (TurbineParams, {"shear_exponent": float("nan")},
+     "shear_exponent must be a finite number, got nan"),
+    (TurbineParams, {"hub_height_m": "x"}, "hub_height_m must be a finite number, got 'x'"),
+    (TurbineParams, {"cp": True}, "cp must be a finite number, got True"),
+    (AreaBudget, {"phi_area": float("nan")}, "phi_area must be a finite number, got nan"),
+    (AreaBudget, {"household_roof_m2_each": "x"},
+     "household_roof_m2_each must be a finite number, got 'x'"),
+    (AreaBudget, {"turbine_footprint_km2_per_mw": float("-inf")},
+     "turbine_footprint_km2_per_mw must be a finite number, got -inf"),
+    (AreaBudget, {"service_roofs": 5},
+     "service_roofs must map building names to finite numbers >= 0, got 5"),
+    (AreaBudget, {"service_roofs": {"office": -1.0}},
+     "service_roofs must map building names to finite numbers >= 0, got {'office': -1.0}"),
+    (AreaBudget, {"service_roofs": {"office": float("nan")}},
+     "service_roofs must map building names to finite numbers >= 0, got {'office': nan}"),
+    (AreaBudget, {"service_roofs": {"office": "x"}},
+     "service_roofs must map building names to finite numbers >= 0, got {'office': 'x'}"),
+    (AreaBudget, {"service_roofs": {3: 1.0}},
+     "service_roofs must map building names to finite numbers >= 0, got {3: 1.0}"),
+])
+def test_turbine_and_area_numbers_validated(params, kwargs, message):
+    with pytest.raises(GenerationError, match=f"^{re.escape(message)}$"):
+        params(**kwargs)
 
 
 def test_pv_params_reject_non_diode_object():
