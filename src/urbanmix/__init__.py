@@ -16,7 +16,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "config": ("ConfigError", "ModelInputs", "SimulationConfig", "assemble",
-               "default_config", "load_config", "GAConfig"),
+               "assemble_demand", "assemble_weather", "default_config", "load_config",
+               "GAConfig"),
     "demand": ("MIXED", "RESIDENTIAL_ONLY", "LoadCase", "build_load_cases", "compute_phi"),
     "generation": ("AreaBudget", "PvParams", "TurbineParams", "capacity_coefficients",
                    "generation_mw", "pv_unit_series", "wind_unit_series"),

@@ -13,7 +13,8 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, SimulationConfig, assemble, default_config, load_config
+from .config import (ConfigError, SimulationConfig, assemble_demand, assemble_weather,
+                     default_config, load_config)
 from .ingest import ValidationError, write_series
 
 
@@ -111,17 +112,17 @@ def cmd_scale(args, config: SimulationConfig) -> int:
 def cmd_profiles(args, config: SimulationConfig) -> int:
     from .demand import MIXED, RESIDENTIAL_ONLY, build_load_cases
 
-    inputs = assemble(config)
-    residential, mixed, phi = build_load_cases(inputs.household, inputs.service)
+    _, household, service = assemble_demand(config)
+    residential, mixed, phi = build_load_cases(household, service)
     out: Path = args.out
-    write_series(inputs.household, out / "profiles_household.csv", value_column="kw")
-    write_series(inputs.service, out / "profiles_service.csv", value_column="kw")
+    write_series(household, out / "profiles_household.csv", value_column="kw")
+    write_series(service, out / "profiles_service.csv", value_column="kw")
     write_series(residential.series, out / f"load_{RESIDENTIAL_ONLY}.csv", value_column="kw")
     write_series(mixed.series, out / f"load_{MIXED}.csv", value_column="kw")
     summary = {
         "phi": phi,
-        "household_annual_kwh": inputs.household.total(),
-        "service_annual_kwh": inputs.service.total(),
+        "household_annual_kwh": household.total(),
+        "service_annual_kwh": service.total(),
         "peak_residential_only_kw": float(residential.series.values.max()),
         "peak_mixed_kw": float(mixed.series.values.max()),
     }
@@ -134,9 +135,9 @@ def cmd_profiles(args, config: SimulationConfig) -> int:
 def cmd_generation(args, config: SimulationConfig) -> int:
     from .generation import pv_unit_series, wind_unit_series
 
-    inputs = assemble(config)
-    pv_unit = pv_unit_series(inputs.weather, inputs.calendar.year, config.pv)
-    wind_unit = wind_unit_series(inputs.weather, inputs.calendar.year, config.turbine)
+    weather = assemble_weather(config)
+    pv_unit = pv_unit_series(weather, config.year, config.pv)
+    wind_unit = wind_unit_series(weather, config.year, config.turbine)
     out: Path = args.out
     write_series(pv_unit, out / "generation_pv_unit.csv", value_column="w_per_m2")
     write_series(wind_unit, out / "generation_wind_unit.csv", value_column="kw")

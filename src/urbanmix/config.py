@@ -29,6 +29,14 @@ class OptimizeError(ValidationError):
     pass
 
 
+def check_weights(weights, error: type[Exception]) -> None:
+    """Raise ``error`` unless the objective weights penalise both mismatches and
+    reward utilisation."""
+    p_pos, p_neg, p_ren = weights
+    if p_pos <= 0 or p_neg <= 0 or p_ren >= 0:
+        raise error(f"weights must satisfy p_pos > 0, p_neg > 0, p_ren < 0, got {weights}")
+
+
 @dataclass(frozen=True)
 class GAConfig:
     population: int = 50
@@ -107,6 +115,7 @@ class SimulationConfig:
         # numpy's generators take no negative seed; reject it before any run
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        check_weights(self.weights, ConfigError)
 
     @property
     def year(self) -> int:
@@ -123,7 +132,8 @@ _BUILTIN_CALENDAR = Path(__file__).parent / "data" / "calendar_nl2014.json"
 # own, takes no other keys. `_read` says how each kind is read, and `_within` what
 # each constraint allows. A row with no field hands its value to its parent's record.
 _SCHEMA = (
-    ("year", int, ">= 1970", "year"),  # not a field: checked against the calendar
+    # not a field: checked against the calendar
+    ("year", int, f"in [{ingest.MIN_YEAR}, {ingest.MAX_YEAR}]", "year"),
     ("calendar", Path, None, "calendar"),  # the two files `_resolve` reads
     ("scaling", Path, None, "scaling_fixture"),
     ("weather", Path, None, "weather_path"),
@@ -174,13 +184,14 @@ def _object(path: str, value) -> dict:
 
 
 def _within(value, constraint) -> bool:
-    """A constraint is "> x", ">= x", "in (low, high)", a tuple of the allowed
-    values or, for a list, its length (checked in `_read`)."""
+    """A constraint is "> x", ">= x", "in (low, high)", "in [low, high]" (bounds
+    included), a tuple of the allowed values or, for a list, its length
+    (checked in `_read`)."""
     if isinstance(constraint, tuple):
         return value in constraint
-    if constraint.startswith("in ("):
+    if constraint.startswith("in "):
         low, high = map(float, constraint[4:-1].split(","))
-        return low < value < high
+        return low <= value <= high if constraint[3] == "[" else low < value < high
     op, bound = constraint.split()
     return value > float(bound) if op == ">" else value >= float(bound)
 
@@ -285,28 +296,30 @@ class ModelInputs(NamedTuple):
         return self.config.seed
 
 
-def assemble(config: SimulationConfig) -> ModelInputs:
-    """Load (or synthesize) weather and demand inputs for a configuration.
+def assemble_weather(config: SimulationConfig) -> WeatherFrame:
+    """The configuration's weather file, or the synthetic year from its seed."""
+    if config.weather_path is None:
+        from . import synthdata
+        return synthdata.synthetic_weather_frame(config.calendar, config.seed)
+    with _config_error(f"cannot read weather file {config.weather_path}"):
+        return ingest.load_weather(config.weather_path, config.calendar)
 
-    File-backed inputs are used when the configuration names them; any input
-    left unspecified falls back to the deterministic synthetic generator so a
-    bare configuration is still runnable end to end.
+
+def assemble_demand(config: SimulationConfig) -> tuple[ServiceMix, HourlySeries, HourlySeries]:
+    """The service mix and the household and service demand series.
+
+    Each profile comes from the file the configuration names, or from the
+    synthetic generator when it names none.
     """
-    from . import synthdata
     from .demand import synthesize_service_profile
 
     calendar = config.calendar
-    if config.weather_path is not None:
-        with _config_error(f"cannot read weather file {config.weather_path}"):
-            weather = ingest.load_weather(config.weather_path, calendar)
-    else:
-        weather = synthdata.synthetic_weather_frame(calendar, config.seed)
-
     annual = config.household_annual_kwh * config.households
     if config.household_profile_path is not None:
         with _config_error(f"cannot read household profile {config.household_profile_path}"):
             household = ingest.load_profile(config.household_profile_path, annual, calendar)
     else:
+        from . import synthdata
         weights = synthdata.household_weights(calendar, config.holidays_as_weekend)
         household = HourlySeries(weights * (annual / weights.sum()), unit="kW",
                                  year=calendar.year)
@@ -322,10 +335,20 @@ def assemble(config: SimulationConfig) -> ModelInputs:
                                                     year=calendar.year,
                                                     value_column="kw")
         else:
+            from . import synthdata
             values = synthdata.reference_profile_values(name, calendar,
                                                         holidays_as_weekend=config.holidays_as_weekend)
             profiles[name] = HourlySeries(values, unit="kW", year=calendar.year)
-    service = synthesize_service_profile(mix, profiles)
+    return mix, household, synthesize_service_profile(mix, profiles)
 
-    return ModelInputs(config=config, calendar=calendar, weather=weather,
-                       service_mix=mix, household=household, service=service)
+
+def assemble(config: SimulationConfig) -> ModelInputs:
+    """Load (or synthesize) weather and demand inputs for a configuration.
+
+    File-backed inputs are used when the configuration names them; any input
+    left unspecified falls back to the deterministic synthetic generator so a
+    bare configuration is still runnable end to end. The weather comes first,
+    so a faulty weather file is reported before a faulty profile.
+    """
+    return ModelInputs(config, config.calendar, assemble_weather(config),
+                       *assemble_demand(config))

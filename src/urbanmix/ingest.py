@@ -23,6 +23,8 @@ import numpy as np
 WEATHER_COLUMNS = ("hour_utc", "ghi_wm2", "temp_c", "pressure_pa", "wind_ms")
 PROFILE_COLUMNS = ("hour", "weight")
 
+# The years a calendar may cover; `datetime` has no year past 9999.
+MIN_YEAR, MAX_YEAR = 1970, dt.MAXYEAR
 MIN_TEMP_C = -90.0
 # Physical ranges of weather cells: (column, comparison, bound).
 WEATHER_LIMITS = (("ghi_wm2", ">=", 0), ("pressure_pa", ">", 0), ("wind_ms", ">=", 0),
@@ -131,8 +133,8 @@ class Calendar:
     transitions: tuple[tuple[dt.datetime, float], ...] = ()
 
     def __post_init__(self):
-        if self.year < 1970:
-            raise IngestError(f"year must be >= 1970, got {self.year}")
+        if not MIN_YEAR <= self.year <= MAX_YEAR:
+            raise IngestError(f"year must be in [{MIN_YEAR}, {MAX_YEAR}], got {self.year}")
         for day in self.holiday_dates:
             if day.year != self.year:
                 raise IngestError(f"holiday {day} falls outside year {self.year}")
@@ -312,19 +314,20 @@ def _read_columns(path: Path, header: tuple, n: int, limits=()) -> np.ndarray:
     """
     with path.open(encoding="utf-8") as handle:
         got = next(csv.reader([handle.readline()]), None)
-        if got is None:
-            raise IngestError(f"{path}: empty file")
-        names = tuple(cell.strip() for cell in got)
-        if len(names) != len(header) or any(want not in (None, name)
-                                            for want, name in zip(header, names)):
-            raise IngestError(f"{path}: header must be "
-                              f"{','.join(want or '*' for want in header)}, got {got}")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # a header-only file
-                body = np.loadtxt(handle, ndmin=2, **_CSV_DIALECT)
-        except ValueError as exc:
-            _reject_row(path, names, exc)
+    if got is None:
+        raise IngestError(f"{path}: empty file")
+    names = tuple(cell.strip() for cell in got)
+    if len(names) != len(header) or any(want not in (None, name)
+                                        for want, name in zip(header, names)):
+        raise IngestError(f"{path}: header must be "
+                          f"{','.join(want or '*' for want in header)}, got {got}")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a header-only file
+            # numpy parses a file it opens itself faster than a Python handle
+            body = np.loadtxt(path, skiprows=1, ndmin=2, encoding="utf-8", **_CSV_DIALECT)
+    except ValueError as exc:
+        _reject_row(path, names, exc)
     if body.size and body.shape[1] != len(names):
         _reject_row(path, names, None)
 

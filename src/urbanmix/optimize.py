@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import SIGN_CONVENTIONS, GAConfig, OptimizeError
+from .config import SIGN_CONVENTIONS, GAConfig, OptimizeError, check_weights
 from .generation import generation_mw
 from .metrics import AggregateMetrics, annual_metrics
 from .scaling import round_half_away
@@ -45,11 +45,7 @@ class MixProblem:
         object.__setattr__(self, "g_pv", g_pv)
         object.__setattr__(self, "g_turbine", g_turbine)
         object.__setattr__(self, "load_mw", load)
-        p_pos, p_neg, p_ren = self.weights
-        if p_pos <= 0 or p_neg <= 0 or p_ren >= 0:
-            raise OptimizeError(
-                f"weights must satisfy p_pos > 0, p_neg > 0, p_ren < 0, got {self.weights}"
-            )
+        check_weights(self.weights, OptimizeError)
         if self.a_roof_m2 <= 0:
             raise OptimizeError("roof area must be positive")
         if self.phi_area < 1:

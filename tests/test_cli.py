@@ -269,6 +269,10 @@ def assert_config_error(tmp_path, capsys, raw):
     {"area": {"phi_area": float("nan")}},
     {"turbine": {"hub_height_m": "x"}},
     {"area": {"service_roofs": {"office": -1.0}}},
+    {"year": 10000},
+    {"weights": [-1, 1, 1]},
+    {"weights": [1, 0, -5]},
+    {"weights": [1, 1, 5]},
 ])
 def test_bad_config_sections_exit_1(tmp_path, capsys, raw):
     assert_config_error(tmp_path, capsys, raw)
@@ -279,6 +283,39 @@ def input_set(tmp_path_factory):
     root = tmp_path_factory.mktemp("inputs")
     write_input_set(root, default_config().calendar, seed=0)
     return root
+
+
+def reader(name):
+    """The command that reads input file ``name``, and the summary it writes last."""
+    if name == "weather.csv":
+        return "generation", "generation_summary.json"
+    return "profiles", "profiles_summary.json"
+
+
+def run_on_inputs(inputs, out, command):
+    return main(["--config", str(inputs / "config.json"), "--out", str(out), command])
+
+
+@pytest.mark.parametrize("command, unused", [
+    ("profiles", ("weather.csv",)),
+    ("generation", ("household.csv", "profiles")),
+])
+def test_command_runs_without_the_inputs_it_does_not_read(tmp_path, input_set, command,
+                                                          unused):
+    inputs = tmp_path / "inputs"
+    shutil.copytree(input_set, inputs)
+    for name in unused:
+        if (inputs / name).is_dir():
+            shutil.rmtree(inputs / name)
+        else:
+            (inputs / name).unlink()
+    assert run_on_inputs(input_set, tmp_path / "full", command) == 0
+    assert run_on_inputs(inputs, tmp_path / "part", command) == 0
+    written = sorted(path.name for path in (tmp_path / "full").iterdir())
+    assert written and written == sorted(path.name for path in (tmp_path / "part").iterdir())
+    _, mismatch, errors = filecmp.cmpfiles(tmp_path / "full", tmp_path / "part", written,
+                                           shallow=False)
+    assert mismatch == errors == []
 
 
 @pytest.mark.filterwarnings("error")
@@ -296,11 +333,11 @@ def test_non_finite_input_cell_exits_2(tmp_path, capsys, input_set, name, column
     cells[lines[0].split(",").index(column)] = cell
     lines[1 + 17] = ",".join(cells)
     target.write_text("\n".join(lines) + "\n")
-    out = tmp_path / "out"
-    assert main(["--config", str(inputs / "config.json"), "--out", str(out), "profiles"]) == 2
+    command, summary = reader(name)
+    assert run_on_inputs(inputs, tmp_path / "out", command) == 2
     err = capsys.readouterr().err
     assert err == f"validation error: {target}: non-finite {column} at hour 17\n"
-    assert not (out / "profiles_summary.json").exists()
+    assert not (tmp_path / "out" / summary).exists()
 
 
 @pytest.mark.filterwarnings("error")
@@ -316,12 +353,12 @@ def test_non_numeric_input_cell_exits_2(tmp_path, capsys, input_set, name, row, 
     lines = target.read_text().splitlines()
     lines[1 + 17] = row
     target.write_text("\n".join(lines) + "\n")
-    out = tmp_path / "out"
-    assert main(["--config", str(inputs / "config.json"), "--out", str(out), "profiles"]) == 2
+    command, summary = reader(name)
+    assert run_on_inputs(inputs, tmp_path / "out", command) == 2
     column = lines[0].split(",")[1]
     assert capsys.readouterr().err == (f"validation error: {target} row 19: "
                                        f"non-numeric value {cell!r} in column {column}\n")
-    assert not (out / "profiles_summary.json").exists()
+    assert not (tmp_path / "out" / summary).exists()
 
 
 @pytest.mark.filterwarnings("error")
@@ -335,10 +372,10 @@ def test_missing_input_file_exits_2(tmp_path, capsys, input_set, name, kind):
     shutil.copytree(input_set, inputs)
     target = inputs / name
     target.unlink()
-    out = tmp_path / "out"
-    assert main(["--config", str(inputs / "config.json"), "--out", str(out), "profiles"]) == 2
+    command, summary = reader(name)
+    assert run_on_inputs(inputs, tmp_path / "out", command) == 2
     assert capsys.readouterr().err == f"validation error: {kind} file not found: {target}\n"
-    assert not (out / "profiles_summary.json").exists()
+    assert not (tmp_path / "out" / summary).exists()
 
 
 def test_unexpected_value_error_is_not_a_validation_error(tmp_path, capsys, monkeypatch):
@@ -483,8 +520,8 @@ UNUSED_MODULES = {
               "synthdata"},
     "profiles": {"classify", "experiments", "metrics", "optimize", "stats", "tabular",
                  "validation"},
-    "generation": {"classify", "experiments", "metrics", "optimize", "stats", "tabular",
-                   "validation"},
+    "generation": {"classify", "demand", "experiments", "metrics", "optimize", "stats",
+                   "tabular", "validation"},
     "sweep": {"classify", "optimize", "validation"},
     "classify": {"optimize", "validation"},
     "optimize": {"classify", "validation"},

@@ -83,6 +83,9 @@ def test_broken_calendar_file_is_config_error(tmp_path):
         load_config(write(tmp_path, {"calendar": "cal.json"}))
     with pytest.raises(ConfigError, match="cannot read calendar"):
         load_config(write(tmp_path, {"calendar": "absent.json"}))
+    (tmp_path / "cal.json").write_text(json.dumps({"year": 10000}))
+    with pytest.raises(ConfigError, match=r"cannot read calendar .*year must be in \[1970, 9999\]"):
+        load_config(write(tmp_path, {"calendar": "cal.json"}))
 
 
 def test_broken_scaling_file_is_config_error(tmp_path):

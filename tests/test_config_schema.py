@@ -24,16 +24,25 @@ SECTIONS = sorted({path.split(".")[0] for path in ROWS if "." in path} - set(REC
 INPUT_FILES = ("weather", "household_profile", "reference_profile_dir")
 
 
+def interval(constraint):
+    """(low, high, bounds included) of an "in (low, high)" or "in [low, high]"
+    constraint."""
+    low, high = map(float, constraint[4:-1].split(","))
+    return low, high, constraint[3] == "["
+
+
 def numbers(kind, constraint):
     """Values of ``kind`` (int or float) that meet ``constraint``."""
     if constraint is None:
         return st.floats(-1e6, 1e6)
-    if constraint.startswith("in ("):
-        low, high = map(float, constraint[4:-1].split(","))
-        return st.floats(low, high, exclude_min=True, exclude_max=True)
+    if constraint.startswith("in "):
+        low, high, closed = interval(constraint)
+        if kind is int:
+            return st.integers(int(low) + (not closed), int(high) - (not closed))
+        return st.floats(low, high, exclude_min=not closed, exclude_max=not closed)
     op, bound = constraint.split()
     low = int(bound) + (op == ">")
-    ints = st.integers(low, low + 200)  # a year, a count or a number of sweep steps
+    ints = st.integers(low, low + 200)  # a count or a number of sweep steps
     if kind is int:
         return ints
     return st.one_of(ints, st.floats(float(bound), 1e6, exclude_min=op == ">"))
@@ -74,8 +83,9 @@ def valid_value(path, kind, constraint):
         return st.sampled_from(constraint)
     if kind in (int, float):
         return numbers(kind, constraint if isinstance(constraint, str) else None)
-    if kind == [float]:
-        return st.lists(numbers(float, None), min_size=constraint, max_size=constraint)
+    if kind == [float]:  # the weights: p_pos > 0, p_neg > 0, p_ren < 0
+        return st.tuples(numbers(float, "> 0"), numbers(float, "> 0"),
+                         st.floats(-1e6, 0, exclude_max=True)).map(list)
     return st.lists(st.fixed_dictionaries({"name": st.text(max_size=5),
                                            "twh": numbers(float, "> 0")}), max_size=3)
 
@@ -115,8 +125,11 @@ WRONG = {int: [1.5, *NOT_NUMBERS], float: NOT_NUMBERS, bool: [0, 1, "true", None
 def out_of_range(kind, constraint):
     if isinstance(constraint, tuple):
         return ["bogus"]
-    if constraint.startswith("in ("):
-        return list(map(float, constraint[4:-1].split(",")))
+    if constraint.startswith("in "):
+        low, high, closed = interval(constraint)
+        if closed:
+            return [kind(low) - 1, kind(high) + 1]
+        return [kind(low), kind(high)]
     op, bound = constraint.split()
     bound = kind(float(bound))
     return [bound] if op == ">" else [bound - 1]
@@ -149,7 +162,9 @@ def faulty_configs(draw, input_files=True):
     if kind == [float]:
         faults += [("x", "config: weights must be a list"),
                    ([1.0, 2.0], "config: weights must be a list"),
-                   ([1.0, float("nan"), 0.0], "config: weights[1] must be a finite number")]
+                   ([1.0, float("nan"), 0.0], "config: weights[1] must be a finite number"),
+                   ([1.0, 1.0, 5.0], "config: weights must satisfy p_pos > 0, p_neg > 0, "
+                                     "p_ren < 0")]
     if path == "benchmarks":
         faults += [({"name": "X"}, "config: benchmarks must be a list"),
                    ([{"name": "X"}], "config: benchmarks[0] must have the keys name and twh"),

@@ -150,6 +150,21 @@ def test_build_calendar_rejects_bad_dst_transition(instant, offset):
         build_calendar(2014, holidays=[], dst_transitions=[(instant, offset)])
 
 
+@pytest.mark.parametrize("year", [1969, 10000, 10 ** 20])
+def test_calendar_rejects_year_outside_range(year):
+    with pytest.raises(IngestError, match=r"year must be in \[1970, 9999\]"):
+        build_calendar(year, ())
+
+
+@pytest.mark.parametrize("year", [1970, 9999])
+def test_calendar_at_the_year_bounds_has_true_weekdays(year):
+    calendar = build_calendar(year, ())
+    first = dt.date(year, 1, 1)
+    expected = [(first + dt.timedelta(days=day)).weekday() >= 5
+                for day in range(calendar.n_hours // 24)]
+    assert calendar.is_weekend_day[::24].tolist() == expected
+
+
 def test_calendar_rejects_foreign_holiday():
     with pytest.raises(ValueError, match="outside year"):
         Calendar(year=2014, holiday_dates=frozenset({dt.date(2015, 1, 1)}),
