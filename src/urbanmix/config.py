@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
 from . import ingest
-from .generation import (AreaBudget, PvParams, SingleDiodeParams, TurbineParams, _is_number,
-                         _require_numbers)
+from .generation import AreaBudget, PvParams, SingleDiodeParams, TurbineParams
 from .ingest import Calendar, HourlySeries, IngestError, ValidationError, WeatherFrame
 from .scaling import (ScalingFixture, ServiceMix, build_service_mix, default_fixture_path,
                       load_scaling_fixture)
@@ -49,26 +48,20 @@ class GAConfig:
     stall_rel_tol: float = 1e-6
     max_generations: int = 400
 
+    RULES = (("population", int, ">= 4"), ("tournament_k", int, ">= 1"),
+             ("blend_alpha", float, ">= 0"), ("mutation_sigma_frac", float, ">= 0"),
+             ("mutation_rate", float, "in [0, 1]"), ("elite", int, ">= 0"),
+             ("stall_generations", int, ">= 1"), ("stall_rel_tol", float, ">= 0"),
+             ("max_generations", int, ">= 0"))
+
     def __post_init__(self):
-        _require_numbers(self, ("population", "tournament_k", "elite", "stall_generations",
-                                "max_generations"), OptimizeError, kinds=int)
-        _require_numbers(self, ("blend_alpha", "mutation_sigma_frac", "mutation_rate",
-                                "stall_rel_tol"), OptimizeError)
-        if self.population < 4:
-            raise OptimizeError("population must be at least 4")
-        if not 1 <= self.tournament_k <= self.population:
-            raise OptimizeError("tournament size must be within the population")
-        if self.elite < 0 or self.elite >= self.population:
-            raise OptimizeError("elite count must be smaller than the population")
-        if not 0 <= self.mutation_rate <= 1:
-            raise OptimizeError(f"mutation_rate must lie in [0, 1], got {self.mutation_rate}")
-        for name in ("blend_alpha", "mutation_sigma_frac", "stall_rel_tol"):
-            if getattr(self, name) < 0:
-                raise OptimizeError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.stall_generations < 1:
-            raise OptimizeError(f"stall_generations must be >= 1, got {self.stall_generations}")
-        if self.max_generations < 0:
-            raise OptimizeError(f"max_generations must be >= 0, got {self.max_generations}")
+        ingest._check_rules(self, OptimizeError)
+        if not self.tournament_k <= self.population:
+            raise OptimizeError(f"tournament_k must be <= population, "
+                                f"got {self.tournament_k} > {self.population}")
+        if not self.elite < self.population:
+            raise OptimizeError(f"elite must be < population, "
+                                f"got {self.elite} >= {self.population}")
 
 
 class Benchmark(NamedTuple):
@@ -111,10 +104,11 @@ class SimulationConfig:
     ga: GAConfig = field(default_factory=GAConfig)
     benchmarks: tuple = DEFAULT_BENCHMARKS
 
+    # numpy's generators take no negative seed; reject it before any run
+    RULES = (("seed", int, ">= 0"),)
+
     def __post_init__(self):
-        # numpy's generators take no negative seed; reject it before any run
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        ingest._check_rules(self, ConfigError)
         check_weights(self.weights, ConfigError)
 
     @property
@@ -129,8 +123,10 @@ _BUILTIN_CALENDAR = Path(__file__).parent / "data" / "calendar_nl2014.json"
 
 # Every config key, one row each: (path, kind, constraint, SimulationConfig field).
 # "a.b" is key b of object a, which may be null and, unless it has a row of its
-# own, takes no other keys. `_read` says how each kind is read, and `_within` what
-# each constraint allows. A row with no field hands its value to its parent's record.
+# own, takes no other keys. `_read` says how each kind is read, and `ingest._within`
+# what each constraint allows; a list's constraint is its length. A row with no field
+# hands its value to its parent's record, whose `RULES` rows, in the same language,
+# check its fields.
 _SCHEMA = (
     # not a field: checked against the calendar
     ("year", int, f"in [{ingest.MIN_YEAR}, {ingest.MAX_YEAR}]", "year"),
@@ -142,7 +138,7 @@ _SCHEMA = (
     ("households", int, "> 0", "households"),
     ("household_annual_kwh", float, "> 0", "household_annual_kwh"),
     ("real_inputs", bool, None, "real_inputs"),
-    ("seed", int, None, "seed"),  # SimulationConfig checks >= 0, for --seed too
+    ("seed", int, None, "seed"),  # SimulationConfig's RULES check >= 0, for --seed too
     ("holidays_as_weekend", bool, None, "holidays_as_weekend"),
     ("turbine", TurbineParams, None, "turbine"),
     ("pv.diode", SingleDiodeParams, None, None),
@@ -160,10 +156,6 @@ _SCHEMA = (
     ("ga", GAConfig, None, "ga"),
     ("benchmarks", [Benchmark], None, "benchmarks"),
 )
-
-# scalar kind: (the JSON types it takes, what an error message calls it)
-_SCALARS = {int: (int, "an integer"), float: ((int, float), "a finite number"),
-            bool: (bool, "true or false"), str: (str, "a string"), Path: (str, "a file name")}
 
 
 @contextmanager
@@ -183,19 +175,6 @@ def _object(path: str, value) -> dict:
     return value
 
 
-def _within(value, constraint) -> bool:
-    """A constraint is "> x", ">= x", "in (low, high)", "in [low, high]" (bounds
-    included), a tuple of the allowed values or, for a list, its length
-    (checked in `_read`)."""
-    if isinstance(constraint, tuple):
-        return value in constraint
-    if constraint.startswith("in "):
-        low, high = map(float, constraint[4:-1].split(","))
-        return low <= value <= high if constraint[3] == "[" else low < value < high
-    op, bound = constraint.split()
-    return value > float(bound) if op == ">" else value >= float(bound)
-
-
 def _read(path: str, value, kind, constraint, base_dir: Path):
     """``value`` read as ``kind``; a one-line ConfigError naming ``path`` if it is not one."""
     if isinstance(kind, list):  # a list of kind[0] values, read into a tuple
@@ -205,23 +184,22 @@ def _read(path: str, value, kind, constraint, base_dir: Path):
         return tuple(_read(f"{path}[{i}]", item, kind[0], None, base_dir)
                      for i, item in enumerate(value))
     if is_dataclass(kind):  # a record, which checks its own fields
-        fields = _object(path, value)
-        with _config_error(f"config: bad {path} options", (TypeError, ValueError)):
-            return kind(**fields)
-    if kind not in _SCALARS:  # a NamedTuple: exactly its fields, each of its annotated kind
+        given = _object(path, value)
+        unknown = sorted(f"{path}.{key}" for key in given.keys() - {f.name for f in fields(kind)})
+        if unknown:
+            raise ConfigError(f"config: unknown keys {unknown}")
+        try:
+            return kind(**given)
+        except ValidationError as exc:  # the record's message starts with the field's name
+            raise ConfigError(f"config: {path}.{exc}") from exc
+    if issubclass(kind, tuple):  # a NamedTuple: exactly its fields, each of its annotated kind
         hints = get_type_hints(kind)
         if set(_object(path, value)) != set(hints):
             raise ConfigError(f"config: {path} must have the keys {' and '.join(hints)}")
         return kind(*(_read(f"{path}.{name}", value[name], hint, None, base_dir)
                       for name, hint in hints.items()))
-    accepts, noun = _SCALARS[kind]  # a float is finite; a Path resolves against base_dir
-    if not (_is_number(value, accepts) if kind in (int, float) else isinstance(value, accepts)):
-        raise ConfigError(f"config: {path} must be {noun}, got {value!r}")
-    value = float(value) if kind is float else base_dir / value if kind is Path else value
-    if constraint is not None and not _within(value, constraint):
-        allowed = f"one of {constraint}" if isinstance(constraint, tuple) else constraint
-        raise ConfigError(f"config: {path} must be {allowed}, got {value!r}")
-    return value
+    value = ingest._check(f"config: {path}", value, kind, constraint, ConfigError)
+    return base_dir / value if kind is Path else value  # a file name resolves against base_dir
 
 
 def _resolve(raw: dict, base_dir: Path) -> SimulationConfig:

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
-from .ingest import MIN_TEMP_C, HourlySeries, ValidationError, WeatherFrame, WeatherRecord
+from .ingest import (MIN_TEMP_C, HourlySeries, ValidationError, WeatherFrame, WeatherRecord,
+                     _check, _check_rules)
 from .scaling import ServiceMix, round_half_away
 
 R_DRY_AIR = 287.05          # J/(kg K)
@@ -32,22 +33,6 @@ class GenerationError(ValidationError):
     pass
 
 
-def _is_number(value, kinds=(int, float)) -> bool:
-    """A number of one of ``kinds`` within the finite double range; bools do
-    not count."""
-    return (isinstance(value, kinds) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
-
-
-def _require_numbers(params, names, error=GenerationError, kinds=(int, float)) -> None:
-    """Each named field must be a finite number of one of ``kinds``."""
-    for name in names:
-        value = getattr(params, name)
-        if not _is_number(value, kinds):
-            noun = "an integer" if kinds is int else "a finite number"
-            raise error(f"{name} must be {noun}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class TurbineParams:
     hub_height_m: float = 50.0
@@ -58,16 +43,16 @@ class TurbineParams:
     nominal_power_kw: float = 500.0
     shear_exponent: float = 0.15
 
+    RULES = (("hub_height_m", float, "> 0"), ("rotor_area_m2", float, "> 0"),
+             ("cp", float, f"in (0, {BETZ_LIMIT})"), ("cut_in_ms", float, "> 0"),
+             ("cut_out_ms", float, None), ("nominal_power_kw", float, "> 0"),
+             ("shear_exponent", float, "> 0"))
+
     def __post_init__(self):
-        _require_numbers(self, [f.name for f in fields(self)])
-        if not 0 < self.cp < BETZ_LIMIT:
-            raise GenerationError(f"cp must be in (0, {BETZ_LIMIT}), got {self.cp}")
+        _check_rules(self, GenerationError)
         if not self.cut_in_ms < self.cut_out_ms:
-            raise GenerationError("cut-in speed must be below cut-out speed")
-        for name in ("hub_height_m", "rotor_area_m2", "cut_in_ms",
-                     "nominal_power_kw", "shear_exponent"):
-            if getattr(self, name) <= 0:
-                raise GenerationError(f"{name} must be positive")
+            raise GenerationError(f"cut_in_ms must be < cut_out_ms, "
+                                  f"got {self.cut_in_ms} >= {self.cut_out_ms}")
 
 
 @dataclass(frozen=True)
@@ -86,17 +71,12 @@ class PvParams:
     model: str = "linear-derate"        # or "single-diode"
     diode: "SingleDiodeParams | None" = None
 
+    RULES = (("rated_power_density_wm2", float, "> 0"), ("temp_coefficient", float, "<= 0"),
+             ("noct_offset_c", float, None), ("panel_area_m2", float, "> 0"),
+             ("model", str, ("linear-derate", "single-diode")))
+
     def __post_init__(self):
-        _require_numbers(self, ("rated_power_density_wm2", "temp_coefficient",
-                                "noct_offset_c", "panel_area_m2"))
-        if self.rated_power_density_wm2 <= 0:
-            raise GenerationError("rated power density must be positive")
-        if self.panel_area_m2 <= 0:
-            raise GenerationError("panel area must be positive")
-        if self.temp_coefficient > 0:
-            raise GenerationError("temperature coefficient must be <= 0")
-        if self.model not in ("linear-derate", "single-diode"):
-            raise GenerationError(f"unknown PV model {self.model!r}")
+        _check_rules(self, GenerationError)
         if self.diode is not None and not isinstance(self.diode, SingleDiodeParams):
             raise GenerationError("diode must be SingleDiodeParams or None, "
                                   f"got {type(self.diode).__name__}")
@@ -114,15 +94,12 @@ class SingleDiodeParams:
     isc_temp_coeff: float = 0.0024      # A/°C
     voc_temp_coeff: float = -0.08       # V/°C
 
+    RULES = (("isc_a", float, "> 0"), ("voc_v", float, "> 0"), ("n_cells", int, ">= 1"),
+             ("ideality", float, "> 0"), ("rs_ohm", float, ">= 0"),
+             ("isc_temp_coeff", float, None), ("voc_temp_coeff", float, None))
+
     def __post_init__(self):
-        _require_numbers(self, [f.name for f in fields(self)])
-        if not isinstance(self.n_cells, int) or self.n_cells < 1:
-            raise GenerationError(f"n_cells must be an integer >= 1, got {self.n_cells!r}")
-        for name in ("isc_a", "voc_v", "ideality"):
-            if getattr(self, name) <= 0:
-                raise GenerationError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.rs_ohm < 0:
-            raise GenerationError(f"rs_ohm must be >= 0, got {self.rs_ohm}")
+        _check_rules(self, GenerationError)
 
 
 @dataclass(frozen=True)
@@ -132,18 +109,17 @@ class AreaBudget:
     phi_area: float = 3.0
     turbine_footprint_km2_per_mw: float = 0.345
 
+    RULES = (("household_roof_m2_each", float, "> 0"), ("phi_area", float, ">= 1"),
+             ("turbine_footprint_km2_per_mw", float, "> 0"))
+
     def __post_init__(self):
-        _require_numbers(self, ("household_roof_m2_each", "phi_area",
-                                "turbine_footprint_km2_per_mw"))
+        _check_rules(self, GenerationError)
         roofs = self.service_roofs
-        if not (isinstance(roofs, Mapping) and all(isinstance(name, str) and _is_number(m2)
-                                                   and m2 >= 0 for name, m2 in roofs.items())):
-            raise GenerationError("service_roofs must map building names to finite numbers "
-                                  f">= 0, got {roofs!r}")
-        if self.household_roof_m2_each <= 0 or self.phi_area <= 0:
-            raise GenerationError("area budget values must be positive")
-        if self.turbine_footprint_km2_per_mw <= 0:
-            raise GenerationError("turbine footprint must be positive")
+        if not (isinstance(roofs, Mapping) and all(isinstance(name, str) for name in roofs)):
+            raise GenerationError(f"service_roofs must map building names to roof areas, "
+                                  f"got {roofs!r}")
+        for name, m2 in roofs.items():
+            _check(f"service_roofs.{name}", m2, float, ">= 0", GenerationError)
 
     def footprint_m2_per_turbine(self, turbine_unit_mw: float = TURBINE_UNIT_MW) -> float:
         return self.turbine_footprint_km2_per_mw * 1e6 * turbine_unit_mw

@@ -12,6 +12,8 @@ import calendar as _stdcal
 import csv
 import datetime as dt
 import json
+import operator
+import sys
 import warnings
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -26,9 +28,9 @@ PROFILE_COLUMNS = ("hour", "weight")
 # The years a calendar may cover; `datetime` has no year past 9999.
 MIN_YEAR, MAX_YEAR = 1970, dt.MAXYEAR
 MIN_TEMP_C = -90.0
-# Physical ranges of weather cells: (column, comparison, bound).
-WEATHER_LIMITS = (("ghi_wm2", ">=", 0), ("pressure_pa", ">", 0), ("wind_ms", ">=", 0),
-                  ("temp_c", ">", MIN_TEMP_C))
+# Physical ranges of weather cells: (column, constraint), checked by `_within`.
+WEATHER_LIMITS = (("ghi_wm2", ">= 0"), ("pressure_pa", "> 0"), ("wind_ms", ">= 0"),
+                  ("temp_c", f"> {MIN_TEMP_C}"))
 # Comma-separated numbers, optionally quoted; no comment syntax.
 _CSV_DIALECT = {"delimiter": ",", "comments": None, "quotechar": '"'}
 
@@ -43,6 +45,48 @@ class ValidationError(ValueError):
 
 class IngestError(ValidationError):
     """Raised when an input file fails schema or invariant validation."""
+
+
+# scalar kind: (the types it takes, what an error message calls it)
+_SCALARS = {int: (int, "an integer"), float: ((int, float), "a finite number"),
+            bool: (bool, "true or false"), str: (str, "a string"), Path: (str, "a file name")}
+_COMPARISONS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+
+
+def _within(value, constraint):
+    """Whether ``value``, a number or a column of them, meets ``constraint``:
+    "> x", ">= x", "< x", "<= x", "in (low, high)", "in [low, high]" (bounds
+    included) or a tuple of the allowed values."""
+    if isinstance(constraint, tuple):
+        return value in constraint
+    if constraint.startswith("in "):
+        low, high = map(float, constraint[4:-1].split(","))
+        inside = operator.le if constraint[3] == "[" else operator.lt
+        return inside(low, value) & inside(value, high)
+    op, bound = constraint.split()
+    return _COMPARISONS[op](value, float(bound))
+
+
+def _check(name: str, value, kind, constraint, error: type[Exception]):
+    """``value`` read as ``kind`` (an int is read as a float for float); raises
+    ``error`` with one line naming ``name`` unless it is a ``kind`` that meets
+    ``constraint``. A number is finite, and a bool is not one. Every config
+    schema row and every record's RULES row is checked here."""
+    accepts, noun = _SCALARS[kind]
+    if not isinstance(value, accepts) or (kind in (int, float) and (
+            isinstance(value, bool) or not abs(value) <= sys.float_info.max)):
+        raise error(f"{name} must be {noun}, got {value!r}")
+    value = float(value) if kind is float else value
+    if constraint is not None and not _within(value, constraint):
+        allowed = f"one of {constraint}" if isinstance(constraint, tuple) else constraint
+        raise error(f"{name} must be {allowed}, got {value!r}")
+    return value
+
+
+def _check_rules(record, error) -> None:
+    """`_check` each (field, kind, constraint) row of ``record.RULES``."""
+    for name, kind, constraint in record.RULES:
+        _check(name, getattr(record, name), kind, constraint, error)
 
 
 def hours_in_year(year: int) -> int:
@@ -302,20 +346,35 @@ def _reject_row(path: Path, names: tuple[str, ...], exc: Exception | None):
     raise IngestError(f"{path}: {exc}")
 
 
+def _not_utf8(path: Path) -> IngestError:
+    """The error for a file that is not UTF-8 text, naming its first such line."""
+    with path.open("rb") as handle:
+        for num, line in enumerate(handle, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return IngestError(f"{path} row {num}: byte {line[exc.start]:#04x} is not UTF-8 text")
+    return IngestError(f"{path}: not UTF-8 text")
+
+
 def _read_columns(path: Path, header: tuple, n: int, limits=()) -> np.ndarray:
     """Value columns of an hourly CSV in hour order, shape (len(header) - 1, n).
 
     ``header`` names the columns (``None`` accepts any name); the first holds
     the hour, each of 0..n-1 exactly once, rows in any order. One
     ``np.loadtxt`` call parses the body, skipping empty lines; the hour,
-    finiteness and ``limits`` ((column, ">=" or ">", bound) in file-row order)
-    checks then run over whole columns. Every rejection is an IngestError that
-    names the file, and the row and column where one is at fault.
+    finiteness and ``limits`` ((column, constraint) for `_within`, in file-row
+    order) checks then run over whole columns. Every rejection is an IngestError
+    that names the file, and the row and column where one is at fault.
     """
-    with path.open(encoding="utf-8") as handle:
-        got = next(csv.reader([handle.readline()]), None)
-    if got is None:
+    try:
+        with path.open(encoding="utf-8") as handle:
+            first = handle.readline()
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    if not first:
         raise IngestError(f"{path}: empty file")
+    got = next(csv.reader([first]))
     names = tuple(cell.strip() for cell in got)
     if len(names) != len(header) or any(want not in (None, name)
                                         for want, name in zip(header, names)):
@@ -326,6 +385,8 @@ def _read_columns(path: Path, header: tuple, n: int, limits=()) -> np.ndarray:
             warnings.simplefilter("ignore", UserWarning)  # a header-only file
             # numpy parses a file it opens itself faster than a Python handle
             body = np.loadtxt(path, skiprows=1, ndmin=2, encoding="utf-8", **_CSV_DIALECT)
+    except UnicodeDecodeError:  # a ValueError, but no row's cells are at fault
+        raise _not_utf8(path) from None
     except ValueError as exc:
         _reject_row(path, names, exc)
     if body.size and body.shape[1] != len(names):
@@ -360,11 +421,11 @@ def _read_columns(path: Path, header: tuple, n: int, limits=()) -> np.ndarray:
     if len(bad_cells):
         i, column = bad_cells[0]
         raise IngestError(f"{path}: non-finite {names[column + 1]} at hour {index[i]}")
-    for name, op, bound in limits:
+    for name, constraint in limits:
         column = values[:, names.index(name) - 1]
-        bad = np.flatnonzero(~(column >= bound if op == ">=" else column > bound))
+        bad = np.flatnonzero(~_within(column, constraint))
         if len(bad):
-            raise IngestError(f"{path} row {row(bad[0])[0]}: {name} must be {op} {bound}, "
+            raise IngestError(f"{path} row {row(bad[0])[0]}: {name} must be {constraint}, "
                               f"got {column[bad[0]]}")
     columns = np.empty((len(names) - 1, n))
     columns[:, index] = values.T

@@ -12,13 +12,14 @@ oracle validates it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import SIGN_CONVENTIONS, GAConfig, OptimizeError, check_weights
 from .generation import generation_mw
+from .ingest import _check_rules
 from .metrics import AggregateMetrics, annual_metrics
 from .scaling import round_half_away
 
@@ -36,24 +37,17 @@ class MixProblem:
     sign_convention: str = "magnitude-neg"
     roof_only_pv: bool = False
 
+    RULES = (("a_roof_m2", float, "> 0"), ("phi_area", float, ">= 1"),
+             ("turbine_footprint_m2", float, "> 0"), ("pv_rated_wm2", float, "> 0"),
+             ("sign_convention", str, SIGN_CONVENTIONS))
+
     def __post_init__(self):
-        g_pv = np.asarray(self.g_pv, dtype=float)
-        g_turbine = np.asarray(self.g_turbine, dtype=float)
-        load = np.asarray(self.load_mw, dtype=float)
-        if not (len(g_pv) == len(g_turbine) == len(load)):
+        for name in ("g_pv", "g_turbine", "load_mw"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if not len(self.g_pv) == len(self.g_turbine) == len(self.load_mw):
             raise OptimizeError("profile length mismatch")
-        object.__setattr__(self, "g_pv", g_pv)
-        object.__setattr__(self, "g_turbine", g_turbine)
-        object.__setattr__(self, "load_mw", load)
         check_weights(self.weights, OptimizeError)
-        if self.a_roof_m2 <= 0:
-            raise OptimizeError("roof area must be positive")
-        if self.phi_area < 1:
-            raise OptimizeError("phi_area must be >= 1")
-        if self.turbine_footprint_m2 <= 0 or self.pv_rated_wm2 <= 0:
-            raise OptimizeError("footprint and rated density must be positive")
-        if self.sign_convention not in SIGN_CONVENTIONS:
-            raise OptimizeError(f"unknown sign convention {self.sign_convention!r}")
+        _check_rules(self, OptimizeError)
 
     @property
     def pv_area_max(self) -> float:
@@ -277,15 +271,5 @@ def solution_report(problem: MixProblem, solution: MixSolution,
     if seed is not None:
         report["seed"] = seed
     if config is not None:
-        report["ga_config"] = {
-            "population": config.population,
-            "tournament_k": config.tournament_k,
-            "blend_alpha": config.blend_alpha,
-            "mutation_sigma_frac": config.mutation_sigma_frac,
-            "mutation_rate": config.mutation_rate,
-            "elite": config.elite,
-            "stall_generations": config.stall_generations,
-            "stall_rel_tol": config.stall_rel_tol,
-            "max_generations": config.max_generations,
-        }
+        report["ga_config"] = asdict(config)
     return report

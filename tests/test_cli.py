@@ -273,6 +273,7 @@ def assert_config_error(tmp_path, capsys, raw):
     {"weights": [-1, 1, 1]},
     {"weights": [1, 0, -5]},
     {"weights": [1, 1, 5]},
+    {"area": {"phi_area": 0.5}},
 ])
 def test_bad_config_sections_exit_1(tmp_path, capsys, raw):
     assert_config_error(tmp_path, capsys, raw)
@@ -345,6 +346,7 @@ def test_non_finite_input_cell_exits_2(tmp_path, capsys, input_set, name, column
     ("weather.csv", "17,abc,10.0,101325.0,4.0", "abc"),
     ("household.csv", "17,1_000", "1_000"),
     ("profiles/hospital.csv", "17,", ""),
+    ("household.csv", "17,\udcff", "\udcff"),  # the byte 0xff, which is not UTF-8
 ])
 def test_non_numeric_input_cell_exits_2(tmp_path, capsys, input_set, name, row, cell):
     inputs = tmp_path / "inputs"
@@ -352,12 +354,36 @@ def test_non_numeric_input_cell_exits_2(tmp_path, capsys, input_set, name, row, 
     target = inputs / name
     lines = target.read_text().splitlines()
     lines[1 + 17] = row
-    target.write_text("\n".join(lines) + "\n")
+    target.write_text("\n".join(lines) + "\n", errors="surrogateescape")
     command, summary = reader(name)
     assert run_on_inputs(inputs, tmp_path / "out", command) == 2
     column = lines[0].split(",")[1]
-    assert capsys.readouterr().err == (f"validation error: {target} row 19: "
-                                       f"non-numeric value {cell!r} in column {column}\n")
+    fault = ("byte 0xff is not UTF-8 text" if cell == "\udcff"
+             else f"non-numeric value {cell!r} in column {column}")
+    assert capsys.readouterr().err == f"validation error: {target} row 19: {fault}\n"
+    assert not (tmp_path / "out" / summary).exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["weather.csv", "household.csv", "profiles/hospital.csv"])
+@pytest.mark.parametrize("fault, message", [
+    (b"", "{target}: empty file"),
+    (b"\xff", "{target} row 1: byte 0xff is not UTF-8 text"),  # in the header
+    (None, "{target} row 8762: byte 0xff is not UTF-8 text"),  # 0xff after the last row
+])
+def test_empty_or_undecodable_input_file_exits_2(tmp_path, capsys, input_set, name, fault,
+                                                  message):
+    inputs = tmp_path / "inputs"
+    shutil.copytree(input_set, inputs)
+    target = inputs / name
+    if fault is None:
+        with target.open("ab") as handle:
+            handle.write(b"\xff")
+    else:
+        target.write_bytes(fault)
+    command, summary = reader(name)
+    assert run_on_inputs(inputs, tmp_path / "out", command) == 2
+    assert capsys.readouterr().err == f"validation error: {message.format(target=target)}\n"
     assert not (tmp_path / "out" / summary).exists()
 
 
@@ -472,12 +498,12 @@ def test_negative_seed_exits_1(tmp_path, capsys, command, form):
     out = tmp_path / "out"
     if form == "flag":
         argv = ["--seed", "-1"]
-        expected = "error: seed must be a non-negative integer, got -1\n"
+        expected = "error: seed must be >= 0, got -1\n"
     else:
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"seed": -3}))
         argv = ["--config", str(cfg)]
-        expected = "error: config: seed must be a non-negative integer, got -3\n"
+        expected = "error: config: seed must be >= 0, got -3\n"
     assert main([*argv, "--out", str(out), command]) == 1
     assert capsys.readouterr().err == expected
     assert not out.exists() or not any(out.iterdir())
@@ -492,25 +518,45 @@ def test_negative_seed_exits_1(tmp_path, capsys, command, form):
     ({"mutation_sigma_frac": float("inf")},
      "mutation_sigma_frac must be a finite number, got inf"),
     ({"stall_rel_tol": False}, "stall_rel_tol must be a finite number, got False"),
-    ({"mutation_rate": 7}, "mutation_rate must lie in [0, 1], got 7"),
-    ({"mutation_rate": -0.1}, "mutation_rate must lie in [0, 1], got -0.1"),
+    ({"mutation_rate": 7}, "mutation_rate must be in [0, 1], got 7.0"),
+    ({"mutation_rate": -0.1}, "mutation_rate must be in [0, 1], got -0.1"),
     ({"blend_alpha": -0.5}, "blend_alpha must be >= 0, got -0.5"),
     ({"mutation_sigma_frac": -1e-9}, "mutation_sigma_frac must be >= 0, got -1e-09"),
     ({"stall_rel_tol": -1.0}, "stall_rel_tol must be >= 0, got -1.0"),
     ({"stall_generations": -1}, "stall_generations must be >= 1, got -1"),
     ({"stall_generations": 0}, "stall_generations must be >= 1, got 0"),
     ({"max_generations": -2}, "max_generations must be >= 0, got -2"),
-    ({"population": 3}, "population must be at least 4"),
-    ({"populaton": 50}, "unexpected keyword argument 'populaton'"),
+    ({"population": 3}, "population must be >= 4, got 3"),
+    ({"tournament_k": 51}, "tournament_k must be <= population, got 51 > 50"),
+    ({"population": 4, "elite": 4}, "elite must be < population, got 4 >= 4"),
 ])
 def test_bad_ga_options_exit_1(tmp_path, capsys, ga, message):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"ga": ga}))
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out), "optimize"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: config: bad ga options: ") and message in err
-    assert len(err.strip().splitlines()) == 1
+    assert capsys.readouterr().err == f"error: config: ga.{message}\n"
+    assert not (out / "optimize_report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["scale", "profiles", "generation", "sweep", "classify",
+                                     "optimize", "validate"])
+def test_phi_area_below_1_exits_1(tmp_path, capsys, command):
+    # wind may use (phi_area - 1) times the roof area, so phi_area < 1 is no budget
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"area": {"phi_area": 0.5}}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), command]) == 1
+    assert capsys.readouterr().err == "error: config: area.phi_area must be >= 1, got 0.5\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_unknown_ga_key_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"ga": {"populaton": 50}}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "optimize"]) == 1
+    assert capsys.readouterr().err == "error: config: unknown keys ['ga.populaton']\n"
     assert not (out / "optimize_report.json").exists()
 
 

@@ -141,8 +141,14 @@ def test_section_overrides(tmp_path):
 
 
 def test_bad_section_option_is_config_error(tmp_path):
-    with pytest.raises(ConfigError, match="bad turbine options"):
+    with pytest.raises(ConfigError, match=exactly("config: unknown keys ['turbine.rotor']")):
         load_config(write(tmp_path, {"year": 2014, "turbine": {"rotor": 1}}))
+    with pytest.raises(ConfigError,
+                       match=exactly("config: turbine.cp must be in (0, 0.593), got 0.7")):
+        load_config(write(tmp_path, {"year": 2014, "turbine": {"cp": 0.7}}))
+    with pytest.raises(ConfigError, match=exactly("config: turbine.cut_in_ms must be "
+                                                  "< cut_out_ms, got 30.0 >= 25.0")):
+        load_config(write(tmp_path, {"year": 2014, "turbine": {"cut_in_ms": 30.0}}))
     with pytest.raises(ConfigError,
                        match=exactly("config: weights must be a list of 3 values, got [1.0]")):
         load_config(write(tmp_path, {"year": 2014, "weights": [1.0]}))

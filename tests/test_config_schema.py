@@ -1,19 +1,26 @@
-"""Configs drawn from the schema table: every valid draw loads, and every draw
-with one fault is rejected with a one-line ConfigError that names the fault."""
+"""Configs drawn from the schema table and the records' RULES rows: every valid
+draw loads, and every draw with one fault is rejected with the one-line
+ConfigError that names the fault."""
 
 import contextlib
+import copy
 import dataclasses
+import functools
 import io
 import json
 import re
 import tempfile
 from pathlib import Path
+from typing import get_type_hints
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urbanmix.cli import main
-from urbanmix.config import _BUILTIN_CALENDAR, _SCHEMA, ConfigError, load_config
+from urbanmix.config import _BUILTIN_CALENDAR, _SCHEMA, ConfigError, GAConfig, load_config
+from urbanmix.generation import GenerationError, TurbineParams
+from urbanmix.optimize import OptimizeError
 from urbanmix.scaling import default_fixture_path
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -22,6 +29,16 @@ RECORDS = {path: kind for path, (kind, _) in ROWS.items() if dataclasses.is_data
 # objects that only hold rows: "sweep", "mix_preset", "stats"
 SECTIONS = sorted({path.split(".")[0] for path in ROWS if "." in path} - set(RECORDS))
 INPUT_FILES = ("weather", "household_profile", "reference_profile_dir")
+# Every scalar field of every record, by its config path: (record, kind,
+# constraint). The kind is the field's annotation and the constraint that of
+# its RULES row, so a field without a row is still drawn, and its faults must
+# still be rejected.
+RECORD_FIELDS = {
+    f"{path}.{name}": (record, kind, {row[0]: row[2] for row in record.RULES}.get(name))
+    for path, record in RECORDS.items()
+    for name, kind in get_type_hints(record).items() if kind in (int, float, str)}
+NOUNS = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string",
+         Path: "a file name"}
 
 
 def interval(constraint):
@@ -34,41 +51,64 @@ def interval(constraint):
 def numbers(kind, constraint):
     """Values of ``kind`` (int or float) that meet ``constraint``."""
     if constraint is None:
-        return st.floats(-1e6, 1e6)
+        return st.integers(-10 ** 6, 10 ** 6) if kind is int else st.floats(-1e6, 1e6)
     if constraint.startswith("in "):
         low, high, closed = interval(constraint)
         if kind is int:
             return st.integers(int(low) + (not closed), int(high) - (not closed))
         return st.floats(low, high, exclude_min=not closed, exclude_max=not closed)
     op, bound = constraint.split()
-    low = int(bound) + (op == ">")
-    ints = st.integers(low, low + 200)  # a count or a number of sweep steps
-    if kind is int:
-        return ints
-    return st.one_of(ints, st.floats(float(bound), 1e6, exclude_min=op == ">"))
+    strict = op in (">", "<")
+    if op.startswith(">"):
+        low = int(bound) + strict
+        ints = st.integers(low, low + 200)  # a count or a number of sweep steps
+        floats = st.floats(float(bound), 1e6, exclude_min=strict)
+    else:
+        high = int(bound) - strict
+        ints = st.integers(high - 200, high)
+        floats = st.floats(-1e6, float(bound), exclude_max=strict)
+    return ints if kind is int else st.one_of(ints, floats)
 
 
-def record_fields(record):
-    """Field values for ``record``: a few of its numeric defaults, each scaled
-    by a factor that keeps every sign and ordering the records check."""
-    names = [f.name for f in dataclasses.fields(record) if type(f.default) in (int, float)]
-    chosen = st.lists(st.sampled_from(names), unique=True, max_size=3) if names else st.just([])
-    defaults = record()
+def scalars(kind, constraint):
+    """Values of ``kind`` that meet ``constraint``."""
+    return st.sampled_from(constraint) if kind is str else numbers(kind, constraint)
+
+
+def cross_field(record, values):
+    """``values`` changed to keep the rules that relate two of ``record``'s fields."""
+    merged = {**dataclasses.asdict(record()), **values}
+    if record is TurbineParams and not merged["cut_in_ms"] < merged["cut_out_ms"]:
+        values["cut_out_ms"] = merged["cut_in_ms"] + 1.0
+    if record is GAConfig:  # 1 <= tournament_k <= population and 0 <= elite < population
+        values["population"] = max(merged["population"], merged["tournament_k"],
+                                   merged["elite"] + 1)
+    return values
+
+
+def record_fields(path):
+    """Field values for the record at ``path``: a few of its fields, each drawn
+    from its RULES row, then made to keep its cross-field rules."""
+    names = [key.rpartition(".")[2] for key in RECORD_FIELDS if key.rpartition(".")[0] == path]
+    record = RECORDS[path]
 
     @st.composite
     def draw_fields(draw):
         values = {}
-        for name in draw(chosen):
-            default = getattr(defaults, name)
-            scale = 1 if isinstance(default, int) else draw(st.floats(0.9, 1.1))
-            values[name] = default * scale
-        return values
+        for name in draw(st.lists(st.sampled_from(names), unique=True, max_size=3)):
+            _, kind, constraint = RECORD_FIELDS[f"{path}.{name}"]
+            values[name] = draw(scalars(kind, constraint))
+        if path == "area" and draw(st.booleans()):
+            values["service_roofs"] = draw(st.dictionaries(
+                st.sampled_from(["office", "school", "hospital"]), numbers(float, ">= 0"),
+                max_size=3))
+        return cross_field(record, values)
     return draw_fields()
 
 
 def valid_value(path, kind, constraint):
     if path in RECORDS:
-        return record_fields(kind)
+        return record_fields(path)
     if kind is Path:
         if path == "calendar":
             return st.just(str(_BUILTIN_CALENDAR))
@@ -76,13 +116,11 @@ def valid_value(path, kind, constraint):
             return st.just(str(default_fixture_path()))
         return st.sampled_from(["input.csv", "inputs/profiles"])
     if path == "seed":
-        return st.integers(0, 2 ** 63)  # SimulationConfig checks it is >= 0
+        return st.integers(0, 2 ** 63)  # SimulationConfig's RULES check it is >= 0
     if kind is bool:
         return st.booleans()
-    if kind is str:
-        return st.sampled_from(constraint)
-    if kind in (int, float):
-        return numbers(kind, constraint if isinstance(constraint, str) else None)
+    if kind in (int, float, str):
+        return scalars(kind, constraint)
     if kind == [float]:  # the weights: p_pos > 0, p_neg > 0, p_ren < 0
         return st.tuples(numbers(float, "> 0"), numbers(float, "> 0"),
                          st.floats(-1e6, 0, exclude_max=True)).map(list)
@@ -92,11 +130,11 @@ def valid_value(path, kind, constraint):
 
 def put(config, path, value):
     """Set ``path`` in ``config``; a dict value adds to the fields already there."""
-    parent, _, key = path.rpartition(".")
-    if parent:
-        if not isinstance(config.get(parent), dict):
-            config[parent] = {}
-        config = config[parent]
+    *parents, key = path.split(".")
+    for name in parents:
+        if not isinstance(config.get(name), dict):
+            config[name] = {}
+        config = config[name]
     if isinstance(value, dict) and isinstance(config.get(key), dict):
         value = {**config[key], **value}
     config[key] = value
@@ -132,49 +170,91 @@ def out_of_range(kind, constraint):
         return [kind(low), kind(high)]
     op, bound = constraint.split()
     bound = kind(float(bound))
-    return [bound] if op == ">" else [bound - 1]
+    return [bound] if op in (">", "<") else [bound - 1] if op == ">=" else [bound + 1]
+
+
+def scalar_faults(name, kind, constraint):
+    """(value, the whole message) of each fault of a ``kind`` value that the
+    message calls ``name``: a wrong type, and, under ``constraint``, out of range."""
+    faults = [(value, f"{name} must be {NOUNS[kind]}, got {value!r}") for value in WRONG[kind]]
+    if isinstance(constraint, (str, tuple)) and kind in (int, float, str):
+        allowed = f"one of {constraint}" if isinstance(constraint, tuple) else constraint
+        faults += [(value, f"{name} must be {allowed}, "
+                           f"got {float(value) if kind is float else value!r}")
+                   for value in out_of_range(kind, constraint)]
+    return faults
+
+
+CROSS_FIELD_FAULTS = {  # (fields, the message after "config: <record>.")
+    "turbine": [({"cut_in_ms": 30.0, "cut_out_ms": 25.0},
+                 "cut_in_ms must be < cut_out_ms, got 30.0 >= 25.0")],
+    "ga": [({"population": 4, "tournament_k": 5, "elite": 0},
+            "tournament_k must be <= population, got 5 > 4"),
+           ({"population": 4, "tournament_k": 1, "elite": 4},
+            "elite must be < population, got 4 >= 4")],
+}
+
+
+def fault_paths(input_files=True):
+    """Where a fault can sit: each row, each record field, the service roofs,
+    each section and, as "unknown_key", the top level."""
+    rows = [path for path in ROWS if input_files or path not in INPUT_FILES]
+    return [*rows, *RECORD_FIELDS, "area.service_roofs", *SECTIONS, "unknown_key"]
+
+
+def faults_at(path):
+    """(value at ``path``, the whole message it must raise) of each fault there."""
+    if path == "unknown_key":
+        return [(1, "config: unknown keys ['unknown_key']")]
+    if path in RECORD_FIELDS:
+        _, kind, constraint = RECORD_FIELDS[path]
+    else:
+        kind, constraint = ROWS.get(path, (dict if path in SECTIONS else None, None))
+    faults = []
+    if isinstance(kind, type) and kind in WRONG:
+        faults += scalar_faults(f"config: {path}", kind, constraint)
+    if kind is dict or path in RECORDS:
+        faults += [(value, f"config: {path} must be an object") for value in (5, "x", [])]
+        faults.append(({"unknown_key": 1}, f"config: unknown keys ['{path}.unknown_key']"))
+    faults += [(value, f"config: {path}.{message}")
+               for value, message in CROSS_FIELD_FAULTS.get(path, [])]
+    if path == "area.service_roofs":
+        faults += [(5, "config: area.service_roofs must map building names to roof areas, got 5"),
+                   ({"office": -1.0}, "config: area.service_roofs.office must be >= 0, got -1.0"),
+                   ({"office": "x"},
+                    "config: area.service_roofs.office must be a finite number, got 'x'")]
+    if kind == [float]:
+        faults += [("x", "config: weights must be a list of 3 values, got 'x'"),
+                   ([1.0, 2.0], "config: weights must be a list of 3 values, got [1.0, 2.0]"),
+                   ([1.0, float("nan"), 0.0], "config: weights[1] must be a finite number, got nan"),
+                   ([1.0, 1.0, 5.0], "config: weights must satisfy p_pos > 0, p_neg > 0, "
+                                     "p_ren < 0, got (1.0, 1.0, 5.0)")]
+    if path == "benchmarks":
+        faults += [({"name": "X"}, "config: benchmarks must be a list, got {'name': 'X'}"),
+                   ([{"name": "X"}], "config: benchmarks[0] must have the keys name and twh"),
+                   ([{"name": 3, "twh": 1.0}],
+                    "config: benchmarks[0].name must be a string, got 3"),
+                   ([{"name": "X", "twh": False}],
+                    "config: benchmarks[0].twh must be a finite number, got False")]
+    return faults
+
+
+def with_fault(config, path, value):
+    """A copy of ``config`` with ``value`` at ``path``."""
+    config = copy.deepcopy(config)
+    if not (isinstance(value, dict) and path in RECORDS):
+        put(config, path, None)  # the fault replaces the value; bad fields join the others
+    put(config, path, value)
+    return config
 
 
 @st.composite
 def faulty_configs(draw, input_files=True):
-    """A valid config with one fault, and the start of the error it must raise."""
+    """A valid config with one fault, and the whole error message it must raise."""
     config = draw(valid_configs(input_files))
-    paths = [path for path in ROWS if input_files or path not in INPUT_FILES]
-    path = draw(st.sampled_from([*paths, *SECTIONS, ""]))
-    kind, constraint = ROWS.get(path, (dict, None))
-    faults = []  # (value at path, the start of the error)
-    if path == "":  # the top level
-        config["unknown_key"] = 1
-        return config, "config: unknown keys ['unknown_key']"
-    if isinstance(kind, type) and kind in WRONG:
-        faults += [(value, f"config: {path} must be ") for value in WRONG[kind]]
-    if isinstance(constraint, (str, tuple)) and kind in (int, float, str):
-        faults += [(value, f"config: {path} must be ") for value in out_of_range(kind, constraint)]
-    if kind is dict or path in RECORDS:
-        faults += [(value, f"config: {path} must be an object") for value in (5, "x", [])]
-    if kind is dict:
-        faults.append(({"unknown_key": 1}, f"config: unknown keys ['{path}.unknown_key']"))
-    if path in RECORDS:
-        faults.append(({"unknown_key": 1}, f"config: bad {path} options: "))
-        numeric = [f.name for f in dataclasses.fields(kind) if type(f.default) in (int, float)]
-        faults += [({name: value}, f"config: bad {path} options: {name} must be ")
-                   for name in numeric for value in (True, "x", float("nan"), float("inf"))]
-    if kind == [float]:
-        faults += [("x", "config: weights must be a list"),
-                   ([1.0, 2.0], "config: weights must be a list"),
-                   ([1.0, float("nan"), 0.0], "config: weights[1] must be a finite number"),
-                   ([1.0, 1.0, 5.0], "config: weights must satisfy p_pos > 0, p_neg > 0, "
-                                     "p_ren < 0")]
-    if path == "benchmarks":
-        faults += [({"name": "X"}, "config: benchmarks must be a list"),
-                   ([{"name": "X"}], "config: benchmarks[0] must have the keys name and twh"),
-                   ([{"name": 3, "twh": 1.0}], "config: benchmarks[0].name must be a string"),
-                   ([{"name": "X", "twh": False}], "config: benchmarks[0].twh must be ")]
-    value, prefix = draw(st.sampled_from(faults))
-    if not (isinstance(value, dict) and path in RECORDS):
-        put(config, path, None)  # the fault replaces the value; a bad field joins the others
-    put(config, path, value)
-    return config, prefix
+    path = draw(st.sampled_from(fault_paths(input_files)))
+    value, message = draw(st.sampled_from(faults_at(path)))
+    return with_fault(config, path, value), message
 
 
 def load(config):
@@ -193,39 +273,65 @@ def test_every_valid_draw_loads(config):
         holder = config.get(parent) if parent else config
         if kind in (int, float, bool, str) and isinstance(holder, dict) and key in holder:
             assert getattr(loaded, target) == holder[key]
+    for path, (_, kind, _) in RECORD_FIELDS.items():
+        *parents, name = path.split(".")
+        holder = functools.reduce(lambda obj, key: (obj or {}).get(key), parents, config)
+        if holder and name in holder:
+            record = functools.reduce(getattr, parents, loaded)
+            assert getattr(record, name) == holder[name], path
 
 
-@settings(max_examples=300, deadline=None)
-@given(faulty_configs())
-def test_every_faulty_draw_raises_one_config_error_line(draw):
-    config, prefix = draw
-    try:
-        load(config)
-    except ConfigError as exc:
-        message = str(exc)
-    else:
-        raise AssertionError(f"{config} loaded")
-    assert message.startswith(prefix), message
-    assert "\n" not in message
+@settings(max_examples=40, deadline=None)
+@given(valid_configs(), st.data())
+def test_every_faulty_draw_raises_one_config_error_line(config, data):
+    # every place gets one fault drawn for it, so none goes untried
+    for path in fault_paths():
+        value, expected = data.draw(st.sampled_from(faults_at(path)), label=path)
+        try:
+            load(with_fault(config, path, value))
+        except ConfigError as exc:
+            assert str(exc) == expected
+        else:
+            raise AssertionError(f"{path} = {value!r} loaded")
 
 
 @settings(max_examples=6, deadline=None)
 @given(st.one_of(valid_configs(input_files=False).map(lambda c: (c, None)),
                  faulty_configs(input_files=False)))
 def test_scale_on_drawn_configs_exits_0_or_1(draw):
-    config, prefix = draw
+    config, expected = draw
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "config.json"
         path.write_text(json.dumps(config))
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(["--config", str(path), "--out", str(Path(directory) / "out"), "scale"])
-    if prefix is None:
+    if expected is None:
         assert code == 0 and stderr.getvalue() == ""
     else:
         assert code == 1
-        assert stderr.getvalue().startswith(f"error: {prefix}")
-        assert len(stderr.getvalue().splitlines()) == 1
+        assert stderr.getvalue() == f"error: {expected}\n"
+
+
+def test_every_record_field_has_one_rule():
+    # a row for each scalar field, of the field's own kind; diode and
+    # service_roofs are not scalars, and their records check them by hand
+    for path, record in RECORDS.items():
+        hints = get_type_hints(record)
+        scalar = [name for name, kind in hints.items() if kind in (int, float, str)]
+        assert sorted(row[0] for row in record.RULES) == sorted(scalar), path
+        assert all(hints[name] is kind for name, kind, _ in record.RULES), path
+
+
+@pytest.mark.parametrize("path", sorted(RECORD_FIELDS))
+def test_every_record_field_rejects_its_faults(path):
+    # from Python, each record raises its own error class, naming only the field
+    record, kind, constraint = RECORD_FIELDS[path]
+    name = path.rpartition(".")[2]
+    error = OptimizeError if record is GAConfig else GenerationError
+    for value, message in scalar_faults(name, kind, constraint):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            record(**{name: value})
 
 
 def test_readme_names_every_config_key():

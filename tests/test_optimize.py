@@ -42,12 +42,17 @@ def test_weight_sign_validation():
 
 
 def test_problem_validation():
-    with pytest.raises(OptimizeError, match="roof area"):
+    with pytest.raises(OptimizeError, match=r"^a_roof_m2 must be > 0, got 0\.0$"):
         tiny_problem(a_roof_m2=0.0)
-    with pytest.raises(OptimizeError, match="phi_area"):
+    with pytest.raises(OptimizeError, match=r"^phi_area must be >= 1, got 0\.5$"):
         tiny_problem(phi_area=0.5)
-    with pytest.raises(OptimizeError, match="sign convention"):
+    with pytest.raises(OptimizeError, match=r"^sign_convention must be one of "
+                                            r"\('magnitude-neg', 'signed-neg'\), "
+                                            r"got 'absolute'$"):
         tiny_problem(sign_convention="absolute")
+    with pytest.raises(OptimizeError, match=r"^turbine_footprint_m2 must be a finite number, "
+                                            r"got inf$"):
+        tiny_problem(turbine_footprint_m2=float("inf"))
     with pytest.raises(OptimizeError, match="length"):
         MixProblem(g_pv=np.ones(10), g_turbine=np.ones(11),
                    load_mw=np.ones(10), a_roof_m2=1.0)
@@ -146,11 +151,12 @@ def test_project_always_feasible():
 
 
 def test_ga_config_validation():
-    with pytest.raises(OptimizeError, match="population"):
+    with pytest.raises(OptimizeError, match=r"^population must be >= 4, got 2$"):
         GAConfig(population=2)
-    with pytest.raises(OptimizeError, match="tournament"):
+    with pytest.raises(OptimizeError, match=r"^tournament_k must be <= population, "
+                                            r"got 100 > 50$"):
         GAConfig(tournament_k=100)
-    with pytest.raises(OptimizeError, match="elite"):
+    with pytest.raises(OptimizeError, match=r"^elite must be < population, got 50 >= 50$"):
         GAConfig(elite=50)
 
 
