@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .ingest import Calendar, HourlySeries, ValidationError
+from .ingest import Calendar, HourlySeries, ValidationError, checked_record
 
 DAY_KINDS = ("weekday", "weekend")
 TIME_BANDS = ("night", "day", "evening")
@@ -30,14 +29,14 @@ class ClassifyError(ValidationError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class CategoryKey:
-    day_kind: str
-    time_band: str
-    solar_bin: int
-    wind_bin: int
+class CategoryKey(checked_record(ClassifyError,
+                                ("day_kind", str, None),
+                                ("time_band", str, None),
+                                ("solar_bin", int, None),
+                                ("wind_bin", int, None))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _rules(self):
         if self.day_kind not in DAY_KINDS:
             raise ClassifyError(f"unknown day kind {self.day_kind!r}")
         if self.time_band not in TIME_BANDS:
@@ -60,12 +59,12 @@ def all_category_keys() -> tuple[CategoryKey, ...]:
     )
 
 
-@dataclass(frozen=True)
-class BinEdges:
-    solar_edges: tuple[float, float, float, float]
-    wind_edges: tuple[float, float, float, float]
+class BinEdges(checked_record(ClassifyError,
+                             ("solar_edges", tuple, None),  # four percent-of-capacity edges
+                             ("wind_edges", tuple, None))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _rules(self):
         for edges in (self.solar_edges, self.wind_edges):
             if len(edges) != len(QUANTILE_LEVELS):
                 raise ClassifyError(f"need {len(QUANTILE_LEVELS)} edges, got {len(edges)}")

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import NamedTuple, get_type_hints
+from typing import NamedTuple
 
 from . import ingest
 from .generation import AreaBudget, PvParams, SingleDiodeParams, TurbineParams
-from .ingest import Calendar, HourlySeries, IngestError, ValidationError, WeatherFrame
+from .ingest import (Calendar, HourlySeries, IngestError, ValidationError, WeatherFrame,
+                     checked_record)
 from .scaling import (ScalingFixture, ServiceMix, build_service_mix, default_fixture_path,
                       load_scaling_fixture)
 
@@ -36,26 +36,19 @@ def check_weights(weights, error: type[Exception]) -> None:
         raise error(f"weights must satisfy p_pos > 0, p_neg > 0, p_ren < 0, got {weights}")
 
 
-@dataclass(frozen=True)
-class GAConfig:
-    population: int = 50
-    tournament_k: int = 3
-    blend_alpha: float = 0.5
-    mutation_sigma_frac: float = 0.02
-    mutation_rate: float = 0.9
-    elite: int = 2
-    stall_generations: int = 20
-    stall_rel_tol: float = 1e-6
-    max_generations: int = 400
+class GAConfig(checked_record(OptimizeError,
+                             ("population", int, ">= 4", 50),
+                             ("tournament_k", int, ">= 1", 3),
+                             ("blend_alpha", float, ">= 0", 0.5),
+                             ("mutation_sigma_frac", float, ">= 0", 0.02),
+                             ("mutation_rate", float, "in [0, 1]", 0.9),
+                             ("elite", int, ">= 0", 2),
+                             ("stall_generations", int, ">= 1", 20),
+                             ("stall_rel_tol", float, ">= 0", 1e-6),
+                             ("max_generations", int, ">= 0", 400))):
+    __slots__ = ()
 
-    RULES = (("population", int, ">= 4"), ("tournament_k", int, ">= 1"),
-             ("blend_alpha", float, ">= 0"), ("mutation_sigma_frac", float, ">= 0"),
-             ("mutation_rate", float, "in [0, 1]"), ("elite", int, ">= 0"),
-             ("stall_generations", int, ">= 1"), ("stall_rel_tol", float, ">= 0"),
-             ("max_generations", int, ">= 0"))
-
-    def __post_init__(self):
-        ingest._check_rules(self, OptimizeError)
+    def _rules(self):
         if not self.tournament_k <= self.population:
             raise OptimizeError(f"tournament_k must be <= population, "
                                 f"got {self.tournament_k} > {self.population}")
@@ -64,9 +57,8 @@ class GAConfig:
                                 f"got {self.elite} >= {self.population}")
 
 
-class Benchmark(NamedTuple):
-    name: str
-    twh: float
+class Benchmark(checked_record(ConfigError, ("name", str, None), ("twh", float, None))):
+    __slots__ = ()
 
 
 DEFAULT_BENCHMARKS = (
@@ -77,38 +69,38 @@ DEFAULT_BENCHMARKS = (
 )
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
-    calendar: Calendar
-    scaling_fixture: ScalingFixture
-    weather_path: Path | None = None
-    household_profile_path: Path | None = None
-    reference_profile_dir: Path | None = None
-    households: int = 100_000
-    household_annual_kwh: float = 3500.0
-    real_inputs: bool = False
-    seed: int = 0
-    holidays_as_weekend: bool = True
-    turbine: TurbineParams = field(default_factory=TurbineParams)
-    pv: PvParams = field(default_factory=PvParams)
-    area: AreaBudget = field(default_factory=AreaBudget)
-    roof_only_pv: bool = False
-    sweep_max_mw: float = 525.0
-    sweep_steps: int = 11
-    mix_pv_mw: float = 399.0
-    mix_wind_mw: float = 30.0
-    alpha: float = 0.05
-    pooled: bool = False
-    weights: tuple = (1.0, 1.0, -5.0)
-    sign_convention: str = "magnitude-neg"
-    ga: GAConfig = field(default_factory=GAConfig)
-    benchmarks: tuple = DEFAULT_BENCHMARKS
+class SimulationConfig(checked_record(ConfigError,
+                                     ("calendar", Calendar, None),
+                                     ("scaling_fixture", ScalingFixture, None),
+                                     ("weather_path", Path, None, None),
+                                     ("household_profile_path", Path, None, None),
+                                     ("reference_profile_dir", Path, None, None),
+                                     ("households", int, None, 100_000),
+                                     ("household_annual_kwh", float, None, 3500.0),
+                                     ("real_inputs", bool, None, False),
+                                     # numpy's generators take no negative seed
+                                     ("seed", int, ">= 0", 0),
+                                     ("holidays_as_weekend", bool, None, True),
+                                     ("turbine", TurbineParams, None, TurbineParams()),
+                                     ("pv", PvParams, None, PvParams()),
+                                     ("area", AreaBudget, None, AreaBudget()),
+                                     ("roof_only_pv", bool, None, False),
+                                     ("sweep_max_mw", float, None, 525.0),
+                                     ("sweep_steps", int, None, 11),
+                                     ("mix_pv_mw", float, None, 399.0),
+                                     ("mix_wind_mw", float, None, 30.0),
+                                     ("alpha", float, None, 0.05),
+                                     ("pooled", bool, None, False),
+                                     ("weights", tuple, None, (1.0, 1.0, -5.0)),
+                                     ("sign_convention", str, None, "magnitude-neg"),
+                                     ("ga", GAConfig, None, GAConfig()),
+                                     ("benchmarks", tuple, None, DEFAULT_BENCHMARKS))):
+    """A run's settings. The rows of `_SCHEMA` check the config keys that set
+    them; this record checks only their kinds, the seed and the weights."""
 
-    # numpy's generators take no negative seed; reject it before any run
-    RULES = (("seed", int, ">= 0"),)
+    __slots__ = ()
 
-    def __post_init__(self):
-        ingest._check_rules(self, ConfigError)
+    def _rules(self):
         check_weights(self.weights, ConfigError)
 
     @property
@@ -116,7 +108,7 @@ class SimulationConfig:
         return self.calendar.year
 
     def with_seed(self, seed: int) -> "SimulationConfig":
-        return replace(self, seed=seed)
+        return self._replace(seed=seed)
 
 
 _BUILTIN_CALENDAR = Path(__file__).parent / "data" / "calendar_nl2014.json"
@@ -125,7 +117,7 @@ _BUILTIN_CALENDAR = Path(__file__).parent / "data" / "calendar_nl2014.json"
 # "a.b" is key b of object a, which may be null and, unless it has a row of its
 # own, takes no other keys. `_read` says how each kind is read, and `ingest._within`
 # what each constraint allows; a list's constraint is its length. A row with no field
-# hands its value to its parent's record, whose `RULES` rows, in the same language,
+# hands its value to its parent's record, whose own rows, in the same language,
 # check its fields.
 _SCHEMA = (
     # not a field: checked against the calendar
@@ -138,7 +130,7 @@ _SCHEMA = (
     ("households", int, "> 0", "households"),
     ("household_annual_kwh", float, "> 0", "household_annual_kwh"),
     ("real_inputs", bool, None, "real_inputs"),
-    ("seed", int, None, "seed"),  # SimulationConfig's RULES check >= 0, for --seed too
+    ("seed", int, None, "seed"),  # SimulationConfig's row checks >= 0, for --seed too
     ("holidays_as_weekend", bool, None, "holidays_as_weekend"),
     ("turbine", TurbineParams, None, "turbine"),
     ("pv.diode", SingleDiodeParams, None, None),
@@ -183,21 +175,18 @@ def _read(path: str, value, kind, constraint, base_dir: Path):
             raise ConfigError(f"config: {path} must be a list{size}, got {value!r}")
         return tuple(_read(f"{path}[{i}]", item, kind[0], None, base_dir)
                      for i, item in enumerate(value))
-    if is_dataclass(kind):  # a record, which checks its own fields
-        given = _object(path, value)
-        unknown = sorted(f"{path}.{key}" for key in given.keys() - {f.name for f in fields(kind)})
+    if issubclass(kind, tuple):  # a record, which checks its own fields
+        given, names = _object(path, value), set(kind._fields)
+        if len(kind._field_defaults) < len(names) and given.keys() != names:
+            # a record with fields every caller gives (a benchmark) takes exactly its fields
+            raise ConfigError(f"config: {path} must have the keys {' and '.join(kind._fields)}")
+        unknown = sorted(f"{path}.{key}" for key in given.keys() - names)
         if unknown:
             raise ConfigError(f"config: unknown keys {unknown}")
         try:
             return kind(**given)
-        except ValidationError as exc:  # the record's message starts with the field's name
+        except (ValidationError, ConfigError) as exc:  # the message starts with the field's name
             raise ConfigError(f"config: {path}.{exc}") from exc
-    if issubclass(kind, tuple):  # a NamedTuple: exactly its fields, each of its annotated kind
-        hints = get_type_hints(kind)
-        if set(_object(path, value)) != set(hints):
-            raise ConfigError(f"config: {path} must have the keys {' and '.join(hints)}")
-        return kind(*(_read(f"{path}.{name}", value[name], hint, None, base_dir)
-                      for name, hint in hints.items()))
     value = ingest._check(f"config: {path}", value, kind, constraint, ConfigError)
     return base_dir / value if kind is Path else value  # a file name resolves against base_dir
 
@@ -238,7 +227,12 @@ def _resolve(raw: dict, base_dir: Path) -> SimulationConfig:
     scaling_file = kwargs.get("scaling_fixture", default_fixture_path())
     with _config_error(f"cannot read scaling file {scaling_file}",
                        (OSError, TypeError, ValueError)):  # ScalingError or a bad number
-        kwargs["scaling_fixture"] = load_scaling_fixture(scaling_file)
+        fixture = kwargs["scaling_fixture"] = load_scaling_fixture(scaling_file)
+    # an empty map means the fixture's roof areas; any other must give every building type
+    roofs = kwargs["area"].service_roofs if "area" in kwargs else {}
+    missing = [spec.name for spec in fixture.specs if spec.name not in roofs]
+    if roofs and missing:
+        raise ConfigError(f"config: area.service_roofs.{missing[0]} is missing")
     with _config_error("config", ConfigError):
         return SimulationConfig(**kwargs)
 

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .ingest import HourlySeries, ValidationError
+from .ingest import HourlySeries, ValidationError, checked_record
 from .scaling import ServiceMix
 
 
@@ -18,14 +16,14 @@ RESIDENTIAL_ONLY = "residential-only"
 MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class LoadCase:
-    kind: str
-    series: HourlySeries
-    annual_energy: float      # kWh for a kW series
-    phi: float | None = None  # set for the residential-only case
+class LoadCase(checked_record(DemandError,
+                             ("kind", str, None),
+                             ("series", HourlySeries, None),
+                             ("annual_energy", float, None),  # kWh for a kW series
+                             ("phi", float | None, None, None))):  # set for residential-only
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _rules(self):
         if self.kind not in (RESIDENTIAL_ONLY, MIXED):
             raise DemandError(f"unknown load case kind {self.kind!r}")
         if np.any(self.series.values < 0):

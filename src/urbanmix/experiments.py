@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -33,8 +32,7 @@ CATEGORY_METRICS = ("mismatch", "utilisation", "self_consumption")
 LOAD_CASES = (RESIDENTIAL_ONLY, MIXED)
 
 
-@dataclass(frozen=True)
-class Prepared:
+class Prepared(NamedTuple):
     """Inputs resolved into the series every scenario shares."""
     inputs: ModelInputs
     phi: float
@@ -101,8 +99,7 @@ def _cell_row(cell: ScenarioCell) -> list:
     return row
 
 
-@dataclass(frozen=True)
-class ScenarioGrid:
+class ScenarioGrid(NamedTuple):
     """Sweep results in columns: one ``table`` row per scenario (see _SUMS,
     _TESTS, _UNTESTABLE, _DELTAS) and one ``reject`` row of Holm flags per
     scenario, in the sweep's order, PV outer and wind inner. ``cell`` is the
@@ -391,8 +388,7 @@ def build_problem(prep: Prepared) -> MixProblem:
     config = prep.config
     budget = config.area
     if not budget.service_roofs:
-        budget = replace(budget,
-                         service_roofs=config.scaling_fixture.roof_areas())
+        budget = budget._replace(service_roofs=config.scaling_fixture.roof_areas())
     a_roof, _, _ = area_budget_totals(prep.inputs.service_mix, config.households,
                                       budget, config.roof_only_pv)
     return MixProblem(g_pv=prep.pv_unit.values,

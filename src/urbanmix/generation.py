@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
 from .ingest import (MIN_TEMP_C, HourlySeries, ValidationError, WeatherFrame, WeatherRecord,
-                     _check, _check_rules)
+                     _check, checked_record)
 from .scaling import ServiceMix, round_half_away
 
 R_DRY_AIR = 287.05          # J/(kg K)
@@ -33,87 +33,67 @@ class GenerationError(ValidationError):
     pass
 
 
-@dataclass(frozen=True)
-class TurbineParams:
-    hub_height_m: float = 50.0
-    rotor_area_m2: float = 2290.0
-    cp: float = 0.35
-    cut_in_ms: float = 2.5
-    cut_out_ms: float = 25.0
-    nominal_power_kw: float = 500.0
-    shear_exponent: float = 0.15
+class TurbineParams(checked_record(GenerationError,
+                                  ("hub_height_m", float, "> 0", 50.0),
+                                  ("rotor_area_m2", float, "> 0", 2290.0),
+                                  ("cp", float, f"in (0, {BETZ_LIMIT})", 0.35),
+                                  ("cut_in_ms", float, "> 0", 2.5),
+                                  ("cut_out_ms", float, None, 25.0),
+                                  ("nominal_power_kw", float, "> 0", 500.0),
+                                  ("shear_exponent", float, "> 0", 0.15))):
+    __slots__ = ()
 
-    RULES = (("hub_height_m", float, "> 0"), ("rotor_area_m2", float, "> 0"),
-             ("cp", float, f"in (0, {BETZ_LIMIT})"), ("cut_in_ms", float, "> 0"),
-             ("cut_out_ms", float, None), ("nominal_power_kw", float, "> 0"),
-             ("shear_exponent", float, "> 0"))
-
-    def __post_init__(self):
-        _check_rules(self, GenerationError)
+    def _rules(self):
         if not self.cut_in_ms < self.cut_out_ms:
             raise GenerationError(f"cut_in_ms must be < cut_out_ms, "
                                   f"got {self.cut_in_ms} >= {self.cut_out_ms}")
 
 
-@dataclass(frozen=True)
-class PvParams:
+class SingleDiodeParams(checked_record(GenerationError,
+                                       ("isc_a", float, "> 0", 3.8),
+                                       ("voc_v", float, "> 0", 21.1),
+                                       ("n_cells", int, ">= 1", 36),
+                                       ("ideality", float, "> 0", 1.2),
+                                       ("rs_ohm", float, ">= 0", 0.008),
+                                       ("isc_temp_coeff", float, None, 0.0024),  # A/°C
+                                       ("voc_temp_coeff", float, None, -0.08))):  # V/°C
+    """One-diode module model inputs at standard test conditions."""
+
+    __slots__ = ()
+
+
+class PvParams(checked_record(GenerationError,
+                             ("rated_power_density_wm2", float, "> 0", 107.9),
+                             ("temp_coefficient", float, "<= 0", -0.005),  # 1/°C
+                             ("noct_offset_c", float, None, 27.0),
+                             ("panel_area_m2", float, "> 0", 0.556),
+                             ("model", str, ("linear-derate", "single-diode"), "linear-derate"),
+                             ("diode", SingleDiodeParams, None, None))):
     """Flat-plate PV parameters (datasheet values supplied as config).
 
     Defaults describe a 60 W, 0.556 m² crystalline module: 107.9 W/m² rated
     density, -0.5%/°C power coefficient, 47 °C nominal operating cell
-    temperature (i.e. a 27 °C offset above ambient at 800 W/m²).
+    temperature (i.e. a 27 °C offset above ambient at 800 W/m²). ``diode``
+    is None or the single-diode model's module.
     """
 
-    rated_power_density_wm2: float = 107.9
-    temp_coefficient: float = -0.005    # 1/°C, <= 0
-    noct_offset_c: float = 27.0
-    panel_area_m2: float = 0.556
-    model: str = "linear-derate"        # or "single-diode"
-    diode: "SingleDiodeParams | None" = None
+    __slots__ = ()
 
-    RULES = (("rated_power_density_wm2", float, "> 0"), ("temp_coefficient", float, "<= 0"),
-             ("noct_offset_c", float, None), ("panel_area_m2", float, "> 0"),
-             ("model", str, ("linear-derate", "single-diode")))
-
-    def __post_init__(self):
-        _check_rules(self, GenerationError)
+    def _rules(self):
         if self.diode is not None and not isinstance(self.diode, SingleDiodeParams):
             raise GenerationError("diode must be SingleDiodeParams or None, "
                                   f"got {type(self.diode).__name__}")
 
 
-@dataclass(frozen=True)
-class SingleDiodeParams:
-    """One-diode module model inputs at standard test conditions."""
+class AreaBudget(checked_record(GenerationError,
+                               ("household_roof_m2_each", float, "> 0", 33.0),
+                               # building type -> roof m²; empty: the scaling fixture's
+                               ("service_roofs", Mapping, None, MappingProxyType({})),
+                               ("phi_area", float, ">= 1", 3.0),
+                               ("turbine_footprint_km2_per_mw", float, "> 0", 0.345))):
+    __slots__ = ()
 
-    isc_a: float = 3.8
-    voc_v: float = 21.1
-    n_cells: int = 36
-    ideality: float = 1.2
-    rs_ohm: float = 0.008
-    isc_temp_coeff: float = 0.0024      # A/°C
-    voc_temp_coeff: float = -0.08       # V/°C
-
-    RULES = (("isc_a", float, "> 0"), ("voc_v", float, "> 0"), ("n_cells", int, ">= 1"),
-             ("ideality", float, "> 0"), ("rs_ohm", float, ">= 0"),
-             ("isc_temp_coeff", float, None), ("voc_temp_coeff", float, None))
-
-    def __post_init__(self):
-        _check_rules(self, GenerationError)
-
-
-@dataclass(frozen=True)
-class AreaBudget:
-    household_roof_m2_each: float = 33.0
-    service_roofs: Mapping[str, float] = field(default_factory=dict)
-    phi_area: float = 3.0
-    turbine_footprint_km2_per_mw: float = 0.345
-
-    RULES = (("household_roof_m2_each", float, "> 0"), ("phi_area", float, ">= 1"),
-             ("turbine_footprint_km2_per_mw", float, "> 0"))
-
-    def __post_init__(self):
-        _check_rules(self, GenerationError)
+    def _rules(self):
         roofs = self.service_roofs
         if not (isinstance(roofs, Mapping) and all(isinstance(name, str) for name in roofs)):
             raise GenerationError(f"service_roofs must map building names to roof areas, "

@@ -9,13 +9,13 @@ transitions never duplicate or drop an hour in the data itself.
 from __future__ import annotations
 
 import calendar as _stdcal
+import collections
 import csv
 import datetime as dt
 import json
 import operator
 import sys
 import warnings
-from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -71,7 +71,7 @@ def _check(name: str, value, kind, constraint, error: type[Exception]):
     """``value`` read as ``kind`` (an int is read as a float for float); raises
     ``error`` with one line naming ``name`` unless it is a ``kind`` that meets
     ``constraint``. A number is finite, and a bool is not one. Every config
-    schema row and every record's RULES row is checked here."""
+    schema row and every scalar field of a `checked_record` is checked here."""
     accepts, noun = _SCALARS[kind]
     if not isinstance(value, accepts) or (kind in (int, float) and (
             isinstance(value, bool) or not abs(value) <= sys.float_info.max)):
@@ -83,10 +83,34 @@ def _check(name: str, value, kind, constraint, error: type[Exception]):
     return value
 
 
-def _check_rules(record, error) -> None:
-    """`_check` each (field, kind, constraint) row of ``record.RULES``."""
-    for name, kind, constraint in record.RULES:
-        _check(name, getattr(record, name), kind, constraint, error)
+def checked_record(error: type[Exception], *rows):
+    """The base of a record class with one field per (field, kind, constraint,
+    default) row; a row without a default is a field every caller gives.
+
+    The constructor reads each int, float, bool or str field with `_check`
+    under its row's constraint, keeps the value `_check` returns (so a float
+    field holds a float), and then runs the class's `_rules`, which check what
+    no single row can state. Any other kind only documents its field. `_make`
+    and `_replace` build through the constructor, so a derived record is
+    checked too.
+    """
+    base = collections.namedtuple("Record", [row[0] for row in rows],
+                                  defaults=[row[3] for row in rows if len(row) > 3])
+    bind = base.__new__
+
+    def __new__(cls, *args, **kwargs):
+        given = zip(rows, bind(cls, *args, **kwargs))
+        self = tuple.__new__(cls, [
+            _check(name, value, kind, constraint, error) if kind in (int, float, bool, str)
+            else value for (name, kind, constraint, *_), value in given])
+        self._rules()
+        return self
+
+    base.__new__ = __new__
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    base._rules = lambda self: None
+    base._rows = rows
+    return base
 
 
 def hours_in_year(year: int) -> int:
@@ -108,48 +132,50 @@ class WeatherRecord(NamedTuple):
     wind_speed_10m: float  # m/s at 10 m
 
 
-@dataclass(frozen=True)
-class WeatherFrame:
-    """A weather year as read-only columns in canonical units, one value per hour."""
+class WeatherFrame(checked_record(IngestError,
+                                 ("ghi", np.ndarray, None),
+                                 ("temp", np.ndarray, None),
+                                 ("pressure", np.ndarray, None),
+                                 ("wind_speed_10m", np.ndarray, None))):
+    """A weather year as read-only columns in canonical units, one value per
+    hour: global horizontal irradiance (W/m²), ambient temperature (°C),
+    pressure (Pa) and wind speed at 10 m (m/s). Its ``len()`` is the number
+    of hours."""
 
-    ghi: np.ndarray             # global horizontal irradiance, W/m²
-    temp: np.ndarray            # ambient temperature, °C
-    pressure: np.ndarray        # Pa
-    wind_speed_10m: np.ndarray  # m/s at 10 m
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.ghi)
-        for column in fields(self):
-            arr = np.array(getattr(self, column.name), dtype=float)
+    def __new__(cls, ghi, temp, pressure, wind_speed_10m):
+        n = len(ghi)
+        columns = []
+        for name, column in zip(cls._fields, (ghi, temp, pressure, wind_speed_10m)):
+            arr = np.array(column, dtype=float)
             if arr.shape != (n,):
-                raise IngestError(f"weather column {column.name} must have {n} values, "
+                raise IngestError(f"weather column {name} must have {n} values, "
                                   f"got {arr.shape}")
-            object.__setattr__(self, column.name, _read_only(arr))
+            columns.append(_read_only(arr))
+        return super().__new__(cls, *columns)
 
     def __len__(self) -> int:
         return len(self.ghi)
 
 
-@dataclass(frozen=True)
-class HourlySeries:
-    """One value per hour of a simulation year, tagged with a unit."""
+class HourlySeries(checked_record(IngestError, ("values", np.ndarray, None),
+                                  ("unit", str, None), ("year", int, None))):
+    """One value per hour of a simulation year, tagged with a unit. Its
+    ``len()`` is the number of hours."""
 
-    values: np.ndarray
-    unit: str
-    year: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        expected = hours_in_year(self.year)
+    def __new__(cls, values, unit: str, year: int):
+        arr = np.asarray(values, dtype=float)
+        expected = hours_in_year(year)
         if arr.shape != (expected,):
             raise IngestError(
-                f"series for {self.year} must have {expected} values, got {arr.shape}"
+                f"series for {year} must have {expected} values, got {arr.shape}"
             )
         if not np.all(np.isfinite(arr)):
             raise IngestError("series contains non-finite values")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        return super().__new__(cls, _read_only(arr.copy()), unit, year)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -163,22 +189,19 @@ class HourlySeries:
                             year=self.year)
 
 
-@dataclass(frozen=True)
-class Calendar:
+class Calendar(checked_record(IngestError,
+                             ("year", int, f"in [{MIN_YEAR}, {MAX_YEAR}]"),
+                             ("holiday_dates", frozenset, None),
+                             ("base_utc_offset_hours", float, None),
+                             ("transitions", tuple, None, ()))):
     """Simulation calendar: UTC hour index with local-time derivation.
 
     ``transitions`` is a sorted tuple of (utc_instant, offset_hours_after)
     pairs; before the first transition the offset is ``base_utc_offset_hours``.
+    Instances keep a ``__dict__`` for the cached local-time arrays.
     """
 
-    year: int
-    holiday_dates: frozenset[dt.date]
-    base_utc_offset_hours: float
-    transitions: tuple[tuple[dt.datetime, float], ...] = ()
-
-    def __post_init__(self):
-        if not MIN_YEAR <= self.year <= MAX_YEAR:
-            raise IngestError(f"year must be in [{MIN_YEAR}, {MAX_YEAR}], got {self.year}")
+    def _rules(self):
         for day in self.holiday_dates:
             if day.year != self.year:
                 raise IngestError(f"holiday {day} falls outside year {self.year}")

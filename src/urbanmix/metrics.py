@@ -10,7 +10,6 @@ load-case difference identity ΔM is provided as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -40,8 +39,7 @@ def _check_same_year(*series):
         raise MetricsError(f"year mismatch: {sorted(years)}")
 
 
-@dataclass(frozen=True)
-class AggregateMetrics:
+class AggregateMetrics(NamedTuple):
     """Annual sums: floats for one scenario, arrays over a scenario axis."""
     pos_mismatch: float
     neg_mismatch: float     # signed, <= 0

@@ -12,42 +12,38 @@ oracle validates it.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import SIGN_CONVENTIONS, GAConfig, OptimizeError, check_weights
 from .generation import generation_mw
-from .ingest import _check_rules
+from .ingest import checked_record
 from .metrics import AggregateMetrics, annual_metrics
 from .scaling import round_half_away
 
 
-@dataclass(frozen=True)
-class MixProblem:
-    g_pv: np.ndarray            # W per m² of panel
-    g_turbine: np.ndarray       # kW per turbine
-    load_mw: np.ndarray         # MW
-    a_roof_m2: float
-    phi_area: float = 3.0
-    weights: tuple[float, float, float] = (1.0, 1.0, -5.0)
-    turbine_footprint_m2: float = 172500.0
-    pv_rated_wm2: float = 107.9
-    sign_convention: str = "magnitude-neg"
-    roof_only_pv: bool = False
+class MixProblem(checked_record(OptimizeError,
+                               ("g_pv", np.ndarray, None),       # W per m² of panel
+                               ("g_turbine", np.ndarray, None),  # kW per turbine
+                               ("load_mw", np.ndarray, None),    # MW
+                               ("a_roof_m2", float, "> 0"),
+                               ("phi_area", float, ">= 1", 3.0),
+                               ("weights", tuple, None, (1.0, 1.0, -5.0)),
+                               ("turbine_footprint_m2", float, "> 0", 172500.0),
+                               ("pv_rated_wm2", float, "> 0", 107.9),
+                               ("sign_convention", str, SIGN_CONVENTIONS, "magnitude-neg"),
+                               ("roof_only_pv", bool, None, False))):
+    __slots__ = ()
 
-    RULES = (("a_roof_m2", float, "> 0"), ("phi_area", float, ">= 1"),
-             ("turbine_footprint_m2", float, "> 0"), ("pv_rated_wm2", float, "> 0"),
-             ("sign_convention", str, SIGN_CONVENTIONS))
+    def __new__(cls, g_pv, g_turbine, load_mw, *args, **kwargs):
+        return super().__new__(cls, *(np.asarray(series, dtype=float)
+                                      for series in (g_pv, g_turbine, load_mw)), *args, **kwargs)
 
-    def __post_init__(self):
-        for name in ("g_pv", "g_turbine", "load_mw"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+    def _rules(self):
         if not len(self.g_pv) == len(self.g_turbine) == len(self.load_mw):
             raise OptimizeError("profile length mismatch")
         check_weights(self.weights, OptimizeError)
-        _check_rules(self, OptimizeError)
 
     @property
     def pv_area_max(self) -> float:
@@ -271,5 +267,5 @@ def solution_report(problem: MixProblem, solution: MixSolution,
     if seed is not None:
         report["seed"] = seed
     if config is not None:
-        report["ga_config"] = asdict(config)
+        report["ga_config"] = config._asdict()
     return report

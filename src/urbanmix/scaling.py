@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
-from .ingest import ValidationError
+from .ingest import ValidationError, checked_record
 
 HOUSEHOLDS_PER_100K = 75.9
 
@@ -89,16 +88,17 @@ def per_100k(national_equivalents: float,
     return round_half_away(national_equivalents / households_per_100k)
 
 
-@dataclass(frozen=True)
-class OfficeBand:
+class OfficeBand(checked_record(ScalingError,
+                               ("min_m2", float, None),
+                               ("max_m2", float | None, None),  # None: the open-ended top band
+                               ("share_pct", float, None),
+                               # midpoint unless given (the top band must give it)
+                               ("avg_m2", float | None, None, None),
+                               ("published_count", int | None, None, None),
+                               ("published_area_m2", float | None, None, None))):
     """One floor-area band of the office stock distribution."""
 
-    min_m2: float
-    max_m2: float | None          # None marks the open-ended top band
-    share_pct: float
-    avg_m2: float | None = None   # midpoint unless given (top band must give it)
-    published_count: int | None = None
-    published_area_m2: float | None = None
+    __slots__ = ()
 
     def average_area(self) -> float:
         if self.avg_m2 is not None:
@@ -146,8 +146,18 @@ def office_band_counts(bands, total_used_area: float) -> list[OfficeBandResult]:
     return results
 
 
-@dataclass(frozen=True)
-class BuildingScalingSpec:
+class BuildingScalingSpec(checked_record(ScalingError,
+                                        ("name", str, None),
+                                        ("method", str, None),
+                                        ("local_inputs", Mapping, None),
+                                        ("reference_inputs", Mapping, None),
+                                        ("roof_area_m2", float, None),
+                                        ("quantity", str, None, ""),
+                                        ("published_national", int | None, None, None),
+                                        ("published_per_100k", int | None, None, None),
+                                        ("alt_published_per_100k", int | None, None, None),
+                                        ("breakdown", Mapping | None, None, None),
+                                        ("notes", str, None, ""))):
     """Declarative scaling recipe for one service-sector consumer type.
 
     ``published_national`` and ``published_per_100k`` pin the published
@@ -157,19 +167,9 @@ class BuildingScalingSpec:
     behind a direct-count total, for provenance.
     """
 
-    name: str
-    method: str
-    local_inputs: Mapping[str, float]
-    reference_inputs: Mapping[str, float]
-    roof_area_m2: float
-    quantity: str = ""
-    published_national: int | None = None
-    published_per_100k: int | None = None
-    alt_published_per_100k: int | None = None
-    breakdown: Mapping[str, int] | None = None
-    notes: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _rules(self):
         if self.method not in METHODS:
             raise ScalingError(f"unknown method {self.method!r} for {self.name}")
         local_keys, ref_keys = _METHOD_INPUTS[self.method]
@@ -212,13 +212,13 @@ def national_count(spec: BuildingScalingSpec, use_published: bool = True) -> int
     return round_half_away(recomputed_national(spec))
 
 
-@dataclass(frozen=True)
-class ServiceMix:
-    """Per-100 000-household reference-building counts, in spec order."""
+class ServiceMix(checked_record(ScalingError, ("entries", tuple, None))):
+    """Per-100 000-household reference-building counts, in spec order:
+    ``entries`` holds (name, count) pairs."""
 
-    entries: tuple[tuple[str, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _rules(self):
         for name, count in self.entries:
             if count < 0:
                 raise ScalingError(f"{name}: negative count {count}")
@@ -251,16 +251,16 @@ def build_service_mix(specs, use_published: bool = True,
     return ServiceMix(entries=tuple(entries))
 
 
-@dataclass(frozen=True)
-class ScalingFixture:
+class ScalingFixture(checked_record(ScalingError,
+                                   ("name", str, None),
+                                   ("households_per_100k", float, None),
+                                   ("specs", tuple, None),  # of BuildingScalingSpec
+                                   ("office_bands", tuple, None, ()),  # of OfficeBand
+                                   ("office_total_used_area_m2", float | None, None, None),
+                                   ("documented_inconsistencies", tuple, None, ()))):
     """A full scaling dataset: building specs plus the office band table."""
 
-    name: str
-    households_per_100k: float
-    specs: tuple[BuildingScalingSpec, ...]
-    office_bands: tuple[OfficeBand, ...] = ()
-    office_total_used_area_m2: float | None = None
-    documented_inconsistencies: tuple[str, ...] = ()
+    __slots__ = ()
 
     def spec(self, name: str) -> BuildingScalingSpec:
         for s in self.specs:

@@ -8,7 +8,6 @@ statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -55,8 +54,7 @@ class BandRow(NamedTuple):
     verdict: str
 
 
-@dataclass(frozen=True)
-class ReconciliationReport:
+class ReconciliationReport(NamedTuple):
     rows: tuple[ReconciliationRow, ...]
     band_rows: tuple[BandRow, ...]
     notes: tuple[str, ...] = ()

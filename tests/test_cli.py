@@ -274,9 +274,64 @@ def assert_config_error(tmp_path, capsys, raw):
     {"weights": [1, 0, -5]},
     {"weights": [1, 1, 5]},
     {"area": {"phi_area": 0.5}},
+    {"area": {"service_roofs": {"office": 10}}},
 ])
 def test_bad_config_sections_exit_1(tmp_path, capsys, raw):
     assert_config_error(tmp_path, capsys, raw)
+
+
+@pytest.mark.parametrize("command", ["profiles", "optimize"])
+def test_service_roofs_missing_a_building_type_exits_1(tmp_path, capsys, command):
+    # a non-empty map gives every building type of the scaling fixture
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"area": {"service_roofs": {"office": 10}}}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), command]) == 1
+    assert capsys.readouterr().err == "error: config: area.service_roofs.hospital is missing\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("key, fixture, change, field", [
+    ("calendar", "calendar_nl2014.json",
+     lambda raw: raw.update(base_utc_offset_hours=float("nan")), "base_utc_offset_hours"),
+    ("scaling", "scaling_nl2014.json",
+     lambda raw: raw["buildings"][0].update(roof_area_m2=float("nan")), "roof_area_m2"),
+])
+def test_non_finite_number_in_a_fixture_file_exits_1(tmp_path, capsys, key, fixture, change,
+                                                       field):
+    # the calendar and scaling records read their numbers with the config checker
+    raw = json.loads((Path(urbanmix.__file__).parent / "data" / fixture).read_text())
+    change(raw)
+    (tmp_path / fixture).write_text(json.dumps(raw))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({key: fixture}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "profiles"]) == 1
+    assert capsys.readouterr().err == (f"error: cannot read {key} file {tmp_path / fixture}: "
+                                       f"{field} must be a finite number, got nan\n")
+
+
+def optimize_outputs(tmp_path, name, raw):
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / name
+    assert main(["--config", str(cfg), "--out", str(out), "optimize"]) == 0
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+def test_integer_in_a_float_field_writes_the_same_report(tmp_path):
+    ga = {"max_generations": 2}
+    whole = optimize_outputs(tmp_path, "whole", {"ga": {**ga, "blend_alpha": 1}})
+    assert whole == optimize_outputs(tmp_path, "float", {"ga": {**ga, "blend_alpha": 1.0}})
+    assert b'"blend_alpha": 1.0,' in whole["optimize_report.json"]
+
+
+def test_absent_and_empty_service_roofs_mean_the_fixtures(tmp_path):
+    ga = {"max_generations": 2}
+    absent = optimize_outputs(tmp_path, "absent", {"ga": ga})
+    roofs = default_config().scaling_fixture.roof_areas()
+    for name, given in (("empty", {}), ("fixture", roofs)):
+        raw = {"ga": ga, "area": {"service_roofs": given}}
+        assert optimize_outputs(tmp_path, name, raw) == absent, name
 
 
 @pytest.fixture(scope="module")

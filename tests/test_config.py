@@ -3,8 +3,9 @@ import re
 
 import pytest
 
-from urbanmix.config import (ConfigError, assemble, default_config,
+from urbanmix.config import (ConfigError, GAConfig, assemble, default_config,
                              load_config)
+from urbanmix.generation import PvParams, TurbineParams
 
 
 def write(tmp_path, payload, name="config.json"):
@@ -36,6 +37,44 @@ def test_with_seed():
     config = default_config()
     assert config.with_seed(9).seed == 9
     assert config.seed == 0
+    with pytest.raises(ConfigError, match=exactly("seed must be >= 0, got -1")):
+        config.with_seed(-1)
+
+
+@pytest.mark.parametrize("record, changes", [
+    (PvParams, {"temp_coefficient": 0.1}),
+    (PvParams, {"model": "bogus"}),
+    (TurbineParams, {"cp": 0.7}),
+    (TurbineParams, {"cut_in_ms": 30.0}),
+    (GAConfig, {"elite": 50}),
+])
+def test_derived_records_stay_checked(record, changes):
+    # `_replace` and `_make` build through the checking constructor
+    with pytest.raises(ValueError) as built:
+        record(**changes)
+    message = exactly(str(built.value))
+    with pytest.raises(type(built.value), match=message):
+        record()._replace(**changes)
+    with pytest.raises(type(built.value), match=message):
+        record._make({**record()._asdict(), **changes}.values())
+
+
+def test_float_fields_hold_floats(tmp_path):
+    assert type(TurbineParams(hub_height_m=50).hub_height_m) is float
+    assert type(TurbineParams()._replace(cut_out_ms=30).cut_out_ms) is float
+    config = load_config(write(tmp_path, {"ga": {"blend_alpha": 1}, "pv": {"noct_offset_c": 27}}))
+    assert type(config.ga.blend_alpha) is float and config.ga.blend_alpha == 1.0
+    assert type(config.pv.noct_offset_c) is float
+
+
+def test_service_roofs_must_cover_the_fixture(tmp_path):
+    with pytest.raises(ConfigError,
+                       match=exactly("config: area.service_roofs.hospital is missing")):
+        load_config(write(tmp_path, {"area": {"service_roofs": {"office": 10}}}))
+    roofs = default_config().scaling_fixture.roof_areas()
+    for given in ({}, roofs, {**roofs, "office": 10.0}):  # names beyond the fixture are kept
+        config = load_config(write(tmp_path, {"area": {"service_roofs": given}}))
+        assert config.area.service_roofs == given
 
 
 def test_minimal_config(tmp_path):

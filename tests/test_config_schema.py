@@ -1,42 +1,43 @@
-"""Configs drawn from the schema table and the records' RULES rows: every valid
-draw loads, and every draw with one fault is rejected with the one-line
-ConfigError that names the fault."""
+"""Configs drawn from the schema table and the records' rows: every valid draw
+loads, and every draw with one fault is rejected with the one-line ConfigError
+that names the fault."""
 
 import contextlib
 import copy
-import dataclasses
 import functools
 import io
 import json
 import re
 import tempfile
+from collections.abc import Mapping
 from pathlib import Path
-from typing import get_type_hints
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urbanmix.cli import main
-from urbanmix.config import _BUILTIN_CALENDAR, _SCHEMA, ConfigError, GAConfig, load_config
+from urbanmix.config import (_BUILTIN_CALENDAR, _SCHEMA, ConfigError, GAConfig, SimulationConfig,
+                             default_config, load_config)
 from urbanmix.generation import GenerationError, TurbineParams
 from urbanmix.optimize import OptimizeError
-from urbanmix.scaling import default_fixture_path
+from urbanmix.scaling import default_fixture_path, load_default_fixture
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 ROWS = {path: (kind, constraint) for path, kind, constraint, _ in _SCHEMA}
-RECORDS = {path: kind for path, (kind, _) in ROWS.items() if dataclasses.is_dataclass(kind)}
+RECORDS = {path: kind for path, (kind, _) in ROWS.items()
+           if isinstance(kind, type) and issubclass(kind, tuple)}
 # objects that only hold rows: "sweep", "mix_preset", "stats"
 SECTIONS = sorted({path.split(".")[0] for path in ROWS if "." in path} - set(RECORDS))
 INPUT_FILES = ("weather", "household_profile", "reference_profile_dir")
 # Every scalar field of every record, by its config path: (record, kind,
-# constraint). The kind is the field's annotation and the constraint that of
-# its RULES row, so a field without a row is still drawn, and its faults must
-# still be rejected.
+# constraint), read from the record's row.
 RECORD_FIELDS = {
-    f"{path}.{name}": (record, kind, {row[0]: row[2] for row in record.RULES}.get(name))
+    f"{path}.{name}": (record, kind, constraint)
     for path, record in RECORDS.items()
-    for name, kind in get_type_hints(record).items() if kind in (int, float, str)}
+    for name, kind, constraint, *_ in record._rows if kind in (int, float, str)}
+# A non-empty `area.service_roofs` must give every building type of the fixture.
+BUILDING_TYPES = list(load_default_fixture().roof_areas())
 NOUNS = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string",
          Path: "a file name"}
 
@@ -77,7 +78,7 @@ def scalars(kind, constraint):
 
 def cross_field(record, values):
     """``values`` changed to keep the rules that relate two of ``record``'s fields."""
-    merged = {**dataclasses.asdict(record()), **values}
+    merged = {**record()._asdict(), **values}
     if record is TurbineParams and not merged["cut_in_ms"] < merged["cut_out_ms"]:
         values["cut_out_ms"] = merged["cut_in_ms"] + 1.0
     if record is GAConfig:  # 1 <= tournament_k <= population and 0 <= elite < population
@@ -88,7 +89,7 @@ def cross_field(record, values):
 
 def record_fields(path):
     """Field values for the record at ``path``: a few of its fields, each drawn
-    from its RULES row, then made to keep its cross-field rules."""
+    from its row, then made to keep its cross-field rules."""
     names = [key.rpartition(".")[2] for key in RECORD_FIELDS if key.rpartition(".")[0] == path]
     record = RECORDS[path]
 
@@ -99,9 +100,9 @@ def record_fields(path):
             _, kind, constraint = RECORD_FIELDS[f"{path}.{name}"]
             values[name] = draw(scalars(kind, constraint))
         if path == "area" and draw(st.booleans()):
-            values["service_roofs"] = draw(st.dictionaries(
-                st.sampled_from(["office", "school", "hospital"]), numbers(float, ">= 0"),
-                max_size=3))
+            values["service_roofs"] = draw(st.just({}) | st.fixed_dictionaries(
+                dict.fromkeys(BUILDING_TYPES, numbers(float, ">= 0")),
+                optional={"school": numbers(float, ">= 0")}))
         return cross_field(record, values)
     return draw_fields()
 
@@ -116,7 +117,7 @@ def valid_value(path, kind, constraint):
             return st.just(str(default_fixture_path()))
         return st.sampled_from(["input.csv", "inputs/profiles"])
     if path == "seed":
-        return st.integers(0, 2 ** 63)  # SimulationConfig's RULES check it is >= 0
+        return st.integers(0, 2 ** 63)  # SimulationConfig's row checks it is >= 0
     if kind is bool:
         return st.booleans()
     if kind in (int, float, str):
@@ -222,7 +223,8 @@ def faults_at(path):
         faults += [(5, "config: area.service_roofs must map building names to roof areas, got 5"),
                    ({"office": -1.0}, "config: area.service_roofs.office must be >= 0, got -1.0"),
                    ({"office": "x"},
-                    "config: area.service_roofs.office must be a finite number, got 'x'")]
+                    "config: area.service_roofs.office must be a finite number, got 'x'"),
+                   ({"office": 10}, "config: area.service_roofs.hospital is missing")]
     if kind == [float]:
         faults += [("x", "config: weights must be a list of 3 values, got 'x'"),
                    ([1.0, 2.0], "config: weights must be a list of 3 values, got [1.0, 2.0]"),
@@ -314,13 +316,14 @@ def test_scale_on_drawn_configs_exits_0_or_1(draw):
 
 
 def test_every_record_field_has_one_rule():
-    # a row for each scalar field, of the field's own kind; diode and
-    # service_roofs are not scalars, and their records check them by hand
+    # each scalar row's default is a value of its kind that meets its
+    # constraint; diode and service_roofs are not scalars, and their records
+    # check them by hand
     for path, record in RECORDS.items():
-        hints = get_type_hints(record)
-        scalar = [name for name, kind in hints.items() if kind in (int, float, str)]
-        assert sorted(row[0] for row in record.RULES) == sorted(scalar), path
-        assert all(hints[name] is kind for name, kind, _ in record.RULES), path
+        default = record()
+        for (name, kind, *_), value in zip(record._rows, default):
+            assert kind not in (int, float, bool, str) or type(value) is kind, (path, name)
+        assert default._asdict() == record._field_defaults, path
 
 
 @pytest.mark.parametrize("path", sorted(RECORD_FIELDS))
@@ -334,10 +337,40 @@ def test_every_record_field_rejects_its_faults(path):
             record(**{name: value})
 
 
+def as_json(value):
+    """``value``, a default, as the JSON that sets it; a record field whose
+    default is None (no file, no diode) is left out, as JSON has no value for it."""
+    if hasattr(value, "_asdict"):
+        return {name: as_json(field) for name, field in value._asdict().items()
+                if field is not None}
+    if isinstance(value, tuple):
+        return [as_json(item) for item in value]
+    return dict(value) if isinstance(value, Mapping) else value
+
+
+def test_writing_every_default_out_changes_nothing():
+    # every key, from the schema rows and SimulationConfig's defaults; the two
+    # files and the year are what `_resolve` reads when none is given
+    defaults = {**SimulationConfig._field_defaults, "year": default_config().year,
+                "calendar": str(_BUILTIN_CALENDAR),
+                "scaling_fixture": str(default_fixture_path())}
+    config, written = {}, set()
+    for path, _, _, target in _SCHEMA:
+        if target in defaults and defaults[target] is not None:
+            put(config, path, as_json(defaults[target]))
+            written.add(path)
+    assert set(ROWS) - written == set(INPUT_FILES) | {"pv.diode"}
+    for path in written & RECORDS.keys():  # each record field, unless its default is None
+        given = functools.reduce(dict.get, path.split("."), config)
+        assert given.keys() >= {field for field, default in RECORDS[path]._field_defaults.items()
+                                if default is not None}, path
+    assert load(config) == default_config()
+
+
 def test_readme_names_every_config_key():
     documented = set(re.findall(r"`([a-z_][a-z0-9_.]*)`", README.read_text()))
     keys = set(ROWS)
     for path, record in RECORDS.items():
-        keys |= {f"{path}.{field.name}" for field in dataclasses.fields(record)}
+        keys |= {f"{path}.{name}" for name in record._fields}
     missing = sorted(keys - documented)
     assert not missing, f"README does not name {missing}"

@@ -1,6 +1,5 @@
 import filecmp
 import json
-from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -79,7 +78,7 @@ def hexed(cell):
         return tuple((type(v), float.hex(v) if isinstance(v, float) else v)
                      for v in values)
     return (exact((cell.pv_mw, cell.wind_mw)),
-            exact(astuple(cell.residential)), exact(astuple(cell.mixed)),
+            exact(tuple(cell.residential)), exact(tuple(cell.mixed)),
             {name: exact(tuple(test)) for name, test in cell.tests.items()},
             {name: exact((value,)) for name, value in cell.delta_sums.items()},
             {name: exact((value,)) for name, value in cell.delta_hourly_means.items()})
@@ -89,7 +88,7 @@ def hexed(cell):
 def test_grid_cell_is_evaluate_cell_with_holm_flags(config2014, pooled):
     # the columnar grid gives back, bit for bit, what evaluate_cell returned,
     # with the reject flags of apply_holm over each metric's family
-    config = replace(config2014, sweep_steps=4, pooled=pooled)
+    config = config2014._replace(sweep_steps=4, pooled=pooled)
     grid = run_experiment1(config)
     prep = prepare(config)
     cells = {(pv, wind): evaluate_cell(pv, wind, prep, pooled=pooled)
