@@ -21,8 +21,8 @@ _EXPORTS = {
     "demand": ("MIXED", "RESIDENTIAL_ONLY", "LoadCase", "build_load_cases", "compute_phi"),
     "generation": ("AreaBudget", "PvParams", "TurbineParams", "capacity_coefficients",
                    "generation_mw", "pv_unit_series", "wind_unit_series"),
-    "ingest": ("Calendar", "HourlySeries", "IngestError", "WeatherFrame", "WeatherRecord",
-               "build_calendar", "load_profile", "load_weather"),
+    "ingest": ("Calendar", "HourlySeries", "IngestError", "WeatherFrame", "build_calendar",
+               "load_profile", "load_weather"),
     "metrics": ("AggregateMetrics", "HourlySplit", "annual_metrics", "delta_mismatch",
                 "hourly_split"),
     "optimize": ("MixProblem", "MixSolution", "ga_optimize", "grid_oracle"),

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ingest import Calendar, HourlySeries, ValidationError, checked_record
+from .ingest import Calendar, ValidationError, checked_record
 
 DAY_KINDS = ("weekday", "weekend")
 TIME_BANDS = ("night", "day", "evening")
@@ -30,21 +30,11 @@ class ClassifyError(ValidationError):
 
 
 class CategoryKey(checked_record(ClassifyError,
-                                ("day_kind", str, None),
-                                ("time_band", str, None),
-                                ("solar_bin", int, None),
-                                ("wind_bin", int, None))):
+                                ("day_kind", str, DAY_KINDS),
+                                ("time_band", str, TIME_BANDS),
+                                ("solar_bin", int, f"in [1, {N_BINS}]"),
+                                ("wind_bin", int, f"in [1, {N_BINS}]"))):
     __slots__ = ()
-
-    def _rules(self):
-        if self.day_kind not in DAY_KINDS:
-            raise ClassifyError(f"unknown day kind {self.day_kind!r}")
-        if self.time_band not in TIME_BANDS:
-            raise ClassifyError(f"unknown time band {self.time_band!r}")
-        if not 1 <= self.solar_bin <= N_BINS or not 1 <= self.wind_bin <= N_BINS:
-            raise ClassifyError(
-                f"bins must be 1..{N_BINS}, got ({self.solar_bin}, {self.wind_bin})"
-            )
 
 
 @functools.cache
@@ -74,15 +64,9 @@ class BinEdges(checked_record(ClassifyError,
                 raise ClassifyError("edges must lie within [0, 100]")
 
 
-def _as_array(series):
-    if isinstance(series, HourlySeries):
-        return series.values
-    return np.asarray(series, dtype=float)
-
-
 def percent_of_capacity(generation, capacity_mw: float) -> np.ndarray:
     """Generation as percent of installed capacity; zero capacity gives zeros."""
-    g = _as_array(generation)
+    g = np.asarray(generation, dtype=float)
     if capacity_mw < 0:
         raise ClassifyError(f"capacity must be non-negative, got {capacity_mw}")
     if capacity_mw == 0:
@@ -97,8 +81,8 @@ def compute_bins(solar_pct, wind_pct, daylight_mask) -> BinEdges:
     since solar output is identically zero at night and would otherwise
     collapse the lower quantiles.
     """
-    solar = _as_array(solar_pct)
-    wind = _as_array(wind_pct)
+    solar = np.asarray(solar_pct, dtype=float)
+    wind = np.asarray(wind_pct, dtype=float)
     mask = np.asarray(daylight_mask, dtype=bool)
     if len(solar) != len(wind) or len(solar) != len(mask):
         raise ClassifyError("series length mismatch")
@@ -132,8 +116,8 @@ def classify_year(solar_pct, wind_pct, edges: BinEdges, calendar: Calendar,
                   holidays_as_weekend: bool = True) -> np.ndarray:
     """Category code of every hour of the calendar year: the index of its
     key in ``all_category_keys()``."""
-    solar = _as_array(solar_pct)
-    wind = _as_array(wind_pct)
+    solar = np.asarray(solar_pct, dtype=float)
+    wind = np.asarray(wind_pct, dtype=float)
     if len(solar) != calendar.n_hours or len(wind) != calendar.n_hours:
         raise ClassifyError("series length does not match calendar")
     weekend = calendar.weekend_kind(holidays_as_weekend)
@@ -160,7 +144,7 @@ def _checked_codes(codes) -> np.ndarray:
 def _defined(codes, metric) -> tuple[np.ndarray, np.ndarray]:
     """The codes and values of the hours where the metric is defined (not NaN)."""
     codes = _checked_codes(codes)
-    values = _as_array(metric)
+    values = np.asarray(metric, dtype=float)
     if len(codes) != len(values):
         raise ClassifyError("codes and metric length mismatch")
     ok = ~np.isnan(values)

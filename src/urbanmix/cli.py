@@ -170,7 +170,7 @@ def cmd_classify(args, config: SimulationConfig) -> int:
 
     result = experiments.run_experiment2(config, out_dir=args.out,
                                          pv_mw=args.pv_mw, wind_mw=args.wind_mw)
-    print(f"classified 8760 hours at mix ({result.pv_mw} MW PV, "
+    print(f"classified {config.calendar.n_hours} hours at mix ({result.pv_mw} MW PV, "
           f"{result.wind_mw} MW wind) into {len(result.counts)} categories")
     occupied = sum(1 for c in result.counts.values() if c > 0)
     print(f"occupied categories: {occupied}; tables written to {args.out}")
@@ -179,11 +179,12 @@ def cmd_classify(args, config: SimulationConfig) -> int:
 
 def cmd_optimize(args, config: SimulationConfig) -> int:
     from . import experiments
+    from .generation import TURBINE_UNIT_MW
 
     problem, solution, report = experiments.run_optimize(config, out_dir=args.out)
     print(f"best mix: {solution.pv_mw:.1f} MW PV "
           f"({solution.x_pv_m2:.0f} m2 panels), {solution.turbines} turbines "
-          f"({solution.turbines * 0.5:.1f} MW wind)")
+          f"({solution.turbines * TURBINE_UNIT_MW:.1f} MW wind)")
     print(f"objective {solution.objective!r} "
           f"(rounded-turbine {solution.objective_rounded!r}) "
           f"after {solution.generations} generations")

@@ -17,15 +17,13 @@ MIXED = "mixed"
 
 
 class LoadCase(checked_record(DemandError,
-                             ("kind", str, None),
+                             ("kind", str, (RESIDENTIAL_ONLY, MIXED)),
                              ("series", HourlySeries, None),
                              ("annual_energy", float, None),  # kWh for a kW series
                              ("phi", float | None, None, None))):  # set for residential-only
     __slots__ = ()
 
     def _rules(self):
-        if self.kind not in (RESIDENTIAL_ONLY, MIXED):
-            raise DemandError(f"unknown load case kind {self.kind!r}")
         if np.any(self.series.values < 0):
             raise DemandError("load series must be non-negative")
 

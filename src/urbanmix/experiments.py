@@ -280,8 +280,7 @@ def run_experiment2(config: SimulationConfig, out_dir=None,
 
     delta = delta_mismatch(prep.inputs.service.values / 1000.0,
                            prep.inputs.household.values / 1000.0, prep.phi)
-    delta_values = delta.values if isinstance(delta, HourlySeries) else delta
-    delta_aggregates = classify.aggregate_by_category(keys, delta_values)
+    delta_aggregates = classify.aggregate_by_category(keys, delta)
 
     tests = {}
     for metric in CATEGORY_METRICS:

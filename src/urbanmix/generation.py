@@ -14,8 +14,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .ingest import (MIN_TEMP_C, HourlySeries, ValidationError, WeatherFrame, WeatherRecord,
-                     _check, checked_record)
+from .ingest import (MIN_TEMP_C, HourlySeries, ValidationError, WeatherFrame, _check,
+                     checked_record)
 from .scaling import ServiceMix, round_half_away
 
 R_DRY_AIR = 287.05          # J/(kg K)
@@ -118,33 +118,8 @@ def hub_height_speed(v0, params: TurbineParams):
     return v0 * (params.hub_height_m / 10.0) ** params.shear_exponent
 
 
-def wind_power(record: WeatherRecord, params: TurbineParams = TurbineParams()) -> float:
-    """kW produced by one turbine in the given hour.
-
-    Swept-area power 0.5 ρ A V³ Cp at hub-height speed, zero outside the
-    cut-in/cut-out window, clipped at nominal power.
-    """
-    return _wind_kw(record.wind_speed_10m, record.temp, record.pressure, params)
-
-
-def _wind_kw(wind_speed_10m: float, temp: float, pressure: float,
-             params: TurbineParams) -> float:
-    # Python floats: numpy's v ** 3 can differ in the last bit.
-    rho = air_density(temp, pressure)
-    v = hub_height_speed(wind_speed_10m, params)
-    if v < params.cut_in_ms or v > params.cut_out_ms:
-        return 0.0
-    raw_w = 0.5 * rho * params.rotor_area_m2 * v ** 3 * params.cp
-    return min(raw_w / 1000.0, params.nominal_power_kw)
-
-
 def cell_temperature(temp, ghi, params: PvParams):
     return temp + params.noct_offset_c * (ghi / NOCT_IRRADIANCE)
-
-
-def pv_power(record: WeatherRecord, params: PvParams = PvParams()) -> float:
-    """W per m² of panel for the given hour."""
-    return float(_pv_wm2(np.array([record.ghi]), np.array([record.temp]), params)[0])
 
 
 def _pv_wm2(ghi: np.ndarray, temp: np.ndarray, params: PvParams) -> np.ndarray:
@@ -249,15 +224,18 @@ def pv_unit_series(weather: WeatherFrame, year: int,
 
 def wind_unit_series(weather: WeatherFrame, year: int,
                      params: TurbineParams = TurbineParams()) -> HourlySeries:
-    """Per-turbine output for a weather year, kW: `wind_power` of every hour,
-    over the columns."""
+    """Per-turbine output for a weather year, kW.
+
+    Swept-area power 0.5 ρ A V³ Cp at hub-height speed, zero outside the
+    cut-in/cut-out window, clipped at nominal power.
+    """
     temp, pressure = weather.temp, weather.pressure
     bad = np.flatnonzero((temp <= MIN_TEMP_C) | (pressure <= 0))
     if len(bad):
         air_density(float(temp[bad[0]]), float(pressure[bad[0]]))  # raises its message
     rho = pressure / (R_DRY_AIR * (temp + 273.15))
     v = hub_height_speed(weather.wind_speed_10m, params)
-    # "not outside" rather than "inside": a NaN speed gives NaN, as per hour
+    # "not outside" rather than "inside": a NaN speed stays NaN instead of reading as calm
     run = ~((v < params.cut_in_ms) | (v > params.cut_out_ms))
     # Python floats: numpy's v ** 3 can differ in the last bit.
     v_cubed = np.array([x ** 3 for x in v[run].tolist()])

@@ -18,7 +18,6 @@ import sys
 import warnings
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -120,16 +119,6 @@ def hours_in_year(year: int) -> int:
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
-
-
-class WeatherRecord(NamedTuple):
-    """One hour of weather in canonical units (the argument of per-hour models)."""
-
-    hour_index: int
-    ghi: float            # global horizontal irradiance, W/m²
-    temp: float           # ambient temperature, °C
-    pressure: float       # Pa
-    wind_speed_10m: float  # m/s at 10 m
 
 
 class WeatherFrame(checked_record(IngestError,

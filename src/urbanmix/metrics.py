@@ -14,29 +14,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ingest import HourlySeries, ValidationError
+from .ingest import ValidationError
 
 
 class MetricsError(ValidationError):
     pass
-
-
-def _values(series) -> np.ndarray:
-    if isinstance(series, HourlySeries):
-        return series.values
-    return np.asarray(series, dtype=float)
-
-
-def _check_same_length(*arrays):
-    lengths = {len(a) for a in arrays}
-    if len(lengths) != 1:
-        raise MetricsError(f"length mismatch: {sorted(lengths)}")
-
-
-def _check_same_year(*series):
-    years = {s.year for s in series if isinstance(s, HourlySeries)}
-    if len(years) > 1:
-        raise MetricsError(f"year mismatch: {sorted(years)}")
 
 
 class AggregateMetrics(NamedTuple):
@@ -52,10 +34,6 @@ class AggregateMetrics(NamedTuple):
         if self.generation > 0:
             return self.utilisation / self.generation
         return None
-
-    def as_row(self):
-        return (self.pos_mismatch, self.neg_mismatch, self.utilisation,
-                self.self_consumption)
 
 
 class HourlySplit(NamedTuple):
@@ -80,8 +58,7 @@ class HourlySplit(NamedTuple):
 
 
 def _checked(G, L):
-    g, load = _values(G), _values(L)
-    _check_same_year(G, L)
+    g, load = np.asarray(G, dtype=float), np.asarray(L, dtype=float)
     if g.ndim not in (1, 2) or load.ndim != 1 or g.shape[-1] != len(load):
         raise MetricsError(f"length mismatch: generation {g.shape}, load {load.shape}")
     # min(initial=0) is negative exactly when some value is; empty arrays pass
@@ -131,15 +108,12 @@ def annual_metrics(G, L) -> AggregateMetrics:
     return _reduce(_terms(g, load), g)
 
 
-def delta_mismatch(s, h, phi: float):
+def delta_mismatch(s, h, phi: float) -> np.ndarray:
     """Pointwise mismatch difference between load cases: s − (phi−1)·h.
 
     Independent of the generation series, which cancels out of M_r − M_m.
     """
-    sv, hv = _values(s), _values(h)
-    _check_same_length(sv, hv)
-    _check_same_year(s, h)
-    values = sv - (phi - 1.0) * hv
-    if isinstance(h, HourlySeries):
-        return h.with_values(values)
-    return values
+    sv, hv = np.asarray(s, dtype=float), np.asarray(h, dtype=float)
+    if len(sv) != len(hv):
+        raise MetricsError(f"length mismatch: {sorted((len(sv), len(hv)))}")
+    return sv - (phi - 1.0) * hv

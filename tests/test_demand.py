@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -77,6 +79,13 @@ def test_load_case_rejects_negative_series():
     series = HourlySeries(values, unit="kW", year=2014)
     with pytest.raises(DemandError):
         LoadCase(kind=MIXED, series=series, annual_energy=series.total())
+
+
+def test_load_case_rejects_unknown_kind():
+    series = HourlySeries(np.ones(8760), unit="kW", year=2014)
+    message = "kind must be one of ('residential-only', 'mixed'), got 'industrial'"
+    with pytest.raises(DemandError, match=f"^{re.escape(message)}$"):
+        LoadCase(kind="industrial", series=series, annual_energy=series.total())
 
 
 @given(st.floats(min_value=0.1, max_value=100.0),

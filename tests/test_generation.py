@@ -6,20 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from generation_oracle import pv_hour, wind_hour, wind_kw
 from urbanmix.generation import (PV_BLOCK_HOURS, STC_CELL_TEMP, STC_IRRADIANCE,
                                  AreaBudget, GenerationError, PvParams,
                                  SingleDiodeParams, TurbineParams, _pv_wm2,
                                  air_density, area_budget_totals,
                                  capacity_coefficients, cell_temperature,
-                                 generation_mw, hub_height_speed, pv_power,
-                                 pv_unit_series, wind_power, wind_unit_series)
-from urbanmix.ingest import WeatherFrame, WeatherRecord
+                                 generation_mw, hub_height_speed,
+                                 pv_unit_series, wind_unit_series)
+from urbanmix.ingest import WeatherFrame
 from urbanmix.scaling import ServiceMix
-
-
-def record(ghi=0.0, temp=15.0, pressure=101325.0, wind=0.0, hour=0):
-    return WeatherRecord(hour_index=hour, ghi=ghi, temp=temp,
-                         pressure=pressure, wind_speed_10m=wind)
 
 
 def test_air_density_standard_conditions():
@@ -38,12 +34,12 @@ def test_hub_height_speed_power_law():
 
 
 def test_wind_power_below_cut_in():
-    assert wind_power(record(wind=1.0), TurbineParams()) == 0.0
+    assert wind_hour(wind=1.0) == 0.0
 
 
 def test_wind_power_above_cut_out():
     # 24 m/s at 10 m exceeds 25 m/s at hub height after the shear correction
-    assert wind_power(record(wind=24.0), TurbineParams()) == 0.0
+    assert wind_hour(wind=24.0) == 0.0
 
 
 def test_wind_power_mid_range_hand_value():
@@ -53,7 +49,7 @@ def test_wind_power_mid_range_hand_value():
     rho = 1.225
     temp = 15.0
     pressure = rho * 287.05 * (temp + 273.15)
-    kw = wind_power(record(wind=6.0, temp=temp, pressure=pressure), params)
+    kw = wind_hour(wind=6.0, temp=temp, pressure=pressure, params=params)
     v_hub = 6.0 * 5.0 ** 0.15
     expected = 0.5 * rho * params.rotor_area_m2 * v_hub ** 3 * params.cp / 1000.0
     assert kw == pytest.approx(expected, rel=1e-12)
@@ -61,7 +57,7 @@ def test_wind_power_mid_range_hand_value():
 
 
 def test_wind_power_clips_at_nominal():
-    kw = wind_power(record(wind=10.0, temp=15.0, pressure=101325.0), TurbineParams())
+    kw = wind_hour(wind=10.0, temp=15.0, pressure=101325.0)
     assert kw == 500.0
 
 
@@ -70,12 +66,12 @@ def test_wind_power_cut_boundaries_use_hub_speed():
     shear = 5.0 ** 0.15
     just_below_cut_in = (params.cut_in_ms / shear) * 0.999
     just_above_cut_in = (params.cut_in_ms / shear) * 1.001
-    assert wind_power(record(wind=just_below_cut_in), params) == 0.0
-    assert wind_power(record(wind=just_above_cut_in), params) > 0.0
+    assert wind_hour(wind=just_below_cut_in, params=params) == 0.0
+    assert wind_hour(wind=just_above_cut_in, params=params) > 0.0
     just_below_cut_out = (params.cut_out_ms / shear) * 0.999
     just_above_cut_out = (params.cut_out_ms / shear) * 1.001
-    assert wind_power(record(wind=just_below_cut_out), params) == 500.0
-    assert wind_power(record(wind=just_above_cut_out), params) == 0.0
+    assert wind_hour(wind=just_below_cut_out, params=params) == 500.0
+    assert wind_hour(wind=just_above_cut_out, params=params) == 0.0
 
 
 def test_cell_temperature_offset():
@@ -85,12 +81,12 @@ def test_cell_temperature_offset():
 
 
 def test_pv_power_zero_at_night():
-    assert pv_power(record(ghi=0.0), PvParams()) == 0.0
+    assert pv_hour(ghi=0.0) == 0.0
 
 
 def test_pv_power_linear_derate_hand_value():
     params = PvParams()
-    w = pv_power(record(ghi=500.0, temp=10.0), params)
+    w = pv_hour(ghi=500.0, temp=10.0, params=params)
     t_cell = 10.0 + 27.0 * (500.0 / 800.0)
     expected = params.rated_power_density_wm2 * 0.5 * (1 - 0.005 * (t_cell - 25.0))
     assert w == pytest.approx(expected, rel=1e-12)
@@ -99,18 +95,20 @@ def test_pv_power_linear_derate_hand_value():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("model", ["linear-derate", "single-diode"])
 def test_pv_power_keeps_nan_irradiance(model):
-    assert math.isnan(pv_power(record(ghi=float("nan")), PvParams(model=model)))
+    # a series cannot hold NaN, so the hour goes through the array kernel alone
+    watts = _pv_wm2(np.array([math.nan]), np.array([15.0]), PvParams(model=model))
+    assert math.isnan(watts[0])
 
 
 def test_pv_power_clamped_to_rated():
     params = PvParams()
     # very cold and bright: the temperature boost would exceed the rating
-    w = pv_power(record(ghi=1100.0, temp=-30.0), params)
+    w = pv_hour(ghi=1100.0, temp=-30.0, params=params)
     assert w == params.rated_power_density_wm2
 
 
 def test_pv_power_never_negative():
-    w = pv_power(record(ghi=100.0, temp=90.0), PvParams())
+    w = pv_hour(ghi=100.0, temp=90.0)
     assert w >= 0.0
 
 
@@ -118,7 +116,7 @@ def test_single_diode_model_close_to_linear_at_stc():
     diode = SingleDiodeParams()
     linear = PvParams()
     single = PvParams(model="single-diode", diode=diode)
-    w_stc = pv_power(record(ghi=1000.0, temp=25.0 - 27.0 * 1000.0 / 800.0), single)
+    w_stc = pv_hour(ghi=1000.0, temp=25.0 - 27.0 * 1000.0 / 800.0, params=single)
     assert w_stc > 0
     # same order of magnitude as the rated density at STC cell temperature
     assert w_stc == pytest.approx(linear.rated_power_density_wm2, rel=0.15)
@@ -126,8 +124,8 @@ def test_single_diode_model_close_to_linear_at_stc():
 
 def test_single_diode_monotonic_in_irradiance():
     single = PvParams(model="single-diode", diode=SingleDiodeParams())
-    low = pv_power(record(ghi=200.0, temp=15.0), single)
-    high = pv_power(record(ghi=800.0, temp=15.0), single)
+    low = pv_hour(ghi=200.0, temp=15.0, params=single)
+    high = pv_hour(ghi=800.0, temp=15.0, params=single)
     assert 0 < low < high
 
 
@@ -253,7 +251,7 @@ def test_single_diode_year_matches_per_hour_oracle(weather2014, calendar2014):
     expected = np.array([reference_mpp(ghi[h], temp[h], params, SingleDiodeParams())
                          for h in hours]) / params.panel_area_m2
     assert np.array_equal(series[hours], expected)
-    assert pv_power(record(ghi=ghi[day[0]], temp=temp[day[0]]), params) == series[day[0]]
+    assert pv_hour(ghi[day[0]], temp[day[0]], params) == series[day[0]]
     night = np.ones(len(series), dtype=bool)
     night[day] = False
     assert not series[night].any()
@@ -264,7 +262,7 @@ def test_single_diode_year_matches_per_hour_oracle(weather2014, calendar2014):
 def test_wind_year_matches_per_hour_power(weather2014, wind_unit):
     hours = zip(weather2014.temp.tolist(), weather2014.pressure.tolist(),
                 weather2014.wind_speed_10m.tolist())
-    expected = [wind_power(record(temp=t, pressure=p, wind=v)) for t, p, v in hours]
+    expected = [wind_kw(v, t, p) for t, p, v in hours]
     assert np.array_equal(wind_unit.values, expected)
     assert wind_unit.values.any()
 
@@ -295,8 +293,7 @@ def test_wind_columns_bit_equal_to_wind_power(data, n_hours, hub_height_m):
                          pressure=pressures + [101325.0] * calm,
                          wind_speed_10m=speeds + [0.0] * calm)
     columns = wind_unit_series(frame, 2014, params).values.tolist()
-    per_hour = [wind_power(record(temp=t, pressure=p, wind=v), params)
-                for t, p, v in zip(temps, pressures, speeds)]
+    per_hour = [wind_kw(v, t, p, params) for t, p, v in zip(temps, pressures, speeds)]
     assert [float.hex(x) for x in columns[:n_hours]] == [float.hex(x) for x in per_hour]
     assert columns[n_hours:] == [0.0] * calm
 
@@ -316,7 +313,7 @@ def test_wind_columns_report_first_bad_hour(temp, pressure, message):
     with pytest.raises(GenerationError, match=f"^{message}$"):
         wind_unit_series(frame, 2014)
     with pytest.raises(GenerationError, match=f"^{message}$"):
-        wind_power(record(temp=temp, pressure=pressure, wind=8.0))
+        wind_kw(8.0, temp, pressure)
 
 
 def test_linear_year_sum_pinned(pv_unit):
@@ -482,7 +479,7 @@ def test_turbine_footprint():
        st.floats(min_value=-20.0, max_value=35.0),
        st.floats(min_value=90_000.0, max_value=105_000.0))
 def test_wind_power_bounded(v, temp, pressure):
-    kw = wind_power(record(wind=v, temp=temp, pressure=pressure), TurbineParams())
+    kw = wind_hour(wind=v, temp=temp, pressure=pressure)
     assert 0.0 <= kw <= 500.0
 
 
@@ -492,7 +489,7 @@ def test_wind_power_bounded(v, temp, pressure):
        st.sampled_from(["linear-derate", "single-diode"]))
 def test_pv_power_bounded(ghi, temp, model):
     params = PvParams(model=model)
-    w = pv_power(record(ghi=ghi, temp=temp), params)
+    w = pv_hour(ghi=ghi, temp=temp, params=params)
     if model == "linear-derate":
         assert 0.0 <= w <= params.rated_power_density_wm2
     else:

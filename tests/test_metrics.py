@@ -4,14 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from urbanmix.ingest import HourlySeries
 from urbanmix.metrics import (AggregateMetrics, MetricsError, annual_metrics,
                               delta_mismatch, hourly_split)
-
-
-def series(values, unit="MW", year=2014):
-    arr = np.asarray(values, dtype=float)
-    return HourlySeries(values=arr, unit=unit, year=year)
 
 
 def test_mismatch_sign():
@@ -40,13 +34,6 @@ def test_rejects_length_mismatch():
         hourly_split(np.ones(3), np.ones(4))
 
 
-def test_rejects_year_mismatch():
-    g = series(np.ones(8760), year=2014)
-    load = series(np.ones(8784), year=2012)
-    with pytest.raises(MetricsError):
-        hourly_split(g, load)
-
-
 def test_aggregate_fields():
     g = np.array([5.0, 1.0, 3.0])
     load = np.array([2.0, 4.0, 3.0])
@@ -56,8 +43,6 @@ def test_aggregate_fields():
     assert agg.neg_mismatch == pytest.approx(-3.0)
     assert agg.utilisation == pytest.approx(6.0)
     assert agg.self_consumption == pytest.approx(6.0 / 9.0)
-    assert agg.as_row() == (agg.pos_mismatch, agg.neg_mismatch,
-                            agg.utilisation, agg.self_consumption)
 
 
 def test_negative_mismatch_kept_signed():
@@ -130,20 +115,16 @@ def test_delta_mismatch_generation_independent():
         assert np.array_equal(via_g1, direct)
 
 
+def test_delta_mismatch_rejects_length_mismatch():
+    with pytest.raises(MetricsError, match=r"^length mismatch: \[3, 4\]$"):
+        delta_mismatch(np.ones(4), np.ones(3), 2.0)
+
+
 def test_delta_mismatch_zero_when_service_matches_scaled_household():
     h = np.full(24, 2.0)
     phi = 1.75
     s = (phi - 1.0) * h
     assert np.array_equal(delta_mismatch(s, h, phi), np.zeros(24))
-
-
-def test_delta_mismatch_preserves_series_wrapper():
-    h = series(np.full(8760, 2.0))
-    s = series(np.full(8760, 1.0))
-    out = delta_mismatch(s, h, 2.0)
-    assert isinstance(out, HourlySeries)
-    assert out.unit == "MW"
-    assert float(out.values[0]) == -1.0
 
 
 def test_delta_utilisation():

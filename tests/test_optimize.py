@@ -3,10 +3,11 @@ import time
 import numpy as np
 import pytest
 
+from optimize_oracle import tournament_comparison
 from urbanmix.optimize import (GAConfig, MixProblem, OptimizeError,
                                _fitness, _project, ga_optimize,
                                grid_oracle, objective, objective_terms,
-                               solution_report, tournament_comparison)
+                               solution_report)
 
 
 @pytest.fixture(scope="module")
