@@ -28,7 +28,7 @@ _EXPORTS = {
     "optimize": ("MixProblem", "MixSolution", "ga_optimize", "grid_oracle"),
     "scaling": ("ScalingFixture", "ServiceMix", "build_service_mix", "load_default_fixture",
                 "round_half_away"),
-    "stats": ("TestResult", "holm_bonferroni", "welch_t_test"),
+    "stats": ("TestResult", "apply_holm", "welch_t_test"),
     "validation": ("reconcile_published", "render_reconciliation"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

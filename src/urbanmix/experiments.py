@@ -179,13 +179,12 @@ def run_experiment1(config: SimulationConfig, out_dir=None) -> ScenarioGrid:
         except StatsError as exc:
             raise StatsError(f"{exc} at {pv!r} MW PV and {wind!r} MW wind") from None
 
-    # Holm families: one correction across all scenarios per metric.
+    # Holm families: one correction across all scenarios per metric, on the
+    # table's p and untestable columns.
     reject = np.empty((len(table), len(SWEEP_TEST_METRICS)), dtype=bool)
-    tests, untestable = table[:, _TESTS], table[:, _UNTESTABLE] == 1.0
+    p_values, untestable = table[:, _TESTS][:, 2::3], table[:, _UNTESTABLE] == 1.0
     for k in range(len(SWEEP_TEST_METRICS)):
-        family = [TestResult(t, dof, p, untestable=u) for t, dof, p, u
-                  in zip(*tests[:, 3 * k:3 * k + 3].T.tolist(), untestable[:, k].tolist())]
-        reject[:, k] = [r.reject for r in apply_holm(family, alpha=config.alpha)]
+        reject[:, k] = apply_holm(p_values[:, k], untestable[:, k], alpha=config.alpha)
 
     grid = ScenarioGrid(pv_caps=caps, wind_caps=caps, phi=prep.phi,
                         table=table, reject=reject)
@@ -194,34 +193,61 @@ def run_experiment1(config: SimulationConfig, out_dir=None) -> ScenarioGrid:
     return grid
 
 
-def _long_rows(grid: ScenarioGrid, columns: slice, labels: tuple):
-    """A table block holding one equal group of columns per label, as
-    ((pv, wind, label), *group values) per scenario and label, in table order."""
-    block = grid.table[:, columns]
-    values = block.reshape(len(block) * len(labels), -1).T.tolist()
-    return zip(itertools.product(grid.pv_caps, grid.wind_caps, labels), *values)
+# Scenarios per block when the sweep tables are written.
+_BLOCK = 256
+
+
+class _LongRows:
+    """One sweep table: ``row((pv, wind, label), *values)`` per scenario and
+    label, in table order, where the table's ``columns`` hold one equal group
+    of values per label and ``flags`` (scenarios, labels), if given, adds one
+    more. Each pass makes the rows one block of scenarios at a time, so only
+    a block's rows exist at once; the length takes no pass.
+    """
+
+    def __init__(self, grid: ScenarioGrid, columns: slice, labels: tuple, row,
+                 flags: np.ndarray | None = None):
+        self.grid, self.columns, self.labels, self.row = grid, columns, labels, row
+        self.flags = flags
+
+    def __len__(self) -> int:
+        return len(self.grid.table) * len(self.labels)
+
+    def __iter__(self):
+        table, labels = self.grid.table, self.labels
+        keys = itertools.product(self.grid.pv_caps, self.grid.wind_caps, labels)
+        for start in range(0, len(table), _BLOCK):
+            block = table[start:start + _BLOCK, self.columns]
+            values = block.reshape(len(block) * len(labels), -1).T.tolist()
+            if self.flags is not None:
+                values.append(self.flags[start:start + _BLOCK].ravel().tolist())
+            yield from map(self.row, itertools.islice(keys, len(values[0])), *values)
+
+
+def _joined(key, *values) -> tuple:
+    return (*key, *values)
+
+
+def _metric_row(key, *sums) -> tuple:
+    return tabular.metric_row(*key, AggregateMetrics(*sums))
 
 
 def write_experiment1_tables(grid: ScenarioGrid, out_dir) -> list:
-    """The three sweep tables; each one's rows exist only while it is written.
-    An untestable test's NaN t and dof write empty cells, as None does."""
+    """The three sweep tables, each streamed from the grid's columns. An
+    untestable test's NaN t and dof write empty cells, as None does."""
     out_dir = Path(out_dir)
     return [
         tabular.write_csv(out_dir / "sweep_metrics.csv", tabular.METRIC_HEADER,
-                          [tabular.metric_row(pv, wind, case, AggregateMetrics(*sums))
-                           for (pv, wind, case), *sums
-                           in _long_rows(grid, _SUMS, LOAD_CASES)]),
+                          _LongRows(grid, _SUMS, LOAD_CASES, _metric_row)),
         tabular.write_csv(out_dir / "sweep_significance.csv",
                           ("scenario_pv_mw", "scenario_wind_mw", "metric")
                           + tabular.SIGNIFICANCE_COLUMNS,
-                          [(*key, t, dof, p, flag) for (key, t, dof, p), flag
-                           in zip(_long_rows(grid, _TESTS, SWEEP_TEST_METRICS),
-                                  grid.reject.ravel().tolist())]),
+                          _LongRows(grid, _TESTS, SWEEP_TEST_METRICS, _joined,
+                                    flags=grid.reject)),
         tabular.write_csv(out_dir / "sweep_deltas.csv",
                           ("scenario_pv_mw", "scenario_wind_mw", "metric",
                            "annual_sum_diff_mwh", "hourly_mean_diff_mw"),
-                          [(*key, *values)
-                           for key, *values in _long_rows(grid, _DELTAS, DELTA_METRICS)]),
+                          _LongRows(grid, _DELTAS, DELTA_METRICS, _joined)),
     ]
 
 
@@ -291,8 +317,10 @@ def run_experiment2(config: SimulationConfig, out_dir=None,
                       for key in members_r]
         except StatsError as exc:
             raise StatsError(f"{exc} at {pv_mw!r} MW PV and {wind_mw!r} MW wind") from None
-        corrected = apply_holm(family, alpha=config.alpha)
-        tests[metric] = dict(zip(members_r, corrected))
+        flags = apply_holm([r.p_value for r in family], [r.untestable for r in family],
+                           alpha=config.alpha).tolist()
+        tests[metric] = {key: r._replace(reject=flag)
+                         for key, r, flag in zip(members_r, family, flags)}
 
     summary = {
         "pv_mw": pv_mw,

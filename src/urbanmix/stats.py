@@ -187,32 +187,27 @@ def welch_t_test(a, b, pooled: bool = False) -> TestResult:
                       p_value=student_t_two_sided_p(t, float(dof)))
 
 
-def holm_bonferroni(p_values, alpha: float = 0.05) -> np.ndarray:
-    """Step-down rejection flags controlling the familywise error rate.
+def apply_holm(p_values, untestable, alpha: float = 0.05) -> np.ndarray:
+    """Step-down (Holm 1979) rejection flags of one family, in input order.
 
+    The family is two equal-length columns: the p-values, and flags marking
+    the untestable entries, which count as p = 1 whatever p-value they hold.
     Sorted ascending, p_(k) is rejected while p_(k) <= alpha/(m-k+1); the
-    first failure stops the procedure. Flags are returned in input order.
+    first failure stops the procedure.
     """
     p = np.asarray(p_values, dtype=float)
+    untestable = np.asarray(untestable, dtype=bool)
     if p.ndim != 1:
         raise StatsError("p-values must be one-dimensional")
+    if untestable.shape != p.shape:
+        raise StatsError(f"untestable flags of shape {untestable.shape} "
+                         f"for {len(p)} p-values")
+    p = np.where(untestable, 1.0, p)
     if np.any(p < 0) or np.any(p > 1) or np.any(np.isnan(p)):
         raise StatsError("p-values must lie within [0, 1]")
     m = len(p)
-    reject = np.zeros(m, dtype=bool)
     order = np.argsort(p, kind="stable")
-    for k, idx in enumerate(order):
-        if p[idx] <= alpha / (m - k):
-            reject[idx] = True
-        else:
-            break
+    passed = p[order] <= alpha / np.arange(m, 0, -1)
+    reject = np.zeros(m, dtype=bool)
+    reject[order[:m if passed.all() else int(passed.argmin())]] = True
     return reject
-
-
-def apply_holm(results, alpha: float = 0.05) -> list[TestResult]:
-    """Correct a family of TestResults; untestable entries count as p = 1."""
-    p = [1.0 if r.untestable else r.p_value for r in results]
-    flags = holm_bonferroni(p, alpha=alpha).tolist()
-    return [TestResult(t_stat=r.t_stat, dof=r.dof, p_value=r.p_value, reject=flag,
-                       untestable=r.untestable)
-            for r, flag in zip(results, flags)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -44,22 +45,29 @@ _CELL_FORMATS = {float: _float_cell, str: str, int: str, bool: _bool_cell}
 
 
 def write_csv(path, header, rows) -> Path:
-    """Write ``header`` and the sequence ``rows`` as CSV, one line per row.
+    """Write ``header`` and the iterable ``rows`` as CSV, one line per row.
 
-    Every row's width is checked before the file is opened, so a ragged row
-    leaves no file behind; then each row is formatted and written in turn.
+    Rows are read once: each is checked against the header's width, then
+    formatted and written to ``<name>.tmp`` beside the target, which replaces
+    the target after the last row. On any error the ``.tmp`` file is removed,
+    so a ragged row leaves no file behind and an existing target unchanged.
     """
     width = len(header)
-    for row in rows:
-        if len(row) != width:
-            raise ValueError(f"row width {len(row)} != header width {width}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as out:
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [_CELL_FORMATS.get(type(cell), fmt)(cell) for cell in row]
-            out.write(",".join(cells) + "\n")
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as out:
+            out.write(",".join(header) + "\n")
+            for row in rows:
+                if len(row) != width:
+                    raise ValueError(f"row width {len(row)} != header width {width}")
+                cells = [_CELL_FORMATS.get(type(cell), fmt)(cell) for cell in row]
+                out.write(",".join(cells) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

@@ -27,7 +27,7 @@ from urbanmix.ingest import build_calendar
 from urbanmix.metrics import annual_metrics, hourly_split
 from urbanmix.optimize import MixProblem, ga_optimize, grid_oracle, solution_report
 from urbanmix.scaling import build_service_mix
-from urbanmix.stats import holm_bonferroni, welch_t_test
+from urbanmix.stats import apply_holm, welch_t_test
 from urbanmix.validation import national_total_check, reconcile_published
 
 mpmath.mp.dps = 40
@@ -168,8 +168,9 @@ def test_criterion_07_holm_oracle():
             m = int(rng.integers(1, 60))
             p = rng.uniform(0.0, 1.0, m)
             alpha = float(rng.uniform(0.005, 0.25))
-            assert holm_bonferroni(p, alpha=alpha).tolist() == oracle(list(p), alpha)
-        assert holm_bonferroni([0.01, 0.02, 0.04], alpha=0.05).tolist() == [
+            assert apply_holm(p, np.zeros(m, dtype=bool),
+                              alpha=alpha).tolist() == oracle(list(p), alpha)
+        assert apply_holm([0.01, 0.02, 0.04], [False] * 3, alpha=0.05).tolist() == [
             True, True, True]
         assert time.monotonic() - start < 1.0
 

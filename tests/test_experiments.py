@@ -1,18 +1,22 @@
 import filecmp
+import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from category_oracle import decode, oracle_aggregate, oracle_members
+from urbanmix import experiments, tabular
 from urbanmix.demand import MIXED, RESIDENTIAL_ONLY
-from urbanmix.experiments import (CATEGORY_METRICS, SWEEP_TEST_METRICS, TABLE_WIDTH,
+from urbanmix.experiments import (CATEGORY_METRICS, DELTA_METRICS, LOAD_CASES,
+                                  SWEEP_TEST_METRICS, TABLE_WIDTH, ScenarioGrid,
                                   build_problem, capacity_axis, evaluate_cell,
                                   prepare, run_experiment1, run_experiment2,
                                   run_optimize, write_experiment1_tables,
                                   write_experiment2_tables)
 from urbanmix.generation import capacity_coefficients, generation_mw
-from urbanmix.metrics import hourly_split
+from urbanmix.metrics import AggregateMetrics, hourly_split
 from urbanmix.stats import apply_holm, welch_t_test
 
 
@@ -36,6 +40,13 @@ def grid(config2014):
 @pytest.fixture(scope="module")
 def exp2(config2014):
     return run_experiment2(config2014)
+
+
+def holm_corrected(family, alpha):
+    """The family's TestResults with the reject flags of apply_holm."""
+    flags = apply_holm([r.p_value for r in family], [r.untestable for r in family],
+                       alpha=alpha).tolist()
+    return [r._replace(reject=flag) for r, flag in zip(family, flags)]
 
 
 def test_capacity_axis_default():
@@ -93,8 +104,8 @@ def test_grid_cell_is_evaluate_cell_with_holm_flags(config2014, pooled):
     prep = prepare(config)
     cells = {(pv, wind): evaluate_cell(pv, wind, prep, pooled=pooled)
              for pv in grid.pv_caps for wind in grid.wind_caps}
-    flags = {name: [r.reject for r in apply_holm([c.tests[name] for c in cells.values()],
-                                                 alpha=config.alpha)]
+    flags = {name: [r.reject for r in holm_corrected([c.tests[name] for c in cells.values()],
+                                                     alpha=config.alpha)]
              for name in SWEEP_TEST_METRICS}
     for i, ((pv, wind), cell) in enumerate(cells.items()):
         expected = cell._replace(tests={name: test._replace(reject=flags[name][i])
@@ -169,7 +180,7 @@ def test_scenario_components_scale_linearly(prep):
 def test_holm_family_is_all_121_scenarios(grid, config2014):
     for name in SWEEP_TEST_METRICS:
         family = [cell.tests[name] for cell in all_cells(grid)]
-        redone = apply_holm(family, alpha=config2014.alpha)
+        redone = holm_corrected(family, alpha=config2014.alpha)
         assert [r.reject for r in redone] == [r.reject for r in family]
         assert any(r.reject for r in family)
 
@@ -192,6 +203,78 @@ def test_experiment1_tables_deterministic(grid, tmp_path):
     assert len(sig) == 1 + 484
     deltas = (a / "sweep_deltas.csv").read_text().splitlines()
     assert len(deltas) == 1 + 363
+
+
+def list_oracle_tables(grid) -> dict:
+    """Each sweep table's bytes from whole-table lists of its rows, the way
+    they were built before the writer streamed them, joined with fmt."""
+    def long_rows(columns, labels):
+        block = grid.table[:, columns]
+        values = block.reshape(len(block) * len(labels), -1).T.tolist()
+        return zip(itertools.product(grid.pv_caps, grid.wind_caps, labels), *values)
+
+    # table columns: 0-7 annual sums, 8-19 t, dof, p per test, 24-29 deltas
+    tables = {
+        "sweep_metrics.csv": (tabular.METRIC_HEADER, [
+            tabular.metric_row(pv, wind, case, AggregateMetrics(*sums))
+            for (pv, wind, case), *sums in long_rows(slice(0, 8), LOAD_CASES)]),
+        "sweep_significance.csv": (
+            ("scenario_pv_mw", "scenario_wind_mw", "metric") + tabular.SIGNIFICANCE_COLUMNS,
+            [(*key, t, dof, p, flag) for (key, t, dof, p), flag
+             in zip(long_rows(slice(8, 20), SWEEP_TEST_METRICS),
+                    grid.reject.ravel().tolist())]),
+        "sweep_deltas.csv": (
+            ("scenario_pv_mw", "scenario_wind_mw", "metric",
+             "annual_sum_diff_mwh", "hourly_mean_diff_mw"),
+            [(*key, *values) for key, *values in long_rows(slice(24, 30), DELTA_METRICS)]),
+    }
+    return {name: "".join(",".join(tabular.fmt(cell) for cell in row) + "\n"
+                          for row in [header, *rows]).encode("utf-8")
+            for name, (header, rows) in tables.items()}
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["welch", "pooled"])
+def test_streamed_tables_equal_list_oracle(config2014, pooled, tmp_path, monkeypatch):
+    # 17 x 17 = 289 scenarios, so the writer's blocks do not divide them evenly
+    grid = run_experiment1(config2014._replace(sweep_steps=17, pooled=pooled))
+    assert experiments._BLOCK < len(grid.table) == 289
+    lengths = {}
+    write = tabular.write_csv
+
+    def write_recording_length(path, header, rows):
+        lengths[path.name] = len(rows)
+        return write(path, header, rows)
+
+    monkeypatch.setattr(tabular, "write_csv", write_recording_length)
+    paths = write_experiment1_tables(grid, tmp_path)
+    oracle = list_oracle_tables(grid)
+    assert [path.name for path in paths] == list(oracle)
+    for path in paths:
+        assert path.read_bytes() == oracle[path.name]
+        assert lengths[path.name] == oracle[path.name].count(b"\n") - 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(oracle)
+    # the zero-capacity self-consumption test is untestable: empty t and dof
+    significance = oracle["sweep_significance.csv"].decode().splitlines()
+    assert "0.0,0.0,self_consumption,,,1.0,false" in significance
+    assert any(line.endswith(",true") for line in significance)
+
+
+def test_writing_the_61x61_tables_holds_under_1_mb(tmp_path):
+    # the writer keeps one block of rows at a time, not every row of a table
+    rng = np.random.default_rng(61)
+    caps = capacity_axis(525.0, 61)
+    table = rng.uniform(0.0, 1e3, (61 * 61, TABLE_WIDTH))
+    table[0, 8:10] = np.nan
+    grid = ScenarioGrid(pv_caps=caps, wind_caps=caps, phi=2.0, table=table,
+                        reject=rng.random((61 * 61, len(SWEEP_TEST_METRICS))) < 0.3)
+    tracemalloc.start()
+    try:
+        write_experiment1_tables(grid, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert len((tmp_path / "sweep_significance.csv").read_text().splitlines()) == 1 + 4 * 3721
 
 
 def test_experiment2_defaults_to_preset(exp2, config2014):
@@ -261,7 +344,7 @@ def test_experiment2_categories_bit_equal_to_dict_loops(exp2, prep, config2014):
                   for key in members[0]]
         assert list(exp2.tests[metric]) == list(members[0])
         assert exact_rows(exp2.tests[metric].values()) == \
-            exact_rows(apply_holm(family, alpha=config2014.alpha))
+            exact_rows(holm_corrected(family, alpha=config2014.alpha))
 
 
 def exact_rows(rows):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from urbanmix.stats import (UNTESTABLE, StatsError, apply_holm, holm_bonferroni,
-                            student_t_two_sided_p, welch_t_test)
+from urbanmix.stats import (UNTESTABLE, StatsError, apply_holm, student_t_two_sided_p,
+                            welch_t_test)
 from urbanmix.stats import TestResult as TResult
 
 mpmath.mp.dps = 40
@@ -43,6 +43,11 @@ def holm_oracle(p_values, alpha):
         else:
             break
     return reject
+
+
+def holm(p_values, alpha=0.05):
+    """apply_holm on a family with no untestable entry."""
+    return apply_holm(p_values, np.zeros(np.shape(p_values), dtype=bool), alpha=alpha)
 
 
 def test_p_value_against_high_precision_beta():
@@ -242,35 +247,35 @@ def test_welch_dof_where_its_squares_leave_the_double_range(scale):
 
 def test_holm_worked_example():
     # alpha=0.05, m=3: thresholds 0.05/3, 0.05/2, 0.05/1 -> all reject
-    flags = holm_bonferroni([0.01, 0.02, 0.04], alpha=0.05)
+    flags = holm([0.01, 0.02, 0.04], alpha=0.05)
     assert flags.tolist() == [True, True, True]
 
 
 def test_holm_stops_at_first_failure():
     # 0.03 > 0.05/2 stops the walk, so the later 0.04 stays accepted
-    flags = holm_bonferroni([0.01, 0.03, 0.04], alpha=0.05)
+    flags = holm([0.01, 0.03, 0.04], alpha=0.05)
     assert flags.tolist() == [True, False, False]
 
 
 def test_holm_none_reject():
-    flags = holm_bonferroni([0.9, 0.8, 0.7], alpha=0.05)
+    flags = holm([0.9, 0.8, 0.7], alpha=0.05)
     assert not flags.any()
 
 
 def test_holm_input_order_preserved():
-    flags = holm_bonferroni([0.04, 0.01, 0.02], alpha=0.05)
+    flags = holm([0.04, 0.01, 0.02], alpha=0.05)
     assert flags.tolist() == [True, True, True]
-    flags = holm_bonferroni([0.04, 0.01, 0.9], alpha=0.05)
+    flags = holm([0.04, 0.01, 0.9], alpha=0.05)
     assert flags.tolist() == [False, True, False]
 
 
 def test_holm_validation():
     with pytest.raises(StatsError, match="within"):
-        holm_bonferroni([0.5, 1.5])
+        holm([0.5, 1.5])
     with pytest.raises(StatsError, match="within"):
-        holm_bonferroni([0.5, float("nan")])
+        holm([0.5, float("nan")])
     with pytest.raises(StatsError, match="one-dimensional"):
-        holm_bonferroni(np.ones((2, 2)))
+        holm(np.ones((2, 2)))
 
 
 def test_holm_against_oracle_random_families():
@@ -283,45 +288,40 @@ def test_holm_against_oracle_random_families():
             p[1] = p[0]
             p[2] = 1.0
         alpha = float(rng.uniform(0.005, 0.2))
-        got = holm_bonferroni(p, alpha=alpha).tolist()
+        got = holm(p, alpha=alpha).tolist()
         assert got == holm_oracle(list(p), alpha)
 
 
 def test_holm_monotone_in_alpha():
     rng = np.random.default_rng(23)
     p = rng.uniform(0, 1, 50)
-    loose = holm_bonferroni(p, alpha=0.2)
-    tight = holm_bonferroni(p, alpha=0.01)
+    loose = holm(p, alpha=0.2)
+    tight = holm(p, alpha=0.01)
     assert (tight <= loose).all()
 
 
 def test_apply_holm_counts_untestable_as_one():
-    results = [
-        TResult(t_stat=5.0, dof=50.0, p_value=1e-6),
-        TResult(t_stat=float("nan"), dof=float("nan"), p_value=1.0,
-                   untestable=True),
-        TResult(t_stat=4.0, dof=80.0, p_value=1e-4),
-    ]
-    corrected = apply_holm(results, alpha=0.05)
-    assert corrected[0].reject
-    assert corrected[2].reject
-    assert not corrected[1].reject
-    assert corrected[1].untestable
+    nan = float("nan")
+    flags = apply_holm([1e-6, nan, 1e-4], [False, True, False], alpha=0.05)
+    assert flags.tolist() == [True, False, True]
     # thresholds divide by the full family size including untestable entries
-    border = [TResult(t_stat=2.0, dof=10.0, p_value=0.03),
-              TResult(t_stat=float("nan"), dof=float("nan"), p_value=1.0,
-                         untestable=True)]
-    corrected = apply_holm(border, alpha=0.05)
-    assert not corrected[0].reject  # 0.03 > 0.05/2
+    assert apply_holm([0.03, 1.0], [False, True], alpha=0.05).tolist() == [False, False]
+    # an untestable entry's p-value is ignored, even a small one
+    assert apply_holm([0.001, 0.01], [True, False], alpha=0.05).tolist() == [False, True]
+
+
+def test_apply_holm_checks_its_columns():
+    with pytest.raises(StatsError, match="untestable flags of shape"):
+        apply_holm([0.1, 0.2], [False])
+    with pytest.raises(StatsError, match="within"):
+        apply_holm([0.1, -0.2], [False, False])
+    assert apply_holm([], []).tolist() == []
 
 
 def test_apply_holm_family_of_121():
     rng = np.random.default_rng(31)
-    results = [TResult(t_stat=1.0, dof=10.0, p_value=float(p))
-               for p in rng.uniform(0, 1, 121)]
-    corrected = apply_holm(results, alpha=0.05)
-    flags = holm_oracle([r.p_value for r in results], 0.05)
-    assert [r.reject for r in corrected] == flags
+    p = rng.uniform(0, 1, 121)
+    assert holm(p, alpha=0.05).tolist() == holm_oracle(p.tolist(), 0.05)
 
 
 @settings(max_examples=100)
@@ -329,8 +329,26 @@ def test_apply_holm_family_of_121():
                 max_size=30),
        st.floats(min_value=0.001, max_value=0.5))
 def test_holm_matches_oracle_property(p, alpha):
-    got = holm_bonferroni(p, alpha=alpha).tolist()
+    got = holm(p, alpha=alpha).tolist()
     assert got == holm_oracle(p, alpha)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.one_of(
+           st.tuples(st.floats(min_value=0.0, max_value=1.0), st.just(False)),
+           # an untestable entry's p-value is ignored, NaN included
+           st.tuples(st.floats(min_value=0.0, max_value=1.0) | st.just(float("nan")),
+                     st.just(True))), max_size=30),
+       st.floats(min_value=0.001, max_value=0.5))
+@example([], 0.05)
+@example([(0.001, True), (float("nan"), True), (0.5, True)], 0.05)
+@example([(0.01, False), (0.0, True), (0.02, False)], 0.05)
+def test_apply_holm_is_oracle_with_untestable_as_one(family, alpha):
+    p = [value for value, _ in family]
+    untestable = [flag for _, flag in family]
+    got = apply_holm(p, untestable, alpha=alpha).tolist()
+    assert got == holm_oracle([1.0 if u else v for v, u in family], alpha)
+    assert not any(g and u for g, u in zip(got, untestable))
 
 
 @settings(max_examples=60)

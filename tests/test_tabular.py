@@ -91,6 +91,28 @@ def test_write_csv_rejects_ragged_rows(tmp_path):
     assert not (tmp_path / "u.csv").exists()
 
 
+def test_write_csv_writes_every_row_of_a_one_shot_iterator(tmp_path):
+    path = write_csv(tmp_path / "t.csv", ("a", "b"), ((i, 2 * i) for i in range(3)))
+    assert path.read_text() == "a,b\n0,0\n1,2\n2,4\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+def test_write_csv_ragged_lazy_row_keeps_the_old_file(tmp_path):
+    def rows():
+        yield (1, 2)
+        yield (3, 4)
+        yield (5,)
+
+    with pytest.raises(ValueError, match="row width 1 != header width 2"):
+        write_csv(tmp_path / "new.csv", ("a", "b"), rows())
+    assert list(tmp_path.iterdir()) == []
+    old = write_csv(tmp_path / "old.csv", ("a", "b"), [(0, 0)]).read_bytes()
+    with pytest.raises(ValueError, match="row width 1 != header width 2"):
+        write_csv(tmp_path / "old.csv", ("a", "b"), rows())
+    assert (tmp_path / "old.csv").read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["old.csv"]
+
+
 def test_metric_row_none_self_consumption():
     agg = AggregateMetrics(pos_mismatch=0.0, neg_mismatch=-5.0,
                            utilisation=0.0, generation=0.0)
