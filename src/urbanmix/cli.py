@@ -194,6 +194,7 @@ def cmd_optimize(args, config: SimulationConfig) -> int:
 def cmd_validate(args, config: SimulationConfig) -> int:
     from . import experiments, validation
     from .demand import MIXED, RESIDENTIAL_ONLY
+    from .metrics import AggregateMetrics
 
     fixture = config.scaling_fixture
     lines = []
@@ -221,9 +222,10 @@ def cmd_validate(args, config: SimulationConfig) -> int:
           f"residential={residential.annual_energy!r} mixed={mixed.annual_energy!r}")
     check("phi is positive and finite", 0 < phi < float("inf"), f"phi={phi!r}")
 
-    cell = experiments.evaluate_cell(105.0, 105.0, prep)
-    for case_name, agg, load in ((RESIDENTIAL_ONLY, cell.residential, prep.load_r_mw),
-                                 (MIXED, cell.mixed, prep.load_m_mw)):
+    sums = experiments.evaluate_cell(105.0, 105.0, prep)[experiments._SUMS]
+    cases = ((RESIDENTIAL_ONLY, AggregateMetrics(*sums[:4]), prep.load_r_mw),
+             (MIXED, AggregateMetrics(*sums[4:]), prep.load_m_mw))
+    for case_name, agg, load in cases:
         balance = agg.pos_mismatch + agg.neg_mismatch
         expected = agg.generation - float(load.sum())
         denom = max(abs(expected), 1.0)

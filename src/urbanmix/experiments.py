@@ -20,7 +20,7 @@ from .generation import (TURBINE_UNIT_MW, area_budget_totals, capacity_coefficie
                          generation_mw, pv_unit_series, wind_unit_series)
 from .ingest import HourlySeries
 from .metrics import AggregateMetrics, delta_mismatch, hourly_split
-from .stats import StatsError, TestResult, apply_holm, welch_t_test
+from .stats import StatsError, apply_holm, welch_t_test
 
 if TYPE_CHECKING:
     from . import classify
@@ -30,6 +30,12 @@ SWEEP_TEST_METRICS = ("pos_mwh", "neg_mwh", "util_mwh", "self_consumption")
 DELTA_METRICS = SWEEP_TEST_METRICS[:3]
 CATEGORY_METRICS = ("mismatch", "utilisation", "self_consumption")
 LOAD_CASES = (RESIDENTIAL_ONLY, MIXED)
+
+METRIC_HEADER = ("scenario_pv_mw", "scenario_wind_mw", "load_case",
+                 "pos_mwh", "neg_mwh", "util_mwh", "self_consumption")
+CATEGORY_HEADER = ("day_kind", "time_band", "solar_bin", "wind_bin",
+                   "hours", "metric", "mean", "sum")
+SIGNIFICANCE_COLUMNS = ("t", "dof", "p", "reject_holm")
 
 
 class Prepared(NamedTuple):
@@ -67,16 +73,6 @@ def capacity_axis(max_mw: float = 525.0, steps: int = 11) -> tuple:
     return tuple(float(v) for v in np.linspace(0.0, max_mw, steps))
 
 
-class ScenarioCell(NamedTuple):
-    pv_mw: float
-    wind_mw: float
-    residential: AggregateMetrics
-    mixed: AggregateMetrics
-    tests: dict
-    delta_sums: dict
-    delta_hourly_means: dict
-
-
 # Columns of ScenarioGrid.table, one row per scenario.
 _SUMS = slice(0, 8)          # ΣM⁺, ΣM⁻, ΣU, ΣG: residential, then mixed
 _TESTS = slice(8, 20)        # t, dof, p per SWEEP_TEST_METRICS
@@ -85,25 +81,10 @@ _DELTAS = slice(24, 30)      # annual sum, hourly mean per DELTA_METRICS
 TABLE_WIDTH = 30
 
 
-def _cell_row(cell: ScenarioCell) -> list:
-    """One ScenarioGrid.table row: the cell's floats in column order."""
-    r, m = cell.residential, cell.mixed
-    row = [r.pos_mismatch, r.neg_mismatch, r.utilisation, r.generation,
-           m.pos_mismatch, m.neg_mismatch, m.utilisation, m.generation]
-    tests = [cell.tests[name] for name in SWEEP_TEST_METRICS]
-    for test in tests:
-        row += (test.t_stat, test.dof, test.p_value)
-    row += [test.untestable for test in tests]
-    for name in DELTA_METRICS:
-        row += (cell.delta_sums[name], cell.delta_hourly_means[name])
-    return row
-
-
 class ScenarioGrid(NamedTuple):
     """Sweep results in columns: one ``table`` row per scenario (see _SUMS,
     _TESTS, _UNTESTABLE, _DELTAS) and one ``reject`` row of Holm flags per
-    scenario, in the sweep's order, PV outer and wind inner. ``cell`` is the
-    one per-cell view.
+    scenario, in the sweep's order, PV outer and wind inner.
     """
     pv_caps: tuple
     wind_caps: tuple
@@ -111,71 +92,52 @@ class ScenarioGrid(NamedTuple):
     table: np.ndarray     # (scenarios, TABLE_WIDTH) float64
     reject: np.ndarray    # (scenarios, len(SWEEP_TEST_METRICS)) bool
 
-    def cell(self, pv_mw: float, wind_mw: float) -> ScenarioCell:
-        try:
-            i, j = self.pv_caps.index(pv_mw), self.wind_caps.index(wind_mw)
-        except ValueError:
-            raise KeyError(f"no scenario cell ({pv_mw}, {wind_mw})") from None
-        row = i * len(self.wind_caps) + j
-        values = self.table[row].tolist()
-        tests, untestable, deltas = values[_TESTS], values[_UNTESTABLE], values[_DELTAS]
-        return ScenarioCell(
-            pv_mw=self.pv_caps[i], wind_mw=self.wind_caps[j],
-            residential=AggregateMetrics(*values[0:4]),
-            mixed=AggregateMetrics(*values[4:8]),
-            tests={name: TestResult(*tests[3 * k:3 * k + 3], reject=flag,
-                                    untestable=untestable[k] == 1.0)
-                   for k, (name, flag) in enumerate(zip(SWEEP_TEST_METRICS,
-                                                        self.reject[row].tolist()))},
-            delta_sums=dict(zip(DELTA_METRICS, deltas[0::2])),
-            delta_hourly_means=dict(zip(DELTA_METRICS, deltas[1::2])))
-
 
 def evaluate_cell(pv_mw: float, wind_mw: float, prep: Prepared,
-                  pooled: bool = False) -> ScenarioCell:
+                  pooled: bool = False) -> list:
+    """The scenario's ScenarioGrid.table row: TABLE_WIDTH floats in _SUMS,
+    _TESTS, _UNTESTABLE, _DELTAS order."""
     area, turbines = capacity_coefficients(pv_mw, wind_mw, prep.config.pv)
     g = generation_mw(area, turbines, prep.pv_unit.values, prep.wind_unit.values)
     split_r = hourly_split(g, prep.load_r_mw)
     split_m = hourly_split(g, prep.load_m_mw)
 
-    tests = {}
-    delta_sums = {}
-    delta_means = {}
+    tests = []
+    deltas = []
     n_hours = len(g)
-    for name, a, b in (("pos_mwh", split_r.positive, split_m.positive),
-                       ("neg_mwh", split_r.negative, split_m.negative),
-                       ("util_mwh", split_r.utilisation, split_m.utilisation)):
-        tests[name] = welch_t_test(a, b, pooled=pooled)
+    for a, b in ((split_r.positive, split_m.positive),
+                 (split_r.negative, split_m.negative),
+                 (split_r.utilisation, split_m.utilisation)):
+        tests.append(welch_t_test(a, b, pooled=pooled))
         total = float((b - a).sum())
-        delta_sums[name] = total
-        delta_means[name] = total / n_hours     # what ndarray.mean computes
+        deltas += (total, total / n_hours)     # what ndarray.mean computes
     # hourly self-consumption U/G over the lit hours only (G > 0)
     lit = g > 0
     if lit.any():
         g_lit = g[lit]
-        tests["self_consumption"] = welch_t_test(split_r.utilisation[lit] / g_lit,
-                                                 split_m.utilisation[lit] / g_lit,
-                                                 pooled=pooled)
+        tests.append(welch_t_test(split_r.utilisation[lit] / g_lit,
+                                  split_m.utilisation[lit] / g_lit, pooled=pooled))
     else:
-        tests["self_consumption"] = welch_t_test(np.zeros(1), np.zeros(1), pooled=pooled)
-    return ScenarioCell(pv_mw=pv_mw, wind_mw=wind_mw,
-                        residential=split_r.annual(), mixed=split_m.annual(),
-                        tests=tests, delta_sums=delta_sums,
-                        delta_hourly_means=delta_means)
+        tests.append(welch_t_test(np.zeros(1), np.zeros(1), pooled=pooled))
+    row = [*split_r.annual(), *split_m.annual()]
+    for test in tests:
+        row += test[:3]                         # t, dof, p
+    row += [float(test.untestable) for test in tests]
+    return row + deltas
 
 
 def run_experiment1(config: SimulationConfig, out_dir=None) -> ScenarioGrid:
     """Full capacity sweep: both load cases per cell, Holm-corrected tests.
 
     Cells are evaluated one at a time in a fixed order, PV outer and wind
-    inner; each is copied into its table row and dropped.
+    inner, each straight into its table row.
     """
     prep = prepare(config)
     caps = capacity_axis(config.sweep_max_mw, config.sweep_steps)
     table = np.empty((len(caps) ** 2, TABLE_WIDTH))
     for row, (pv, wind) in enumerate(itertools.product(caps, caps)):
         try:
-            table[row] = _cell_row(evaluate_cell(pv, wind, prep, pooled=config.pooled))
+            table[row] = evaluate_cell(pv, wind, prep, pooled=config.pooled)
         except StatsError as exc:
             raise StatsError(f"{exc} at {pv!r} MW PV and {wind!r} MW wind") from None
 
@@ -229,7 +191,9 @@ def _joined(key, *values) -> tuple:
 
 
 def _metric_row(key, *sums) -> tuple:
-    return tabular.metric_row(*key, AggregateMetrics(*sums))
+    agg = AggregateMetrics(*sums)
+    return (*key, agg.pos_mismatch, agg.neg_mismatch, agg.utilisation,
+            agg.self_consumption)
 
 
 def write_experiment1_tables(grid: ScenarioGrid, out_dir) -> list:
@@ -237,11 +201,11 @@ def write_experiment1_tables(grid: ScenarioGrid, out_dir) -> list:
     untestable test's NaN t and dof write empty cells, as None does."""
     out_dir = Path(out_dir)
     return [
-        tabular.write_csv(out_dir / "sweep_metrics.csv", tabular.METRIC_HEADER,
+        tabular.write_csv(out_dir / "sweep_metrics.csv", METRIC_HEADER,
                           _LongRows(grid, _SUMS, LOAD_CASES, _metric_row)),
         tabular.write_csv(out_dir / "sweep_significance.csv",
                           ("scenario_pv_mw", "scenario_wind_mw", "metric")
-                          + tabular.SIGNIFICANCE_COLUMNS,
+                          + SIGNIFICANCE_COLUMNS,
                           _LongRows(grid, _TESTS, SWEEP_TEST_METRICS, _joined,
                                     flags=grid.reject)),
         tabular.write_csv(out_dir / "sweep_deltas.csv",
@@ -367,9 +331,9 @@ def write_experiment2_tables(result: Experiment2Result, out_dir) -> list:
             rows = _category_rows(result.aggregates[(case_name, metric)], metric)
             paths.append(tabular.write_csv(
                 out_dir / f"categories_{case_name}_{metric}.csv",
-                tabular.CATEGORY_HEADER, rows))
+                CATEGORY_HEADER, rows))
     paths.append(tabular.write_csv(out_dir / "categories_delta_mismatch.csv",
-                                   tabular.CATEGORY_HEADER,
+                                   CATEGORY_HEADER,
                                    _category_rows(result.delta_aggregates,
                                                   "delta_mismatch")))
 
@@ -390,16 +354,17 @@ def write_experiment2_tables(result: Experiment2Result, out_dir) -> list:
          *(f"wind_bin_{w}" for w in bins), "row_total"),
         matrix_rows))
 
+    # An untestable result's NaN t and dof write empty cells.
     for metric in CATEGORY_METRICS:
         sig_rows = []
         for key in classify.all_category_keys():
+            test = result.tests[metric][key]
             sig_rows.append((key.day_kind, key.time_band, key.solar_bin,
-                             key.wind_bin, metric)
-                            + tabular.significance_cells(result.tests[metric][key]))
+                             key.wind_bin, metric, *test[:4]))   # t, dof, p, reject
         paths.append(tabular.write_csv(
             out_dir / f"categories_significance_{metric}.csv",
             ("day_kind", "time_band", "solar_bin", "wind_bin", "metric")
-            + tabular.SIGNIFICANCE_COLUMNS, sig_rows))
+            + SIGNIFICANCE_COLUMNS, sig_rows))
 
     summary_path = out_dir / "mix_summary.json"
     summary_path.write_text(json.dumps(result.summary, indent=2, sort_keys=True) + "\n",

@@ -204,31 +204,12 @@ class Calendar(checked_record(IngestError,
     def n_hours(self) -> int:
         return hours_in_year(self.year)
 
-    @property
-    def utc_start(self) -> dt.datetime:
-        return dt.datetime(self.year, 1, 1, tzinfo=dt.timezone.utc)
-
-    def utc_time(self, hour_index: int) -> dt.datetime:
-        return self.utc_start + dt.timedelta(hours=int(hour_index))
-
-    def offset_hours_at(self, utc_instant: dt.datetime) -> float:
-        offset = self.base_utc_offset_hours
-        for instant, new_offset in self.transitions:
-            if utc_instant >= instant:
-                offset = new_offset
-            else:
-                break
-        return offset
-
-    def local_time(self, hour_index: int) -> dt.datetime:
-        utc = self.utc_time(hour_index)
-        return (utc + dt.timedelta(hours=self.offset_hours_at(utc))).replace(tzinfo=None)
-
     @cached_property
     def _local(self) -> np.ndarray:
         """Local wall-clock time of every UTC hour, as ``datetime64[us]``.
 
-        Offsets round to microseconds exactly as ``local_time`` does.
+        Each offset is rounded to whole microseconds, as ``datetime.timedelta``
+        rounds it.
         """
         utc = (np.datetime64(f"{self.year:04d}-01-01T00", "us")
                + np.arange(self.n_hours) * np.timedelta64(1, "h"))

@@ -262,12 +262,6 @@ class ScalingFixture(checked_record(ScalingError,
 
     __slots__ = ()
 
-    def spec(self, name: str) -> BuildingScalingSpec:
-        for s in self.specs:
-            if s.name == name:
-                return s
-        raise KeyError(name)
-
     def roof_areas(self) -> dict[str, float]:
         return {s.name: s.roof_area_m2 for s in self.specs}
 

@@ -8,12 +8,6 @@ from pathlib import Path
 
 import numpy as np
 
-METRIC_HEADER = ("scenario_pv_mw", "scenario_wind_mw", "load_case",
-                 "pos_mwh", "neg_mwh", "util_mwh", "self_consumption")
-CATEGORY_HEADER = ("day_kind", "time_band", "solar_bin", "wind_bin",
-                   "hours", "metric", "mean", "sum")
-SIGNIFICANCE_COLUMNS = ("t", "dof", "p", "reject_holm")
-
 
 def _float_cell(value: float) -> str:
     return "" if math.isnan(value) else repr(value)
@@ -70,15 +64,3 @@ def write_csv(path, header, rows) -> Path:
         raise
     return path
 
-
-def metric_row(pv_mw: float, wind_mw: float, load_case: str, agg) -> tuple:
-    return (float(pv_mw), float(wind_mw), load_case,
-            agg.pos_mismatch, agg.neg_mismatch, agg.utilisation,
-            agg.self_consumption)
-
-
-def significance_cells(result) -> tuple:
-    """The four trailing significance columns for one test result."""
-    t = None if result.untestable else result.t_stat
-    dof = None if result.untestable else result.dof
-    return (t, dof, result.p_value, result.reject)

@@ -21,10 +21,10 @@ from urbanmix.classify import all_category_keys, classify_year, compute_bins
 from urbanmix.cli import main
 from urbanmix.config import default_config
 from urbanmix.demand import compute_phi
-from urbanmix.experiments import capacity_axis, prepare, run_experiment1
+from urbanmix.experiments import _SUMS, capacity_axis, prepare, run_experiment1
 from urbanmix.generation import TurbineParams, capacity_coefficients, generation_mw
 from urbanmix.ingest import build_calendar
-from urbanmix.metrics import annual_metrics, hourly_split
+from urbanmix.metrics import AggregateMetrics, annual_metrics, hourly_split
 from urbanmix.optimize import MixProblem, ga_optimize, grid_oracle, solution_report
 from urbanmix.scaling import build_service_mix
 from urbanmix.stats import apply_holm, welch_t_test
@@ -227,8 +227,8 @@ def test_criterion_10_sweep_shape(config2014):
         assert caps[0] == 0.0
         assert caps[-1] == 525.0
         assert all(abs(b - a - 52.5) < 1e-9 for a, b in zip(caps, caps[1:]))
-        origin = grid.cell(0.0, 0.0)
-        for agg in (origin.residential, origin.mixed):
+        origin = grid.table[0][_SUMS].tolist()    # the (0, 0) scenario
+        for agg in (AggregateMetrics(*origin[:4]), AggregateMetrics(*origin[4:])):
             assert agg.pos_mismatch == 0.0
             assert agg.utilisation == 0.0
             assert agg.self_consumption is None

@@ -1,12 +1,16 @@
 import filecmp
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from category_oracle import decode, oracle_aggregate, oracle_members
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from urbanmix import experiments, tabular
 from urbanmix.demand import MIXED, RESIDENTIAL_ONLY
 from urbanmix.experiments import (CATEGORY_METRICS, DELTA_METRICS, LOAD_CASES,
@@ -17,7 +21,11 @@ from urbanmix.experiments import (CATEGORY_METRICS, DELTA_METRICS, LOAD_CASES,
                                   write_experiment2_tables)
 from urbanmix.generation import capacity_coefficients, generation_mw
 from urbanmix.metrics import AggregateMetrics, hourly_split
+from urbanmix.stats import TestResult as TResult
 from urbanmix.stats import apply_holm, welch_t_test
+
+SUMS, TESTS = experiments._SUMS, experiments._TESTS
+UNTESTABLE, DELTAS = experiments._UNTESTABLE, experiments._DELTAS
 
 
 @pytest.fixture(scope="module")
@@ -68,8 +76,18 @@ def test_prepare_units(prep):
     assert not prep.load_r_mw.flags.writeable
 
 
-def all_cells(grid):
-    return [grid.cell(pv, wind) for pv in grid.pv_caps for wind in grid.wind_caps]
+def case_sums(row):
+    """A table row's residential and mixed annual sums."""
+    sums = list(row[SUMS])
+    return AggregateMetrics(*sums[:4]), AggregateMetrics(*sums[4:])
+
+
+def row_tests(row, reject=(False,) * len(SWEEP_TEST_METRICS)):
+    """A table row's test results by metric, with the given reject flags."""
+    t_dof_p, untestable = list(row[TESTS]), list(row[UNTESTABLE])
+    return {name: TResult(*t_dof_p[3 * k:3 * k + 3], reject=bool(reject[k]),
+                          untestable=untestable[k] == 1.0)
+            for k, name in enumerate(SWEEP_TEST_METRICS)}
 
 
 def test_grid_has_121_cells(grid):
@@ -77,64 +95,53 @@ def test_grid_has_121_cells(grid):
     assert grid.reject.shape == (121, len(SWEEP_TEST_METRICS))
     assert grid.pv_caps == capacity_axis()
     assert grid.wind_caps == capacity_axis()
-    seen = {(c.pv_mw, c.wind_mw) for c in all_cells(grid)}
+    seen = set(itertools.product(grid.pv_caps, grid.wind_caps))
     assert len(seen) == 121
-    with pytest.raises(KeyError, match="no scenario cell"):
-        grid.cell(1.0, 0.0)
 
 
-def hexed(cell):
-    """Every field of a ScenarioCell with its type, floats as float.hex."""
-    def exact(values):
-        return tuple((type(v), float.hex(v) if isinstance(v, float) else v)
-                     for v in values)
-    return (exact((cell.pv_mw, cell.wind_mw)),
-            exact(tuple(cell.residential)), exact(tuple(cell.mixed)),
-            {name: exact(tuple(test)) for name, test in cell.tests.items()},
-            {name: exact((value,)) for name, value in cell.delta_sums.items()},
-            {name: exact((value,)) for name, value in cell.delta_hourly_means.items()})
+def hexed(row):
+    """Every value of a table row with its type, floats as float.hex."""
+    return [(type(v), float.hex(v)) for v in row]
 
 
 @pytest.mark.parametrize("pooled", [False, True], ids=["welch", "pooled"])
 def test_grid_cell_is_evaluate_cell_with_holm_flags(config2014, pooled):
-    # the columnar grid gives back, bit for bit, what evaluate_cell returned,
-    # with the reject flags of apply_holm over each metric's family
+    # the grid's table holds, bit for bit, the rows evaluate_cell returned,
+    # and its reject flags are apply_holm's over each metric's family
     config = config2014._replace(sweep_steps=4, pooled=pooled)
     grid = run_experiment1(config)
     prep = prepare(config)
-    cells = {(pv, wind): evaluate_cell(pv, wind, prep, pooled=pooled)
-             for pv in grid.pv_caps for wind in grid.wind_caps}
-    flags = {name: [r.reject for r in holm_corrected([c.tests[name] for c in cells.values()],
+    rows = [evaluate_cell(pv, wind, prep, pooled=pooled)
+            for pv, wind in itertools.product(grid.pv_caps, grid.wind_caps)]
+    flags = {name: [r.reject for r in holm_corrected([row_tests(row)[name] for row in rows],
                                                      alpha=config.alpha)]
              for name in SWEEP_TEST_METRICS}
-    for i, ((pv, wind), cell) in enumerate(cells.items()):
-        expected = cell._replace(tests={name: test._replace(reject=flags[name][i])
-                                        for name, test in cell.tests.items()})
-        assert hexed(grid.cell(pv, wind)) == hexed(expected)
-    assert len(cells) == len(grid.table) == 16
-    assert grid.cell(0.0, 0.0).tests["self_consumption"].untestable
+    for i, row in enumerate(rows):
+        assert hexed(grid.table[i].tolist()) == hexed(row)
+        assert grid.reject[i].tolist() == [flags[name][i] for name in SWEEP_TEST_METRICS]
+    assert len(rows) == len(grid.table) == 16
+    assert row_tests(grid.table[0])["self_consumption"].untestable
     assert any(any(f) for f in flags.values()) and not all(all(f) for f in flags.values())
 
 
 def test_zero_capacity_cell(grid, prep):
-    cell = grid.cell(0.0, 0.0)
-    assert cell.residential.pos_mismatch == 0.0
-    assert cell.residential.utilisation == 0.0
-    assert cell.residential.neg_mismatch == pytest.approx(-float(prep.load_r_mw.sum()))
-    assert cell.mixed.neg_mismatch == pytest.approx(-float(prep.load_m_mw.sum()))
-    assert cell.residential.self_consumption is None
-    assert cell.mixed.self_consumption is None
-    assert cell.tests["self_consumption"].untestable
+    residential, mixed = case_sums(grid.table[0])
+    assert residential.pos_mismatch == 0.0
+    assert residential.utilisation == 0.0
+    assert residential.neg_mismatch == pytest.approx(-float(prep.load_r_mw.sum()))
+    assert mixed.neg_mismatch == pytest.approx(-float(prep.load_m_mw.sum()))
+    assert residential.self_consumption is None
+    assert mixed.self_consumption is None
+    assert row_tests(grid.table[0])["self_consumption"].untestable
 
 
 def test_cell_matches_pipeline_composition(prep):
     # evaluate_cell must agree with composing the public pieces by hand
     pv_mw, wind_mw = 105.0, 157.5
-    cell = evaluate_cell(pv_mw, wind_mw, prep)
+    row = evaluate_cell(pv_mw, wind_mw, prep)
     pv_gen, wind_gen = components(pv_mw, wind_mw, prep)
     g = pv_gen + wind_gen
-    for agg, load in ((cell.residential, prep.load_r_mw),
-                      (cell.mixed, prep.load_m_mw)):
+    for agg, load in zip(case_sums(row), (prep.load_r_mw, prep.load_m_mw)):
         pos = float(np.maximum(g - load, 0).sum())
         neg = float(np.minimum(g - load, 0).sum())
         util = float(np.minimum(g, load).sum())
@@ -147,14 +154,14 @@ def test_cell_matches_pipeline_composition(prep):
     m_r = g - prep.load_r_mw
     m_m = g - prep.load_m_mw
     pos_diff = float(np.maximum(m_m, 0).sum() - np.maximum(m_r, 0).sum())
-    assert cell.delta_sums["pos_mwh"] == pytest.approx(pos_diff, rel=1e-9)
-    assert cell.delta_hourly_means["pos_mwh"] == pytest.approx(pos_diff / 8760.0,
-                                                               rel=1e-9)
+    pos_sum, pos_mean = row[DELTAS][0:2]     # DELTA_METRICS[0] is pos_mwh
+    assert pos_sum == pytest.approx(pos_diff, rel=1e-9)
+    assert pos_mean == pytest.approx(pos_diff / 8760.0, rel=1e-9)
 
 
 @pytest.mark.parametrize("pv_mw, wind_mw", [(105.0, 0.0), (105.0, 157.5)])
 def test_self_consumption_test_is_over_lit_hours(prep, pv_mw, wind_mw):
-    cell = evaluate_cell(pv_mw, wind_mw, prep)
+    row = evaluate_cell(pv_mw, wind_mw, prep)
     pv_gen, wind_gen = components(pv_mw, wind_mw, prep)
     g = pv_gen + wind_gen
     lit = g > 0
@@ -164,7 +171,7 @@ def test_self_consumption_test_is_over_lit_hours(prep, pv_mw, wind_mw):
     expected = welch_t_test(split_r.self_consumption()[lit],
                             split_m.self_consumption()[lit])
     assert not expected.untestable
-    assert cell.tests["self_consumption"] == expected
+    assert row_tests(row)["self_consumption"] == expected
 
 
 def test_scenario_components_scale_linearly(prep):
@@ -179,13 +186,13 @@ def test_scenario_components_scale_linearly(prep):
 
 def test_holm_family_is_all_121_scenarios(grid, config2014):
     for name in SWEEP_TEST_METRICS:
-        family = [cell.tests[name] for cell in all_cells(grid)]
+        family = [row_tests(row, reject)[name] for row, reject in zip(grid.table, grid.reject)]
         redone = holm_corrected(family, alpha=config2014.alpha)
         assert [r.reject for r in redone] == [r.reject for r in family]
         assert any(r.reject for r in family)
 
 
-def test_experiment1_tables_deterministic(grid, tmp_path):
+def test_experiment1_tables_deterministic(grid, prep, tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
     paths_a = write_experiment1_tables(grid, a)
@@ -196,9 +203,12 @@ def test_experiment1_tables_deterministic(grid, tmp_path):
     assert len(metrics) == 1 + 242
     assert metrics[0] == ("scenario_pv_mw,scenario_wind_mw,load_case,"
                           "pos_mwh,neg_mwh,util_mwh,self_consumption")
-    first = metrics[1].split(",")
-    assert first[2] == RESIDENTIAL_ONLY
-    assert first[6] == ""  # SC undefined at zero capacity
+    # no generation at (0, 0): M⁺ = U = 0, M⁻ = −ΣL, and self-consumption is
+    # undefined, so its cell is empty
+    for line, case, load in zip(metrics[1:3], LOAD_CASES, (prep.load_r_mw, prep.load_m_mw)):
+        pv, wind, label, pos, neg, util, sc = line.split(",")
+        assert (pv, wind, label, pos, util, sc) == ("0.0", "0.0", case, "0.0", "0.0", "")
+        assert float(neg) == pytest.approx(-float(load.sum()))
     sig = (a / "sweep_significance.csv").read_text().splitlines()
     assert len(sig) == 1 + 484
     deltas = (a / "sweep_deltas.csv").read_text().splitlines()
@@ -215,11 +225,13 @@ def list_oracle_tables(grid) -> dict:
 
     # table columns: 0-7 annual sums, 8-19 t, dof, p per test, 24-29 deltas
     tables = {
-        "sweep_metrics.csv": (tabular.METRIC_HEADER, [
-            tabular.metric_row(pv, wind, case, AggregateMetrics(*sums))
-            for (pv, wind, case), *sums in long_rows(slice(0, 8), LOAD_CASES)]),
+        "sweep_metrics.csv": (
+            ("scenario_pv_mw", "scenario_wind_mw", "load_case",
+             "pos_mwh", "neg_mwh", "util_mwh", "self_consumption"),
+            [(*key, pos, neg, util, util / gen if gen > 0 else None)
+             for key, pos, neg, util, gen in long_rows(slice(0, 8), LOAD_CASES)]),
         "sweep_significance.csv": (
-            ("scenario_pv_mw", "scenario_wind_mw", "metric") + tabular.SIGNIFICANCE_COLUMNS,
+            ("scenario_pv_mw", "scenario_wind_mw", "metric", "t", "dof", "p", "reject_holm"),
             [(*key, t, dof, p, flag) for (key, t, dof, p), flag
              in zip(long_rows(slice(8, 20), SWEEP_TEST_METRICS),
                     grid.reject.ravel().tolist())]),
@@ -275,6 +287,35 @@ def test_writing_the_61x61_tables_holds_under_1_mb(tmp_path):
         tracemalloc.stop()
     assert peak < 1_000_000
     assert len((tmp_path / "sweep_significance.csv").read_text().splitlines()) == 1 + 4 * 3721
+
+
+@settings(max_examples=60, deadline=None)
+@given(pv_mw=st.floats(0.0, 600.0), wind_mw=st.floats(0.0, 600.0), pooled=st.booleans())
+@example(pv_mw=0.0, wind_mw=0.0, pooled=False)
+@example(pv_mw=0.0, wind_mw=0.0, pooled=True)
+def test_evaluate_cell_row_invariants(prep, pv_mw, wind_mw, pooled):
+    row = evaluate_cell(pv_mw, wind_mw, prep, pooled=pooled)
+    assert len(row) == TABLE_WIDTH
+    for agg, load in zip(case_sums(row), (prep.load_r_mw, prep.load_m_mw)):
+        pos, neg, util, gen = agg
+        total_load = float(load.sum())
+        assert pos >= 0.0 >= neg
+        assert abs(pos + neg - (gen - total_load)) <= 1e-9 * max(gen, total_load, 1.0)
+        assert 0.0 <= util <= min(gen, total_load) * (1 + 1e-9)
+    t_dof_p, untestable = row[TESTS], row[UNTESTABLE]
+    for k, flag in enumerate(untestable):
+        t, dof, p = t_dof_p[3 * k:3 * k + 3]
+        assert flag in (0.0, 1.0)
+        assert math.isnan(t) == math.isnan(dof) == (flag == 1.0)
+        if flag == 1.0:
+            assert p == 1.0
+        else:
+            assert 0.0 <= p <= 1.0
+    sums = row[SUMS]
+    for k, (total, mean) in enumerate(zip(row[DELTAS][0::2], row[DELTAS][1::2])):
+        residential, mixed = sums[k], sums[4 + k]   # ΣM⁺, ΣM⁻, ΣU per DELTA_METRICS
+        assert mean == total / len(prep.load_r_mw)
+        assert abs(total - (mixed - residential)) <= 1e-9 * (abs(mixed) + abs(residential) + 1)
 
 
 def test_experiment2_defaults_to_preset(exp2, config2014):
@@ -377,6 +418,28 @@ def test_experiment2_tables(exp2, tmp_path):
     summary = json.loads((tmp_path / "mix_summary.json").read_text())
     assert summary["pv_mw"] == exp2.pv_mw
     assert len(summary["solar_edges_pct"]) == 4
+
+
+def test_untestable_category_writes_empty_t_and_dof(exp2, tmp_path):
+    # a testable category writes its t, dof, p and reject flag; an untestable
+    # one empty t and dof, p = 1 and no rejection
+    write_experiment2_tables(exp2, tmp_path)
+    for metric in CATEGORY_METRICS:
+        lines = (tmp_path / f"categories_significance_{metric}.csv").read_text().splitlines()
+        assert lines[0].split(",")[-4:] == ["t", "dof", "p", "reject_holm"]
+        cells = {tuple(line.split(",")[:4]): line.split(",")[5:] for line in lines[1:]}
+        results = exp2.tests[metric]
+        assert len(cells) == len(results) == 150
+        kinds = set()
+        for key, result in results.items():
+            written = cells[(key.day_kind, key.time_band, str(key.solar_bin), str(key.wind_bin))]
+            if result.untestable:
+                assert written == ["", "", "1.0", "false"]
+            else:
+                assert written == [repr(result.t_stat), repr(result.dof),
+                                   repr(result.p_value), str(result.reject).lower()]
+            kinds.add(result.untestable)
+        assert kinds == {False, True}
 
 
 def test_build_problem_uses_fixture_roofs(prep):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from calendar_oracle import local_time, offset_hours_at, utc_time
 from urbanmix.ingest import (Calendar, HourlySeries, IngestError, build_calendar,
                              hours_in_year, load_profile, load_weather,
                              read_series, write_series)
@@ -51,7 +52,7 @@ def test_series_immutable():
 
 def test_calendar_basic_shape(calendar2014):
     assert calendar2014.n_hours == 8760
-    assert calendar2014.utc_time(0) == dt.datetime(2014, 1, 1, tzinfo=dt.timezone.utc)
+    assert utc_time(calendar2014, 0) == dt.datetime(2014, 1, 1, tzinfo=dt.timezone.utc)
     assert len(calendar2014.local_hour) == 8760
 
 
@@ -65,10 +66,13 @@ def test_calendar_dst_transitions(calendar2014):
     # last Sunday of March 2014, 01:00 UTC: offset jumps +1 -> +2
     before = dt.datetime(2014, 3, 30, 0, 59, tzinfo=dt.timezone.utc)
     after = dt.datetime(2014, 3, 30, 1, 0, tzinfo=dt.timezone.utc)
-    assert calendar2014.offset_hours_at(before) == 1.0
-    assert calendar2014.offset_hours_at(after) == 2.0
+    assert offset_hours_at(calendar2014, before) == 1.0
+    assert offset_hours_at(calendar2014, after) == 2.0
     back = dt.datetime(2014, 10, 26, 1, 0, tzinfo=dt.timezone.utc)
-    assert calendar2014.offset_hours_at(back) == 1.0
+    assert offset_hours_at(calendar2014, back) == 1.0
+    # hours 2112-2113 are 00:00 and 01:00 UTC on 30 March, 7152-7153 on 26 October
+    assert calendar2014.local_hour[2112:2114].tolist() == [1, 3]
+    assert calendar2014.local_hour[7152:7154].tolist() == [2, 2]
 
 
 def test_calendar_local_hour_never_skips_utc_hours(calendar2014):
@@ -81,10 +85,10 @@ def test_calendar_local_hour_never_skips_utc_hours(calendar2014):
 def test_calendar_weekend_and_holiday(calendar2014):
     # Jan 4 2014 was a Saturday; Jan 1 a holiday (Wednesday)
     sat_idx = [i for i in range(8760)
-               if calendar2014.local_time(i).date() == dt.date(2014, 1, 4)]
+               if local_time(calendar2014, i).date() == dt.date(2014, 1, 4)]
     assert calendar2014.is_weekend_day[sat_idx].all()
     wed_idx = [i for i in range(8760)
-               if calendar2014.local_time(i).date() == dt.date(2014, 1, 1)]
+               if local_time(calendar2014, i).date() == dt.date(2014, 1, 1)]
     assert not calendar2014.is_weekend_day[wed_idx].any()
     assert calendar2014.is_holiday[wed_idx].all()
     assert calendar2014.weekend_kind(True)[wed_idx].all()
@@ -92,7 +96,7 @@ def test_calendar_weekend_and_holiday(calendar2014):
 
 
 def per_hour_calendar_arrays(calendar):
-    times = [calendar.local_time(i) for i in range(calendar.n_hours)]
+    times = [local_time(calendar, i) for i in range(calendar.n_hours)]
     return (np.array([t.hour for t in times], dtype=np.int64),
             np.array([t.timetuple().tm_yday for t in times], dtype=np.int64),
             np.array([t.weekday() >= 5 for t in times], dtype=bool),
