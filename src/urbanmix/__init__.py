@@ -18,7 +18,7 @@ _EXPORTS = {
     "config": ("ConfigError", "ModelInputs", "SimulationConfig", "assemble",
                "assemble_demand", "assemble_weather", "default_config", "load_config",
                "GAConfig"),
-    "demand": ("MIXED", "RESIDENTIAL_ONLY", "LoadCase", "build_load_cases", "compute_phi"),
+    "demand": ("MIXED", "RESIDENTIAL_ONLY", "build_load_cases"),
     "generation": ("AreaBudget", "PvParams", "TurbineParams", "capacity_coefficients",
                    "generation_mw", "pv_unit_series", "wind_unit_series"),
     "ingest": ("Calendar", "HourlySeries", "IngestError", "WeatherFrame", "build_calendar",
@@ -26,7 +26,7 @@ _EXPORTS = {
     "metrics": ("AggregateMetrics", "HourlySplit", "annual_metrics", "delta_mismatch",
                 "hourly_split"),
     "optimize": ("MixProblem", "MixSolution", "ga_optimize", "grid_oracle"),
-    "scaling": ("ScalingFixture", "ServiceMix", "build_service_mix", "load_default_fixture",
+    "scaling": ("ScalingFixture", "build_service_mix", "load_default_fixture",
                 "round_half_away"),
     "stats": ("TestResult", "apply_holm", "welch_t_test"),
     "validation": ("reconcile_published", "render_reconciliation"),

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import warnings
-from typing import NamedTuple
 
 import numpy as np
 
@@ -127,12 +126,6 @@ def classify_year(solar_pct, wind_pct, edges: BinEdges, calendar: Calendar,
     return ((weekend * len(TIME_BANDS) + bands) * N_BINS + solar_bins - 1) * N_BINS + wind_bins - 1
 
 
-class CategoryAggregate(NamedTuple):
-    count: int
-    mean: float | None
-    total: float
-
-
 def _checked_codes(codes) -> np.ndarray:
     codes = np.asarray(codes)
     if len(codes) and not (codes.dtype.kind in "iu" and 0 <= codes.min()
@@ -151,28 +144,25 @@ def _defined(codes, metric) -> tuple[np.ndarray, np.ndarray]:
     return codes[ok], values[ok]
 
 
-def aggregate_by_category(codes, metric) -> dict[CategoryKey, CategoryAggregate]:
-    """Count, mean, and sum of a metric per category.
+def aggregate_by_category(codes, metric) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, sums) of a metric per category, one entry per category code.
 
-    All 150 keys are present in the result; empty categories carry count 0
-    and an undefined mean. NaN metric values mark hours where the metric is
-    undefined and are left out of that category's count. Each sum adds its
-    hours in hour order, starting from 0.0.
+    NaN metric values mark hours where the metric is undefined and are left
+    out of that category's count; an empty category has count 0 and sum 0.0.
+    Each sum adds its hours in hour order, starting from 0.0.
     """
     codes, values = _defined(codes, metric)
-    counts = np.bincount(codes, minlength=N_CATEGORIES).tolist()
     # an empty selection gives integer zeros; the sums are floats regardless
-    sums = np.bincount(codes, weights=values, minlength=N_CATEGORIES).astype(float).tolist()
-    return {key: CategoryAggregate(count=n, mean=total / n if n else None, total=total)
-            for key, n, total in zip(all_category_keys(), counts, sums)}
+    return (np.bincount(codes, minlength=N_CATEGORIES),
+            np.bincount(codes, weights=values, minlength=N_CATEGORIES).astype(float))
 
 
-def member_values(codes, metric) -> dict[CategoryKey, np.ndarray]:
-    """Metric samples per category in hour order, NaN entries dropped."""
+def member_values(codes, metric) -> list[np.ndarray]:
+    """Metric samples of each category code in hour order, NaN entries dropped."""
     codes, values = _defined(codes, metric)
     order = np.argsort(codes, kind="stable")
     bounds = np.cumsum(np.bincount(codes, minlength=N_CATEGORIES))[:-1]
-    return dict(zip(all_category_keys(), np.split(values[order], bounds)))
+    return np.split(values[order], bounds)
 
 
 def category_counts(codes) -> dict[CategoryKey, int]:

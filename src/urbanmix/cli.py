@@ -117,14 +117,14 @@ def cmd_profiles(args, config: SimulationConfig) -> int:
     out: Path = args.out
     write_series(household, out / "profiles_household.csv", value_column="kw")
     write_series(service, out / "profiles_service.csv", value_column="kw")
-    write_series(residential.series, out / f"load_{RESIDENTIAL_ONLY}.csv", value_column="kw")
-    write_series(mixed.series, out / f"load_{MIXED}.csv", value_column="kw")
+    write_series(residential, out / f"load_{RESIDENTIAL_ONLY}.csv", value_column="kw")
+    write_series(mixed, out / f"load_{MIXED}.csv", value_column="kw")
     summary = {
         "phi": phi,
         "household_annual_kwh": household.total(),
         "service_annual_kwh": service.total(),
-        "peak_residential_only_kw": float(residential.series.values.max()),
-        "peak_mixed_kw": float(mixed.series.values.max()),
+        "peak_residential_only_kw": float(residential.values.max()),
+        "peak_mixed_kw": float(mixed.values.max()),
     }
     (out / "profiles_summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -215,11 +215,10 @@ def cmd_validate(args, config: SimulationConfig) -> int:
           f"flagged={sorted(flagged)} documented={sorted(documented)}")
 
     prep = experiments.prepare(config)
-    residential, mixed, phi = prep.residential, prep.mixed, prep.phi
+    residential, mixed, phi = prep.residential.total(), prep.mixed.total(), prep.phi
     check("load cases share annual energy",
-          abs(residential.annual_energy - mixed.annual_energy)
-          <= 1e-6 * mixed.annual_energy,
-          f"residential={residential.annual_energy!r} mixed={mixed.annual_energy!r}")
+          abs(residential - mixed) <= 1e-6 * mixed,
+          f"residential={residential!r} mixed={mixed!r}")
     check("phi is positive and finite", 0 < phi < float("inf"), f"phi={phi!r}")
 
     sums = experiments.evaluate_cell(105.0, 105.0, prep)[experiments._SUMS]

@@ -11,7 +11,7 @@ from . import ingest
 from .generation import AreaBudget, PvParams, SingleDiodeParams, TurbineParams
 from .ingest import (Calendar, HourlySeries, IngestError, ValidationError, WeatherFrame,
                      checked_record)
-from .scaling import (ScalingFixture, ServiceMix, build_service_mix, default_fixture_path,
+from .scaling import (ScalingFixture, build_service_mix, default_fixture_path,
                       load_scaling_fixture)
 
 
@@ -226,7 +226,7 @@ def _resolve(raw: dict, base_dir: Path) -> SimulationConfig:
         raise ConfigError(f"config year {year} does not match calendar year {calendar.year}")
     scaling_file = kwargs.get("scaling_fixture", default_fixture_path())
     with _config_error(f"cannot read scaling file {scaling_file}",
-                       (OSError, TypeError, ValueError)):  # ScalingError or a bad number
+                       (OSError, TypeError, ValueError)):  # ScalingError or a malformed entry
         fixture = kwargs["scaling_fixture"] = load_scaling_fixture(scaling_file)
     # an empty map means the fixture's roof areas; any other must give every building type
     roofs = kwargs["area"].service_roofs if "area" in kwargs else {}
@@ -259,7 +259,7 @@ class ModelInputs(NamedTuple):
     config: SimulationConfig
     calendar: Calendar
     weather: WeatherFrame
-    service_mix: ServiceMix
+    service_mix: dict  # building type -> per-100k count
     household: HourlySeries
     service: HourlySeries
 
@@ -277,7 +277,7 @@ def assemble_weather(config: SimulationConfig) -> WeatherFrame:
         return ingest.load_weather(config.weather_path, config.calendar)
 
 
-def assemble_demand(config: SimulationConfig) -> tuple[ServiceMix, HourlySeries, HourlySeries]:
+def assemble_demand(config: SimulationConfig) -> tuple[dict, HourlySeries, HourlySeries]:
     """The service mix and the household and service demand series.
 
     Each profile comes from the file the configuration names, or from the
@@ -299,7 +299,7 @@ def assemble_demand(config: SimulationConfig) -> tuple[ServiceMix, HourlySeries,
     mix = build_service_mix(config.scaling_fixture.specs,
                             households_per_100k=config.scaling_fixture.households_per_100k)
     profiles: dict[str, HourlySeries] = {}
-    for name in mix.names:
+    for name in mix:
         if config.reference_profile_dir is not None:
             profile_path = config.reference_profile_dir / f"{name}.csv"
             with _config_error(f"cannot read reference profile {profile_path}"):

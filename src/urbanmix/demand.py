@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ingest import HourlySeries, ValidationError, checked_record
-from .scaling import ServiceMix
+from .ingest import HourlySeries, ValidationError
 
 
 class DemandError(ValidationError):
@@ -16,20 +15,9 @@ RESIDENTIAL_ONLY = "residential-only"
 MIXED = "mixed"
 
 
-class LoadCase(checked_record(DemandError,
-                             ("kind", str, (RESIDENTIAL_ONLY, MIXED)),
-                             ("series", HourlySeries, None),
-                             ("annual_energy", float, None),  # kWh for a kW series
-                             ("phi", float | None, None, None))):  # set for residential-only
-    __slots__ = ()
-
-    def _rules(self):
-        if np.any(self.series.values < 0):
-            raise DemandError("load series must be non-negative")
-
-
-def synthesize_service_profile(mix: ServiceMix, reference_profiles) -> HourlySeries:
-    """Weighted sum of per-type reference profiles, weights = mix counts.
+def synthesize_service_profile(mix: dict, reference_profiles) -> HourlySeries:
+    """Weighted sum of per-type reference profiles, weights = the mix's
+    {building type: count}.
 
     ``reference_profiles`` maps building-type name to an HourlySeries in kW
     for one reference building. All profiles must share the calendar year.
@@ -53,32 +41,21 @@ def synthesize_service_profile(mix: ServiceMix, reference_profiles) -> HourlySer
     return HourlySeries(values=total, unit="kW", year=base.year)
 
 
-def compute_phi(mixed_annual: float, household_annual: float) -> float:
-    if household_annual <= 0:
-        raise DemandError(f"household annual energy must be positive, got {household_annual}")
-    return mixed_annual / household_annual
+def build_load_cases(h: HourlySeries,
+                     s: HourlySeries) -> tuple[HourlySeries, HourlySeries, float]:
+    """(residential-only, mixed, phi) from the household and service series.
 
-
-def residential_case(h: HourlySeries, phi: float) -> LoadCase:
-    if phi < 0:
-        raise DemandError(f"phi must be non-negative, got {phi}")
-    series = h.with_values(phi * h.values)
-    return LoadCase(kind=RESIDENTIAL_ONLY, series=series,
-                    annual_energy=series.total(), phi=phi)
-
-
-def mixed_case(h: HourlySeries, s: HourlySeries) -> LoadCase:
+    The mixed case is h + s; the residential-only case is phi · h, with phi
+    chosen so that the two cases carry the same annual energy.
+    """
     if h.year != s.year:
         raise DemandError(f"year mismatch: household {h.year} vs service {s.year}")
-    if len(h) != len(s):
-        raise DemandError(f"length mismatch: {len(h)} vs {len(s)}")
-    series = h.with_values(h.values + s.values)
-    return LoadCase(kind=MIXED, series=series, annual_energy=series.total())
-
-
-def build_load_cases(h: HourlySeries, s: HourlySeries) -> tuple[LoadCase, LoadCase, float]:
-    """Both load cases with phi chosen so annual energies match exactly."""
-    mixed = mixed_case(h, s)
-    phi = compute_phi(mixed.annual_energy, h.total())
-    residential = residential_case(h, phi)
-    return residential, mixed, phi
+    for name, series in (("household", h), ("service", s)):
+        if np.any(series.values < 0):
+            raise DemandError(f"{name} load must be non-negative")
+    household_annual = h.total()
+    if household_annual <= 0:
+        raise DemandError(f"household annual energy must be positive, got {household_annual}")
+    mixed = h.with_values(h.values + s.values)
+    phi = mixed.total() / household_annual
+    return h.with_values(phi * h.values), mixed, phi

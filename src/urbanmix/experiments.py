@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tabular
 from .config import ModelInputs, SimulationConfig, assemble
-from .demand import MIXED, RESIDENTIAL_ONLY, LoadCase, build_load_cases
+from .demand import MIXED, RESIDENTIAL_ONLY, build_load_cases
 from .generation import (TURBINE_UNIT_MW, area_budget_totals, capacity_coefficients,
                          generation_mw, pv_unit_series, wind_unit_series)
 from .ingest import HourlySeries
@@ -42,8 +42,8 @@ class Prepared(NamedTuple):
     """Inputs resolved into the series every scenario shares."""
     inputs: ModelInputs
     phi: float
-    residential: LoadCase
-    mixed: LoadCase
+    residential: HourlySeries  # kW, phi · household
+    mixed: HourlySeries        # kW, household + service
     load_r_mw: np.ndarray
     load_m_mw: np.ndarray
     pv_unit: HourlySeries     # W per m² of panel
@@ -57,8 +57,8 @@ class Prepared(NamedTuple):
 def prepare(config: SimulationConfig) -> Prepared:
     inputs = assemble(config)
     residential, mixed, phi = build_load_cases(inputs.household, inputs.service)
-    load_r_mw = residential.series.values / 1000.0
-    load_m_mw = mixed.series.values / 1000.0
+    load_r_mw = residential.values / 1000.0
+    load_m_mw = mixed.values / 1000.0
     load_r_mw.flags.writeable = False
     load_m_mw.flags.writeable = False
     pv_unit = pv_unit_series(inputs.weather, inputs.calendar.year, config.pv)
@@ -216,15 +216,18 @@ def write_experiment1_tables(grid: ScenarioGrid, out_dir) -> list:
 
 
 class Experiment2Result(NamedTuple):
+    """The category study. Each per-category column holds one entry per
+    category code, in the order of classify.all_category_keys."""
     pv_mw: float
     wind_mw: float
     phi: float
     edges: classify.BinEdges
-    keys: np.ndarray          # category code per hour, see classify.all_category_keys
-    counts: dict
-    aggregates: dict          # (load_case, metric) -> {CategoryKey: CategoryAggregate}
-    delta_aggregates: dict    # CategoryKey -> CategoryAggregate
-    tests: dict               # metric -> {CategoryKey: TestResult}
+    keys: np.ndarray          # category code per hour
+    counts: dict              # CategoryKey -> hours
+    aggregates: dict          # (load_case, metric) -> (counts, sums) columns
+    delta_aggregates: tuple   # (counts, sums) columns
+    tests: dict               # metric -> list of TestResult per category
+    reject: dict              # metric -> Holm flags per category
     summary: dict
 
 
@@ -272,19 +275,18 @@ def run_experiment2(config: SimulationConfig, out_dir=None,
                            prep.inputs.household.values / 1000.0, prep.phi)
     delta_aggregates = classify.aggregate_by_category(keys, delta)
 
-    tests = {}
+    tests, reject = {}, {}
     for metric in CATEGORY_METRICS:
         members_r = classify.member_values(keys, hourly[(RESIDENTIAL_ONLY, metric)])
         members_m = classify.member_values(keys, hourly[(MIXED, metric)])
         try:
-            family = [welch_t_test(members_r[key], members_m[key], pooled=config.pooled)
-                      for key in members_r]
+            family = [welch_t_test(a, b, pooled=config.pooled)
+                      for a, b in zip(members_r, members_m)]
         except StatsError as exc:
             raise StatsError(f"{exc} at {pv_mw!r} MW PV and {wind_mw!r} MW wind") from None
-        flags = apply_holm([r.p_value for r in family], [r.untestable for r in family],
-                           alpha=config.alpha).tolist()
-        tests[metric] = {key: r._replace(reject=flag)
-                         for key, r, flag in zip(members_r, family, flags)}
+        tests[metric] = family
+        reject[metric] = apply_holm([r.p_value for r in family],
+                                    [r.untestable for r in family], alpha=config.alpha)
 
     summary = {
         "pv_mw": pv_mw,
@@ -304,21 +306,22 @@ def run_experiment2(config: SimulationConfig, out_dir=None,
                                edges=edges, keys=keys, counts=counts,
                                aggregates=aggregates,
                                delta_aggregates=delta_aggregates,
-                               tests=tests, summary=summary)
+                               tests=tests, reject=reject, summary=summary)
     if out_dir is not None:
         write_experiment2_tables(result, out_dir)
     return result
 
 
-def _category_rows(aggregates: dict, metric: str) -> list:
+def _category_rows(aggregate: tuple, metric: str) -> list:
+    """One CATEGORY_HEADER row per category from its (counts, sums) columns;
+    an empty category's mean is None."""
     from . import classify
 
-    rows = []
-    for key in classify.all_category_keys():
-        agg = aggregates[key]
-        rows.append((key.day_kind, key.time_band, key.solar_bin, key.wind_bin,
-                     agg.count, metric, agg.mean, agg.total))
-    return rows
+    counts, sums = aggregate
+    return [(key.day_kind, key.time_band, key.solar_bin, key.wind_bin,
+             n, metric, total / n if n else None, total)
+            for key, n, total in zip(classify.all_category_keys(), counts.tolist(),
+                                     sums.tolist())]
 
 
 def write_experiment2_tables(result: Experiment2Result, out_dir) -> list:
@@ -356,11 +359,11 @@ def write_experiment2_tables(result: Experiment2Result, out_dir) -> list:
 
     # An untestable result's NaN t and dof write empty cells.
     for metric in CATEGORY_METRICS:
-        sig_rows = []
-        for key in classify.all_category_keys():
-            test = result.tests[metric][key]
-            sig_rows.append((key.day_kind, key.time_band, key.solar_bin,
-                             key.wind_bin, metric, *test[:4]))   # t, dof, p, reject
+        sig_rows = [(key.day_kind, key.time_band, key.solar_bin, key.wind_bin, metric,
+                     *test[:3], flag)   # t, dof, p, reject
+                    for key, test, flag in zip(classify.all_category_keys(),
+                                               result.tests[metric],
+                                               result.reject[metric].tolist())]
         paths.append(tabular.write_csv(
             out_dir / f"categories_significance_{metric}.csv",
             ("day_kind", "time_band", "solar_bin", "wind_bin", "metric")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .ingest import (MIN_TEMP_C, HourlySeries, ValidationError, WeatherFrame, _check,
                      checked_record)
-from .scaling import ServiceMix, round_half_away
+from .scaling import round_half_away
 
 R_DRY_AIR = 287.05          # J/(kg K)
 BETZ_LIMIT = 0.593
@@ -304,7 +304,7 @@ def generation_mw(panel_area_m2, turbines, g_pv, g_turbine) -> np.ndarray:
     return g
 
 
-def area_budget_totals(mix: ServiceMix, n_households: int, budget: AreaBudget,
+def area_budget_totals(mix: dict, n_households: int, budget: AreaBudget,
                        roof_only_pv: bool = False) -> tuple[float, float, float]:
     """(total roof area, PV area cap, wind area cap) in m².
 

@@ -275,7 +275,7 @@ def build_calendar(year: int, holidays, base_utc_offset_hours: float = 0.0,
             when = dt.datetime.fromisoformat(instant) if isinstance(instant, str) else instant
             if not isinstance(when, dt.datetime):
                 raise TypeError(f"instant must be an ISO datetime, got {type(when).__name__}")
-            offset = float(offset)
+            offset = _check("offset_hours", offset, float, None, IngestError)
         except (TypeError, ValueError) as exc:
             raise IngestError(f"malformed DST transition ({instant!r}, {offset!r}): "
                               f"{exc}") from exc
@@ -288,7 +288,7 @@ def build_calendar(year: int, holidays, base_utc_offset_hours: float = 0.0,
     return Calendar(
         year=year,
         holiday_dates=frozenset(dates),
-        base_utc_offset_hours=float(base_utc_offset_hours),
+        base_utc_offset_hours=base_utc_offset_hours,
         transitions=tuple(transitions),
     )
 
@@ -301,14 +301,14 @@ def load_calendar_config(path) -> Calendar:
     except (OSError, json.JSONDecodeError) as exc:
         raise IngestError(f"cannot read calendar config {path}: {exc}") from exc
     try:
-        year = int(raw["year"])
+        year = raw["year"]
         holidays = raw.get("holidays", [])
-        base = float(raw.get("base_utc_offset_hours", 0.0))
+        base = raw.get("base_utc_offset_hours", 0.0)
         transitions = [
             (entry["at_utc"], entry["offset_hours"])
             for entry in raw.get("dst_transitions", [])
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise IngestError(f"calendar config {path} is malformed: {exc}") from exc
     return build_calendar(year, holidays, base, transitions)
 
@@ -356,9 +356,9 @@ def _read_columns(path: Path, header: tuple, n: int, limits=()) -> np.ndarray:
     ``header`` names the columns (``None`` accepts any name); the first holds
     the hour, each of 0..n-1 exactly once, rows in any order. One
     ``np.loadtxt`` call parses the body, skipping empty lines; the hour,
-    finiteness and ``limits`` ((column, constraint) for `_within`, in file-row
-    order) checks then run over whole columns. Every rejection is an IngestError
-    that names the file, and the row and column where one is at fault.
+    finiteness and ``limits`` ((column in ``header``, constraint) for `_within`,
+    in file-row order) checks then run over whole columns. Every rejection is an
+    IngestError that names the file, and the row and column where one is at fault.
     """
     try:
         with path.open(encoding="utf-8") as handle:
@@ -414,11 +414,12 @@ def _read_columns(path: Path, header: tuple, n: int, limits=()) -> np.ndarray:
     if len(bad_cells):
         i, column = bad_cells[0]
         raise IngestError(f"{path}: non-finite {names[column + 1]} at hour {index[i]}")
-    for name, constraint in limits:
-        column = values[:, names.index(name) - 1]
+    for want, constraint in limits:
+        k = header.index(want)
+        column = values[:, k - 1]
         bad = np.flatnonzero(~_within(column, constraint))
         if len(bad):
-            raise IngestError(f"{path} row {row(bad[0])[0]}: {name} must be {constraint}, "
+            raise IngestError(f"{path} row {row(bad[0])[0]}: {names[k]} must be {constraint}, "
                               f"got {column[bad[0]]}")
     columns = np.empty((len(names) - 1, n))
     columns[:, index] = values.T
@@ -443,17 +444,14 @@ def load_weather(path, calendar: Calendar) -> WeatherFrame:
 def load_profile(path, annual_energy_kwh: float, calendar: Calendar) -> HourlySeries:
     """Load an hourly profile CSV and scale it to a target annual energy.
 
-    Input weights may be absolute kW or normalized fractions; either way the
-    shape is kept and the series is renormalized so its energy sum (kWh at
+    Input weights, each >= 0, may be absolute kW or normalized fractions; either
+    way the shape is kept and the series is renormalized so its energy sum (kWh at
     1-hour steps) equals ``annual_energy_kwh``.
     """
     path = Path(path)
     if not path.exists():
         raise IngestError(f"profile file not found: {path}")
-    weights = _read_columns(path, PROFILE_COLUMNS, calendar.n_hours)[0]
-    if np.any(weights < 0):
-        first = int(np.flatnonzero(weights < 0)[0])
-        raise IngestError(f"{path}: profile weight at hour {first} is negative")
+    weights = _read_columns(path, PROFILE_COLUMNS, calendar.n_hours, (("weight", ">= 0"),))[0]
     total = weights.sum()
     if total <= 0:
         raise IngestError(f"{path}: profile weights are all zero, cannot normalize")
@@ -476,7 +474,8 @@ def write_series(series: HourlySeries, path, value_column: str = "value") -> Non
 
 
 def read_series(path, unit: str, year: int, value_column: str | None = None) -> HourlySeries:
-    """Read a ``hour,value`` CSV back into an HourlySeries without rescaling.
+    """Read a ``hour,value`` CSV of non-negative values (a load or a generation
+    series) back into an HourlySeries without rescaling.
 
     When ``value_column`` is given the file header must be exactly
     ``hour,<value_column>``.
@@ -484,5 +483,6 @@ def read_series(path, unit: str, year: int, value_column: str | None = None) -> 
     path = Path(path)
     if not path.exists():
         raise IngestError(f"profile file not found: {path}")
-    values = _read_columns(path, ("hour", value_column), hours_in_year(year))[0]
+    values = _read_columns(path, ("hour", value_column), hours_in_year(year),
+                           ((value_column, ">= 0"),))[0]
     return HourlySeries(values=values, unit=unit, year=year)

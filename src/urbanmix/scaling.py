@@ -18,7 +18,7 @@ import math
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
-from .ingest import ValidationError, checked_record
+from .ingest import ValidationError, _check, checked_record
 
 HOUSEHOLDS_PER_100K = 75.9
 
@@ -212,48 +212,18 @@ def national_count(spec: BuildingScalingSpec, use_published: bool = True) -> int
     return round_half_away(recomputed_national(spec))
 
 
-class ServiceMix(checked_record(ScalingError, ("entries", tuple, None))):
-    """Per-100 000-household reference-building counts, in spec order:
-    ``entries`` holds (name, count) pairs."""
-
-    __slots__ = ()
-
-    def _rules(self):
-        for name, count in self.entries:
-            if count < 0:
-                raise ScalingError(f"{name}: negative count {count}")
-
-    def count(self, name: str) -> int:
-        for entry_name, count in self.entries:
-            if entry_name == name:
-                return count
-        raise KeyError(name)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.entries)
-
-    @property
-    def counts(self) -> tuple[int, ...]:
-        return tuple(count for _, count in self.entries)
-
-    def items(self):
-        return iter(self.entries)
-
-
 def build_service_mix(specs, use_published: bool = True,
-                      households_per_100k: float = HOUSEHOLDS_PER_100K) -> ServiceMix:
-    """Apply each spec's method and the per-100k step to get the mix."""
-    entries = []
-    for spec in specs:
-        national = national_count(spec, use_published=use_published)
-        entries.append((spec.name, per_100k(national, households_per_100k)))
-    return ServiceMix(entries=tuple(entries))
+                      households_per_100k: float = HOUSEHOLDS_PER_100K) -> dict[str, int]:
+    """{building type: per-100k reference-building count}, in spec order: each
+    spec's method, then the per-100k step."""
+    return {spec.name: per_100k(national_count(spec, use_published=use_published),
+                                households_per_100k)
+            for spec in specs}
 
 
 class ScalingFixture(checked_record(ScalingError,
                                    ("name", str, None),
-                                   ("households_per_100k", float, None),
+                                   ("households_per_100k", float, "> 0"),
                                    ("specs", tuple, None),  # of BuildingScalingSpec
                                    ("office_bands", tuple, None, ()),  # of OfficeBand
                                    ("office_total_used_area_m2", float | None, None, None),
@@ -262,19 +232,38 @@ class ScalingFixture(checked_record(ScalingError,
 
     __slots__ = ()
 
+    def _rules(self):
+        names = [spec.name for spec in self.specs]
+        for name in names:
+            if names.count(name) > 1:
+                raise ScalingError(f"building type {name!r} is listed twice")
+
     def roof_areas(self) -> dict[str, float]:
         return {s.name: s.roof_area_m2 for s in self.specs}
 
 
+def _given(raw: Mapping, key: str, kind):
+    """``raw[key]`` checked as a ``kind``, or None where it is absent or null."""
+    value = raw.get(key)
+    return None if value is None else _check(key, value, kind, None, ScalingError)
+
+
 def _band_from_dict(raw: Mapping) -> OfficeBand:
     return OfficeBand(
-        min_m2=float(raw["min_m2"]),
-        max_m2=None if raw.get("max_m2") is None else float(raw["max_m2"]),
-        share_pct=float(raw["share_pct"]),
-        avg_m2=None if raw.get("avg_m2") is None else float(raw["avg_m2"]),
-        published_count=raw.get("published_count"),
-        published_area_m2=raw.get("published_area_m2"),
+        min_m2=raw["min_m2"],
+        max_m2=_given(raw, "max_m2", float),
+        share_pct=raw["share_pct"],
+        avg_m2=_given(raw, "avg_m2", float),
+        published_count=_given(raw, "published_count", int),
+        published_area_m2=raw.get("published_area_m2"),  # scale_office_bands.csv writes it as read
     )
+
+
+def _inputs(raw: Mapping, side: str) -> dict[str, float]:
+    """A spec's "local" or "reference" inputs, each checked as a number."""
+    return {key: _check(f"{raw['name']}: {side} input {key!r}", value, float, None,
+                        ScalingError)
+            for key, value in raw.get(side, {}).items()}
 
 
 def _spec_from_dict(raw: Mapping) -> BuildingScalingSpec:
@@ -282,13 +271,13 @@ def _spec_from_dict(raw: Mapping) -> BuildingScalingSpec:
         return BuildingScalingSpec(
             name=raw["name"],
             method=raw["method"],
-            local_inputs={k: float(v) for k, v in raw.get("local", {}).items()},
-            reference_inputs={k: float(v) for k, v in raw.get("reference", {}).items()},
-            roof_area_m2=float(raw["roof_area_m2"]),
+            local_inputs=_inputs(raw, "local"),
+            reference_inputs=_inputs(raw, "reference"),
+            roof_area_m2=raw["roof_area_m2"],
             quantity=raw.get("quantity", ""),
-            published_national=raw.get("published_national"),
-            published_per_100k=raw.get("published_per_100k"),
-            alt_published_per_100k=raw.get("alt_published_per_100k"),
+            published_national=_given(raw, "published_national", int),
+            published_per_100k=_given(raw, "published_per_100k", int),
+            alt_published_per_100k=_given(raw, "alt_published_per_100k", int),
             breakdown=raw.get("breakdown"),
             notes=raw.get("notes", ""),
         )
@@ -308,13 +297,10 @@ def load_scaling_fixture(path) -> ScalingFixture:
         raise ScalingError(f"scaling fixture {path} lists no buildings")
     return ScalingFixture(
         name=raw.get("name", path.stem),
-        households_per_100k=float(raw.get("households_per_100k", HOUSEHOLDS_PER_100K)),
+        households_per_100k=raw.get("households_per_100k", HOUSEHOLDS_PER_100K),
         specs=tuple(_spec_from_dict(s) for s in raw.get("buildings", [])),
         office_bands=tuple(_band_from_dict(b) for b in office.get("bands", [])),
-        office_total_used_area_m2=(
-            None if office.get("total_used_area_m2") is None
-            else float(office["total_used_area_m2"])
-        ),
+        office_total_used_area_m2=_given(office, "total_used_area_m2", float),
         documented_inconsistencies=tuple(raw.get("documented_inconsistencies", ())),
     )
 

@@ -28,7 +28,6 @@ class TestResult(NamedTuple):
     t_stat: float
     dof: float
     p_value: float
-    reject: bool = False
     untestable: bool = False
 
 

@@ -3,8 +3,8 @@ over CategoryKey objects that the integer category codes replaced."""
 
 import numpy as np
 
-from urbanmix.classify import (DAY_KINDS, TIME_BANDS, CategoryAggregate, CategoryKey,
-                               all_category_keys, time_band_of)
+from urbanmix.classify import (DAY_KINDS, TIME_BANDS, CategoryKey, all_category_keys,
+                               time_band_of)
 
 
 def classify_hour(hour_index, solar_pct_value, wind_pct_value, edges, calendar,
@@ -20,18 +20,15 @@ def classify_hour(hour_index, solar_pct_value, wind_pct_value, edges, calendar,
 
 
 def oracle_aggregate(keys, values):
+    """(counts, sums) of the defined values per category, in key order."""
     sums, counts = {}, {}
     for key, value in zip(keys, values):
         if np.isnan(value):
             continue
         sums[key] = sums.get(key, 0.0) + float(value)
         counts[key] = counts.get(key, 0) + 1
-    out = {}
-    for key in all_category_keys():
-        n = counts.get(key, 0)
-        total = sums.get(key, 0.0)
-        out[key] = CategoryAggregate(count=n, mean=total / n if n else None, total=total)
-    return out
+    return ([counts.get(key, 0) for key in all_category_keys()],
+            [sums.get(key, 0.0) for key in all_category_keys()])
 
 
 def oracle_members(keys, values):

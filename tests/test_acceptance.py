@@ -20,10 +20,10 @@ from optimize_oracle import tournament_comparison
 from urbanmix.classify import all_category_keys, classify_year, compute_bins
 from urbanmix.cli import main
 from urbanmix.config import default_config
-from urbanmix.demand import compute_phi
+from urbanmix.demand import build_load_cases
 from urbanmix.experiments import _SUMS, capacity_axis, prepare, run_experiment1
 from urbanmix.generation import TurbineParams, capacity_coefficients, generation_mw
-from urbanmix.ingest import build_calendar
+from urbanmix.ingest import HourlySeries, build_calendar
 from urbanmix.metrics import AggregateMetrics, annual_metrics, hourly_split
 from urbanmix.optimize import MixProblem, ga_optimize, grid_oracle, solution_report
 from urbanmix.scaling import build_service_mix
@@ -50,7 +50,7 @@ def test_criterion_01_reference_mix_and_reconciliation():
         fixture = config.scaling_fixture
         mix = build_service_mix(fixture.specs,
                                 households_per_100k=fixture.households_per_100k)
-        assert mix.counts == (3, 1, 16, 9, 47, 6, 32, 9, 177, 12, 170, 189, 163)
+        assert list(mix.values()) == [3, 1, 16, 9, 47, 6, 32, 9, 177, 12, 170, 189, 163]
         report = reconcile_published(fixture)
         assert set(report.inconsistencies) == set(fixture.documented_inconsistencies)
         assert len(report.inconsistencies) == 4
@@ -59,7 +59,10 @@ def test_criterion_01_reference_mix_and_reconciliation():
 
 def test_criterion_02_phi_value():
     with verdict("criterion 02 phi from annual energies"):
-        assert abs(compute_phi(7.10481, 3.49982) - 2.03005) < 5e-6
+        household, service = (HourlySeries(np.full(8760, kwh / 8760), unit="kW", year=2014)
+                              for kwh in (3.49982, 7.10481 - 3.49982))
+        _, _, phi = build_load_cases(household, service)
+        assert abs(phi - 2.03005) < 5e-6
 
 
 def test_criterion_03_wind_power_points():

@@ -166,16 +166,14 @@ def test_aggregate_by_category_reports_all_keys():
     wind = np.zeros(cal.n_hours)
     keys = classify_year(solar, wind, edges(), cal)
     metric = np.ones(cal.n_hours)
-    aggs = aggregate_by_category(keys, metric)
-    assert len(aggs) == 150
-    occupied = [k for k, a in aggs.items() if a.count]
+    counts, sums = aggregate_by_category(keys, metric)
+    assert counts.shape == sums.shape == (150,)
+    assert counts.dtype.kind == "i" and sums.dtype == np.float64
+    occupied = [k for k, n in zip(all_category_keys(), counts) if n]
     assert all(k.solar_bin == 1 and k.wind_bin == 1 for k in occupied)
-    total_count = sum(a.count for a in aggs.values())
-    assert total_count == 8760
-    assert sum(a.total for a in aggs.values()) == pytest.approx(8760.0)
-    empty = next(a for k, a in aggs.items() if a.count == 0)
-    assert empty.mean is None
-    assert empty.total == 0.0
+    assert counts.sum() == 8760
+    assert sums.sum() == pytest.approx(8760.0)
+    assert (sums[counts == 0] == 0.0).all()
 
 
 def test_aggregate_skips_nan_hours():
@@ -183,11 +181,11 @@ def test_aggregate_skips_nan_hours():
     keys = classify_year(np.zeros(cal.n_hours), np.zeros(cal.n_hours), edges(), cal)
     metric = np.ones(cal.n_hours)
     metric[:100] = np.nan
-    aggs = aggregate_by_category(keys, metric)
-    assert sum(a.count for a in aggs.values()) == 8760 - 100
+    counts, _ = aggregate_by_category(keys, metric)
+    assert counts.sum() == 8760 - 100
     samples = member_values(keys, metric)
-    assert sum(len(v) for v in samples.values()) == 8760 - 100
-    assert all(np.isfinite(v).all() for v in samples.values())
+    assert sum(len(v) for v in samples) == 8760 - 100
+    assert all(np.isfinite(v).all() for v in samples)
 
 
 def test_member_values_match_aggregate():
@@ -198,12 +196,13 @@ def test_member_values_match_aggregate():
     e = compute_bins(solar, wind, np.ones(cal.n_hours, dtype=bool))
     keys = classify_year(solar, wind, e, cal)
     metric = rng.normal(size=cal.n_hours)
-    aggs = aggregate_by_category(keys, metric)
+    counts, sums = aggregate_by_category(keys, metric)
     samples = member_values(keys, metric)
-    for key in samples:
-        assert len(samples[key]) == aggs[key].count
-        if aggs[key].count:
-            assert samples[key].mean() == pytest.approx(aggs[key].mean)
+    assert len(samples) == len(counts) == N_CATEGORIES
+    for sample, n, total in zip(samples, counts, sums):
+        assert len(sample) == n
+        if n:
+            assert sample.mean() == pytest.approx(total / n)
 
 
 def test_generation_atoms_respect_equal_fill(pv_unit, wind_unit, calendar2014):
@@ -273,19 +272,17 @@ def test_columnar_categories_equal_dict_loops(data, n, codes_from, all_nan):
                           dtype=float)
     keys = decode(codes)
 
-    aggregates, expected = aggregate_by_category(codes, values), oracle_aggregate(keys, values)
-    assert list(aggregates) == list(expected) == list(all_category_keys())
-    for key, agg in aggregates.items():
-        want = expected[key]
-        assert type(agg.count) is int and agg.count == want.count
-        assert (hexed(agg.mean), hexed(agg.total)) == (hexed(want.mean), hexed(want.total))
+    (counts, sums), (want_counts, want_sums) = (aggregate_by_category(codes, values),
+                                                oracle_aggregate(keys, values))
+    assert counts.tolist() == want_counts
+    assert [hexed(total) for total in sums.tolist()] == [hexed(total) for total in want_sums]
 
     members, want_members = member_values(codes, values), oracle_members(keys, values)
-    assert list(members) == list(want_members)
-    for key, sample in members.items():
-        assert sample.dtype == np.float64 and sample.shape == want_members[key].shape
-        assert [float.hex(v) for v in sample.tolist()] == \
-            [float.hex(v) for v in want_members[key].tolist()]
+    assert list(want_members) == list(all_category_keys())
+    assert len(members) == len(want_members)
+    for sample, want in zip(members, want_members.values()):
+        assert sample.dtype == np.float64 and sample.shape == want.shape
+        assert [float.hex(v) for v in sample.tolist()] == [float.hex(v) for v in want.tolist()]
 
     counts = category_counts(codes)
     assert counts == oracle_counts(keys)

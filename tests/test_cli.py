@@ -304,14 +304,49 @@ def test_service_roofs_missing_a_building_type_exits_1(tmp_path, capsys, command
     assert not out.exists() or not any(out.iterdir())
 
 
-@pytest.mark.parametrize("key, fixture, change, field", [
+@pytest.mark.parametrize("key, fixture, change, message", [
     ("calendar", "calendar_nl2014.json",
-     lambda raw: raw.update(base_utc_offset_hours=float("nan")), "base_utc_offset_hours"),
+     lambda raw: raw.update(base_utc_offset_hours=float("nan")),
+     "base_utc_offset_hours must be a finite number, got nan"),
     ("scaling", "scaling_nl2014.json",
-     lambda raw: raw["buildings"][0].update(roof_area_m2=float("nan")), "roof_area_m2"),
+     lambda raw: raw["buildings"][0].update(roof_area_m2=float("nan")),
+     "roof_area_m2 must be a finite number, got nan"),
+    # numbers are checked as given, not coerced first
+    ("calendar", "calendar_nl2014.json", lambda raw: raw.update(year="2014"),
+     "year must be an integer, got '2014'"),
+    ("calendar", "calendar_nl2014.json", lambda raw: raw.update(year=2014.9),
+     "year must be an integer, got 2014.9"),
+    ("calendar", "calendar_nl2014.json", lambda raw: raw.update(base_utc_offset_hours=True),
+     "base_utc_offset_hours must be a finite number, got True"),
+    ("calendar", "calendar_nl2014.json", lambda raw: raw.update(base_utc_offset_hours="1"),
+     "base_utc_offset_hours must be a finite number, got '1'"),
+    ("calendar", "calendar_nl2014.json",
+     lambda raw: raw["dst_transitions"][0].update(offset_hours="2"),
+     "malformed DST transition ('2014-03-30T01:00:00', '2'): "
+     "offset_hours must be a finite number, got '2'"),
+    ("scaling", "scaling_nl2014.json",
+     lambda raw: raw["buildings"][0].update(roof_area_m2="4484"),
+     "roof_area_m2 must be a finite number, got '4484'"),
+    ("scaling", "scaling_nl2014.json",
+     lambda raw: raw["buildings"][0].update(roof_area_m2=True),
+     "roof_area_m2 must be a finite number, got True"),
+    ("scaling", "scaling_nl2014.json",
+     lambda raw: raw["buildings"][0].update(published_national="263"),
+     "published_national must be an integer, got '263'"),
+    ("scaling", "scaling_nl2014.json",
+     lambda raw: raw["buildings"][0]["local"].update(count="134"),
+     "hospital: local input 'count' must be a finite number, got '134'"),
+    ("scaling", "scaling_nl2014.json",
+     lambda raw: raw["office_bands"]["bands"][0].update(published_count=326.0),
+     "published_count must be an integer, got 326.0"),
+    # the rule of the per-100k mix's counts, checked where the file is read
+    ("scaling", "scaling_nl2014.json", lambda raw: raw.update(households_per_100k=0),
+     "households_per_100k must be > 0, got 0.0"),
+    ("scaling", "scaling_nl2014.json", lambda raw: raw.update(households_per_100k=-75.9),
+     "households_per_100k must be > 0, got -75.9"),
 ])
 def test_non_finite_number_in_a_fixture_file_exits_1(tmp_path, capsys, key, fixture, change,
-                                                       field):
+                                                       message):
     # the calendar and scaling records read their numbers with the config checker
     raw = json.loads((Path(urbanmix.__file__).parent / "data" / fixture).read_text())
     change(raw)
@@ -320,7 +355,7 @@ def test_non_finite_number_in_a_fixture_file_exits_1(tmp_path, capsys, key, fixt
     cfg.write_text(json.dumps({key: fixture}))
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "profiles"]) == 1
     assert capsys.readouterr().err == (f"error: cannot read {key} file {tmp_path / fixture}: "
-                                       f"{field} must be a finite number, got nan\n")
+                                       f"{message}\n")
 
 
 def optimize_outputs(tmp_path, name, raw):
@@ -406,6 +441,27 @@ def test_non_finite_input_cell_exits_2(tmp_path, capsys, input_set, name, column
     assert run_on_inputs(inputs, tmp_path / "out", command) == 2
     err = capsys.readouterr().err
     assert err == f"validation error: {target}: non-finite {column} at hour 17\n"
+    assert not (tmp_path / "out" / summary).exists()
+
+
+@pytest.mark.parametrize("name, column", [
+    ("weather.csv", "ghi_wm2"),
+    ("household.csv", "weight"),
+    ("profiles/hospital.csv", "kw"),
+])
+def test_input_cell_below_range_exits_2(tmp_path, capsys, input_set, name, column):
+    inputs = tmp_path / "inputs"
+    shutil.copytree(input_set, inputs)
+    target = inputs / name
+    lines = target.read_text().splitlines()
+    cells = lines[1 + 17].split(",")
+    cells[lines[0].split(",").index(column)] = "-1.0"
+    lines[1 + 17] = ",".join(cells)
+    target.write_text("\n".join(lines) + "\n")
+    command, summary = reader(name)
+    assert run_on_inputs(inputs, tmp_path / "out", command) == 2
+    err = capsys.readouterr().err
+    assert err == f"validation error: {target} row 19: {column} must be >= 0, got -1.0\n"
     assert not (tmp_path / "out" / summary).exists()
 
 

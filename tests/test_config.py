@@ -228,7 +228,7 @@ def test_assemble_synthetic_fallback():
     assert len(inputs.service) == 8760
     assert inputs.household.unit == "kW"
     assert inputs.household.total() == pytest.approx(3.5e8, rel=1e-9)
-    assert sum(inputs.service_mix.counts) == 834
+    assert sum(inputs.service_mix.values()) == 834
 
 
 def test_assemble_seed_controls_weather():

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from urbanmix import experiments, tabular
+from urbanmix.classify import all_category_keys
 from urbanmix.demand import MIXED, RESIDENTIAL_ONLY
 from urbanmix.experiments import (CATEGORY_METRICS, DELTA_METRICS, LOAD_CASES,
                                   SWEEP_TEST_METRICS, TABLE_WIDTH, ScenarioGrid,
@@ -50,11 +51,10 @@ def exp2(config2014):
     return run_experiment2(config2014)
 
 
-def holm_corrected(family, alpha):
-    """The family's TestResults with the reject flags of apply_holm."""
-    flags = apply_holm([r.p_value for r in family], [r.untestable for r in family],
-                       alpha=alpha).tolist()
-    return [r._replace(reject=flag) for r, flag in zip(family, flags)]
+def holm_flags(family, alpha):
+    """apply_holm's reject flags over a family of TestResults."""
+    return apply_holm([r.p_value for r in family], [r.untestable for r in family],
+                      alpha=alpha).tolist()
 
 
 def test_capacity_axis_default():
@@ -82,11 +82,10 @@ def case_sums(row):
     return AggregateMetrics(*sums[:4]), AggregateMetrics(*sums[4:])
 
 
-def row_tests(row, reject=(False,) * len(SWEEP_TEST_METRICS)):
-    """A table row's test results by metric, with the given reject flags."""
+def row_tests(row):
+    """A table row's test results by metric."""
     t_dof_p, untestable = list(row[TESTS]), list(row[UNTESTABLE])
-    return {name: TResult(*t_dof_p[3 * k:3 * k + 3], reject=bool(reject[k]),
-                          untestable=untestable[k] == 1.0)
+    return {name: TResult(*t_dof_p[3 * k:3 * k + 3], untestable=untestable[k] == 1.0)
             for k, name in enumerate(SWEEP_TEST_METRICS)}
 
 
@@ -113,8 +112,7 @@ def test_grid_cell_is_evaluate_cell_with_holm_flags(config2014, pooled):
     prep = prepare(config)
     rows = [evaluate_cell(pv, wind, prep, pooled=pooled)
             for pv, wind in itertools.product(grid.pv_caps, grid.wind_caps)]
-    flags = {name: [r.reject for r in holm_corrected([row_tests(row)[name] for row in rows],
-                                                     alpha=config.alpha)]
+    flags = {name: holm_flags([row_tests(row)[name] for row in rows], alpha=config.alpha)
              for name in SWEEP_TEST_METRICS}
     for i, row in enumerate(rows):
         assert hexed(grid.table[i].tolist()) == hexed(row)
@@ -185,11 +183,10 @@ def test_scenario_components_scale_linearly(prep):
 
 
 def test_holm_family_is_all_121_scenarios(grid, config2014):
-    for name in SWEEP_TEST_METRICS:
-        family = [row_tests(row, reject)[name] for row, reject in zip(grid.table, grid.reject)]
-        redone = holm_corrected(family, alpha=config2014.alpha)
-        assert [r.reject for r in redone] == [r.reject for r in family]
-        assert any(r.reject for r in family)
+    for k, name in enumerate(SWEEP_TEST_METRICS):
+        family = [row_tests(row)[name] for row in grid.table]
+        assert holm_flags(family, alpha=config2014.alpha) == grid.reject[:, k].tolist()
+        assert grid.reject[:, k].any()
 
 
 def test_experiment1_tables_deterministic(grid, prep, tmp_path):
@@ -349,10 +346,9 @@ def test_experiment2_aggregates_consistent(exp2, prep):
     pv_gen, wind_gen = components(exp2.pv_mw, exp2.wind_mw, prep)
     g = pv_gen + wind_gen
     for case, load in ((RESIDENTIAL_ONLY, prep.load_r_mw), (MIXED, prep.load_m_mw)):
-        aggs = exp2.aggregates[(case, "mismatch")]
-        total = sum(a.total for a in aggs.values())
-        assert total == pytest.approx(float((g - load).sum()), rel=1e-9)
-        assert sum(a.count for a in aggs.values()) == 8760
+        counts, sums = exp2.aggregates[(case, "mismatch")]
+        assert sums.sum() == pytest.approx(float((g - load).sum()), rel=1e-9)
+        assert counts.sum() == 8760
 
 
 def test_experiment2_delta_is_generation_free(exp2, prep):
@@ -362,8 +358,9 @@ def test_experiment2_delta_is_generation_free(exp2, prep):
     direct = {}
     for key, value in zip(decode(exp2.keys), delta):
         direct[key] = direct.get(key, 0.0) + float(value)
-    for key, agg in exp2.delta_aggregates.items():
-        assert agg.total == pytest.approx(direct.get(key, 0.0), abs=1e-9)
+    _, sums = exp2.delta_aggregates
+    for key, total in zip(all_category_keys(), sums.tolist()):
+        assert total == pytest.approx(direct.get(key, 0.0), abs=1e-9)
     # the annual delta is ~zero because phi equalizes annual energies
     assert abs(float(delta.sum())) < 1e-6
 
@@ -378,14 +375,14 @@ def test_experiment2_categories_bit_equal_to_dict_loops(exp2, prep, config2014):
         hourly = [split.self_consumption() if metric == "self_consumption"
                   else getattr(split, metric) for split in splits]
         for case, values in zip((RESIDENTIAL_ONLY, MIXED), hourly):
-            assert exact_rows(exp2.aggregates[(case, metric)].values()) == \
-                exact_rows(oracle_aggregate(keys, values).values())
+            counts, sums = exp2.aggregates[(case, metric)]
+            assert exact_rows([counts.tolist(), sums.tolist()]) == \
+                exact_rows(oracle_aggregate(keys, values))
         members = [oracle_members(keys, values) for values in hourly]
         family = [welch_t_test(members[0][key], members[1][key], pooled=config2014.pooled)
-                  for key in members[0]]
-        assert list(exp2.tests[metric]) == list(members[0])
-        assert exact_rows(exp2.tests[metric].values()) == \
-            exact_rows(holm_corrected(family, alpha=config2014.alpha))
+                  for key in all_category_keys()]
+        assert exact_rows(exp2.tests[metric]) == exact_rows(family)
+        assert exp2.reject[metric].tolist() == holm_flags(family, alpha=config2014.alpha)
 
 
 def exact_rows(rows):
@@ -395,11 +392,9 @@ def exact_rows(rows):
 
 def test_experiment2_tests_cover_all_categories(exp2):
     for metric in CATEGORY_METRICS:
-        assert len(exp2.tests[metric]) == 150
-        untestable = [k for k, r in exp2.tests[metric].items() if r.untestable]
-        empty = [k for k, n in exp2.counts.items() if n == 0]
-        for key in empty:
-            assert key in untestable
+        assert len(exp2.tests[metric]) == len(exp2.reject[metric]) == 150
+        for n, result in zip(exp2.counts.values(), exp2.tests[metric]):
+            assert result.untestable or n > 0
 
 
 def test_experiment2_tables(exp2, tmp_path):
@@ -410,6 +405,12 @@ def test_experiment2_tables(exp2, tmp_path):
     for case in (RESIDENTIAL_ONLY, MIXED):
         for metric in CATEGORY_METRICS:
             assert f"categories_{case}_{metric}.csv" in names
+            # the mean is the sum over the hours, and empty where there are none
+            lines = (tmp_path / f"categories_{case}_{metric}.csv").read_text().splitlines()
+            assert lines[0].split(",")[4:] == ["hours", "metric", "mean", "sum"]
+            for line in lines[1:]:
+                hours, _, mean, total = line.split(",")[4:]
+                assert mean == ("" if hours == "0" else repr(float(total) / int(hours)))
     counts = (tmp_path / "category_counts.csv").read_text().splitlines()
     assert len(counts) == 1 + 30 + 1
     last = counts[-1].split(",")
@@ -431,13 +432,14 @@ def test_untestable_category_writes_empty_t_and_dof(exp2, tmp_path):
         results = exp2.tests[metric]
         assert len(cells) == len(results) == 150
         kinds = set()
-        for key, result in results.items():
+        for key, result, reject in zip(all_category_keys(), results,
+                                       exp2.reject[metric].tolist()):
             written = cells[(key.day_kind, key.time_band, str(key.solar_bin), str(key.wind_bin))]
             if result.untestable:
                 assert written == ["", "", "1.0", "false"]
             else:
                 assert written == [repr(result.t_stat), repr(result.dof),
-                                   repr(result.p_value), str(result.reject).lower()]
+                                   repr(result.p_value), str(reject).lower()]
             kinds.add(result.untestable)
         assert kinds == {False, True}
 

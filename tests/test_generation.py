@@ -15,7 +15,6 @@ from urbanmix.generation import (PV_BLOCK_HOURS, STC_CELL_TEMP, STC_IRRADIANCE,
                                  generation_mw, hub_height_speed,
                                  pv_unit_series, wind_unit_series)
 from urbanmix.ingest import WeatherFrame
-from urbanmix.scaling import ServiceMix
 
 
 def test_air_density_standard_conditions():
@@ -464,7 +463,7 @@ def test_area_budget_totals(service_mix, fixture_nl):
 
 def test_area_budget_missing_type(fixture_nl):
     budget = AreaBudget(service_roofs={})
-    mix = ServiceMix(entries=(("hospital", 1),))
+    mix = {"hospital": 1}
     with pytest.raises(GenerationError, match="no roof area"):
         area_budget_totals(mix, 10, budget)
 

@@ -259,8 +259,19 @@ def test_load_profile_rejects_negative(tmp_path, calendar2014):
     lines[5] = "4,-0.5"
     path = tmp_path / "p.csv"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(IngestError, match="hour 4 is negative"):
+    with pytest.raises(IngestError) as info:
         load_profile(path, 1000.0, calendar2014)
+    assert str(info.value) == f"{path} row 6: weight must be >= 0, got -0.5"
+
+
+def test_read_series_rejects_negative(tmp_path):
+    lines = ["hour,kw"] + [f"{i},1.0" for i in range(8760)]
+    lines[18] = "17,-1.0"
+    path = tmp_path / "s.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(IngestError) as info:
+        read_series(path, unit="kW", year=2014, value_column="kw")
+    assert str(info.value) == f"{path} row 19: kw must be >= 0, got -1.0"
 
 
 def test_load_profile_rejects_all_zero(tmp_path, calendar2014):
@@ -299,13 +310,15 @@ def test_hours_in_year_matches_calendar(year):
 EDGE_CELLS = ("-0.0", "0", "-2", "+3", "12", ".5", "7.", "1E5", "5e-324",
               "2.225073858507201e-308", "2.2250738585072014e-308", "1e308", "-1e308",
               "1.7976931348623157e308", "-1.7976931348623157e308")
-WEATHER_LOWER = {"ghi_wm2": (">=", 0.0), "temp_c": (">", -90.0),
-                 "pressure_pa": (">", 0.0), "wind_ms": (">=", 0.0)}
+# The lower bound of each value column: a series cell (kw) is a load, so >= 0.
+LOWER = {"ghi_wm2": (">=", 0.0), "temp_c": (">", -90.0),
+         "pressure_pa": (">", 0.0), "wind_ms": (">=", 0.0), "kw": (">=", 0.0)}
 
 
 def cell_text(column):
-    """Finite numbers as CSV text: edge values, any float's repr, whole numbers."""
-    op, bound = WEATHER_LOWER.get(column, (">=", -float("inf")))
+    """Finite numbers within the column's bound as CSV text: edge values, any
+    float's repr, whole numbers."""
+    op, bound = LOWER[column]
     text = (st.sampled_from(EDGE_CELLS)
             | st.floats(allow_nan=False, allow_infinity=False).map(repr)
             | st.integers(min_value=-10**18, max_value=10**18).map(str))
@@ -314,7 +327,7 @@ def cell_text(column):
 
 def background_cells(rng, column):
     low, high = {"ghi_wm2": (0, 1000), "temp_c": (-20, 40), "pressure_pa": (9e4, 1.1e5),
-                 "wind_ms": (0, 25)}.get(column, (-1e3, 1e3))
+                 "wind_ms": (0, 25), "kw": (0, 1e3)}[column]
     values = rng.uniform(low, high, 8760)
     return [str(int(v)) if rng.random() < 0.1 else repr(v) for v in values.tolist()]
 
@@ -389,7 +402,7 @@ def test_load_weather_matches_row_oracle(tmp_path_factory, calendar2014, table):
 
 
 FAULTS = ("non-numeric", "width", "fractional hour", "hour out of range",
-          "duplicate hour", "gap", "nan")
+          "duplicate hour", "gap", "nan", "below range")
 
 
 @settings(max_examples=30, deadline=None)
@@ -417,6 +430,9 @@ def test_single_fault_names_file_and_row(tmp_path_factory, calendar2014, case, f
         hour = int(float(rows[other][0]))
     elif fault == "gap":
         del rows[at]
+    elif fault == "below range":
+        op, bound = LOWER[columns[column]]
+        rows[at][column] = repr(bound - 1.0 if op == ">=" else bound)
     else:
         rows[at][column] = "nan"
     path = tmp_path_factory.mktemp("fault") / "table.csv"
@@ -434,6 +450,10 @@ def test_single_fault_names_file_and_row(tmp_path_factory, calendar2014, case, f
     elif fault == "duplicate hour":
         assert message == (f"{path} row {lines[max(at, other)]}: "
                            f"duplicate timestamp at hour {hour}")
+    elif fault == "below range":
+        op, _ = LOWER[columns[column]]
+        assert message.startswith(f"{path} row {lines[at]}: {columns[column]} must be {op} ")
+        assert message.endswith(f", got {rows[at][column]}")
     else:
         kind = {"non-numeric": "non-numeric value", "width": f"expected {len(columns)} cells"}
         assert message.startswith(f"{path} row {lines[at]}: ")

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from urbanmix.scaling import (BuildingScalingSpec, OfficeBand, ScalingError,
-                              area_equivalents, build_service_mix,
+                              ScalingFixture, area_equivalents, build_service_mix,
                               count_ratio_equivalents, national_count,
                               office_band_counts, per_100k,
                               recomputed_national, round_half_away,
@@ -101,12 +101,12 @@ def test_fixture_published_per_100k(fixture_nl):
 
 
 def test_service_mix_counts(service_mix):
-    assert dict(service_mix.items()) == EXPECTED_PER_100K
-    assert sum(service_mix.counts) == 834
+    assert service_mix == EXPECTED_PER_100K
+    assert sum(service_mix.values()) == 834
 
 
 def test_service_mix_order_matches_fixture(fixture_nl, service_mix):
-    assert service_mix.names == tuple(s.name for s in fixture_nl.specs)
+    assert list(service_mix) == [s.name for s in fixture_nl.specs]
 
 
 def test_office_band_distribution(fixture_nl):
@@ -149,15 +149,23 @@ def test_spec_validation_errors():
                             reference_inputs={}, roof_area_m2=0.0)
 
 
+def test_fixture_rejects_a_building_type_listed_twice(fixture_nl):
+    # the service mix is a dict by building type, so each type is listed once
+    specs = (*fixture_nl.specs, fixture_nl.specs[3])
+    name = fixture_nl.specs[3].name
+    with pytest.raises(ScalingError, match=f"^building type '{name}' is listed twice$"):
+        ScalingFixture(name="x", households_per_100k=75.9, specs=specs)
+
+
 def test_build_service_mix_recomputed_differs_for_flagged_types(fixture_nl):
     mix_pub = build_service_mix(fixture_nl.specs, use_published=True)
     mix_rec = build_service_mix(fixture_nl.specs, use_published=False)
-    assert mix_pub.count("medium-office") == 47
-    assert mix_rec.count("medium-office") == 48
-    assert mix_pub.count("warehouse") == 163
-    assert mix_rec.count("warehouse") == 164
+    assert mix_pub["medium-office"] == 47
+    assert mix_rec["medium-office"] == 48
+    assert mix_pub["warehouse"] == 163
+    assert mix_rec["warehouse"] == 164
     for name in ("hospital", "small-hotel", "supermarket", "full-service-restaurant"):
-        assert mix_pub.count(name) == mix_rec.count(name)
+        assert mix_pub[name] == mix_rec[name]
 
 
 def test_roof_areas_exposed(fixture_nl):
