@@ -26,8 +26,7 @@ _EXPORTS = {
     "metrics": ("AggregateMetrics", "HourlySplit", "annual_metrics", "delta_mismatch",
                 "hourly_split"),
     "optimize": ("MixProblem", "MixSolution", "ga_optimize", "grid_oracle"),
-    "scaling": ("ScalingFixture", "build_service_mix", "load_default_fixture",
-                "round_half_away"),
+    "scaling": ("ScalingFixture", "build_service_mix", "round_half_away"),
     "stats": ("TestResult", "apply_holm", "welch_t_test"),
     "validation": ("reconcile_published", "render_reconciliation"),
 }

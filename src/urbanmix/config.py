@@ -11,8 +11,7 @@ from . import ingest
 from .generation import AreaBudget, PvParams, SingleDiodeParams, TurbineParams
 from .ingest import (Calendar, HourlySeries, IngestError, ValidationError, WeatherFrame,
                      checked_record)
-from .scaling import (ScalingFixture, build_service_mix, default_fixture_path,
-                      load_scaling_fixture)
+from .scaling import ScalingError, ScalingFixture, build_service_mix, load_scaling_fixture
 
 
 class ConfigError(ValueError):
@@ -112,13 +111,10 @@ class SimulationConfig(checked_record(ConfigError,
 
 
 _BUILTIN_CALENDAR = Path(__file__).parent / "data" / "calendar_nl2014.json"
+_BUILTIN_SCALING = Path(__file__).parent / "data" / "scaling_nl2014.json"
 
-# Every config key, one row each: (path, kind, constraint, SimulationConfig field).
-# "a.b" is key b of object a, which may be null and, unless it has a row of its
-# own, takes no other keys. `_read` says how each kind is read, and `ingest._within`
-# what each constraint allows; a list's constraint is its length. A row with no field
-# hands its value to its parent's record, whose own rows, in the same language,
-# check its fields.
+# Every config key, one row each: (path, kind, constraint, SimulationConfig field),
+# read by `ingest._read_rows`, which also reads the calendar and scaling files.
 _SCHEMA = (
     # not a field: checked against the calendar
     ("year", int, f"in [{ingest.MIN_YEAR}, {ingest.MAX_YEAR}]", "year"),
@@ -159,74 +155,21 @@ def _config_error(prefix: str, errors=OSError):
         raise ConfigError(f"{prefix}: {exc}") from exc
 
 
-def _object(path: str, value) -> dict:
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"config: {path} must be an object")
-    return value
-
-
-def _read(path: str, value, kind, constraint, base_dir: Path):
-    """``value`` read as ``kind``; a one-line ConfigError naming ``path`` if it is not one."""
-    if isinstance(kind, list):  # a list of kind[0] values, read into a tuple
-        if not isinstance(value, list) or constraint not in (None, len(value)):
-            size = f" of {constraint} values" if constraint else ""
-            raise ConfigError(f"config: {path} must be a list{size}, got {value!r}")
-        return tuple(_read(f"{path}[{i}]", item, kind[0], None, base_dir)
-                     for i, item in enumerate(value))
-    if issubclass(kind, tuple):  # a record, which checks its own fields
-        given, names = _object(path, value), set(kind._fields)
-        if len(kind._field_defaults) < len(names) and given.keys() != names:
-            # a record with fields every caller gives (a benchmark) takes exactly its fields
-            raise ConfigError(f"config: {path} must have the keys {' and '.join(kind._fields)}")
-        unknown = sorted(f"{path}.{key}" for key in given.keys() - names)
-        if unknown:
-            raise ConfigError(f"config: unknown keys {unknown}")
-        try:
-            return kind(**given)
-        except (ValidationError, ConfigError) as exc:  # the message starts with the field's name
-            raise ConfigError(f"config: {path}.{exc}") from exc
-    value = ingest._check(f"config: {path}", value, kind, constraint, ConfigError)
-    return base_dir / value if kind is Path else value  # a file name resolves against base_dir
-
-
 def _resolve(raw: dict, base_dir: Path) -> SimulationConfig:
     """The configuration a parsed JSON object sets, each row read and checked once;
     file names resolve against ``base_dir``."""
-    kwargs = {}
-    objects = {"": raw}  # the objects the rows reach, by path; rows take their keys out
-    for path, kind, constraint, target in _SCHEMA:
-        parent, _, key = path.rpartition(".")
-        if parent not in objects:
-            objects[parent] = _object(parent, raw.pop(parent, None))
-        if path in objects:  # a record whose own rows came first
-            value = objects.pop(path)
-        elif key in objects[parent]:
-            value = objects[parent].pop(key)
-        else:
-            continue
-        value = _read(path, value, kind, constraint, base_dir)
-        if target is None:
-            objects[parent][key] = value
-        else:
-            kwargs[target] = value
-    unknown = [f"{parent}.{key}" if parent else key
-               for parent, leftover in objects.items() for key in leftover]
-    if unknown:
-        raise ConfigError(f"config: unknown keys {sorted(unknown)}")
-
+    with _config_error("config", ConfigError):
+        kwargs = ingest._read_rows(raw, _SCHEMA, ConfigError, base_dir)
     year = kwargs.pop("year", None)
     calendar_file = kwargs.get("calendar", _BUILTIN_CALENDAR if year in (None, 2014) else None)
-    with _config_error(f"cannot read calendar file {calendar_file}", (OSError, IngestError)):
+    with _config_error(f"cannot read calendar file {calendar_file}", IngestError):
         calendar = kwargs["calendar"] = (ingest.build_calendar(year, holidays=())
                                          if calendar_file is None
                                          else ingest.load_calendar_config(calendar_file))
     if year is not None and year != calendar.year:
         raise ConfigError(f"config year {year} does not match calendar year {calendar.year}")
-    scaling_file = kwargs.get("scaling_fixture", default_fixture_path())
-    with _config_error(f"cannot read scaling file {scaling_file}",
-                       (OSError, TypeError, ValueError)):  # ScalingError or a malformed entry
+    scaling_file = kwargs.get("scaling_fixture", _BUILTIN_SCALING)
+    with _config_error(f"cannot read scaling file {scaling_file}", ScalingError):
         fixture = kwargs["scaling_fixture"] = load_scaling_fixture(scaling_file)
     # an empty map means the fixture's roof areas; any other must give every building type
     roofs = kwargs["area"].service_roofs if "area" in kwargs else {}

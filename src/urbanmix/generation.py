@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .ingest import (MIN_TEMP_C, HourlySeries, ValidationError, WeatherFrame, _check,
+from .ingest import (MIN_TEMP_C, HourlySeries, ValidationError, WeatherFrame, _check_entries,
                      checked_record)
 from .scaling import round_half_away
 
@@ -94,12 +94,7 @@ class AreaBudget(checked_record(GenerationError,
     __slots__ = ()
 
     def _rules(self):
-        roofs = self.service_roofs
-        if not (isinstance(roofs, Mapping) and all(isinstance(name, str) for name in roofs)):
-            raise GenerationError(f"service_roofs must map building names to roof areas, "
-                                  f"got {roofs!r}")
-        for name, m2 in roofs.items():
-            _check(f"service_roofs.{name}", m2, float, ">= 0", GenerationError)
+        _check_entries("service_roofs", self.service_roofs, float, ">= 0", GenerationError)
 
     def footprint_m2_per_turbine(self, turbine_unit_mw: float = TURBINE_UNIT_MW) -> float:
         return self.turbine_footprint_km2_per_mw * 1e6 * turbine_unit_mw

@@ -1,4 +1,5 @@
-"""Weather, profile, and calendar ingestion.
+"""Weather, profile, and calendar ingestion, and the reader of the JSON
+config, calendar and scaling files.
 
 Everything downstream runs on a UTC hour index covering one simulation
 year (8760 hours, 8784 for leap years). Local civil time (weekday,
@@ -10,11 +11,13 @@ from __future__ import annotations
 
 import calendar as _stdcal
 import collections
+import collections.abc
 import csv
 import datetime as dt
 import json
 import operator
 import sys
+import typing
 import warnings
 from functools import cached_property
 from pathlib import Path
@@ -26,6 +29,8 @@ PROFILE_COLUMNS = ("hour", "weight")
 
 # The years a calendar may cover; `datetime` has no year past 9999.
 MIN_YEAR, MAX_YEAR = 1970, dt.MAXYEAR
+# The hours a calendar's clock may run ahead of UTC, before and after each DST transition.
+UTC_OFFSET_HOURS = "in [-14, 14]"
 MIN_TEMP_C = -90.0
 # Physical ranges of weather cells: (column, constraint), checked by `_within`.
 WEATHER_LIMITS = (("ghi_wm2", ">= 0"), ("pressure_pa", "> 0"), ("wind_ms", ">= 0"),
@@ -82,11 +87,30 @@ def _check(name: str, value, kind, constraint, error: type[Exception]):
     return value
 
 
+def _check_entries(name: str, entries, kind, constraint, error: type[Exception]) -> None:
+    """Raise ``error`` unless ``entries`` maps names to ``kind`` values that meet
+    ``constraint``, each checked by `_check` under the name "<name>.<key>"."""
+    if not (isinstance(entries, collections.abc.Mapping)
+            and all(isinstance(key, str) for key in entries)):
+        raise error(f"{name} must map names to numbers, got {entries!r}")
+    for key, value in entries.items():
+        _check(f"{name}.{key}", value, kind, constraint, error)
+
+
+def _checked_kind(kind):
+    """(the kind `_check` reads a field of ``kind`` as, or None for a kind that
+    only documents its field; whether the field also takes None, as "X | None" does)."""
+    optional = typing.get_args(kind)[1:] == (type(None),)
+    kind = typing.get_args(kind)[0] if optional else kind
+    return (kind if kind in (int, float, bool, str) else None), optional
+
+
 def checked_record(error: type[Exception], *rows):
     """The base of a record class with one field per (field, kind, constraint,
     default) row; a row without a default is a field every caller gives.
 
-    The constructor reads each int, float, bool or str field with `_check`
+    The constructor reads each int, float, bool or str field, and each such
+    field that may be None (an "X | None" row) unless it is None, with `_check`
     under its row's constraint, keeps the value `_check` returns (so a float
     field holds a float), and then runs the class's `_rules`, which check what
     no single row can state. Any other kind only documents its field. `_make`
@@ -96,12 +120,14 @@ def checked_record(error: type[Exception], *rows):
     base = collections.namedtuple("Record", [row[0] for row in rows],
                                   defaults=[row[3] for row in rows if len(row) > 3])
     bind = base.__new__
+    checks = [(name, *_checked_kind(kind), constraint) for name, kind, constraint, *_ in rows]
 
     def __new__(cls, *args, **kwargs):
-        given = zip(rows, bind(cls, *args, **kwargs))
+        given = zip(checks, bind(cls, *args, **kwargs))
         self = tuple.__new__(cls, [
-            _check(name, value, kind, constraint, error) if kind in (int, float, bool, str)
-            else value for (name, kind, constraint, *_), value in given])
+            value if kind is None or (optional and value is None)
+            else _check(name, value, kind, constraint, error)
+            for (name, kind, optional, constraint), value in given])
         self._rules()
         return self
 
@@ -110,6 +136,90 @@ def checked_record(error: type[Exception], *rows):
     base._rules = lambda self: None
     base._rows = rows
     return base
+
+
+def _object(path: str, value, error: type[Exception]) -> dict:
+    """``value``, a JSON object; null reads as ``{}``."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise error(f"{path} must be an object")
+    return value
+
+
+def _read(path: str, value, kind, constraint, base_dir: Path, error: type[Exception]):
+    """``value`` read as ``kind``; raises ``error`` with one line naming ``path``
+    if it is not one."""
+    if isinstance(kind, list):  # a list of kind[0] values, read into a tuple
+        if not isinstance(value, list) or constraint not in (None, len(value)):
+            size = f" of {constraint} values" if constraint else ""
+            raise error(f"{path} must be a list{size}, got {value!r}")
+        return tuple(_read(f"{path}[{i}]", item, kind[0], None, base_dir, error)
+                     for i, item in enumerate(value))
+    if issubclass(kind, tuple):  # a record, which checks its own fields
+        given = _object(path, value, error)
+        unknown = sorted(f"{path}.{key}" for key in given.keys() - set(kind._fields))
+        if unknown:
+            raise error(f"unknown keys {unknown}")
+        missing = [name for name in kind._fields
+                   if name not in given and name not in kind._field_defaults]
+        if missing:
+            raise error(f"{path}.{missing[0]} is missing")
+        try:
+            return kind(**given)
+        except (ValidationError, error) as exc:  # the message starts with the field's name
+            raise error(f"{path}.{exc}") from exc
+    value = _check(path, value, kind, constraint, error)
+    return base_dir / value if kind is Path else value  # a file name resolves against base_dir
+
+
+def _read_rows(raw: dict, rows, error: type[Exception], base_dir: Path = Path()) -> dict:
+    """{target: value} of each row whose key the parsed JSON object ``raw`` gives,
+    each read and checked once; file names resolve against ``base_dir``.
+
+    A row is (path, kind, constraint, target). "a.b" is key b of object a,
+    which may be null and, unless it has a row of its own, takes no other keys.
+    `_read` says how each kind is read, and `_within` what each constraint
+    allows; a list's constraint is its length. A row with no target hands its
+    value to its parent's record, whose own rows, in the same language, check
+    its fields; at the top level such a row is checked and dropped. A key that
+    no row reads raises ``error``.
+    """
+    fields = {}
+    objects = {"": raw}  # the objects the rows reach, by path; rows take their keys out
+    for path, kind, constraint, target in rows:
+        parent, _, key = path.rpartition(".")
+        if parent not in objects:
+            objects[parent] = _object(parent, raw.pop(parent, None), error)
+        if path in objects:  # a record whose own rows came first
+            value = objects.pop(path)
+        elif key in objects[parent]:
+            value = objects[parent].pop(key)
+        else:
+            continue
+        value = _read(path, value, kind, constraint, base_dir, error)
+        if target is not None:
+            fields[target] = value
+        elif parent:
+            objects[parent][key] = value
+    unknown = [f"{parent}.{key}" if parent else key
+               for parent, leftover in objects.items() for key in leftover]
+    if unknown:
+        raise error(f"unknown keys {sorted(unknown)}")
+    return fields
+
+
+def _read_json(path, rows, error: type[Exception]) -> dict:
+    """`_read_rows` of the JSON object in the file at ``path``."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise error(str(exc)) from exc
+    except ValueError as exc:  # bytes that are not UTF-8, or text that is not JSON
+        raise error(f"not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise error("the file must hold a JSON object")
+    return _read_rows(raw, rows, error)
 
 
 def hours_in_year(year: int) -> int:
@@ -181,7 +291,7 @@ class HourlySeries(checked_record(IngestError, ("values", np.ndarray, None),
 class Calendar(checked_record(IngestError,
                              ("year", int, f"in [{MIN_YEAR}, {MAX_YEAR}]"),
                              ("holiday_dates", frozenset, None),
-                             ("base_utc_offset_hours", float, None),
+                             ("base_utc_offset_hours", float, UTC_OFFSET_HOURS),
                              ("transitions", tuple, None, ()))):
     """Simulation calendar: UTC hour index with local-time derivation.
 
@@ -252,6 +362,27 @@ class Calendar(checked_record(IngestError,
         return self.is_weekend_day
 
 
+class DstTransition(checked_record(IngestError, ("at_utc", str, None),
+                                   ("offset_hours", float, UTC_OFFSET_HOURS))):
+    """A DST transition of a calendar file: from the ISO date and time
+    ``at_utc`` (read as UTC unless it names an offset) the clock runs
+    ``offset_hours`` ahead of UTC."""
+
+    __slots__ = ()
+
+
+# The keys of a calendar file, one row each: (path, kind, constraint,
+# `build_calendar` argument), read by `_read_rows`. `Calendar`'s rows check the
+# ranges of the year and the base offset.
+_CALENDAR_SCHEMA = (
+    ("year", int, None, "year"),
+    ("description", str, None, None),  # checked, not kept
+    ("holidays", [str], None, "holidays"),  # ISO dates
+    ("base_utc_offset_hours", float, None, "base_utc_offset_hours"),
+    ("dst_transitions", [DstTransition], None, "dst_transitions"),
+)
+
+
 def build_calendar(year: int, holidays, base_utc_offset_hours: float = 0.0,
                    dst_transitions=()) -> Calendar:
     """Build a calendar from holiday dates and DST transition instants.
@@ -262,20 +393,18 @@ def build_calendar(year: int, holidays, base_utc_offset_hours: float = 0.0,
     """
     dates = set()
     for item in holidays:
-        if isinstance(item, dt.date) and not isinstance(item, dt.datetime):
-            dates.add(item)
-        else:
-            try:
-                dates.add(dt.date.fromisoformat(str(item)))
-            except ValueError as exc:
-                raise IngestError(f"malformed holiday date {item!r}: {exc}") from exc
+        try:
+            dates.add(item if isinstance(item, dt.date) and not isinstance(item, dt.datetime)
+                      else dt.date.fromisoformat(item))
+        except (TypeError, ValueError) as exc:
+            raise IngestError(f"malformed holiday date {item!r}: {exc}") from exc
     transitions = []
     for instant, offset in dst_transitions:
         try:
             when = dt.datetime.fromisoformat(instant) if isinstance(instant, str) else instant
             if not isinstance(when, dt.datetime):
                 raise TypeError(f"instant must be an ISO datetime, got {type(when).__name__}")
-            offset = _check("offset_hours", offset, float, None, IngestError)
+            offset = _check("offset_hours", offset, float, UTC_OFFSET_HOURS, IngestError)
         except (TypeError, ValueError) as exc:
             raise IngestError(f"malformed DST transition ({instant!r}, {offset!r}): "
                               f"{exc}") from exc
@@ -294,23 +423,11 @@ def build_calendar(year: int, holidays, base_utc_offset_hours: float = 0.0,
 
 
 def load_calendar_config(path) -> Calendar:
-    """Read a calendar config file (JSON: year, holidays, DST transitions)."""
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IngestError(f"cannot read calendar config {path}: {exc}") from exc
-    try:
-        year = raw["year"]
-        holidays = raw.get("holidays", [])
-        base = raw.get("base_utc_offset_hours", 0.0)
-        transitions = [
-            (entry["at_utc"], entry["offset_hours"])
-            for entry in raw.get("dst_transitions", [])
-        ]
-    except (KeyError, TypeError) as exc:
-        raise IngestError(f"calendar config {path} is malformed: {exc}") from exc
-    return build_calendar(year, holidays, base, transitions)
+    """Read a calendar file: a JSON object with the keys of `_CALENDAR_SCHEMA`."""
+    fields = _read_json(path, _CALENDAR_SCHEMA, IngestError)
+    if "year" not in fields:
+        raise IngestError("year is missing")
+    return build_calendar(**{"holidays": (), **fields})
 
 
 def _data_lines(path: Path) -> list[tuple[int, str]]:

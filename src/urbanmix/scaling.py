@@ -13,24 +13,15 @@ can be reconciled (see the validation module).
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
-from .ingest import ValidationError, _check, checked_record
+from .ingest import ValidationError, _check_entries, _read_json, checked_record
 
 HOUSEHOLDS_PER_100K = 75.9
 
-METHODS = (
-    "count-ratio",
-    "total-area",
-    "office-bands",
-    "warehouse-energy-employees",
-    "direct-count",
-)
-
-# required input names per method: (local keys, reference keys)
+# the input names of each method: (local keys, reference keys)
 _METHOD_INPUTS = {
     "count-ratio": (("count", "quantity"), ("quantity",)),
     "total-area": (("total",), ("per_building",)),
@@ -41,6 +32,7 @@ _METHOD_INPUTS = {
     ),
     "direct-count": (("count",), ()),
 }
+METHODS = tuple(_METHOD_INPUTS)
 
 
 class ScalingError(ValidationError):
@@ -95,7 +87,8 @@ class OfficeBand(checked_record(ScalingError,
                                # midpoint unless given (the top band must give it)
                                ("avg_m2", float | None, None, None),
                                ("published_count", int | None, None, None),
-                               ("published_area_m2", float | None, None, None))):
+                               # unchecked: scale_office_bands.csv writes it as read
+                               ("published_area_m2", object, None, None))):
     """One floor-area band of the office stock distribution."""
 
     __slots__ = ()
@@ -148,10 +141,10 @@ def office_band_counts(bands, total_used_area: float) -> list[OfficeBandResult]:
 
 class BuildingScalingSpec(checked_record(ScalingError,
                                         ("name", str, None),
-                                        ("method", str, None),
-                                        ("local_inputs", Mapping, None),
-                                        ("reference_inputs", Mapping, None),
-                                        ("roof_area_m2", float, None),
+                                        ("method", str, METHODS),
+                                        ("local", Mapping, None),  # input name -> number
+                                        ("reference", Mapping, None),
+                                        ("roof_area_m2", float, "> 0"),
                                         ("quantity", str, None, ""),
                                         ("published_national", int | None, None, None),
                                         ("published_per_100k", int | None, None, None),
@@ -160,7 +153,8 @@ class BuildingScalingSpec(checked_record(ScalingError,
                                         ("notes", str, None, ""))):
     """Declarative scaling recipe for one service-sector consumer type.
 
-    ``published_national`` and ``published_per_100k`` pin the published
+    ``local`` and ``reference`` hold exactly the inputs its method reads, each
+    > 0. ``published_national`` and ``published_per_100k`` pin the published
     intermediate values for the shipped fixture; ``alt_published_per_100k``
     records a second published per-100k figure where the source prints two
     conflicting ones. ``breakdown`` optionally carries component counts
@@ -170,26 +164,22 @@ class BuildingScalingSpec(checked_record(ScalingError,
     __slots__ = ()
 
     def _rules(self):
-        if self.method not in METHODS:
-            raise ScalingError(f"unknown method {self.method!r} for {self.name}")
-        local_keys, ref_keys = _METHOD_INPUTS[self.method]
-        for key in local_keys:
-            if key not in self.local_inputs:
-                raise ScalingError(f"{self.name}: missing local input {key!r}")
-            if not self.local_inputs[key] > 0:
-                raise ScalingError(f"{self.name}: local input {key!r} must be positive")
-        for key in ref_keys:
-            if key not in self.reference_inputs:
-                raise ScalingError(f"{self.name}: missing reference input {key!r}")
-            if not self.reference_inputs[key] > 0:
-                raise ScalingError(f"{self.name}: reference input {key!r} must be positive")
-        if self.roof_area_m2 <= 0:
-            raise ScalingError(f"{self.name}: roof area must be positive")
+        for side, names in zip(("local", "reference"), _METHOD_INPUTS[self.method]):
+            inputs = getattr(self, side)
+            _check_entries(side, inputs, float, "> 0", ScalingError)
+            for key in inputs:
+                if key not in names:
+                    raise ScalingError(f"{side}.{key} is not an input of the {self.method} method")
+            for key in names:
+                if key not in inputs:
+                    raise ScalingError(f"{side}.{key} is missing")
+        if self.breakdown is not None:
+            _check_entries("breakdown", self.breakdown, int, ">= 0", ScalingError)
 
 
 def recomputed_national(spec: BuildingScalingSpec) -> float:
     """Unrounded national equivalents recomputed from the spec's raw inputs."""
-    loc, ref = spec.local_inputs, spec.reference_inputs
+    loc, ref = spec.local, spec.reference
     if spec.method == "count-ratio":
         return count_ratio_equivalents(loc["count"], loc["quantity"], ref["quantity"])
     if spec.method == "total-area":
@@ -201,9 +191,7 @@ def recomputed_national(spec: BuildingScalingSpec) -> float:
             loc["sector_consumption_mwh"], ref["building_consumption_mwh"],
             loc["employees"], ref["employees"],
         )
-    if spec.method == "direct-count":
-        return float(loc["count"])
-    raise ScalingError(f"unknown method {spec.method!r}")
+    return float(loc["count"])  # direct-count
 
 
 def national_count(spec: BuildingScalingSpec, use_published: bool = True) -> int:
@@ -242,72 +230,25 @@ class ScalingFixture(checked_record(ScalingError,
         return {s.name: s.roof_area_m2 for s in self.specs}
 
 
-def _given(raw: Mapping, key: str, kind):
-    """``raw[key]`` checked as a ``kind``, or None where it is absent or null."""
-    value = raw.get(key)
-    return None if value is None else _check(key, value, kind, None, ScalingError)
-
-
-def _band_from_dict(raw: Mapping) -> OfficeBand:
-    return OfficeBand(
-        min_m2=raw["min_m2"],
-        max_m2=_given(raw, "max_m2", float),
-        share_pct=raw["share_pct"],
-        avg_m2=_given(raw, "avg_m2", float),
-        published_count=_given(raw, "published_count", int),
-        published_area_m2=raw.get("published_area_m2"),  # scale_office_bands.csv writes it as read
-    )
-
-
-def _inputs(raw: Mapping, side: str) -> dict[str, float]:
-    """A spec's "local" or "reference" inputs, each checked as a number."""
-    return {key: _check(f"{raw['name']}: {side} input {key!r}", value, float, None,
-                        ScalingError)
-            for key, value in raw.get(side, {}).items()}
-
-
-def _spec_from_dict(raw: Mapping) -> BuildingScalingSpec:
-    try:
-        return BuildingScalingSpec(
-            name=raw["name"],
-            method=raw["method"],
-            local_inputs=_inputs(raw, "local"),
-            reference_inputs=_inputs(raw, "reference"),
-            roof_area_m2=raw["roof_area_m2"],
-            quantity=raw.get("quantity", ""),
-            published_national=_given(raw, "published_national", int),
-            published_per_100k=_given(raw, "published_per_100k", int),
-            alt_published_per_100k=_given(raw, "alt_published_per_100k", int),
-            breakdown=raw.get("breakdown"),
-            notes=raw.get("notes", ""),
-        )
-    except KeyError as exc:
-        raise ScalingError(f"scaling spec missing field {exc}") from exc
+# The keys of a scaling file, one row each: (path, kind, constraint,
+# ScalingFixture field), read by `ingest._read_rows`. ScalingFixture's row
+# checks households_per_100k.
+_SCHEMA = (
+    ("name", str, None, "name"),  # default: the file's name without its suffix
+    ("description", str, None, None),  # checked, not kept
+    ("households_per_100k", float, None, "households_per_100k"),
+    ("documented_inconsistencies", [str], None, "documented_inconsistencies"),
+    ("office_bands.total_used_area_m2", float, None, "office_total_used_area_m2"),
+    ("office_bands.bands", [OfficeBand], None, "office_bands"),
+    ("buildings", [BuildingScalingSpec], None, "specs"),
+)
 
 
 def load_scaling_fixture(path) -> ScalingFixture:
-    """Read a scaling fixture file (JSON)."""
+    """Read a scaling file: a JSON object with the keys of `_SCHEMA`."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ScalingError(f"cannot read scaling fixture {path}: {exc}") from exc
-    office = raw.get("office_bands", {})
-    if not raw.get("buildings"):
-        raise ScalingError(f"scaling fixture {path} lists no buildings")
-    return ScalingFixture(
-        name=raw.get("name", path.stem),
-        households_per_100k=raw.get("households_per_100k", HOUSEHOLDS_PER_100K),
-        specs=tuple(_spec_from_dict(s) for s in raw.get("buildings", [])),
-        office_bands=tuple(_band_from_dict(b) for b in office.get("bands", [])),
-        office_total_used_area_m2=_given(office, "total_used_area_m2", float),
-        documented_inconsistencies=tuple(raw.get("documented_inconsistencies", ())),
-    )
-
-
-def default_fixture_path() -> Path:
-    return Path(__file__).parent / "data" / "scaling_nl2014.json"
-
-
-def load_default_fixture() -> ScalingFixture:
-    return load_scaling_fixture(default_fixture_path())
+    fields = _read_json(path, _SCHEMA, ScalingError)
+    if not fields.get("specs"):
+        raise ScalingError("buildings must list at least one building type")
+    return ScalingFixture(**{"name": path.stem, "households_per_100k": HOUSEHOLDS_PER_100K,
+                             **fields})

@@ -4,7 +4,7 @@ import pytest
 from urbanmix.config import default_config
 from urbanmix.generation import pv_unit_series, wind_unit_series
 from urbanmix.ingest import HourlySeries
-from urbanmix.scaling import build_service_mix, load_default_fixture
+from urbanmix.scaling import build_service_mix
 from urbanmix.synthdata import (SHAPES, household_weights,
                                 reference_profile_values,
                                 synthetic_weather_frame)

@@ -304,13 +304,18 @@ def test_service_roofs_missing_a_building_type_exits_1(tmp_path, capsys, command
     assert not out.exists() or not any(out.iterdir())
 
 
+def rename(raw, old, new):
+    """``raw`` with its key ``old`` renamed ``new``, in place."""
+    raw[new] = raw.pop(old)
+
+
 @pytest.mark.parametrize("key, fixture, change, message", [
     ("calendar", "calendar_nl2014.json",
      lambda raw: raw.update(base_utc_offset_hours=float("nan")),
      "base_utc_offset_hours must be a finite number, got nan"),
     ("scaling", "scaling_nl2014.json",
      lambda raw: raw["buildings"][0].update(roof_area_m2=float("nan")),
-     "roof_area_m2 must be a finite number, got nan"),
+     "buildings[0].roof_area_m2 must be a finite number, got nan"),
     # numbers are checked as given, not coerced first
     ("calendar", "calendar_nl2014.json", lambda raw: raw.update(year="2014"),
      "year must be an integer, got '2014'"),
@@ -322,40 +327,107 @@ def test_service_roofs_missing_a_building_type_exits_1(tmp_path, capsys, command
      "base_utc_offset_hours must be a finite number, got '1'"),
     ("calendar", "calendar_nl2014.json",
      lambda raw: raw["dst_transitions"][0].update(offset_hours="2"),
-     "malformed DST transition ('2014-03-30T01:00:00', '2'): "
-     "offset_hours must be a finite number, got '2'"),
+     "dst_transitions[0].offset_hours must be a finite number, got '2'"),
     ("scaling", "scaling_nl2014.json",
      lambda raw: raw["buildings"][0].update(roof_area_m2="4484"),
-     "roof_area_m2 must be a finite number, got '4484'"),
+     "buildings[0].roof_area_m2 must be a finite number, got '4484'"),
     ("scaling", "scaling_nl2014.json",
      lambda raw: raw["buildings"][0].update(roof_area_m2=True),
-     "roof_area_m2 must be a finite number, got True"),
+     "buildings[0].roof_area_m2 must be a finite number, got True"),
     ("scaling", "scaling_nl2014.json",
      lambda raw: raw["buildings"][0].update(published_national="263"),
-     "published_national must be an integer, got '263'"),
+     "buildings[0].published_national must be an integer, got '263'"),
     ("scaling", "scaling_nl2014.json",
      lambda raw: raw["buildings"][0]["local"].update(count="134"),
-     "hospital: local input 'count' must be a finite number, got '134'"),
+     "buildings[0].local.count must be a finite number, got '134'"),
     ("scaling", "scaling_nl2014.json",
      lambda raw: raw["office_bands"]["bands"][0].update(published_count=326.0),
-     "published_count must be an integer, got 326.0"),
+     "office_bands.bands[0].published_count must be an integer, got 326.0"),
     # the rule of the per-100k mix's counts, checked where the file is read
     ("scaling", "scaling_nl2014.json", lambda raw: raw.update(households_per_100k=0),
      "households_per_100k must be > 0, got 0.0"),
     ("scaling", "scaling_nl2014.json", lambda raw: raw.update(households_per_100k=-75.9),
      "households_per_100k must be > 0, got -75.9"),
+    # unknown keys and wrong shapes, named by their key path
+    ("calendar", "calendar_nl2014.json", lambda raw: rename(raw, "holidays", "holiday"),
+     "unknown keys ['holiday']"),
+    ("scaling", "scaling_nl2014.json",
+     lambda raw: rename(raw, "households_per_100k", "household_per_100k"),
+     "unknown keys ['household_per_100k']"),
+    ("scaling", "scaling_nl2014.json", lambda raw: rename(raw["buildings"][1], "notes", "note"),
+     "unknown keys ['buildings[1].note']"),
+    ("scaling", "scaling_nl2014.json", lambda raw: [], "the file must hold a JSON object"),
+    ("scaling", "scaling_nl2014.json", lambda raw: raw["buildings"][0].update(local=[1]),
+     "buildings[0].local must map names to numbers, got [1]"),
+    ("scaling", "scaling_nl2014.json",
+     lambda raw: raw["office_bands"]["bands"][0].pop("share_pct"),
+     "office_bands.bands[0].share_pct is missing"),
+    ("scaling", "scaling_nl2014.json", lambda raw: raw["buildings"].__setitem__(0, "hospital"),
+     "buildings[0] must be an object"),
+    ("calendar", "calendar_nl2014.json", lambda raw: raw.pop("year"), "year is missing"),
+    ("calendar", "calendar_nl2014.json", lambda raw: raw.update(holidays=5),
+     "holidays must be a list, got 5"),
+    ("calendar", "calendar_nl2014.json", lambda raw: raw.update(holidays="2014-01-01"),
+     "holidays must be a list, got '2014-01-01'"),
+    ("calendar", "calendar_nl2014.json", lambda raw: raw["holidays"].__setitem__(0, 20140101),
+     "holidays[0] must be a string, got 20140101"),
+    # offsets a clock can have, so no local hour overflows or moves by days
+    ("calendar", "calendar_nl2014.json", lambda raw: raw.update(base_utc_offset_hours=1e300),
+     "base_utc_offset_hours must be in [-14, 14], got 1e+300"),
+    ("calendar", "calendar_nl2014.json", lambda raw: raw.update(base_utc_offset_hours=1000),
+     "base_utc_offset_hours must be in [-14, 14], got 1000.0"),
+    ("calendar", "calendar_nl2014.json",
+     lambda raw: raw["dst_transitions"][0].update(offset_hours=1e20),
+     "dst_transitions[0].offset_hours must be in [-14, 14], got 1e+20"),
 ])
 def test_non_finite_number_in_a_fixture_file_exits_1(tmp_path, capsys, key, fixture, change,
                                                        message):
-    # the calendar and scaling records read their numbers with the config checker
+    # the calendar and scaling files are read by the config's row reader; a
+    # change that returns a value replaces the whole file with it
     raw = json.loads((Path(urbanmix.__file__).parent / "data" / fixture).read_text())
-    change(raw)
+    changed = change(raw)
+    if isinstance(changed, list):
+        raw = changed
     (tmp_path / fixture).write_text(json.dumps(raw))
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({key: fixture}))
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "profiles"]) == 1
     assert capsys.readouterr().err == (f"error: cannot read {key} file {tmp_path / fixture}: "
                                        f"{message}\n")
+
+
+def key_paths(value, path=""):
+    """(key path, the object that holds the key, the key) of every key in
+    ``value``, a parsed JSON file; a breakdown's entries are names, not keys."""
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from key_paths(item, f"{path}[{i}]")
+    elif isinstance(value, dict) and not path.endswith(".breakdown"):
+        for key, item in value.items():
+            child = f"{path}.{key}" if path else key
+            yield child, value, key
+            yield from key_paths(item, child)
+
+
+@pytest.mark.parametrize("key, fixture", [("calendar", "calendar_nl2014.json"),
+                                          ("scaling", "scaling_nl2014.json")])
+def test_renaming_any_key_of_a_shipped_file_exits_1(tmp_path, capsys, key, fixture):
+    # a key that no row reads is rejected, so no key can be dropped silently
+    text = (Path(urbanmix.__file__).parent / "data" / fixture).read_text()
+    paths = [path for path, _, _ in key_paths(json.loads(text))]
+    assert len(paths) > (20 if key == "scaling" else 5)
+    for path in paths:
+        raw = json.loads(text)
+        _, holder, name = next(entry for entry in key_paths(raw) if entry[0] == path)
+        rename(holder, name, "misspelt")
+        renamed = path[:len(path) - len(name)] + "misspelt"
+        (tmp_path / fixture).write_text(json.dumps(raw))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({key: fixture}))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "scale"]) == 1, path
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {key} file {tmp_path / fixture}: "), path
+        assert err.count("\n") == 1 and renamed in err, (path, err)
 
 
 def optimize_outputs(tmp_path, name, raw):

@@ -217,7 +217,7 @@ def test_benchmarks_override(tmp_path):
     assert len(config.benchmarks) == 1
     assert config.benchmarks[0].name == "X"
     with pytest.raises(ConfigError,
-                       match=exactly("config: benchmarks[0] must have the keys name and twh")):
+                       match=exactly("config: benchmarks[0].twh is missing")):
         load_config(write(tmp_path, {"year": 2014, "benchmarks": [{"name": "X"}]}))
 
 

@@ -16,12 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from urbanmix import scaling
 from urbanmix.cli import main
-from urbanmix.config import (_BUILTIN_CALENDAR, _SCHEMA, ConfigError, GAConfig, SimulationConfig,
-                             default_config, load_config)
+from urbanmix.config import (_BUILTIN_CALENDAR, _BUILTIN_SCALING, _SCHEMA, ConfigError, GAConfig,
+                             SimulationConfig, default_config, load_config)
 from urbanmix.generation import GenerationError, TurbineParams
+from urbanmix.ingest import _CALENDAR_SCHEMA
 from urbanmix.optimize import OptimizeError
-from urbanmix.scaling import default_fixture_path, load_default_fixture
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 ROWS = {path: (kind, constraint) for path, kind, constraint, _ in _SCHEMA}
@@ -37,7 +38,7 @@ RECORD_FIELDS = {
     for path, record in RECORDS.items()
     for name, kind, constraint, *_ in record._rows if kind in (int, float, str)}
 # A non-empty `area.service_roofs` must give every building type of the fixture.
-BUILDING_TYPES = list(load_default_fixture().roof_areas())
+BUILDING_TYPES = list(default_config().scaling_fixture.roof_areas())
 NOUNS = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string",
          Path: "a file name"}
 
@@ -114,7 +115,7 @@ def valid_value(path, kind, constraint):
         if path == "calendar":
             return st.just(str(_BUILTIN_CALENDAR))
         if path == "scaling":
-            return st.just(str(default_fixture_path()))
+            return st.just(str(_BUILTIN_SCALING))
         return st.sampled_from(["input.csv", "inputs/profiles"])
     if path == "seed":
         return st.integers(0, 2 ** 63)  # SimulationConfig's row checks it is >= 0
@@ -220,7 +221,7 @@ def faults_at(path):
     faults += [(value, f"config: {path}.{message}")
                for value, message in CROSS_FIELD_FAULTS.get(path, [])]
     if path == "area.service_roofs":
-        faults += [(5, "config: area.service_roofs must map building names to roof areas, got 5"),
+        faults += [(5, "config: area.service_roofs must map names to numbers, got 5"),
                    ({"office": -1.0}, "config: area.service_roofs.office must be >= 0, got -1.0"),
                    ({"office": "x"},
                     "config: area.service_roofs.office must be a finite number, got 'x'"),
@@ -233,7 +234,7 @@ def faults_at(path):
                                      "p_ren < 0, got (1.0, 1.0, 5.0)")]
     if path == "benchmarks":
         faults += [({"name": "X"}, "config: benchmarks must be a list, got {'name': 'X'}"),
-                   ([{"name": "X"}], "config: benchmarks[0] must have the keys name and twh"),
+                   ([{"name": "X"}], "config: benchmarks[0].twh is missing"),
                    ([{"name": 3, "twh": 1.0}],
                     "config: benchmarks[0].name must be a string, got 3"),
                    ([{"name": "X", "twh": False}],
@@ -353,7 +354,7 @@ def test_writing_every_default_out_changes_nothing():
     # files and the year are what `_resolve` reads when none is given
     defaults = {**SimulationConfig._field_defaults, "year": default_config().year,
                 "calendar": str(_BUILTIN_CALENDAR),
-                "scaling_fixture": str(default_fixture_path())}
+                "scaling_fixture": str(_BUILTIN_SCALING)}
     config, written = {}, set()
     for path, _, _, target in _SCHEMA:
         if target in defaults and defaults[target] is not None:
@@ -367,10 +368,21 @@ def test_writing_every_default_out_changes_nothing():
     assert load(config) == default_config()
 
 
+def row_keys(rows):
+    """The key of each row, and each field of a record, or of a list of
+    records, that a row reads."""
+    keys = set()
+    for path, kind, _, _ in rows:
+        keys.add(path)
+        record = kind[0] if isinstance(kind, list) else kind
+        if isinstance(record, type) and issubclass(record, tuple):
+            keys |= {f"{path}.{name}" for name in record._fields}
+    return keys
+
+
 def test_readme_names_every_config_key():
+    # the keys of the config, calendar and scaling files
     documented = set(re.findall(r"`([a-z_][a-z0-9_.]*)`", README.read_text()))
-    keys = set(ROWS)
-    for path, record in RECORDS.items():
-        keys |= {f"{path}.{name}" for name in record._fields}
-    missing = sorted(keys - documented)
-    assert not missing, f"README does not name {missing}"
+    for rows in (_SCHEMA, _CALENDAR_SCHEMA, scaling._SCHEMA):
+        missing = sorted(row_keys(rows) - documented)
+        assert not missing, f"README does not name {missing}"

@@ -352,7 +352,7 @@ def test_pv_params_numbers_validated(kwargs):
     (AreaBudget, {"turbine_footprint_km2_per_mw": float("-inf")},
      "turbine_footprint_km2_per_mw must be a finite number, got -inf"),
     (AreaBudget, {"service_roofs": 5},
-     "service_roofs must map building names to roof areas, got 5"),
+     "service_roofs must map names to numbers, got 5"),
     (AreaBudget, {"service_roofs": {"office": -1.0}},
      "service_roofs.office must be >= 0, got -1.0"),
     (AreaBudget, {"service_roofs": {"office": float("nan")}},
@@ -360,7 +360,7 @@ def test_pv_params_numbers_validated(kwargs):
     (AreaBudget, {"service_roofs": {"office": "x"}},
      "service_roofs.office must be a finite number, got 'x'"),
     (AreaBudget, {"service_roofs": {3: 1.0}},
-     "service_roofs must map building names to roof areas, got {3: 1.0}"),
+     "service_roofs must map names to numbers, got {3: 1.0}"),
     (AreaBudget, {"phi_area": 0.5}, "phi_area must be >= 1, got 0.5"),
     (TurbineParams, {"cp": 0.7}, "cp must be in (0, 0.593), got 0.7"),
 ])

@@ -142,16 +142,24 @@ def test_calendar_rejects_naive_transition_instants():
 
 
 def test_build_calendar_rejects_bad_holiday():
-    with pytest.raises(IngestError, match="malformed holiday date"):
-        build_calendar(2014, holidays=["not-a-date"])
+    for holiday in ("not-a-date", 20140101):  # a number is not a date
+        with pytest.raises(IngestError, match="malformed holiday date"):
+            build_calendar(2014, holidays=[holiday])
 
 
 @pytest.mark.parametrize("instant, offset", [
     ("not-a-date", 2.0), (5, 2.0), ("2014-03-30T01:00:00", "x"), ("2014-03-30T01:00:00", None),
+    ("2014-03-30T01:00:00", 14.5), ("2014-03-30T01:00:00", -1e20),
 ])
 def test_build_calendar_rejects_bad_dst_transition(instant, offset):
     with pytest.raises(IngestError, match="malformed DST transition"):
         build_calendar(2014, holidays=[], dst_transitions=[(instant, offset)])
+
+
+@pytest.mark.parametrize("offset", [-14.5, 15, 1e300])
+def test_calendar_rejects_base_offset_outside_range(offset):
+    with pytest.raises(IngestError, match=r"^base_utc_offset_hours must be in \[-14, 14\]"):
+        build_calendar(2014, (), base_utc_offset_hours=offset)
 
 
 @pytest.mark.parametrize("year", [1969, 10000, 10 ** 20])

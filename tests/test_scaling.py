@@ -1,8 +1,10 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from urbanmix.scaling import (BuildingScalingSpec, OfficeBand, ScalingError,
+from urbanmix.scaling import (METHODS, BuildingScalingSpec, OfficeBand, ScalingError,
                               ScalingFixture, area_equivalents, build_service_mix,
                               count_ratio_equivalents, national_count,
                               office_band_counts, per_100k,
@@ -136,17 +138,23 @@ def test_open_band_requires_average():
 
 
 def test_spec_validation_errors():
-    with pytest.raises(ScalingError, match="unknown method"):
-        BuildingScalingSpec(name="x", method="mystery", local_inputs={},
-                            reference_inputs={}, roof_area_m2=1.0)
-    with pytest.raises(ScalingError, match="missing local input"):
-        BuildingScalingSpec(name="x", method="count-ratio",
-                            local_inputs={"count": 5},
-                            reference_inputs={"quantity": 2}, roof_area_m2=1.0)
-    with pytest.raises(ScalingError, match="roof area"):
-        BuildingScalingSpec(name="x", method="direct-count",
-                            local_inputs={"count": 5},
-                            reference_inputs={}, roof_area_m2=0.0)
+    with pytest.raises(ScalingError, match=re.escape(
+            f"method must be one of {METHODS}, got 'mystery'")):
+        BuildingScalingSpec(name="x", method="mystery", local={}, reference={},
+                            roof_area_m2=1.0)
+    with pytest.raises(ScalingError, match="^local.quantity is missing$"):
+        BuildingScalingSpec(name="x", method="count-ratio", local={"count": 5},
+                            reference={"quantity": 2}, roof_area_m2=1.0)
+    with pytest.raises(ScalingError, match=re.escape("roof_area_m2 must be > 0, got 0.0")):
+        BuildingScalingSpec(name="x", method="direct-count", local={"count": 5},
+                            reference={}, roof_area_m2=0.0)
+    with pytest.raises(ScalingError,
+                       match="^reference.quantity is not an input of the direct-count method$"):
+        BuildingScalingSpec(name="x", method="direct-count", local={"count": 5},
+                            reference={"quantity": 2}, roof_area_m2=1.0)
+    with pytest.raises(ScalingError, match=re.escape("local.count must be > 0, got 0.0")):
+        BuildingScalingSpec(name="x", method="direct-count", local={"count": 0},
+                            reference={}, roof_area_m2=1.0)
 
 
 def test_fixture_rejects_a_building_type_listed_twice(fixture_nl):
