@@ -121,10 +121,10 @@ def cmd_profiles(args, config: SimulationConfig) -> int:
     write_series(mixed, out / f"load_{MIXED}.csv", value_column="kw")
     summary = {
         "phi": phi,
-        "household_annual_kwh": household.total(),
-        "service_annual_kwh": service.total(),
-        "peak_residential_only_kw": float(residential.values.max()),
-        "peak_mixed_kw": float(mixed.values.max()),
+        "household_annual_kwh": float(household.sum()),
+        "service_annual_kwh": float(service.sum()),
+        "peak_residential_only_kw": float(residential.max()),
+        "peak_mixed_kw": float(mixed.max()),
     }
     (out / "profiles_summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -136,16 +136,16 @@ def cmd_generation(args, config: SimulationConfig) -> int:
     from .generation import pv_unit_series, wind_unit_series
 
     weather = assemble_weather(config)
-    pv_unit = pv_unit_series(weather, config.year, config.pv)
-    wind_unit = wind_unit_series(weather, config.year, config.turbine)
+    pv_unit = pv_unit_series(weather, config.pv)
+    wind_unit = wind_unit_series(weather, config.turbine)
     out: Path = args.out
     write_series(pv_unit, out / "generation_pv_unit.csv", value_column="w_per_m2")
     write_series(wind_unit, out / "generation_wind_unit.csv", value_column="kw")
     summary = {
-        "pv_annual_kwh_per_m2": pv_unit.total() / 1000.0,
-        "wind_annual_mwh_per_turbine": wind_unit.total() / 1000.0,
-        "pv_peak_w_per_m2": float(pv_unit.values.max()),
-        "wind_peak_kw": float(wind_unit.values.max()),
+        "pv_annual_kwh_per_m2": float(pv_unit.sum()) / 1000.0,
+        "wind_annual_mwh_per_turbine": float(wind_unit.sum()) / 1000.0,
+        "pv_peak_w_per_m2": float(pv_unit.max()),
+        "wind_peak_kw": float(wind_unit.max()),
     }
     (out / "generation_summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -193,7 +193,7 @@ def cmd_optimize(args, config: SimulationConfig) -> int:
 
 def cmd_validate(args, config: SimulationConfig) -> int:
     from . import experiments, validation
-    from .demand import MIXED, RESIDENTIAL_ONLY
+    from .demand import MIXED, RESIDENTIAL_ONLY, build_load_cases
     from .metrics import AggregateMetrics
 
     fixture = config.scaling_fixture
@@ -215,7 +215,9 @@ def cmd_validate(args, config: SimulationConfig) -> int:
           f"flagged={sorted(flagged)} documented={sorted(documented)}")
 
     prep = experiments.prepare(config)
-    residential, mixed, phi = prep.residential.total(), prep.mixed.total(), prep.phi
+    # the kW load cases: prep keeps only their MW copies
+    kw_r, kw_m, phi = build_load_cases(prep.inputs.household, prep.inputs.service)
+    residential, mixed = float(kw_r.sum()), float(kw_m.sum())
     check("load cases share annual energy",
           abs(residential - mixed) <= 1e-6 * mixed,
           f"residential={residential!r} mixed={mixed!r}")

@@ -7,10 +7,11 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from . import ingest
 from .generation import AreaBudget, PvParams, SingleDiodeParams, TurbineParams
-from .ingest import (Calendar, HourlySeries, IngestError, ValidationError, WeatherFrame,
-                     checked_record)
+from .ingest import Calendar, IngestError, ValidationError, WeatherFrame, checked_record
 from .scaling import ScalingError, ScalingFixture, build_service_mix, load_scaling_fixture
 
 
@@ -203,8 +204,8 @@ class ModelInputs(NamedTuple):
     calendar: Calendar
     weather: WeatherFrame
     service_mix: dict  # building type -> per-100k count
-    household: HourlySeries
-    service: HourlySeries
+    household: np.ndarray  # kW, one read-only value per calendar hour
+    service: np.ndarray    # kW, the service mix's reference profiles summed
 
     @property
     def seed(self) -> int:
@@ -220,8 +221,8 @@ def assemble_weather(config: SimulationConfig) -> WeatherFrame:
         return ingest.load_weather(config.weather_path, config.calendar)
 
 
-def assemble_demand(config: SimulationConfig) -> tuple[dict, HourlySeries, HourlySeries]:
-    """The service mix and the household and service demand series.
+def assemble_demand(config: SimulationConfig) -> tuple[dict, np.ndarray, np.ndarray]:
+    """The service mix and the household and service demand, read-only kW columns.
 
     Each profile comes from the file the configuration names, or from the
     synthetic generator when it names none.
@@ -236,24 +237,20 @@ def assemble_demand(config: SimulationConfig) -> tuple[dict, HourlySeries, Hourl
     else:
         from . import synthdata
         weights = synthdata.household_weights(calendar, config.holidays_as_weekend)
-        household = HourlySeries(weights * (annual / weights.sum()), unit="kW",
-                                 year=calendar.year)
+        household = ingest._read_only(weights * (annual / weights.sum()))
 
     mix = build_service_mix(config.scaling_fixture.specs,
                             households_per_100k=config.scaling_fixture.households_per_100k)
-    profiles: dict[str, HourlySeries] = {}
+    profiles = {}
     for name in mix:
         if config.reference_profile_dir is not None:
             profile_path = config.reference_profile_dir / f"{name}.csv"
             with _config_error(f"cannot read reference profile {profile_path}"):
-                profiles[name] = ingest.read_series(profile_path, unit="kW",
-                                                    year=calendar.year,
-                                                    value_column="kw")
+                profiles[name] = ingest.read_series(profile_path, calendar, value_column="kw")
         else:
             from . import synthdata
-            values = synthdata.reference_profile_values(name, calendar,
-                                                        holidays_as_weekend=config.holidays_as_weekend)
-            profiles[name] = HourlySeries(values, unit="kW", year=calendar.year)
+            profiles[name] = synthdata.reference_profile_values(
+                name, calendar, holidays_as_weekend=config.holidays_as_weekend)
     return mix, household, synthesize_service_profile(mix, profiles)
 
 

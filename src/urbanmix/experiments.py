@@ -18,7 +18,7 @@ from .config import ModelInputs, SimulationConfig, assemble
 from .demand import MIXED, RESIDENTIAL_ONLY, build_load_cases
 from .generation import (TURBINE_UNIT_MW, area_budget_totals, capacity_coefficients,
                          generation_mw, pv_unit_series, wind_unit_series)
-from .ingest import HourlySeries
+from .ingest import _read_only
 from .metrics import AggregateMetrics, delta_mismatch, hourly_split
 from .stats import StatsError, apply_holm, welch_t_test
 
@@ -39,15 +39,13 @@ SIGNIFICANCE_COLUMNS = ("t", "dof", "p", "reject_holm")
 
 
 class Prepared(NamedTuple):
-    """Inputs resolved into the series every scenario shares."""
+    """Inputs resolved into the read-only columns every scenario shares."""
     inputs: ModelInputs
     phi: float
-    residential: HourlySeries  # kW, phi · household
-    mixed: HourlySeries        # kW, household + service
-    load_r_mw: np.ndarray
-    load_m_mw: np.ndarray
-    pv_unit: HourlySeries     # W per m² of panel
-    wind_unit: HourlySeries   # kW per turbine
+    load_r_mw: np.ndarray   # MW, phi · household
+    load_m_mw: np.ndarray   # MW, household + service
+    pv_unit: np.ndarray     # W per m² of panel
+    wind_unit: np.ndarray   # kW per turbine
 
     @property
     def config(self) -> SimulationConfig:
@@ -57,15 +55,10 @@ class Prepared(NamedTuple):
 def prepare(config: SimulationConfig) -> Prepared:
     inputs = assemble(config)
     residential, mixed, phi = build_load_cases(inputs.household, inputs.service)
-    load_r_mw = residential.values / 1000.0
-    load_m_mw = mixed.values / 1000.0
-    load_r_mw.flags.writeable = False
-    load_m_mw.flags.writeable = False
-    pv_unit = pv_unit_series(inputs.weather, inputs.calendar.year, config.pv)
-    wind_unit = wind_unit_series(inputs.weather, inputs.calendar.year, config.turbine)
-    return Prepared(inputs=inputs, phi=phi, residential=residential, mixed=mixed,
-                    load_r_mw=load_r_mw, load_m_mw=load_m_mw,
-                    pv_unit=pv_unit, wind_unit=wind_unit)
+    return Prepared(inputs=inputs, phi=phi, load_r_mw=_read_only(residential / 1000.0),
+                    load_m_mw=_read_only(mixed / 1000.0),
+                    pv_unit=pv_unit_series(inputs.weather, config.pv),
+                    wind_unit=wind_unit_series(inputs.weather, config.turbine))
 
 
 def capacity_axis(max_mw: float = 525.0, steps: int = 11) -> tuple:
@@ -98,7 +91,7 @@ def evaluate_cell(pv_mw: float, wind_mw: float, prep: Prepared,
     """The scenario's ScenarioGrid.table row: TABLE_WIDTH floats in _SUMS,
     _TESTS, _UNTESTABLE, _DELTAS order."""
     area, turbines = capacity_coefficients(pv_mw, wind_mw, prep.config.pv)
-    g = generation_mw(area, turbines, prep.pv_unit.values, prep.wind_unit.values)
+    g = generation_mw(area, turbines, prep.pv_unit, prep.wind_unit)
     split_r = hourly_split(g, prep.load_r_mw)
     split_m = hourly_split(g, prep.load_m_mw)
 
@@ -252,10 +245,10 @@ def run_experiment2(config: SimulationConfig, out_dir=None,
     area, turbines = capacity_coefficients(pv_mw, wind_mw, config.pv)
     # One scenario row each for PV alone, wind alone and the whole mix.
     pv_gen, wind_gen, g = generation_mw([area, 0.0, area], [0, turbines, turbines],
-                                        prep.pv_unit.values, prep.wind_unit.values)
+                                        prep.pv_unit, prep.wind_unit)
     solar_pct = classify.percent_of_capacity(pv_gen, pv_mw)
     wind_pct = classify.percent_of_capacity(wind_gen, wind_mw)
-    daylight = prep.pv_unit.values > 0
+    daylight = prep.pv_unit > 0
     edges = classify.compute_bins(solar_pct, wind_pct, daylight)
     keys = classify.classify_year(solar_pct, wind_pct, edges, calendar,
                                   holidays_as_weekend=config.holidays_as_weekend)
@@ -271,8 +264,8 @@ def run_experiment2(config: SimulationConfig, out_dir=None,
     aggregates = {pair: classify.aggregate_by_category(keys, values)
                   for pair, values in hourly.items()}
 
-    delta = delta_mismatch(prep.inputs.service.values / 1000.0,
-                           prep.inputs.household.values / 1000.0, prep.phi)
+    delta = delta_mismatch(prep.inputs.service / 1000.0,
+                           prep.inputs.household / 1000.0, prep.phi)
     delta_aggregates = classify.aggregate_by_category(keys, delta)
 
     tests, reject = {}, {}
@@ -386,8 +379,8 @@ def build_problem(prep: Prepared) -> MixProblem:
         budget = budget._replace(service_roofs=config.scaling_fixture.roof_areas())
     a_roof, _, _ = area_budget_totals(prep.inputs.service_mix, config.households,
                                       budget, config.roof_only_pv)
-    return MixProblem(g_pv=prep.pv_unit.values,
-                      g_turbine=prep.wind_unit.values,
+    return MixProblem(g_pv=prep.pv_unit,
+                      g_turbine=prep.wind_unit,
                       load_mw=prep.load_m_mw,
                       a_roof_m2=a_roof,
                       phi_area=budget.phi_area,

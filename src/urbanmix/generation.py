@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .ingest import (MIN_TEMP_C, HourlySeries, ValidationError, WeatherFrame, _check_entries,
+from .ingest import (MIN_TEMP_C, ValidationError, WeatherFrame, _check_entries, _read_only,
                      checked_record)
 from .scaling import round_half_away
 
@@ -210,16 +210,24 @@ def _diode_power(v: np.ndarray, i_ph, i_sat, vt, rs: float) -> np.ndarray:
     return i
 
 
-def pv_unit_series(weather: WeatherFrame, year: int,
-                   params: PvParams = PvParams()) -> HourlySeries:
-    """Per-m² PV output for a weather year, W/m²."""
+def pv_unit_series(weather: WeatherFrame, params: PvParams = PvParams()) -> np.ndarray:
+    """Per-m² PV output for a weather year, W/m², as a read-only column.
+
+    Finite weather can still give an hour that is not finite when a parameter
+    is extreme (a cell temperature that overflows times a zero temperature
+    coefficient); the first such hour is rejected.
+    """
     values = _pv_wm2(weather.ghi, weather.temp, params)
-    return HourlySeries(values=values, unit="W/m2", year=year)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        raise GenerationError(f"PV output at hour {bad[0]} is not finite, "
+                              f"got {float(values[bad[0]])!r}")
+    return _read_only(values)
 
 
-def wind_unit_series(weather: WeatherFrame, year: int,
-                     params: TurbineParams = TurbineParams()) -> HourlySeries:
-    """Per-turbine output for a weather year, kW.
+def wind_unit_series(weather: WeatherFrame,
+                     params: TurbineParams = TurbineParams()) -> np.ndarray:
+    """Per-turbine output for a weather year, kW, as a read-only column.
 
     Swept-area power 0.5 ρ A V³ Cp at hub-height speed, zero outside the
     cut-in/cut-out window, clipped at nominal power.
@@ -237,7 +245,7 @@ def wind_unit_series(weather: WeatherFrame, year: int,
     raw_w = 0.5 * rho[run] * params.rotor_area_m2 * v_cubed * params.cp
     values = np.zeros(len(v))
     values[run] = np.minimum(raw_w / 1000.0, params.nominal_power_kw)
-    return HourlySeries(values=values, unit="kW", year=year)
+    return _read_only(values)
 
 
 def capacity_coefficients(pv_mw: float, wind_mw: float,

@@ -51,9 +51,13 @@ class IngestError(ValidationError):
     """Raised when an input file fails schema or invariant validation."""
 
 
-# scalar kind: (the types it takes, what an error message calls it)
-_SCALARS = {int: (int, "an integer"), float: ((int, float), "a finite number"),
-            bool: (bool, "true or false"), str: (str, "a string"), Path: (str, "a file name")}
+# scalar kind: (the types it takes, what an error message calls it, how a value is
+# read: a parser whose ValueError rejects it, or None to keep it as given)
+_SCALARS = {int: (int, "an integer", None), float: ((int, float), "a finite number", float),
+            bool: (bool, "true or false", None), str: (str, "a string", None),
+            Path: (str, "a file name", None),
+            dt.date: (str, "an ISO date", dt.date.fromisoformat),
+            dt.datetime: (str, "an ISO date and time", dt.datetime.fromisoformat)}
 _COMPARISONS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
 
@@ -72,15 +76,19 @@ def _within(value, constraint):
 
 
 def _check(name: str, value, kind, constraint, error: type[Exception]):
-    """``value`` read as ``kind`` (an int is read as a float for float); raises
-    ``error`` with one line naming ``name`` unless it is a ``kind`` that meets
-    ``constraint``. A number is finite, and a bool is not one. Every config
-    schema row and every scalar field of a `checked_record` is checked here."""
-    accepts, noun = _SCALARS[kind]
-    if not isinstance(value, accepts) or (kind in (int, float) and (
-            isinstance(value, bool) or not abs(value) <= sys.float_info.max)):
-        raise error(f"{name} must be {noun}, got {value!r}")
-    value = float(value) if kind is float else value
+    """``value`` read as ``kind`` (an int is read as a float for float, an ISO
+    string as a date or datetime); raises ``error`` with one line naming ``name``
+    unless it is a ``kind`` that meets ``constraint``. A number is finite, and a
+    bool is not one. Every config schema row and every scalar field of a
+    `checked_record` is checked here."""
+    accepts, noun, parse = _SCALARS[kind]
+    try:
+        if not isinstance(value, accepts) or (kind in (int, float) and (
+                isinstance(value, bool) or not abs(value) <= sys.float_info.max)):
+            raise ValueError
+        value = value if parse is None else parse(value)
+    except ValueError:
+        raise error(f"{name} must be {noun}, got {value!r}") from None
     if constraint is not None and not _within(value, constraint):
         allowed = f"one of {constraint}" if isinstance(constraint, tuple) else constraint
         raise error(f"{name} must be {allowed}, got {value!r}")
@@ -102,20 +110,21 @@ def _checked_kind(kind):
     only documents its field; whether the field also takes None, as "X | None" does)."""
     optional = typing.get_args(kind)[1:] == (type(None),)
     kind = typing.get_args(kind)[0] if optional else kind
-    return (kind if kind in (int, float, bool, str) else None), optional
+    return (kind if kind in (int, float, bool, str, dt.date, dt.datetime) else None), optional
 
 
 def checked_record(error: type[Exception], *rows):
     """The base of a record class with one field per (field, kind, constraint,
     default) row; a row without a default is a field every caller gives.
 
-    The constructor reads each int, float, bool or str field, and each such
-    field that may be None (an "X | None" row) unless it is None, with `_check`
-    under its row's constraint, keeps the value `_check` returns (so a float
-    field holds a float), and then runs the class's `_rules`, which check what
-    no single row can state. Any other kind only documents its field. `_make`
-    and `_replace` build through the constructor, so a derived record is
-    checked too.
+    The constructor reads each int, float, bool, str, date or datetime field
+    (the last two given as ISO strings), and each such field that may be None
+    (an "X | None" row) unless it is None, with `_check` under its row's
+    constraint, keeps the value `_check` returns (so a float field holds a
+    float, and a date field a date), and then runs the class's `_rules`, which
+    check what no single row can state. Any other kind only documents its
+    field. `_make` and `_replace` build through the constructor, so a derived
+    record is checked too (and so takes a date field as an ISO string again).
     """
     base = collections.namedtuple("Record", [row[0] for row in rows],
                                   defaults=[row[3] for row in rows if len(row) > 3])
@@ -258,36 +267,6 @@ class WeatherFrame(checked_record(IngestError,
         return len(self.ghi)
 
 
-class HourlySeries(checked_record(IngestError, ("values", np.ndarray, None),
-                                  ("unit", str, None), ("year", int, None))):
-    """One value per hour of a simulation year, tagged with a unit. Its
-    ``len()`` is the number of hours."""
-
-    __slots__ = ()
-
-    def __new__(cls, values, unit: str, year: int):
-        arr = np.asarray(values, dtype=float)
-        expected = hours_in_year(year)
-        if arr.shape != (expected,):
-            raise IngestError(
-                f"series for {year} must have {expected} values, got {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise IngestError("series contains non-finite values")
-        return super().__new__(cls, _read_only(arr.copy()), unit, year)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def total(self) -> float:
-        """Sum of values; for a kW series this is annual kWh (1 h steps)."""
-        return float(self.values.sum())
-
-    def with_values(self, values, unit: str | None = None) -> "HourlySeries":
-        return HourlySeries(values=values, unit=self.unit if unit is None else unit,
-                            year=self.year)
-
-
 class Calendar(checked_record(IngestError,
                              ("year", int, f"in [{MIN_YEAR}, {MAX_YEAR}]"),
                              ("holiday_dates", frozenset, None),
@@ -362,7 +341,7 @@ class Calendar(checked_record(IngestError,
         return self.is_weekend_day
 
 
-class DstTransition(checked_record(IngestError, ("at_utc", str, None),
+class DstTransition(checked_record(IngestError, ("at_utc", dt.datetime, None),
                                    ("offset_hours", float, UTC_OFFSET_HOURS))):
     """A DST transition of a calendar file: from the ISO date and time
     ``at_utc`` (read as UTC unless it names an offset) the clock runs
@@ -377,7 +356,7 @@ class DstTransition(checked_record(IngestError, ("at_utc", str, None),
 _CALENDAR_SCHEMA = (
     ("year", int, None, "year"),
     ("description", str, None, None),  # checked, not kept
-    ("holidays", [str], None, "holidays"),  # ISO dates
+    ("holidays", [dt.date], None, "holidays"),
     ("base_utc_offset_hours", float, None, "base_utc_offset_hours"),
     ("dst_transitions", [DstTransition], None, "dst_transitions"),
 )
@@ -385,29 +364,11 @@ _CALENDAR_SCHEMA = (
 
 def build_calendar(year: int, holidays, base_utc_offset_hours: float = 0.0,
                    dst_transitions=()) -> Calendar:
-    """Build a calendar from holiday dates and DST transition instants.
-
-    ``holidays`` accepts ISO date strings or ``datetime.date`` objects;
-    ``dst_transitions`` accepts (instant, offset) pairs where the instant is
-    an ISO datetime string (interpreted as UTC) or an aware/naive datetime.
-    """
-    dates = set()
-    for item in holidays:
-        try:
-            dates.add(item if isinstance(item, dt.date) and not isinstance(item, dt.datetime)
-                      else dt.date.fromisoformat(item))
-        except (TypeError, ValueError) as exc:
-            raise IngestError(f"malformed holiday date {item!r}: {exc}") from exc
+    """Build a calendar from ``datetime.date`` holidays and (instant, offset)
+    DST transitions, where a naive ``datetime`` instant is read as UTC."""
     transitions = []
-    for instant, offset in dst_transitions:
-        try:
-            when = dt.datetime.fromisoformat(instant) if isinstance(instant, str) else instant
-            if not isinstance(when, dt.datetime):
-                raise TypeError(f"instant must be an ISO datetime, got {type(when).__name__}")
-            offset = _check("offset_hours", offset, float, UTC_OFFSET_HOURS, IngestError)
-        except (TypeError, ValueError) as exc:
-            raise IngestError(f"malformed DST transition ({instant!r}, {offset!r}): "
-                              f"{exc}") from exc
+    for when, offset in dst_transitions:
+        offset = _check("offset_hours", offset, float, UTC_OFFSET_HOURS, IngestError)
         if when.tzinfo is not None:
             when = when.astimezone(dt.timezone.utc)
         else:
@@ -416,7 +377,7 @@ def build_calendar(year: int, holidays, base_utc_offset_hours: float = 0.0,
     transitions.sort(key=lambda pair: pair[0])
     return Calendar(
         year=year,
-        holiday_dates=frozenset(dates),
+        holiday_dates=frozenset(holidays),
         base_utc_offset_hours=base_utc_offset_hours,
         transitions=tuple(transitions),
     )
@@ -558,8 +519,9 @@ def load_weather(path, calendar: Calendar) -> WeatherFrame:
     return WeatherFrame(ghi=ghi, temp=temp, pressure=pressure, wind_speed_10m=wind)
 
 
-def load_profile(path, annual_energy_kwh: float, calendar: Calendar) -> HourlySeries:
-    """Load an hourly profile CSV and scale it to a target annual energy.
+def load_profile(path, annual_energy_kwh: float, calendar: Calendar) -> np.ndarray:
+    """Load an hourly profile CSV and scale it to a target annual energy: a
+    read-only kW column, one value per calendar hour.
 
     Input weights, each >= 0, may be absolute kW or normalized fractions; either
     way the shape is kept and the series is renormalized so its energy sum (kWh at
@@ -573,10 +535,14 @@ def load_profile(path, annual_energy_kwh: float, calendar: Calendar) -> HourlySe
     if total <= 0:
         raise IngestError(f"{path}: profile weights are all zero, cannot normalize")
     values = weights * (annual_energy_kwh / total)
-    return HourlySeries(values=values, unit="kW", year=calendar.year)
+    # finite weights can still scale past the float range, e.g. with a subnormal total
+    if not np.isfinite(values).all():
+        raise IngestError(f"{path}: profile weights scaled to {annual_energy_kwh!r} kWh "
+                          f"are not finite")
+    return _read_only(values)
 
 
-def write_series(series: HourlySeries, path, value_column: str = "value") -> None:
+def write_series(series: np.ndarray, path, value_column: str = "value") -> None:
     """Write an hourly series as ``hour,<value_column>`` CSV.
 
     Floats are written with shortest round-trip formatting so that
@@ -584,15 +550,15 @@ def write_series(series: HourlySeries, path, value_column: str = "value") -> Non
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    rows = "".join([f"{i},{value!r}\n" for i, value in enumerate(series.values.tolist())])
+    rows = "".join([f"{i},{value!r}\n" for i, value in enumerate(series.tolist())])
     with path.open("w", newline="", encoding="utf-8") as handle:
         handle.write(f"hour,{value_column}\n")
         handle.write(rows)
 
 
-def read_series(path, unit: str, year: int, value_column: str | None = None) -> HourlySeries:
+def read_series(path, calendar: Calendar, value_column: str | None = None) -> np.ndarray:
     """Read a ``hour,value`` CSV of non-negative values (a load or a generation
-    series) back into an HourlySeries without rescaling.
+    series) without rescaling: a read-only column, one value per calendar hour.
 
     When ``value_column`` is given the file header must be exactly
     ``hour,<value_column>``.
@@ -600,6 +566,5 @@ def read_series(path, unit: str, year: int, value_column: str | None = None) -> 
     path = Path(path)
     if not path.exists():
         raise IngestError(f"profile file not found: {path}")
-    values = _read_columns(path, ("hour", value_column), hours_in_year(year),
-                           ((value_column, ">= 0"),))[0]
-    return HourlySeries(values=values, unit=unit, year=year)
+    return _read_only(_read_columns(path, ("hour", value_column), calendar.n_hours,
+                                    ((value_column, ">= 0"),))[0])

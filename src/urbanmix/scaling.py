@@ -17,7 +17,7 @@ import math
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
-from .ingest import ValidationError, _check_entries, _read_json, checked_record
+from .ingest import ValidationError, _check, _check_entries, _read_json, checked_record
 
 HOUSEHOLDS_PER_100K = 75.9
 
@@ -83,24 +83,26 @@ def per_100k(national_equivalents: float,
 class OfficeBand(checked_record(ScalingError,
                                ("min_m2", float, None),
                                ("max_m2", float | None, None),  # None: the open-ended top band
-                               ("share_pct", float, None),
-                               # midpoint unless given (the top band must give it)
+                               ("share_pct", float, ">= 0"),
+                               # midpoint unless given; an open-ended band must give it
                                ("avg_m2", float | None, None, None),
                                ("published_count", int | None, None, None),
-                               # unchecked: scale_office_bands.csv writes it as read
-                               ("published_area_m2", object, None, None))):
+                               # checked by _rules and kept as given, an int as an int:
+                               # scale_office_bands.csv writes it as read
+                               ("published_area_m2", int | float | None, None, None))):
     """One floor-area band of the office stock distribution."""
 
     __slots__ = ()
 
+    def _rules(self):
+        if self.max_m2 is None and self.avg_m2 is None:
+            raise ScalingError("avg_m2 is missing: an open-ended band (max_m2 null) "
+                               "needs its average area")
+        if self.published_area_m2 is not None:
+            _check("published_area_m2", self.published_area_m2, float, ">= 0", ScalingError)
+
     def average_area(self) -> float:
-        if self.avg_m2 is not None:
-            return self.avg_m2
-        if self.max_m2 is None:
-            raise ScalingError(
-                f"open-ended band starting at {self.min_m2} m² needs an explicit average area"
-            )
-        return (self.min_m2 + self.max_m2) / 2.0
+        return self.avg_m2 if self.avg_m2 is not None else (self.min_m2 + self.max_m2) / 2.0
 
 
 class OfficeBandResult(NamedTuple):
@@ -120,11 +122,6 @@ def office_band_counts(bands, total_used_area: float) -> list[OfficeBandResult]:
     bands = list(bands)
     if not bands:
         raise ScalingError("no office bands given")
-    share_sum = sum(b.share_pct for b in bands)
-    if abs(share_sum - 100.0) > 0.1:
-        raise ScalingError(f"band shares must sum to 100 ± 0.1, got {share_sum}")
-    if total_used_area <= 0:
-        raise ScalingError(f"total used area must be positive, got {total_used_area}")
     weighted_avg = sum((b.share_pct / 100.0) * b.average_area() for b in bands)
     n_total = total_used_area / weighted_avg
     results = []
@@ -225,6 +222,10 @@ class ScalingFixture(checked_record(ScalingError,
         for name in names:
             if names.count(name) > 1:
                 raise ScalingError(f"building type {name!r} is listed twice")
+        share_sum = sum(band.share_pct for band in self.office_bands)
+        if self.office_bands and abs(share_sum - 100.0) > 0.1:
+            raise ScalingError(f"office_bands.bands share_pct must sum to 100 ± 0.1, "
+                               f"got {share_sum}")
 
     def roof_areas(self) -> dict[str, float]:
         return {s.name: s.roof_area_m2 for s in self.specs}
@@ -232,13 +233,13 @@ class ScalingFixture(checked_record(ScalingError,
 
 # The keys of a scaling file, one row each: (path, kind, constraint,
 # ScalingFixture field), read by `ingest._read_rows`. ScalingFixture's row
-# checks households_per_100k.
+# checks households_per_100k, and its _rules the band shares' sum.
 _SCHEMA = (
     ("name", str, None, "name"),  # default: the file's name without its suffix
     ("description", str, None, None),  # checked, not kept
     ("households_per_100k", float, None, "households_per_100k"),
     ("documented_inconsistencies", [str], None, "documented_inconsistencies"),
-    ("office_bands.total_used_area_m2", float, None, "office_total_used_area_m2"),
+    ("office_bands.total_used_area_m2", float, "> 0", "office_total_used_area_m2"),
     ("office_bands.bands", [OfficeBand], None, "office_bands"),
     ("buildings", [BuildingScalingSpec], None, "specs"),
 )

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import Calendar, HourlySeries, WeatherFrame, write_series
+from .ingest import Calendar, WeatherFrame, _read_only, write_series
 
 LATITUDE_DEG = 52.1
 DEFAULT_SEED = 1234
@@ -103,17 +103,19 @@ def _ar1(rng: np.random.Generator, n: int, rho: float, sigma: float) -> np.ndarr
 
 
 def household_weights(calendar: Calendar, holidays_as_weekend: bool = True) -> np.ndarray:
-    """Relative household demand weights, evening-peaking and winter-heavy."""
+    """Relative household demand weights, evening-peaking and winter-heavy, as
+    a read-only column."""
     weekend = calendar.weekend_kind(holidays_as_weekend)
     lh = calendar.local_hour
     base = np.where(weekend, HOUSEHOLD_WEEKEND[lh], HOUSEHOLD_WEEKDAY[lh])
-    return base * _seasonal(calendar.local_day_of_year, HOUSEHOLD_SEASONAL_AMP)
+    return _read_only(base * _seasonal(calendar.local_day_of_year, HOUSEHOLD_SEASONAL_AMP))
 
 
 def reference_profile_values(name: str, calendar: Calendar,
                              annual_kwh: float | None = None,
                              holidays_as_weekend: bool = True) -> np.ndarray:
-    """Hourly kW draw of one reference building of the given type."""
+    """Hourly kW draw of one reference building of the given type, as a
+    read-only column."""
     if name not in SHAPES:
         raise KeyError(f"no synthetic shape for building type {name!r}")
     weekday, weekend_shape, amp = SHAPES[name]
@@ -123,7 +125,7 @@ def reference_profile_values(name: str, calendar: Calendar,
     lh = calendar.local_hour
     base = np.where(weekend, weekend_shape[lh], weekday[lh])
     w = base * _seasonal(calendar.local_day_of_year, amp)
-    return w * (annual_kwh / w.sum())
+    return _read_only(w * (annual_kwh / w.sum()))
 
 
 def synthetic_weather_frame(calendar: Calendar, seed: int = DEFAULT_SEED) -> WeatherFrame:
@@ -182,13 +184,10 @@ def write_input_set(out_dir, calendar: Calendar, seed: int = DEFAULT_SEED,
 
     write_weather_csv(out_dir / "weather.csv", synthetic_weather_frame(calendar, seed))
 
-    weights = HourlySeries(household_weights(calendar), unit="1", year=calendar.year)
-    write_series(weights, out_dir / "household.csv", value_column="weight")
-
+    write_series(household_weights(calendar), out_dir / "household.csv", value_column="weight")
     for name in sorted(SHAPES):
-        values = reference_profile_values(name, calendar)
-        series = HourlySeries(values, unit="kW", year=calendar.year)
-        write_series(series, profiles_dir / f"{name}.csv", value_column="kw")
+        write_series(reference_profile_values(name, calendar), profiles_dir / f"{name}.csv",
+                     value_column="kw")
 
     config = {
         "year": calendar.year,

@@ -11,8 +11,9 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
+import numpy as np
+
 from .config import DEFAULT_BENCHMARKS
-from .ingest import HourlySeries
 from .scaling import (
     ScalingFixture,
     national_count,
@@ -187,7 +188,7 @@ class NationalTotalReport(NamedTuple):
     reason: str = ""
 
 
-def national_total_check(service_profile: HourlySeries | None,
+def national_total_check(service_profile: np.ndarray | None,
                          households_per_100k: float = 75.9,
                          benchmarks=DEFAULT_BENCHMARKS,
                          real_inputs: bool = True) -> NationalTotalReport:
@@ -203,7 +204,7 @@ def national_total_check(service_profile: HourlySeries | None,
             modeled_twh=None, skipped=True,
             reason="fixture-only, check skipped",
         )
-    national_kwh = service_profile.total() * households_per_100k
+    national_kwh = float(service_profile.sum()) * households_per_100k
     modeled_twh = national_kwh / 1e9
     ratios = {b.name: modeled_twh / b.twh for b in benchmarks}
     return NationalTotalReport(modeled_twh=modeled_twh, ratios=ratios)

@@ -1,9 +1,7 @@
-import numpy as np
 import pytest
 
 from urbanmix.config import default_config
 from urbanmix.generation import pv_unit_series, wind_unit_series
-from urbanmix.ingest import HourlySeries
 from urbanmix.scaling import build_service_mix
 from urbanmix.synthdata import (SHAPES, household_weights,
                                 reference_profile_values,
@@ -41,26 +39,24 @@ def weather2014(calendar2014):
 
 @pytest.fixture(scope="session")
 def pv_unit(weather2014, calendar2014):
-    return pv_unit_series(weather2014, calendar2014.year)
+    return pv_unit_series(weather2014)
 
 
 @pytest.fixture(scope="session")
 def wind_unit(weather2014, calendar2014):
-    return wind_unit_series(weather2014, calendar2014.year)
+    return wind_unit_series(weather2014)
 
 
 @pytest.fixture(scope="session")
 def household_series(calendar2014):
     w = household_weights(calendar2014)
     annual = HOUSEHOLD_ANNUAL_KWH * HOUSEHOLDS
-    return HourlySeries(w * (annual / w.sum()), unit="kW", year=calendar2014.year)
+    return w * (annual / w.sum())
 
 
 @pytest.fixture(scope="session")
 def reference_profiles(calendar2014):
-    return {name: HourlySeries(reference_profile_values(name, calendar2014),
-                               unit="kW", year=calendar2014.year)
-            for name in SHAPES}
+    return {name: reference_profile_values(name, calendar2014) for name in SHAPES}
 
 
 @pytest.fixture(scope="session")

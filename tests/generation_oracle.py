@@ -8,8 +8,6 @@ from urbanmix.generation import (PvParams, TurbineParams, air_density, hub_heigh
                                  pv_unit_series, wind_unit_series)
 from urbanmix.ingest import WeatherFrame
 
-YEAR = 2014  # 8760 hours
-
 
 def wind_kw(wind_speed_10m, temp, pressure, params=TurbineParams()) -> float:
     """kW produced by one turbine in one hour, in Python floats.
@@ -36,10 +34,10 @@ def padded_year(ghi=0.0, temp=15.0, pressure=101325.0, wind=0.0) -> WeatherFrame
 
 def pv_hour(ghi=0.0, temp=15.0, params=PvParams()) -> float:
     """W per m² of panel in one hour, from `pv_unit_series` over a padded year."""
-    return float(pv_unit_series(padded_year(ghi=ghi, temp=temp), YEAR, params).values[0])
+    return float(pv_unit_series(padded_year(ghi=ghi, temp=temp), params)[0])
 
 
 def wind_hour(wind=0.0, temp=15.0, pressure=101325.0, params=TurbineParams()) -> float:
     """kW of one turbine in one hour, from `wind_unit_series` over a padded year."""
     frame = padded_year(temp=temp, pressure=pressure, wind=wind)
-    return float(wind_unit_series(frame, YEAR, params).values[0])
+    return float(wind_unit_series(frame, params)[0])

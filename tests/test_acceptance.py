@@ -23,7 +23,7 @@ from urbanmix.config import default_config
 from urbanmix.demand import build_load_cases
 from urbanmix.experiments import _SUMS, capacity_axis, prepare, run_experiment1
 from urbanmix.generation import TurbineParams, capacity_coefficients, generation_mw
-from urbanmix.ingest import HourlySeries, build_calendar
+from urbanmix.ingest import build_calendar
 from urbanmix.metrics import AggregateMetrics, annual_metrics, hourly_split
 from urbanmix.optimize import MixProblem, ga_optimize, grid_oracle, solution_report
 from urbanmix.scaling import build_service_mix
@@ -59,8 +59,7 @@ def test_criterion_01_reference_mix_and_reconciliation():
 
 def test_criterion_02_phi_value():
     with verdict("criterion 02 phi from annual energies"):
-        household, service = (HourlySeries(np.full(8760, kwh / 8760), unit="kW", year=2014)
-                              for kwh in (3.49982, 7.10481 - 3.49982))
+        household, service = (np.full(8760, kwh / 8760) for kwh in (3.49982, 7.10481 - 3.49982))
         _, _, phi = build_load_cases(household, service)
         assert abs(phi - 2.03005) < 5e-6
 
@@ -200,10 +199,10 @@ def test_criterion_09_optimizer_vs_grid(pv_unit, wind_unit, household_series,
                                         service_series):
     with verdict("criterion 09 optimizer within 2% of exhaustive grid"):
         start = time.monotonic()
-        load_mw = (household_series.values + service_series.values) / 100.0 / 1000.0
+        load_mw = (household_series + service_series) / 100.0 / 1000.0
         problem = MixProblem(
-            g_pv=pv_unit.values,
-            g_turbine=wind_unit.values,
+            g_pv=pv_unit,
+            g_turbine=wind_unit,
             load_mw=load_mw,
             a_roof_m2=5_130_333.0 / 100.0,
         )
@@ -251,16 +250,16 @@ def test_criterion_11_directional_claims(config2014):
         # household, service concentrated in opening hours
         np.testing.assert_allclose(prep.load_r_mw.sum(), prep.load_m_mw.sum(),
                                    rtol=1e-9)
-        h_prof = np.array([prep.inputs.household.values[(~weekend) & (hour == t)].mean()
+        h_prof = np.array([prep.inputs.household[(~weekend) & (hour == t)].mean()
                            for t in range(24)])
         assert 16 <= int(h_prof.argmax()) < 24
-        s = prep.inputs.service.values
+        s = prep.inputs.service
         assert s[weekday_day].mean() > 2.0 * s[(~weekend) & (hour < 8)].mean()
 
         for pv_mw, wind_mw in ((100.0, 0.0), (300.0, 0.0), (399.0, 30.0),
                                (52.5, 52.5), (0.0, 105.0), (525.0, 525.0)):
             area, turbines = capacity_coefficients(pv_mw, wind_mw, prep.config.pv)
-            g = generation_mw(area, turbines, prep.pv_unit.values, prep.wind_unit.values)
+            g = generation_mw(area, turbines, prep.pv_unit, prep.wind_unit)
             util_r = np.minimum(g, prep.load_r_mw)
             util_m = np.minimum(g, prep.load_m_mw)
             assert util_m[weekday_day].sum() >= util_r[weekday_day].sum()

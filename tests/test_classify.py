@@ -1,3 +1,4 @@
+import datetime as dt
 import re
 
 import numpy as np
@@ -150,7 +151,7 @@ def test_classify_year_length_check(calendar2014):
 def test_day_kind_uses_calendar():
     # 2014-01-01 is a Wednesday; with it as a holiday the first 24 hours
     # count as weekend when holidays are folded in, weekday otherwise
-    cal = build_calendar(2014, ("2014-01-01",))
+    cal = build_calendar(2014, (dt.date(2014, 1, 1),))
     solar = np.zeros(cal.n_hours)
     wind = np.zeros(cal.n_hours)
     e = edges()
@@ -209,9 +210,9 @@ def test_generation_atoms_respect_equal_fill(pv_unit, wind_unit, calendar2014):
     # the synthetic year has atoms at 0 kW and at the 500 kW clip; both
     # stay inside the outer quintiles, so the equal-fill property holds
     # on real model output too
-    wind_pct = percent_of_capacity(wind_unit.values / 1000.0, 0.5)
-    solar_pct = percent_of_capacity(pv_unit.values, 107.9)
-    daylight = pv_unit.values > 0
+    wind_pct = percent_of_capacity(wind_unit / 1000.0, 0.5)
+    solar_pct = percent_of_capacity(pv_unit, 107.9)
+    daylight = pv_unit > 0
     e = compute_bins(solar_pct, wind_pct, daylight)
     keys = decode(classify_year(solar_pct, wind_pct, e, calendar2014))
     wind_counts = {b: 0 for b in range(1, N_BINS + 1)}

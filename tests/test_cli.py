@@ -242,6 +242,31 @@ def test_overflowing_variance_exits_2(tmp_path, capsys, raw, command, where):
     assert not (out / "mix_summary.json").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["profiles", "validate"])
+def test_overflowing_demand_exits_2(tmp_path, capsys, command):
+    # each number is finite, but households × kWh per household is not
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"household_annual_kwh": 1e308}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), command]) == 2
+    assert capsys.readouterr().err == "validation error: mixed load must be finite\n"
+    assert not any(out.iterdir())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_pv_output_exits_2(tmp_path, capsys):
+    # the cell temperature overflows, and 0 · inf is not a number
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"pv": {"noct_offset_c": 1.7e308, "temp_coefficient": 0}}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "generation"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: PV output at hour ")
+    assert err.endswith(" is not finite, got nan\n") and err.count("\n") == 1
+    assert not any(out.iterdir())
+
+
 def assert_config_error(tmp_path, capsys, raw):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(raw))
@@ -370,7 +395,7 @@ def rename(raw, old, new):
     ("calendar", "calendar_nl2014.json", lambda raw: raw.update(holidays="2014-01-01"),
      "holidays must be a list, got '2014-01-01'"),
     ("calendar", "calendar_nl2014.json", lambda raw: raw["holidays"].__setitem__(0, 20140101),
-     "holidays[0] must be a string, got 20140101"),
+     "holidays[0] must be an ISO date, got 20140101"),
     # offsets a clock can have, so no local hour overflows or moves by days
     ("calendar", "calendar_nl2014.json", lambda raw: raw.update(base_utc_offset_hours=1e300),
      "base_utc_offset_hours must be in [-14, 14], got 1e+300"),
@@ -379,6 +404,32 @@ def rename(raw, old, new):
     ("calendar", "calendar_nl2014.json",
      lambda raw: raw["dst_transitions"][0].update(offset_hours=1e20),
      "dst_transitions[0].offset_hours must be in [-14, 14], got 1e+20"),
+    # dates are parsed where the file is read, and named by their key path
+    ("calendar", "calendar_nl2014.json", lambda raw: raw["holidays"].append("2014-13-01"),
+     "holidays[11] must be an ISO date, got '2014-13-01'"),
+    ("calendar", "calendar_nl2014.json", lambda raw: raw["dst_transitions"][0].update(at_utc="x"),
+     "dst_transitions[0].at_utc must be an ISO date and time, got 'x'"),
+    ("calendar", "calendar_nl2014.json", lambda raw: raw["dst_transitions"][1].update(at_utc=5),
+     "dst_transitions[1].at_utc must be an ISO date and time, got 5"),
+    # every office band rule holds when the file is read, not only when `scale` runs
+    ("scaling", "scaling_nl2014.json",
+     lambda raw: raw["office_bands"]["bands"][0].update(share_pct=-5),
+     "office_bands.bands[0].share_pct must be >= 0, got -5.0"),
+    ("scaling", "scaling_nl2014.json",
+     lambda raw: raw["office_bands"]["bands"][4].update(share_pct=22),
+     "office_bands.bands share_pct must sum to 100 ± 0.1, got 90.0"),
+    ("scaling", "scaling_nl2014.json",
+     lambda raw: raw["office_bands"]["bands"][0].update(published_area_m2="abc"),
+     "office_bands.bands[0].published_area_m2 must be a finite number, got 'abc'"),
+    ("scaling", "scaling_nl2014.json",
+     lambda raw: raw["office_bands"]["bands"][0].update(published_area_m2=-1),
+     "office_bands.bands[0].published_area_m2 must be >= 0, got -1.0"),
+    ("scaling", "scaling_nl2014.json", lambda raw: raw["office_bands"]["bands"][4].pop("avg_m2"),
+     "office_bands.bands[4].avg_m2 is missing: an open-ended band (max_m2 null) needs its "
+     "average area"),
+    ("scaling", "scaling_nl2014.json",
+     lambda raw: raw["office_bands"].update(total_used_area_m2=-5),
+     "office_bands.total_used_area_m2 must be > 0, got -5.0"),
 ])
 def test_non_finite_number_in_a_fixture_file_exits_1(tmp_path, capsys, key, fixture, change,
                                                        message):

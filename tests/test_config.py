@@ -226,8 +226,7 @@ def test_assemble_synthetic_fallback():
     assert len(inputs.weather) == 8760
     assert len(inputs.household) == 8760
     assert len(inputs.service) == 8760
-    assert inputs.household.unit == "kW"
-    assert inputs.household.total() == pytest.approx(3.5e8, rel=1e-9)
+    assert inputs.household.sum() == pytest.approx(3.5e8, rel=1e-9)
     assert sum(inputs.service_mix.values()) == 834
 
 

@@ -36,8 +36,8 @@ def prep(config2014):
 
 def components(pv_mw, wind_mw, prep):
     area, turbines = capacity_coefficients(pv_mw, wind_mw, prep.config.pv)
-    pv_gen = generation_mw(area, 0, prep.pv_unit.values, prep.wind_unit.values)
-    wind_gen = generation_mw(0.0, turbines, prep.pv_unit.values, prep.wind_unit.values)
+    pv_gen = generation_mw(area, 0, prep.pv_unit, prep.wind_unit)
+    wind_gen = generation_mw(0.0, turbines, prep.pv_unit, prep.wind_unit)
     return pv_gen, wind_gen
 
 
@@ -71,7 +71,7 @@ def test_prepare_units(prep):
     # both cases carry the same annual energy by construction
     assert prep.load_r_mw.sum() == pytest.approx(prep.load_m_mw.sum(), rel=1e-9)
     # residential case is phi * household, in MW
-    household_mw = prep.inputs.household.values / 1000.0
+    household_mw = prep.inputs.household / 1000.0
     assert prep.load_r_mw == pytest.approx(prep.phi * household_mw, rel=1e-12)
     assert not prep.load_r_mw.flags.writeable
 
@@ -353,8 +353,8 @@ def test_experiment2_aggregates_consistent(exp2, prep):
 
 def test_experiment2_delta_is_generation_free(exp2, prep):
     # per-category sums of the load-case delta recover s - (phi-1) h
-    delta = (prep.inputs.service.values / 1000.0
-             - (prep.phi - 1.0) * prep.inputs.household.values / 1000.0)
+    delta = (prep.inputs.service / 1000.0
+             - (prep.phi - 1.0) * prep.inputs.household / 1000.0)
     direct = {}
     for key, value in zip(decode(exp2.keys), delta):
         direct[key] = direct.get(key, 0.0) + float(value)
@@ -449,7 +449,7 @@ def test_build_problem_uses_fixture_roofs(prep):
     assert problem.a_roof_m2 == pytest.approx(5_130_333.0)
     assert problem.phi_area == 3.0
     assert np.array_equal(problem.load_mw, prep.load_m_mw)
-    assert np.array_equal(problem.g_pv, prep.pv_unit.values)
+    assert np.array_equal(problem.g_pv, prep.pv_unit)
 
 
 def test_run_optimize_writes_reports(config2014, tmp_path):

@@ -193,7 +193,7 @@ def full_grid_wm2(ghi, temp, params):
 ], ids=["default", "no-series-resistance", "60-cell"])
 def test_single_diode_year_matches_full_grid_oracle(weather2014, calendar2014, diode):
     params = PvParams(model="single-diode", diode=diode)
-    series = pv_unit_series(weather2014, calendar2014.year, params).values
+    series = pv_unit_series(weather2014, params)
     # every hour of the year, each daylight hour among them
     assert np.array_equal(series, full_grid_wm2(weather2014.ghi, weather2014.temp, params))
 
@@ -243,7 +243,7 @@ def test_pruned_kernel_bit_equal_to_full_grid(diode, n_hours, seed, data):
 
 def test_single_diode_year_matches_per_hour_oracle(weather2014, calendar2014):
     params = PvParams(model="single-diode")
-    series = pv_unit_series(weather2014, calendar2014.year, params).values
+    series = pv_unit_series(weather2014, params)
     ghi, temp = weather2014.ghi, weather2014.temp
     day = np.flatnonzero(ghi > 0).tolist()
     hours = sorted(set(day[::10]) | {day[0], day[-1]})
@@ -262,8 +262,8 @@ def test_wind_year_matches_per_hour_power(weather2014, wind_unit):
     hours = zip(weather2014.temp.tolist(), weather2014.pressure.tolist(),
                 weather2014.wind_speed_10m.tolist())
     expected = [wind_kw(v, t, p) for t, p, v in hours]
-    assert np.array_equal(wind_unit.values, expected)
-    assert wind_unit.values.any()
+    assert np.array_equal(wind_unit, expected)
+    assert wind_unit.any()
 
 
 @settings(max_examples=100, deadline=None)
@@ -291,7 +291,7 @@ def test_wind_columns_bit_equal_to_wind_power(data, n_hours, hub_height_m):
     frame = WeatherFrame(ghi=np.zeros(8760), temp=temps + [15.0] * calm,
                          pressure=pressures + [101325.0] * calm,
                          wind_speed_10m=speeds + [0.0] * calm)
-    columns = wind_unit_series(frame, 2014, params).values.tolist()
+    columns = wind_unit_series(frame, params).tolist()
     per_hour = [wind_kw(v, t, p, params) for t, p, v in zip(temps, pressures, speeds)]
     assert [float.hex(x) for x in columns[:n_hours]] == [float.hex(x) for x in per_hour]
     assert columns[n_hours:] == [0.0] * calm
@@ -310,13 +310,13 @@ def test_wind_columns_report_first_bad_hour(temp, pressure, message):
     frame = WeatherFrame(ghi=np.zeros(8760), temp=temps, pressure=pressures,
                          wind_speed_10m=np.full(8760, 8.0))
     with pytest.raises(GenerationError, match=f"^{message}$"):
-        wind_unit_series(frame, 2014)
+        wind_unit_series(frame)
     with pytest.raises(GenerationError, match=f"^{message}$"):
         wind_kw(8.0, temp, pressure)
 
 
 def test_linear_year_sum_pinned(pv_unit):
-    assert float(pv_unit.values.sum()) == 104019.80827083281
+    assert float(pv_unit.sum()) == 104019.80827083281
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -377,15 +377,13 @@ def test_pv_params_reject_non_diode_object():
 def test_unit_series_lengths(weather2014, pv_unit, wind_unit):
     assert len(pv_unit) == 8760
     assert len(wind_unit) == 8760
-    assert pv_unit.unit == "W/m2"
-    assert wind_unit.unit == "kW"
-    assert float(wind_unit.values.max()) <= 500.0
-    assert float(pv_unit.values.min()) >= 0.0
+    assert float(wind_unit.max()) <= 500.0
+    assert float(pv_unit.min()) >= 0.0
 
 
 def generation_at(pv_mw, wind_mw, pv_unit, wind_unit):
     area, turbines = capacity_coefficients(pv_mw, wind_mw)
-    return generation_mw(area, turbines, pv_unit.values, wind_unit.values)
+    return generation_mw(area, turbines, pv_unit, wind_unit)
 
 
 def test_scenario_generation_doubling_exact(pv_unit, wind_unit):
@@ -423,31 +421,31 @@ def test_capacity_coefficients_reject_non_finite(pv_mw, wind_mw):
 
 def test_generation_kernel_rejects_negative_coefficients(pv_unit, wind_unit):
     with pytest.raises(GenerationError, match="non-negative"):
-        generation_mw(-1.0, 0.0, pv_unit.values, wind_unit.values)
+        generation_mw(-1.0, 0.0, pv_unit, wind_unit)
     with pytest.raises(GenerationError, match="non-negative"):
-        generation_mw(0.0, -0.5, pv_unit.values, wind_unit.values)
+        generation_mw(0.0, -0.5, pv_unit, wind_unit)
     with pytest.raises(GenerationError, match="non-negative"):
         generation_mw(np.array([10.0, -1.0]), np.array([1.0, 2.0]),
-                      pv_unit.values, wind_unit.values)
+                      pv_unit, wind_unit)
     with pytest.raises(GenerationError, match="non-negative"):
-        generation_mw(1.0, 1.0, -pv_unit.values, wind_unit.values)
+        generation_mw(1.0, 1.0, -pv_unit, wind_unit)
 
 
 def test_generation_kernel_batch_rows_match_scalar_calls(pv_unit, wind_unit):
     areas = np.array([0.0, 1.0e5, 3.7e6])
     turbines = np.array([4.0, 0.0, 2.5])
-    batch = generation_mw(areas, turbines, pv_unit.values, wind_unit.values)
+    batch = generation_mw(areas, turbines, pv_unit, wind_unit)
     assert batch.shape == (3, 8760)
     for i in range(3):
-        row = generation_mw(areas[i], turbines[i], pv_unit.values, wind_unit.values)
+        row = generation_mw(areas[i], turbines[i], pv_unit, wind_unit)
         assert np.array_equal(batch[i], row)
 
 
 def test_generation_kernel_shape_checks(pv_unit, wind_unit):
     with pytest.raises(GenerationError, match="length"):
-        generation_mw(1.0, 1.0, pv_unit.values, wind_unit.values[:-1])
+        generation_mw(1.0, 1.0, pv_unit, wind_unit[:-1])
     with pytest.raises(GenerationError, match="equal-length"):
-        generation_mw(np.ones(2), np.ones(3), pv_unit.values, wind_unit.values)
+        generation_mw(np.ones(2), np.ones(3), pv_unit, wind_unit)
 
 
 def test_area_budget_totals(service_mix, fixture_nl):

@@ -7,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calendar_oracle import local_time, offset_hours_at, utc_time
-from urbanmix.ingest import (Calendar, HourlySeries, IngestError, build_calendar,
-                             hours_in_year, load_profile, load_weather,
-                             read_series, write_series)
+from urbanmix.config import assemble_demand, assemble_weather, load_config
+from urbanmix.demand import build_load_cases, synthesize_service_profile
+from urbanmix.generation import PvParams, pv_unit_series, wind_unit_series
+from urbanmix.ingest import (Calendar, IngestError, build_calendar, hours_in_year, load_profile,
+                             load_weather, read_series, write_series)
+from urbanmix.synthdata import household_weights, reference_profile_values, write_input_set
 
 WEATHER_HEADER = "hour_utc,ghi_wm2,temp_c,pressure_pa,wind_ms"
 
@@ -31,23 +34,39 @@ def test_hours_in_year():
     assert hours_in_year(1900) == 8760
 
 
-def test_series_length_enforced():
-    with pytest.raises(ValueError):
-        HourlySeries(np.zeros(8761), unit="kW", year=2014)
-    HourlySeries(np.zeros(8784), unit="kW", year=2012)
+@pytest.fixture(scope="module", params=[2014, 2016])
+def file_config(request, tmp_path_factory):
+    """The configuration of a generated input set for a common and a leap year."""
+    calendar = build_calendar(request.param, ())
+    return load_config(write_input_set(tmp_path_factory.mktemp("inputs"), calendar, seed=0))
 
 
-def test_series_rejects_non_finite():
-    values = np.zeros(8760)
-    values[7] = np.nan
-    with pytest.raises(ValueError):
-        HourlySeries(values, unit="kW", year=2014)
+# every function that makes an hourly column, each called on a configuration
+ARRAY_PRODUCERS = {
+    "load_profile": lambda c: [load_profile(c.household_profile_path, 1000.0, c.calendar)],
+    "read_series": lambda c: [read_series(c.reference_profile_dir / "hospital.csv", c.calendar,
+                                          value_column="kw")],
+    "assemble_demand": lambda c: assemble_demand(c)[1:],
+    "assemble_demand synthetic": lambda c: assemble_demand(
+        c._replace(household_profile_path=None, reference_profile_dir=None))[1:],
+    "household_weights": lambda c: [household_weights(c.calendar)],
+    "reference_profile_values": lambda c: [reference_profile_values("hospital", c.calendar)],
+    "synthesize_service_profile": lambda c: [synthesize_service_profile(
+        {"hospital": 3}, {"hospital": reference_profile_values("hospital", c.calendar)})],
+    "build_load_cases": lambda c: build_load_cases(*assemble_demand(c)[1:])[:2],
+    "pv_unit_series": lambda c: [pv_unit_series(assemble_weather(c))],
+    "pv_unit_series single-diode": lambda c: [
+        pv_unit_series(assemble_weather(c), PvParams(model="single-diode"))],
+    "wind_unit_series": lambda c: [wind_unit_series(assemble_weather(c))],
+}
 
 
-def test_series_immutable():
-    series = HourlySeries(np.ones(8760), unit="kW", year=2014)
-    with pytest.raises(ValueError):
-        series.values[0] = 2.0
+@pytest.mark.parametrize("producer", ARRAY_PRODUCERS)
+def test_every_series_is_a_read_only_column_of_the_calendar(file_config, producer):
+    for series in ARRAY_PRODUCERS[producer](file_config):
+        assert series.dtype == np.float64
+        assert series.shape == (file_config.calendar.n_hours,)
+        assert series.flags.writeable is False
 
 
 def test_calendar_basic_shape(calendar2014):
@@ -141,19 +160,17 @@ def test_calendar_rejects_naive_transition_instants():
                  transitions=((dt.datetime(2014, 3, 30, 1), 2.0),))
 
 
-def test_build_calendar_rejects_bad_holiday():
-    for holiday in ("not-a-date", 20140101):  # a number is not a date
-        with pytest.raises(IngestError, match="malformed holiday date"):
-            build_calendar(2014, holidays=[holiday])
-
-
-@pytest.mark.parametrize("instant, offset", [
-    ("not-a-date", 2.0), (5, 2.0), ("2014-03-30T01:00:00", "x"), ("2014-03-30T01:00:00", None),
-    ("2014-03-30T01:00:00", 14.5), ("2014-03-30T01:00:00", -1e20),
+@pytest.mark.parametrize("offset, message", [
+    ("x", "offset_hours must be a finite number, got 'x'"),
+    (None, "offset_hours must be a finite number, got None"),
+    (14.5, "offset_hours must be in [-14, 14], got 14.5"),
+    (-1e20, "offset_hours must be in [-14, 14], got -1e+20"),
 ])
-def test_build_calendar_rejects_bad_dst_transition(instant, offset):
-    with pytest.raises(IngestError, match="malformed DST transition"):
+def test_build_calendar_rejects_bad_dst_offset(offset, message):
+    instant = dt.datetime(2014, 3, 30, 1)
+    with pytest.raises(IngestError) as info:
         build_calendar(2014, holidays=[], dst_transitions=[(instant, offset)])
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("offset", [-14.5, 15, 1e300])
@@ -258,8 +275,8 @@ def test_load_profile_renormalizes(tmp_path, calendar2014):
     path = tmp_path / "p.csv"
     path.write_text("\n".join(lines) + "\n")
     series = load_profile(path, annual_energy_kwh=8760.0, calendar=calendar2014)
-    assert series.total() == pytest.approx(8760.0, rel=1e-12)
-    assert series.values[0] == pytest.approx(1.0, rel=1e-12)
+    assert series.sum() == pytest.approx(8760.0, rel=1e-12)
+    assert series[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_load_profile_rejects_negative(tmp_path, calendar2014):
@@ -272,14 +289,24 @@ def test_load_profile_rejects_negative(tmp_path, calendar2014):
     assert str(info.value) == f"{path} row 6: weight must be >= 0, got -0.5"
 
 
-def test_read_series_rejects_negative(tmp_path):
+def test_read_series_rejects_negative(tmp_path, calendar2014):
     lines = ["hour,kw"] + [f"{i},1.0" for i in range(8760)]
     lines[18] = "17,-1.0"
     path = tmp_path / "s.csv"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(IngestError) as info:
-        read_series(path, unit="kW", year=2014, value_column="kw")
+        read_series(path, calendar2014, value_column="kw")
     assert str(info.value) == f"{path} row 19: kw must be >= 0, got -1.0"
+
+
+def test_load_profile_rejects_weights_that_scale_past_the_float_range(tmp_path, calendar2014):
+    # finite weights whose total is subnormal: 1000 / 5e-324 overflows
+    lines = ["hour,weight", "0,5e-324"] + [f"{i},0" for i in range(1, 8760)]
+    path = tmp_path / "p.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IngestError) as info:
+        load_profile(path, 1000.0, calendar2014)
+    assert str(info.value) == f"{path}: profile weights scaled to 1000.0 kWh are not finite"
 
 
 def test_load_profile_rejects_all_zero(tmp_path, calendar2014):
@@ -290,21 +317,20 @@ def test_load_profile_rejects_all_zero(tmp_path, calendar2014):
         load_profile(path, 1000.0, calendar2014)
 
 
-def test_series_write_read_exact(tmp_path):
+def test_series_write_read_exact(tmp_path, calendar2014):
     rng = np.random.default_rng(7)
     values = rng.uniform(0, 1e4, 8760)
-    series = HourlySeries(values, unit="kW", year=2014)
     path = tmp_path / "s.csv"
-    write_series(series, path, value_column="kw")
-    again = read_series(path, unit="kW", year=2014, value_column="kw")
-    assert np.array_equal(series.values, again.values)
+    write_series(values, path, value_column="kw")
+    again = read_series(path, calendar2014, value_column="kw")
+    assert np.array_equal(values, again)
 
 
-def test_read_series_header_enforced(tmp_path):
+def test_read_series_header_enforced(tmp_path, calendar2014):
     path = tmp_path / "s.csv"
-    write_series(HourlySeries(np.ones(8760), "kW", 2014), path, value_column="kw")
+    write_series(np.ones(8760), path, value_column="kw")
     with pytest.raises(IngestError, match="header"):
-        read_series(path, unit="kW", year=2014, value_column="weight")
+        read_series(path, calendar2014, value_column="weight")
 
 
 @given(st.integers(min_value=1970, max_value=2100))
@@ -392,10 +418,10 @@ TABLE_SETTINGS = settings(max_examples=25, deadline=None)
 
 @TABLE_SETTINGS
 @given(tables(SERIES_COLUMNS))
-def test_read_series_matches_row_oracle(tmp_path_factory, table):
+def test_read_series_matches_row_oracle(tmp_path_factory, calendar2014, table):
     path = tmp_path_factory.mktemp("series") / "kw.csv"
     write_table(path, SERIES_COLUMNS, *table)
-    got = read_series(path, unit="kW", year=2014, value_column="kw").values
+    got = read_series(path, calendar2014, value_column="kw")
     assert got.tobytes() == oracle(path)[0].tobytes()
 
 
@@ -449,7 +475,7 @@ def test_single_fault_names_file_and_row(tmp_path_factory, calendar2014, case, f
         if columns == WEATHER_COLUMNS:
             load_weather(path, calendar2014)
         else:
-            read_series(path, unit="kW", year=2014, value_column="kw")
+            read_series(path, calendar2014, value_column="kw")
     message = str(info.value)
     if fault == "gap":
         assert message == f"{path} incomplete: gap at hour {hour}"

@@ -13,10 +13,10 @@ from urbanmix.optimize import (GAConfig, MixProblem, OptimizeError,
 @pytest.fixture(scope="module")
 def desk_problem(pv_unit, wind_unit, household_series, service_series):
     # 1000-household slice of the 100k-household city
-    load_mw = (household_series.values + service_series.values) / 100.0 / 1000.0
+    load_mw = (household_series + service_series) / 100.0 / 1000.0
     return MixProblem(
-        g_pv=pv_unit.values,
-        g_turbine=wind_unit.values,
+        g_pv=pv_unit,
+        g_turbine=wind_unit,
         load_mw=load_mw,
         a_roof_m2=5_130_333.0 / 100.0,
     )

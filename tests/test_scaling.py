@@ -122,18 +122,24 @@ def test_office_band_distribution(fixture_nl):
     assert total_area == pytest.approx(fixture_nl.office_total_used_area_m2, rel=1e-12)
     # unrounded counts, not rounded ones, carry the per-band areas
     assert results[0].area_m2 == pytest.approx(244249, abs=260)
+    # a published area is kept as the file gives it, so its table writes an int as one
+    assert [type(b.published_area_m2) for b in fixture_nl.office_bands] == [int] * 5
 
 
-def test_office_band_share_validation():
+def test_office_band_share_validation(fixture_nl):
     bands = (OfficeBand(0, 100, 60.0), OfficeBand(100, 200, 30.0))
-    with pytest.raises(ScalingError, match="sum to 100"):
-        office_band_counts(bands, 1000.0)
+    with pytest.raises(ScalingError, match=re.escape(
+            "office_bands.bands share_pct must sum to 100 ± 0.1, got 90.0")):
+        ScalingFixture(name="x", households_per_100k=75.9, specs=fixture_nl.specs,
+                       office_bands=bands)
+    with pytest.raises(ScalingError, match=re.escape("share_pct must be >= 0, got -5.0")):
+        OfficeBand(0, 100, -5.0)
 
 
 def test_open_band_requires_average():
-    band = OfficeBand(10_000, None, 32.0)
-    with pytest.raises(ScalingError, match="average"):
-        band.average_area()
+    with pytest.raises(ScalingError, match="^avg_m2 is missing: an open-ended band"):
+        OfficeBand(10_000, None, 32.0)
+    assert OfficeBand(10_000, None, 32.0, avg_m2=15_000).average_area() == 15_000
     assert OfficeBand(500, 1000, 5.0).average_area() == 750.0
 
 

@@ -107,7 +107,7 @@ def test_write_input_set_round_trip(tmp_path, calendar2014, config2014):
     inputs = assemble(config)
     # file-backed inputs reproduce the in-memory synthetic pipeline
     synthetic = assemble(config2014.with_seed(1234))
-    assert inputs.household.values == pytest.approx(synthetic.household.values,
+    assert inputs.household == pytest.approx(synthetic.household,
                                                     rel=1e-12)
     for column in ("ghi", "temp", "pressure", "wind_speed_10m"):
         assert np.array_equal(getattr(inputs.weather, column),

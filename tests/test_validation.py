@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from urbanmix.ingest import HourlySeries
 from urbanmix.validation import (DEFAULT_BENCHMARKS, national_total_check,
                                  reconcile_published, render_reconciliation)
 
@@ -92,7 +91,7 @@ def test_render_reconciliation_text(report):
 
 
 def test_national_check_skipped_for_synthetic():
-    series = HourlySeries(np.ones(8760), unit="kW", year=2014)
+    series = np.ones(8760)
     out = national_total_check(series, real_inputs=False)
     assert out.skipped
     assert out.modeled_twh is None
@@ -102,7 +101,7 @@ def test_national_check_skipped_for_synthetic():
 
 def test_national_check_scales_per_100k_total():
     # a flat 40 MW per-100k profile carries 350.4 GWh; nationally x75.9
-    series = HourlySeries(np.full(8760, 40_000.0), unit="kW", year=2014)
+    series = np.full(8760, 40_000.0)
     out = national_total_check(series, households_per_100k=75.9)
     assert not out.skipped
     expected_twh = 40_000.0 * 8760 * 75.9 / 1e9
@@ -112,8 +111,8 @@ def test_national_check_scales_per_100k_total():
 
 
 def test_national_check_linear_in_profile():
-    base = HourlySeries(np.full(8760, 10_000.0), unit="kW", year=2014)
-    double = HourlySeries(np.full(8760, 20_000.0), unit="kW", year=2014)
+    base = np.full(8760, 10_000.0)
+    double = np.full(8760, 20_000.0)
     a = national_total_check(base)
     b = national_total_check(double)
     assert b.modeled_twh == pytest.approx(2.0 * a.modeled_twh, rel=1e-12)
