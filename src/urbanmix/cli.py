@@ -90,22 +90,11 @@ def cmd_scale(args, config: SimulationConfig) -> int:
                             households_per_100k=fixture.households_per_100k)
     tabular.write_csv(out / "scale_mix_per_100k.csv",
                       ("building_type", "per_100k"), list(mix.items()))
-    tabular.write_csv(
-        out / "scale_reconciliation.csv",
-        ("building_type", "published_national", "recomputed_national",
-         "national_delta", "published_per_100k", "recomputed_per_100k",
-         "alt_published_per_100k", "verdict", "detail"),
-        [(r.name, r.published_national, r.recomputed_national, r.national_delta,
-          r.published_per_100k, r.recomputed_per_100k, r.alt_published_per_100k,
-          r.verdict, r.detail) for r in report.rows])
+    tabular.write_csv(out / "scale_reconciliation.csv", validation.ReconciliationRow._fields,
+                      report.rows)
     if report.band_rows:
-        tabular.write_csv(
-            out / "scale_office_bands.csv",
-            ("band", "published_count", "recomputed_count", "delta",
-             "published_area_m2", "recomputed_area_m2", "verdict"),
-            [(b.label, b.published_count, b.recomputed_count, b.delta,
-              b.published_area_m2, b.recomputed_area_m2, b.verdict)
-             for b in report.band_rows])
+        tabular.write_csv(out / "scale_office_bands.csv", validation.BandRow._fields,
+                          report.band_rows)
     return 0
 
 

@@ -24,9 +24,7 @@ STC_IRRADIANCE = 1000.0     # W/m²
 STC_CELL_TEMP = 25.0        # °C
 NOCT_IRRADIANCE = 800.0     # W/m²
 TURBINE_UNIT_MW = 0.5
-PV_BLOCK_HOURS = 256         # daylight hours per single-diode kernel call
-PV_COARSE_STRIDE = 16        # every 16th grid point is solved first
-_EXPM1_MAX = math.log(sys.float_info.max)  # math.expm1 overflows above this
+_EXPM1_MAX = math.log(sys.float_info.max)  # expm1 overflows above this
 
 
 class GenerationError(ValidationError):
@@ -47,6 +45,14 @@ class TurbineParams(checked_record(GenerationError,
         if not self.cut_in_ms < self.cut_out_ms:
             raise GenerationError(f"cut_in_ms must be < cut_out_ms, "
                                   f"got {self.cut_in_ms} >= {self.cut_out_ms}")
+        try:  # the factor `hub_height_speed` applies; a float power raises on overflow
+            factor = (self.hub_height_m / 10.0) ** self.shear_exponent
+        except OverflowError:
+            factor = math.inf
+        if not factor < math.inf:
+            raise GenerationError(f"hub_height_m / 10 to the power shear_exponent must be "
+                                  f"finite, got ({self.hub_height_m} / 10) ** "
+                                  f"{self.shear_exponent}")
 
 
 class SingleDiodeParams(checked_record(GenerationError,
@@ -125,32 +131,23 @@ def _pv_wm2(ghi: np.ndarray, temp: np.ndarray, params: PvParams) -> np.ndarray:
              * (1.0 + params.temp_coefficient * (t_cell - STC_CELL_TEMP)))
         return np.where(ghi <= 0, 0.0, np.clip(p, 0.0, params.rated_power_density_wm2))
     diode = params.diode or SingleDiodeParams()
-    # "not <= 0" rather than "> 0": a NaN input stays NaN instead of reading as night
-    day = np.flatnonzero(~(ghi <= 0))
-    watts = np.zeros(len(ghi))
-    for start in range(0, len(day), PV_BLOCK_HOURS):
-        block = day[start:start + PV_BLOCK_HOURS]
-        watts[block] = _single_diode_mpp(ghi[block], temp[block], params, diode)
-    return watts / params.panel_area_m2
+    return _single_diode_mpp(ghi, temp, params, diode) / params.panel_area_m2
 
 
 def _single_diode_mpp(ghi: np.ndarray, temp: np.ndarray, params: PvParams,
                       diode: SingleDiodeParams) -> np.ndarray:
-    """Module maximum-power-point watts, one per hour of daylight columns.
+    """Module maximum-power-point watts, one per hour of the ``ghi`` and ``temp``
+    columns.
 
     Module-level one-diode model: photocurrent proportional to irradiance,
     saturation current fixed by the open-circuit point at cell temperature.
-    Each hour's maximum power point is the largest power on its own 200-point
-    voltage grid (one row), with the implicit current solved by damped
-    fixed-point iteration. Hours without photocurrent or open-circuit voltage
-    give 0.
-
-    Only the grid points that can hold a row's maximum are iterated. Since
-    expm1 >= -1, every iterate of the current is at most i_ph + i_sat, so
-    v·(i_ph + i_sat) bounds the power at voltage v. Every PV_COARSE_STRIDE-th
-    point is solved first; its best power is a lower bound on the row's
-    maximum, and only the points whose bound reaches it are solved next.
-    Points never solved lie strictly below the maximum, so it is unchanged.
+    In the junction voltage x = V + I·R_s the current is explicit,
+    I = I_ph − I_0·expm1(x/V_t), and the power is P = (x − R_s·I)·I; R_s = 0
+    is the same formula. V rises with x, so P is unimodal on 0 ≤ x ≤ V_oc (it
+    is negative and rising while V < 0, and I = 0 at V_oc), and a
+    golden-section search over x finds each hour's maximum. The search stops
+    when no hour's bracket shrinks any more, at the resolution of the doubles.
+    Hours without irradiance, photocurrent or open-circuit voltage give 0.
     """
     t_cell = cell_temperature(temp, ghi, params) + 273.15
     vt_module = diode.n_cells * diode.ideality * 1.380649e-23 * t_cell / 1.602176634e-19
@@ -158,65 +155,50 @@ def _single_diode_mpp(ghi: np.ndarray, temp: np.ndarray, params: PvParams,
     i_ph = diode.isc_a * (ghi / STC_IRRADIANCE) * (1.0 + diode.isc_temp_coeff / diode.isc_a * t_delta)
     voc = diode.voc_v + diode.voc_temp_coeff * t_delta
     mpp = np.zeros(len(ghi))
-    lit = ~((i_ph <= 0) | (voc <= 0))
+    # "not <= 0" rather than "> 0": a NaN input stays NaN instead of reading as night
+    lit = ~((ghi <= 0) | (i_ph <= 0) | (voc <= 0))
     i_ph, voc, vt = i_ph[lit], voc[lit], vt_module[lit]
     ratio = voc / vt
     if (ratio > _EXPM1_MAX).any():
         raise GenerationError(f"single-diode voc/vt reaches {float(np.nanmax(ratio))!r} "
                               f"(voc_v={diode.voc_v!r}, n_cells={diode.n_cells!r}); "
                               f"exp overflows above {_EXPM1_MAX!r}")
-    # math.expm1, not np.expm1: the two differ in the last bit on some inputs
-    i_sat = i_ph / np.array([math.expm1(x) for x in ratio.tolist()])
+    i_sat = i_ph / np.expm1(ratio)
     rs = diode.rs_ohm * diode.n_cells
-    v_grid = np.linspace(0.0, voc, 200, axis=1)
-    power = np.full(v_grid.shape, -np.inf)
-    power[:, ::PV_COARSE_STRIDE] = _diode_power(v_grid[:, ::PV_COARSE_STRIDE], i_ph[:, None],
-                                                i_sat[:, None], vt[:, None], rs)
-    best = power.max(axis=1)
-    # The 1e-12 slack covers rounding, which stays relative while the best
-    # power is far above the subnormal range. Rows with a tiny best power, an
-    # i_sat that is not finite and >= 0 (a cell below 0 K) or a NaN input are
-    # solved in full.
-    bounded = (i_sat >= 0) & (i_sat < np.inf) & (best > 1e-250 * (1.0 + voc))
-    i_max = np.where(bounded, i_ph + i_sat, 0.0)
-    reach = v_grid * (i_max * (1.0 + 1e-12))[:, None] >= best[:, None]
-    reach[~bounded] = True
-    reach[:, ::PV_COARSE_STRIDE] = False
-    row, col = np.nonzero(reach)
-    power[row, col] = _diode_power(v_grid[row, col], i_ph[row], i_sat[row], vt[row], rs)
-    mpp[lit] = power.max(axis=1)
-    return mpp
 
+    def power(x):
+        i = i_ph - i_sat * np.expm1(x / vt)
+        return (x - rs * i) * i
 
-def _diode_power(v: np.ndarray, i_ph, i_sat, vt, rs: float) -> np.ndarray:
-    """Power v·i at each voltage v after 40 damped fixed-point steps for the
-    current i (clipped at 0); i_ph, i_sat and vt broadcast against v."""
-    i = np.broadcast_to(i_ph, v.shape).copy()
-    step = np.empty(v.shape)
-    for _ in range(40):
-        # step = i_ph - i_sat·expm1(min((v + i·rs) / vt, 80)); i = 0.7·i + 0.3·step
-        np.multiply(i, rs, out=step)
-        step += v
-        step /= vt
-        np.minimum(step, 80.0, out=step)
-        np.expm1(step, out=step)
-        step *= i_sat
-        np.subtract(i_ph, step, out=step)
-        step *= 0.3
-        i *= 0.7
-        i += step
-    np.maximum(i, 0.0, out=i)
-    i *= v
-    return i
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    low, high = np.zeros(len(voc)), voc
+    while True:
+        step = shrink * (high - low)
+        inner_low, inner_high = high - step, low + step
+        p_low, p_high = power(inner_low), power(inner_high)
+        left = p_low > p_high  # the maximum lies in [low, inner_high]
+        new_low = np.where(left, low, inner_low)
+        new_high = np.where(left, inner_high, high)
+        # widths never grow, so the loop ends; a NaN hour's width never shrinks
+        if not (new_high - new_low < high - low).any():
+            mpp[lit] = np.maximum(p_low, p_high)
+            return mpp
+        low, high = new_low, new_high
 
 
 def pv_unit_series(weather: WeatherFrame, params: PvParams = PvParams()) -> np.ndarray:
     """Per-m² PV output for a weather year, W/m², as a read-only column.
 
-    Finite weather can still give an hour that is not finite when a parameter
-    is extreme (a cell temperature that overflows times a zero temperature
-    coefficient); the first such hour is rejected.
+    Finite weather can still give an hour with a cell at or below absolute
+    zero (a negative NOCT offset in a bright hour), or one whose output is not
+    finite (a cell temperature that overflows times a zero temperature
+    coefficient), when a parameter is extreme; the first such hour is rejected.
     """
+    t_cell = cell_temperature(weather.temp, weather.ghi, params)
+    cold = np.flatnonzero(t_cell <= -273.15)
+    if len(cold):
+        raise GenerationError(f"PV cell temperature at hour {cold[0]} is at or below "
+                              f"absolute zero, got {float(t_cell[cold[0]])!r} °C")
     values = _pv_wm2(weather.ghi, weather.temp, params)
     bad = np.flatnonzero(~np.isfinite(values))
     if len(bad):

@@ -81,12 +81,13 @@ def per_100k(national_equivalents: float,
 
 
 class OfficeBand(checked_record(ScalingError,
-                               ("min_m2", float, None),
-                               ("max_m2", float | None, None),  # None: the open-ended top band
+                               ("min_m2", float, ">= 0"),
+                               # > min_m2 (checked by _rules); None: the open-ended top band
+                               ("max_m2", float | None, None),
                                ("share_pct", float, ">= 0"),
                                # midpoint unless given; an open-ended band must give it
-                               ("avg_m2", float | None, None, None),
-                               ("published_count", int | None, None, None),
+                               ("avg_m2", float | None, "> 0", None),
+                               ("published_count", int | None, ">= 0", None),
                                # checked by _rules and kept as given, an int as an int:
                                # scale_office_bands.csv writes it as read
                                ("published_area_m2", int | float | None, None, None))):
@@ -95,6 +96,8 @@ class OfficeBand(checked_record(ScalingError,
     __slots__ = ()
 
     def _rules(self):
+        if self.max_m2 is not None and not self.max_m2 > self.min_m2:
+            raise ScalingError(f"max_m2 must be > min_m2, got {self.max_m2} <= {self.min_m2}")
         if self.max_m2 is None and self.avg_m2 is None:
             raise ScalingError("avg_m2 is missing: an open-ended band (max_m2 null) "
                                "needs its average area")
@@ -143,9 +146,9 @@ class BuildingScalingSpec(checked_record(ScalingError,
                                         ("reference", Mapping, None),
                                         ("roof_area_m2", float, "> 0"),
                                         ("quantity", str, None, ""),
-                                        ("published_national", int | None, None, None),
-                                        ("published_per_100k", int | None, None, None),
-                                        ("alt_published_per_100k", int | None, None, None),
+                                        ("published_national", int | None, ">= 0", None),
+                                        ("published_per_100k", int | None, ">= 0", None),
+                                        ("alt_published_per_100k", int | None, ">= 0", None),
                                         ("breakdown", Mapping | None, None, None),
                                         ("notes", str, None, ""))):
     """Declarative scaling recipe for one service-sector consumer type.

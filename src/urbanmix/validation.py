@@ -33,9 +33,9 @@ NATIONAL_TOLERANCE = 1
 
 
 class ReconciliationRow(NamedTuple):
-    name: str
+    """One row of scale_reconciliation.csv, whose columns are its fields."""
+    building_type: str
     published_national: int
-    recomputed_national_raw: float
     recomputed_national: int
     national_delta: int
     published_per_100k: int
@@ -46,7 +46,8 @@ class ReconciliationRow(NamedTuple):
 
 
 class BandRow(NamedTuple):
-    label: str
+    """One row of scale_office_bands.csv, whose columns are its fields."""
+    band: str
     published_count: int | None
     recomputed_count: int
     delta: int | None
@@ -62,15 +63,14 @@ class ReconciliationReport(NamedTuple):
 
     @property
     def inconsistencies(self) -> list[str]:
-        flagged = [row.name for row in self.rows if row.verdict != VERDICT_MATCH]
-        flagged += [f"office band {row.label}" for row in self.band_rows
+        flagged = [row.building_type for row in self.rows if row.verdict != VERDICT_MATCH]
+        flagged += [f"office band {row.band}" for row in self.band_rows
                     if row.verdict != VERDICT_MATCH]
         return flagged
 
 
 def _reconcile_spec(spec, households_per_100k: float) -> ReconciliationRow:
-    raw = recomputed_national(spec)
-    recomputed = round_half_away(raw)
+    recomputed = round_half_away(recomputed_national(spec))
     published = national_count(spec, use_published=True)
     national_delta = recomputed - published
     published_100k = spec.published_per_100k
@@ -94,9 +94,8 @@ def _reconcile_spec(spec, households_per_100k: float) -> ReconciliationRow:
             f"{spec.alt_published_per_100k}"
         )
     return ReconciliationRow(
-        name=spec.name,
+        building_type=spec.name,
         published_national=published,
-        recomputed_national_raw=raw,
         recomputed_national=recomputed,
         national_delta=national_delta,
         published_per_100k=published_100k,
@@ -123,7 +122,6 @@ def reconcile_published(fixture: ScalingFixture) -> ReconciliationReport:
         for res in results:
             band = res.band
             upper = "open" if band.max_m2 is None else f"{band.max_m2:g}"
-            label = f"{band.min_m2:g}-{upper} m2"
             delta = None
             verdict = VERDICT_MATCH
             if band.published_count is not None:
@@ -131,7 +129,7 @@ def reconcile_published(fixture: ScalingFixture) -> ReconciliationReport:
                 if delta != 0:
                     verdict = VERDICT_INCONSISTENT
             band_rows.append(BandRow(
-                label=label,
+                band=f"{band.min_m2:g}-{upper} m2",
                 published_count=band.published_count,
                 recomputed_count=res.count,
                 delta=delta,
@@ -159,7 +157,7 @@ def render_reconciliation(report: ReconciliationReport) -> str:
                  f"{'per-100k':>9} {'recomp.':>8} verdict")
     for row in report.rows:
         lines.append(
-            f"{row.name:<26} {row.published_national:>10} {row.recomputed_national:>10} "
+            f"{row.building_type:<26} {row.published_national:>10} {row.recomputed_national:>10} "
             f"{row.published_per_100k:>9} {row.recomputed_per_100k:>8} {row.verdict}"
         )
         if row.detail:
@@ -170,7 +168,7 @@ def render_reconciliation(report: ReconciliationReport) -> str:
         lines.append(f"{'band':<18} {'published':>10} {'recomputed':>10} verdict")
         for band in report.band_rows:
             pub = "-" if band.published_count is None else str(band.published_count)
-            lines.append(f"{band.label:<18} {pub:>10} {band.recomputed_count:>10} "
+            lines.append(f"{band.band:<18} {pub:>10} {band.recomputed_count:>10} "
                          f"{band.verdict}")
     for note in report.notes:
         lines.append(f"note: {note}")

@@ -267,6 +267,20 @@ def test_non_finite_pv_output_exits_2(tmp_path, capsys):
     assert not any(out.iterdir())
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model", ["linear-derate", "single-diode"])
+def test_pv_cell_below_absolute_zero_exits_2(tmp_path, capsys, model):
+    # a NOCT offset of -300 °C puts a bright hour's cell below 0 K
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"pv": {"model": model, "noct_offset_c": -300}}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "generation"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: PV cell temperature at hour ")
+    assert " is at or below absolute zero, got " in err and err.count("\n") == 1
+    assert not any(out.iterdir())
+
+
 def assert_config_error(tmp_path, capsys, raw):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(raw))
@@ -313,6 +327,7 @@ def assert_config_error(tmp_path, capsys, raw):
     {"weights": [1, 1, 5]},
     {"area": {"phi_area": 0.5}},
     {"area": {"service_roofs": {"office": 10}}},
+    {"turbine": {"hub_height_m": 1e308, "shear_exponent": 2}},
 ])
 def test_bad_config_sections_exit_1(tmp_path, capsys, raw):
     assert_config_error(tmp_path, capsys, raw)
@@ -332,6 +347,12 @@ def test_service_roofs_missing_a_building_type_exits_1(tmp_path, capsys, command
 def rename(raw, old, new):
     """``raw`` with its key ``old`` renamed ``new``, in place."""
     raw[new] = raw.pop(old)
+
+
+def every_band(raw, **change):
+    """``raw``, a scaling file, with ``change`` made to each office band, in place."""
+    for band in raw["office_bands"]["bands"]:
+        band.update(change)
 
 
 @pytest.mark.parametrize("key, fixture, change, message", [
@@ -430,6 +451,27 @@ def rename(raw, old, new):
     ("scaling", "scaling_nl2014.json",
      lambda raw: raw["office_bands"].update(total_used_area_m2=-5),
      "office_bands.total_used_area_m2 must be > 0, got -5.0"),
+    # floor areas and published figures, which `scale` would divide by or write out
+    ("scaling", "scaling_nl2014.json", lambda raw: every_band(raw, avg_m2=0),
+     "office_bands.bands[0].avg_m2 must be > 0, got 0.0"),
+    ("scaling", "scaling_nl2014.json",
+     lambda raw: raw["office_bands"]["bands"][0].update(min_m2=-1e6),
+     "office_bands.bands[0].min_m2 must be >= 0, got -1000000.0"),
+    ("scaling", "scaling_nl2014.json",
+     lambda raw: raw["office_bands"]["bands"][3].update(max_m2=1000),
+     "office_bands.bands[3].max_m2 must be > min_m2, got 1000.0 <= 5000.0"),
+    ("scaling", "scaling_nl2014.json",
+     lambda raw: raw["office_bands"]["bands"][2].update(published_count=-1),
+     "office_bands.bands[2].published_count must be >= 0, got -1"),
+    ("scaling", "scaling_nl2014.json",
+     lambda raw: raw["buildings"][0].update(published_national=-5),
+     "buildings[0].published_national must be >= 0, got -5"),
+    ("scaling", "scaling_nl2014.json",
+     lambda raw: raw["buildings"][1].update(published_per_100k=-1),
+     "buildings[1].published_per_100k must be >= 0, got -1"),
+    ("scaling", "scaling_nl2014.json",
+     lambda raw: raw["buildings"][1].update(alt_published_per_100k=-2),
+     "buildings[1].alt_published_per_100k must be >= 0, got -2"),
 ])
 def test_non_finite_number_in_a_fixture_file_exits_1(tmp_path, capsys, key, fixture, change,
                                                        message):

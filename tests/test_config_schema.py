@@ -82,6 +82,11 @@ def cross_field(record, values):
     merged = {**record()._asdict(), **values}
     if record is TurbineParams and not merged["cut_in_ms"] < merged["cut_out_ms"]:
         values["cut_out_ms"] = merged["cut_in_ms"] + 1.0
+    if record is TurbineParams:  # a finite hub-speed factor; hub_height_m is at most 1e6
+        try:
+            (merged["hub_height_m"] / 10.0) ** merged["shear_exponent"]
+        except OverflowError:
+            values["shear_exponent"] = 1.0
     if record is GAConfig:  # 1 <= tournament_k <= population and 0 <= elite < population
         values["population"] = max(merged["population"], merged["tournament_k"],
                                    merged["elite"] + 1)
@@ -189,7 +194,10 @@ def scalar_faults(name, kind, constraint):
 
 CROSS_FIELD_FAULTS = {  # (fields, the message after "config: <record>.")
     "turbine": [({"cut_in_ms": 30.0, "cut_out_ms": 25.0},
-                 "cut_in_ms must be < cut_out_ms, got 30.0 >= 25.0")],
+                 "cut_in_ms must be < cut_out_ms, got 30.0 >= 25.0"),
+                ({"hub_height_m": 50.0, "shear_exponent": 442.0},
+                 "hub_height_m / 10 to the power shear_exponent must be finite, "
+                 "got (50.0 / 10) ** 442.0")],
     "ga": [({"population": 4, "tournament_k": 5, "elite": 0},
             "tournament_k must be <= population, got 5 > 4"),
            ({"population": 4, "tournament_k": 1, "elite": 4},

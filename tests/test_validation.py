@@ -13,7 +13,7 @@ def report(fixture_nl):
 def test_reconciliation_covers_everything(report, fixture_nl):
     assert len(report.rows) == 13
     assert len(report.band_rows) == 5
-    names = [row.name for row in report.rows]
+    names = [row.building_type for row in report.rows]
     assert names == [spec.name for spec in fixture_nl.specs]
 
 
@@ -23,7 +23,7 @@ def test_flagged_inconsistencies_match_fixture(report, fixture_nl):
 
 
 def test_medium_office_row(report):
-    row = next(r for r in report.rows if r.name == "medium-office")
+    row = next(r for r in report.rows if r.building_type == "medium-office")
     assert row.verdict == "inconsistent"
     assert row.published_national == 3569
     assert row.recomputed_national == 3621
@@ -34,7 +34,7 @@ def test_medium_office_row(report):
 
 
 def test_warehouse_row(report):
-    row = next(r for r in report.rows if r.name == "warehouse")
+    row = next(r for r in report.rows if r.building_type == "warehouse")
     assert row.verdict == "inconsistent"
     assert row.published_national == 12397
     assert row.recomputed_national == 12413
@@ -43,7 +43,7 @@ def test_warehouse_row(report):
 
 
 def test_quick_service_restaurant_row(report):
-    row = next(r for r in report.rows if r.name == "quick-service-restaurant")
+    row = next(r for r in report.rows if r.building_type == "quick-service-restaurant")
     assert row.verdict == "inconsistent"
     assert row.published_per_100k == 189
     assert row.alt_published_per_100k == 190
@@ -55,14 +55,14 @@ def test_consistent_rows_are_clean(report):
              "small-office", "primary-school", "secondary-school",
              "stand-alone-retail", "supermarket", "full-service-restaurant"}
     for row in report.rows:
-        if row.name in clean:
+        if row.building_type in clean:
             assert row.verdict == "match"
             assert row.detail == ""
             assert abs(row.national_delta) <= 1
 
 
 def test_office_band_rows(report):
-    labels = [b.label for b in report.band_rows]
+    labels = [b.band for b in report.band_rows]
     assert labels == ["500-1000 m2", "1000-2500 m2", "2500-5000 m2",
                       "5000-10000 m2", "10000-open m2"]
     open_band = report.band_rows[-1]
