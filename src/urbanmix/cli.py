@@ -86,8 +86,7 @@ def cmd_scale(args, config: SimulationConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "scale_report.txt").write_text(text + "\n", encoding="utf-8")
 
-    mix = build_service_mix(fixture.specs,
-                            households_per_100k=fixture.households_per_100k)
+    mix = build_service_mix(fixture)
     tabular.write_csv(out / "scale_mix_per_100k.csv",
                       ("building_type", "per_100k"), list(mix.items()))
     tabular.write_csv(out / "scale_reconciliation.csv", validation.ReconciliationRow._fields,

@@ -239,8 +239,7 @@ def assemble_demand(config: SimulationConfig) -> tuple[dict, np.ndarray, np.ndar
         weights = synthdata.household_weights(calendar, config.holidays_as_weekend)
         household = ingest._read_only(weights * (annual / weights.sum()))
 
-    mix = build_service_mix(config.scaling_fixture.specs,
-                            households_per_100k=config.scaling_fixture.households_per_100k)
+    mix = build_service_mix(config.scaling_fixture)
     profiles = {}
     for name in mix:
         if config.reference_profile_dir is not None:

@@ -61,7 +61,7 @@ def prepare(config: SimulationConfig) -> Prepared:
                     wind_unit=wind_unit_series(inputs.weather, config.turbine))
 
 
-def capacity_axis(max_mw: float = 525.0, steps: int = 11) -> tuple:
+def capacity_axis(max_mw: float, steps: int) -> tuple:
     """Evenly spaced capacities from zero to the maximum, inclusive."""
     return tuple(float(v) for v in np.linspace(0.0, max_mw, steps))
 
@@ -377,15 +377,14 @@ def build_problem(prep: Prepared) -> MixProblem:
     budget = config.area
     if not budget.service_roofs:
         budget = budget._replace(service_roofs=config.scaling_fixture.roof_areas())
-    a_roof, _, _ = area_budget_totals(prep.inputs.service_mix, config.households,
-                                      budget, config.roof_only_pv)
+    a_roof = area_budget_totals(prep.inputs.service_mix, config.households, budget)
     return MixProblem(g_pv=prep.pv_unit,
                       g_turbine=prep.wind_unit,
                       load_mw=prep.load_m_mw,
                       a_roof_m2=a_roof,
                       phi_area=budget.phi_area,
                       weights=config.weights,
-                      turbine_footprint_m2=budget.footprint_m2_per_turbine(),
+                      turbine_footprint_m2=budget.footprint_m2_per_turbine(TURBINE_UNIT_MW),
                       pv_rated_wm2=config.pv.rated_power_density_wm2,
                       sign_convention=config.sign_convention,
                       roof_only_pv=config.roof_only_pv)

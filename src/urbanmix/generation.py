@@ -102,7 +102,7 @@ class AreaBudget(checked_record(GenerationError,
     def _rules(self):
         _check_entries("service_roofs", self.service_roofs, float, ">= 0", GenerationError)
 
-    def footprint_m2_per_turbine(self, turbine_unit_mw: float = TURBINE_UNIT_MW) -> float:
+    def footprint_m2_per_turbine(self, turbine_unit_mw: float) -> float:
         return self.turbine_footprint_km2_per_mw * 1e6 * turbine_unit_mw
 
 
@@ -123,21 +123,10 @@ def cell_temperature(temp, ghi, params: PvParams):
     return temp + params.noct_offset_c * (ghi / NOCT_IRRADIANCE)
 
 
-def _pv_wm2(ghi: np.ndarray, temp: np.ndarray, params: PvParams) -> np.ndarray:
-    """W per m² of panel for each hour of the ``ghi`` and ``temp`` columns."""
-    if params.model == "linear-derate":
-        t_cell = cell_temperature(temp, ghi, params)
-        p = (params.rated_power_density_wm2 * (ghi / STC_IRRADIANCE)
-             * (1.0 + params.temp_coefficient * (t_cell - STC_CELL_TEMP)))
-        return np.where(ghi <= 0, 0.0, np.clip(p, 0.0, params.rated_power_density_wm2))
-    diode = params.diode or SingleDiodeParams()
-    return _single_diode_mpp(ghi, temp, params, diode) / params.panel_area_m2
-
-
-def _single_diode_mpp(ghi: np.ndarray, temp: np.ndarray, params: PvParams,
+def _single_diode_mpp(ghi: np.ndarray, t_cell: np.ndarray,
                       diode: SingleDiodeParams) -> np.ndarray:
-    """Module maximum-power-point watts, one per hour of the ``ghi`` and ``temp``
-    columns.
+    """Module maximum-power-point watts, one per hour of the ``ghi`` and cell
+    temperature (°C) columns.
 
     Module-level one-diode model: photocurrent proportional to irradiance,
     saturation current fixed by the open-circuit point at cell temperature.
@@ -149,9 +138,9 @@ def _single_diode_mpp(ghi: np.ndarray, temp: np.ndarray, params: PvParams,
     when no hour's bracket shrinks any more, at the resolution of the doubles.
     Hours without irradiance, photocurrent or open-circuit voltage give 0.
     """
-    t_cell = cell_temperature(temp, ghi, params) + 273.15
-    vt_module = diode.n_cells * diode.ideality * 1.380649e-23 * t_cell / 1.602176634e-19
-    t_delta = (t_cell - 273.15) - STC_CELL_TEMP
+    t_kelvin = t_cell + 273.15
+    vt_module = diode.n_cells * diode.ideality * 1.380649e-23 * t_kelvin / 1.602176634e-19
+    t_delta = (t_kelvin - 273.15) - STC_CELL_TEMP
     i_ph = diode.isc_a * (ghi / STC_IRRADIANCE) * (1.0 + diode.isc_temp_coeff / diode.isc_a * t_delta)
     voc = diode.voc_v + diode.voc_temp_coeff * t_delta
     mpp = np.zeros(len(ghi))
@@ -189,17 +178,35 @@ def _single_diode_mpp(ghi: np.ndarray, temp: np.ndarray, params: PvParams,
 def pv_unit_series(weather: WeatherFrame, params: PvParams = PvParams()) -> np.ndarray:
     """Per-m² PV output for a weather year, W/m², as a read-only column.
 
-    Finite weather can still give an hour with a cell at or below absolute
-    zero (a negative NOCT offset in a bright hour), or one whose output is not
-    finite (a cell temperature that overflows times a zero temperature
-    coefficient), when a parameter is extreme; the first such hour is rejected.
+    The linear-derate model clips P = rated × (G / 1000) × (1 + γ (T_cell − 25))
+    to [0, rated]; the single-diode model takes the module's maximum power
+    point at the same cell temperature. Finite weather can still give an hour
+    whose cell is at or below absolute zero (a negative NOCT offset in a bright
+    hour), or whose cell temperature or unclipped linear-derate P is not finite
+    (an overflowing offset or temperature coefficient), or whose output is not
+    finite (an overflowing diode current), when a parameter is extreme; under
+    either model the first such hour is rejected.
     """
-    t_cell = cell_temperature(weather.temp, weather.ghi, params)
+    ghi = weather.ghi
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_cell = cell_temperature(weather.temp, ghi, params)
+        linear = (params.rated_power_density_wm2 * (ghi / STC_IRRADIANCE)
+                  * (1.0 + params.temp_coefficient * (t_cell - STC_CELL_TEMP)))
     cold = np.flatnonzero(t_cell <= -273.15)
     if len(cold):
         raise GenerationError(f"PV cell temperature at hour {cold[0]} is at or below "
                               f"absolute zero, got {float(t_cell[cold[0]])!r} °C")
-    values = _pv_wm2(weather.ghi, weather.temp, params)
+    bad = np.flatnonzero(~(np.isfinite(t_cell) & np.isfinite(linear)))
+    if len(bad):
+        hour = bad[0]
+        raise GenerationError(f"PV cell temperature and linear-derate output at hour {hour} "
+                              f"must be finite, got {float(t_cell[hour])!r} °C and "
+                              f"{float(linear[hour])!r} W/m²")
+    if params.model == "linear-derate":
+        values = np.where(ghi <= 0, 0.0, np.clip(linear, 0.0, params.rated_power_density_wm2))
+    else:
+        values = (_single_diode_mpp(ghi, t_cell, params.diode or SingleDiodeParams())
+                  / params.panel_area_m2)
     bad = np.flatnonzero(~np.isfinite(values))
     if len(bad):
         raise GenerationError(f"PV output at hour {bad[0]} is not finite, "
@@ -289,13 +296,9 @@ def generation_mw(panel_area_m2, turbines, g_pv, g_turbine) -> np.ndarray:
     return g
 
 
-def area_budget_totals(mix: dict, n_households: int, budget: AreaBudget,
-                       roof_only_pv: bool = False) -> tuple[float, float, float]:
-    """(total roof area, PV area cap, wind area cap) in m².
-
-    PV may use up to phi_area × roof area (roof area alone under the
-    roof-only flag); wind up to (phi_area − 1) × roof area.
-    """
+def area_budget_totals(mix: dict, n_households: int, budget: AreaBudget) -> float:
+    """Total roof area in m²: every household's, plus each building type's
+    count times its roof."""
     if n_households < 0:
         raise GenerationError("household count must be non-negative")
     service = 0.0
@@ -303,7 +306,4 @@ def area_budget_totals(mix: dict, n_households: int, budget: AreaBudget,
         if name not in budget.service_roofs:
             raise GenerationError(f"no roof area for building type {name!r}")
         service += count * budget.service_roofs[name]
-    a_roof = n_households * budget.household_roof_m2_each + service
-    pv_cap = a_roof if roof_only_pv else budget.phi_area * a_roof
-    wind_cap = (budget.phi_area - 1.0) * a_roof
-    return a_roof, pv_cap, wind_cap
+    return n_households * budget.household_roof_m2_each + service

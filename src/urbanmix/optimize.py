@@ -94,13 +94,14 @@ def objective(x, problem: MixProblem) -> float:
     return _combined(objective_terms(x, problem), problem)
 
 
-def _fitness(x_pv, x_turbine, problem: MixProblem, chunk: int = 16) -> np.ndarray:
-    """Objective at many feasible points, ``chunk`` points per kernel call.
+def _fitness(x_pv, x_turbine, problem: MixProblem) -> np.ndarray:
+    """Objective at many feasible points, 16 points per kernel call.
 
     Small chunks keep the kernel's temporaries cache-sized (16 × 8760
     doubles is 1.1 MB); rows are independent, so the chunk size never
     changes a value.
     """
+    chunk = 16
     out = np.empty(len(x_pv))
     for start in range(0, len(x_pv), chunk):
         sl = slice(start, start + chunk)

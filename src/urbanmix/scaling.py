@@ -5,10 +5,11 @@ numbers, ...) into reference-building equivalents via the ratio
 f = x_local / x_reference, then into a per-100 000-household service mix.
 
 Each building type is described declaratively by a BuildingScalingSpec so
-new regions can be supported by supplying a new spec file. The shipped
-Dutch 2014 fixture pins the published intermediate values alongside the
-raw inputs; recomputation from the raw inputs is kept separate so the two
-can be reconciled (see the validation module).
+new regions can be supported by supplying a new spec file; each method is one
+row of `_METHODS`, its inputs and its formula. The shipped Dutch 2014 fixture
+pins the published intermediate values alongside the raw inputs;
+recomputation from the raw inputs is kept separate so the two can be
+reconciled (see the validation module).
 """
 
 from __future__ import annotations
@@ -21,18 +22,22 @@ from .ingest import ValidationError, _check, _check_entries, _read_json, checked
 
 HOUSEHOLDS_PER_100K = 75.9
 
-# the input names of each method: (local keys, reference keys)
-_METHOD_INPUTS = {
-    "count-ratio": (("count", "quantity"), ("quantity",)),
-    "total-area": (("total",), ("per_building",)),
-    "office-bands": (("band_area_m2",), ("floor_area_m2",)),
+# One row per method: (its local inputs, its reference inputs, its national
+# equivalents from the spec's ``local`` and ``reference`` maps).
+_METHODS = {
+    "count-ratio": (("count", "quantity"), ("quantity",),
+                    lambda loc, ref: loc["count"] * (loc["quantity"] / ref["quantity"])),
+    "total-area": (("total",), ("per_building",),
+                   lambda loc, ref: loc["total"] / ref["per_building"]),
+    "office-bands": (("band_area_m2",), ("floor_area_m2",),
+                     lambda loc, ref: loc["band_area_m2"] / ref["floor_area_m2"]),
     "warehouse-energy-employees": (
-        ("sector_consumption_mwh", "employees"),
-        ("building_consumption_mwh", "employees"),
-    ),
-    "direct-count": (("count",), ()),
+        ("sector_consumption_mwh", "employees"), ("building_consumption_mwh", "employees"),
+        lambda loc, ref: ((loc["sector_consumption_mwh"] / ref["building_consumption_mwh"])
+                          * (loc["employees"] / ref["employees"]))),
+    "direct-count": (("count",), (), lambda loc, ref: float(loc["count"])),
 }
-METHODS = tuple(_METHOD_INPUTS)
+METHODS = tuple(_METHODS)
 
 
 class ScalingError(ValidationError):
@@ -44,39 +49,8 @@ def round_half_away(x: float) -> int:
     return int(math.copysign(math.floor(abs(x) + 0.5), x))
 
 
-def count_ratio_equivalents(local_count: float, x_i: float, x_r: float) -> float:
-    """Equivalents for a counted building stock: local_count × (x_i / x_r)."""
-    if x_r <= 0:
-        raise ScalingError(f"reference quantity must be positive, got {x_r}")
-    return local_count * (x_i / x_r)
-
-
-def area_equivalents(total_local_area: float, reference_area: float) -> float:
-    """Equivalents from a total quantity divided by the per-building quantity.
-
-    Floor area is the usual quantity; any total/per-building pair in
-    identical units works (e.g. hotel rooms).
-    """
-    if reference_area <= 0:
-        raise ScalingError(f"reference area must be positive, got {reference_area}")
-    return total_local_area / reference_area
-
-
-def warehouse_equivalents(sector_consumption: float, per_building: float,
-                          employees_local: float, employees_ref: float) -> float:
-    """Equivalents from sector energy use apportioned by employee counts."""
-    if per_building <= 0 or employees_ref <= 0:
-        raise ScalingError("per-building consumption and reference employees must be positive")
-    if sector_consumption <= 0 or employees_local <= 0:
-        raise ScalingError("sector consumption and local employees must be positive")
-    return (sector_consumption / per_building) * (employees_local / employees_ref)
-
-
-def per_100k(national_equivalents: float,
-             households_per_100k: float = HOUSEHOLDS_PER_100K) -> int:
+def per_100k(national_equivalents: float, households_per_100k: float) -> int:
     """National equivalents scaled to one 100 000-household urban area."""
-    if national_equivalents < 0:
-        raise ScalingError(f"equivalents must be non-negative, got {national_equivalents}")
     return round_half_away(national_equivalents / households_per_100k)
 
 
@@ -110,7 +84,6 @@ class OfficeBand(checked_record(ScalingError,
 
 class OfficeBandResult(NamedTuple):
     band: OfficeBand
-    count_raw: float
     count: int
     area_m2: float
 
@@ -126,13 +99,17 @@ def office_band_counts(bands, total_used_area: float) -> list[OfficeBandResult]:
     if not bands:
         raise ScalingError("no office bands given")
     weighted_avg = sum((b.share_pct / 100.0) * b.average_area() for b in bands)
-    n_total = total_used_area / weighted_avg
+    # the shares sum to about 100 and each average is > 0: it is 0 only by underflow
+    n_total = total_used_area / weighted_avg if weighted_avg else math.inf
     results = []
     for band in bands:
         raw = (band.share_pct / 100.0) * n_total
+        if not math.isfinite(raw):
+            raise ScalingError(f"office_bands.total_used_area_m2 {total_used_area!r} over the "
+                               f"share-weighted average area {weighted_avg!r} gives no finite "
+                               f"office count")
         results.append(OfficeBandResult(
             band=band,
-            count_raw=raw,
             count=round_half_away(raw),
             area_m2=raw * band.average_area(),
         ))
@@ -164,7 +141,7 @@ class BuildingScalingSpec(checked_record(ScalingError,
     __slots__ = ()
 
     def _rules(self):
-        for side, names in zip(("local", "reference"), _METHOD_INPUTS[self.method]):
+        for side, names in zip(("local", "reference"), _METHODS[self.method][:2]):
             inputs = getattr(self, side)
             _check_entries(side, inputs, float, "> 0", ScalingError)
             for key in inputs:
@@ -179,34 +156,21 @@ class BuildingScalingSpec(checked_record(ScalingError,
 
 def recomputed_national(spec: BuildingScalingSpec) -> float:
     """Unrounded national equivalents recomputed from the spec's raw inputs."""
-    loc, ref = spec.local, spec.reference
-    if spec.method == "count-ratio":
-        return count_ratio_equivalents(loc["count"], loc["quantity"], ref["quantity"])
-    if spec.method == "total-area":
-        return area_equivalents(loc["total"], ref["per_building"])
-    if spec.method == "office-bands":
-        return area_equivalents(loc["band_area_m2"], ref["floor_area_m2"])
-    if spec.method == "warehouse-energy-employees":
-        return warehouse_equivalents(
-            loc["sector_consumption_mwh"], ref["building_consumption_mwh"],
-            loc["employees"], ref["employees"],
-        )
-    return float(loc["count"])  # direct-count
+    return _METHODS[spec.method][-1](spec.local, spec.reference)
 
 
-def national_count(spec: BuildingScalingSpec, use_published: bool = True) -> int:
-    if use_published and spec.published_national is not None:
+def national_count(spec: BuildingScalingSpec) -> int:
+    """The published national count where the spec gives one, else the recomputed one."""
+    if spec.published_national is not None:
         return spec.published_national
     return round_half_away(recomputed_national(spec))
 
 
-def build_service_mix(specs, use_published: bool = True,
-                      households_per_100k: float = HOUSEHOLDS_PER_100K) -> dict[str, int]:
+def build_service_mix(fixture: ScalingFixture) -> dict[str, int]:
     """{building type: per-100k reference-building count}, in spec order: each
-    spec's method, then the per-100k step."""
-    return {spec.name: per_100k(national_count(spec, use_published=use_published),
-                                households_per_100k)
-            for spec in specs}
+    spec's national count, then the per-100k step."""
+    return {spec.name: per_100k(national_count(spec), fixture.households_per_100k)
+            for spec in fixture.specs}
 
 
 class ScalingFixture(checked_record(ScalingError,
@@ -229,6 +193,19 @@ class ScalingFixture(checked_record(ScalingError,
         if self.office_bands and abs(share_sum - 100.0) > 0.1:
             raise ScalingError(f"office_bands.bands share_pct must sum to 100 ± 0.1, "
                                f"got {share_sum}")
+        # the counts `build_service_mix` and the reconciliation round to integers
+        if self.office_bands and self.office_total_used_area_m2:
+            office_band_counts(self.office_bands, self.office_total_used_area_m2)
+        for spec in self.specs:
+            equivalents = recomputed_national(spec)
+            if not math.isfinite(equivalents):
+                raise ScalingError(f"building type {spec.name!r}: its {spec.method} national "
+                                   f"equivalents must be finite, got {equivalents!r}")
+            for count in (national_count(spec), round_half_away(equivalents)):
+                if not count / self.households_per_100k < math.inf:
+                    raise ScalingError(f"households_per_100k {self.households_per_100k!r} "
+                                       f"scales the national count {count} of building type "
+                                       f"{spec.name!r} past the float range")
 
     def roof_areas(self) -> dict[str, float]:
         return {s.name: s.roof_area_m2 for s in self.specs}

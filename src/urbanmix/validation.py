@@ -13,7 +13,6 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_BENCHMARKS
 from .scaling import (
     ScalingFixture,
     national_count,
@@ -71,7 +70,7 @@ class ReconciliationReport(NamedTuple):
 
 def _reconcile_spec(spec, households_per_100k: float) -> ReconciliationRow:
     recomputed = round_half_away(recomputed_national(spec))
-    published = national_count(spec, use_published=True)
+    published = national_count(spec)
     national_delta = recomputed - published
     published_100k = spec.published_per_100k
     if published_100k is None:
@@ -186,10 +185,8 @@ class NationalTotalReport(NamedTuple):
     reason: str = ""
 
 
-def national_total_check(service_profile: np.ndarray | None,
-                         households_per_100k: float = 75.9,
-                         benchmarks=DEFAULT_BENCHMARKS,
-                         real_inputs: bool = True) -> NationalTotalReport:
+def national_total_check(service_profile: np.ndarray | None, households_per_100k: float,
+                         benchmarks, real_inputs: bool) -> NationalTotalReport:
     """National service-sector TWh implied by the per-100k profile.
 
     The per-100k annual energy (kWh) scales linearly to the national

@@ -28,8 +28,7 @@ def fixture_nl(config2014):
 
 @pytest.fixture(scope="session")
 def service_mix(fixture_nl):
-    return build_service_mix(fixture_nl.specs,
-                             households_per_100k=fixture_nl.households_per_100k)
+    return build_service_mix(fixture_nl)
 
 
 @pytest.fixture(scope="session")

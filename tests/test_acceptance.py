@@ -48,8 +48,7 @@ def test_criterion_01_reference_mix_and_reconciliation():
         start = time.monotonic()
         config = default_config()
         fixture = config.scaling_fixture
-        mix = build_service_mix(fixture.specs,
-                                households_per_100k=fixture.households_per_100k)
+        mix = build_service_mix(fixture)
         assert list(mix.values()) == [3, 1, 16, 9, 47, 6, 32, 9, 177, 12, 170, 189, 163]
         report = reconcile_published(fixture)
         assert set(report.inconsistencies) == set(fixture.documented_inconsistencies)
@@ -223,7 +222,7 @@ def test_criterion_10_sweep_shape(config2014):
         start = time.monotonic()
         grid = run_experiment1(config2014)
         assert len(grid.table) == 121
-        caps = capacity_axis()
+        caps = capacity_axis(525.0, 11)
         assert grid.pv_caps == caps
         assert grid.wind_caps == caps
         assert caps[0] == 0.0
@@ -269,7 +268,8 @@ def test_criterion_11_directional_claims(config2014):
 
         # absolute national level needs measured inputs; fixture run skips it
         national = national_total_check(prep.inputs.service,
-                                        real_inputs=config2014.real_inputs)
+                                        config2014.scaling_fixture.households_per_100k,
+                                        config2014.benchmarks, config2014.real_inputs)
         assert national.skipped
         assert national.reason == "fixture-only, check skipped"
 

@@ -254,16 +254,24 @@ def test_overflowing_demand_exits_2(tmp_path, capsys, command):
     assert not any(out.iterdir())
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_pv_output_exits_2(tmp_path, capsys):
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model", ["linear-derate", "single-diode"])
+@pytest.mark.parametrize("pv", [
     # the cell temperature overflows, and 0 · inf is not a number
+    {"noct_offset_c": 1.7e308, "temp_coefficient": 0},
+    {"noct_offset_c": 1.7e308},
+    # a finite cell temperature whose linear derate overflows
+    {"noct_offset_c": 1e300, "temp_coefficient": -1e10},
+])
+def test_non_finite_pv_output_exits_2(tmp_path, capsys, model, pv):
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"pv": {"noct_offset_c": 1.7e308, "temp_coefficient": 0}}))
+    cfg.write_text(json.dumps({"pv": {**pv, "model": model}}))
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out), "generation"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("validation error: PV output at hour ")
-    assert err.endswith(" is not finite, got nan\n") and err.count("\n") == 1
+    assert err.startswith("validation error: PV cell temperature and linear-derate output "
+                          "at hour ")
+    assert " must be finite, got " in err and err.count("\n") == 1
     assert not any(out.iterdir())
 
 
@@ -472,6 +480,19 @@ def every_band(raw, **change):
     ("scaling", "scaling_nl2014.json",
      lambda raw: raw["buildings"][1].update(alt_published_per_100k=-2),
      "buildings[1].alt_published_per_100k must be >= 0, got -2"),
+    # inputs within their ranges whose counts, rounded to integers, would overflow
+    ("scaling", "scaling_nl2014.json",
+     lambda raw: raw["buildings"][0].update(local={"count": 1e308, "quantity": 1e308},
+                                            reference={"quantity": 1e-300}),
+     "building type 'hospital': its count-ratio national equivalents must be finite, got inf"),
+    ("scaling", "scaling_nl2014.json", lambda raw: raw.update(households_per_100k=1e-310),
+     "households_per_100k 1e-310 scales the national count 263 of building type 'hospital' "
+     "past the float range"),
+    ("scaling", "scaling_nl2014.json",
+     lambda raw: (every_band(raw, avg_m2=1e-300),
+                  raw["office_bands"].update(total_used_area_m2=1e300)),
+     "office_bands.total_used_area_m2 1e+300 over the share-weighted average area 1e-300 "
+     "gives no finite office count"),
 ])
 def test_non_finite_number_in_a_fixture_file_exits_1(tmp_path, capsys, key, fixture, change,
                                                        message):

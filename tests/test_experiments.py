@@ -58,7 +58,7 @@ def holm_flags(family, alpha):
 
 
 def test_capacity_axis_default():
-    caps = capacity_axis()
+    caps = capacity_axis(525.0, 11)
     assert len(caps) == 11
     assert caps[0] == 0.0
     assert caps[-1] == 525.0
@@ -92,8 +92,8 @@ def row_tests(row):
 def test_grid_has_121_cells(grid):
     assert grid.table.shape == (121, TABLE_WIDTH)
     assert grid.reject.shape == (121, len(SWEEP_TEST_METRICS))
-    assert grid.pv_caps == capacity_axis()
-    assert grid.wind_caps == capacity_axis()
+    assert grid.pv_caps == capacity_axis(525.0, 11)
+    assert grid.wind_caps == capacity_axis(525.0, 11)
     seen = set(itertools.product(grid.pv_caps, grid.wind_caps))
     assert len(seen) == 121
 

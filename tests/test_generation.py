@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generation_oracle import diode_mpp_wm2, pv_hour, wind_hour, wind_kw
-from urbanmix.generation import (STC_CELL_TEMP, STC_IRRADIANCE,
+from urbanmix.generation import (STC_CELL_TEMP, STC_IRRADIANCE, TURBINE_UNIT_MW,
                                  AreaBudget, GenerationError, PvParams,
-                                 SingleDiodeParams, TurbineParams, _pv_wm2,
+                                 SingleDiodeParams, TurbineParams, _single_diode_mpp,
                                  air_density, area_budget_totals,
                                  capacity_coefficients, cell_temperature,
                                  generation_mw, hub_height_speed,
@@ -92,11 +92,21 @@ def test_pv_power_linear_derate_hand_value():
 
 
 @pytest.mark.filterwarnings("error")
+def test_single_diode_kernel_keeps_nan_irradiance():
+    # a series cannot hold NaN, so the hour goes through the kernel alone
+    ghi = np.array([math.nan])
+    t_cell = cell_temperature(np.array([15.0]), ghi, PvParams())
+    assert math.isnan(_single_diode_mpp(ghi, t_cell, SingleDiodeParams())[0])
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("model", ["linear-derate", "single-diode"])
-def test_pv_power_keeps_nan_irradiance(model):
-    # a series cannot hold NaN, so the hour goes through the array kernel alone
-    watts = _pv_wm2(np.array([math.nan]), np.array([15.0]), PvParams(model=model))
-    assert math.isnan(watts[0])
+def test_pv_nan_irradiance_rejected(model):
+    # a weather file cannot hold NaN, but a WeatherFrame built in code can
+    message = ("PV cell temperature and linear-derate output at hour 0 must be finite, "
+               "got nan °C and nan W/m²")
+    with pytest.raises(GenerationError, match=f"^{re.escape(message)}$"):
+        pv_hour(ghi=math.nan, params=PvParams(model=model))
 
 
 @pytest.mark.parametrize("model", ["linear-derate", "single-diode"])
@@ -228,7 +238,8 @@ def test_single_diode_kernel_matches_mpmath_reference(diode, n_hours, seed, data
         ghi_st, temp_st = EXTREME_HOURS[kind]
         ghi[hour], temp[hour] = data.draw(ghi_st), data.draw(temp_st)
     params = PvParams(model="single-diode", diode=diode)
-    got = _pv_wm2(ghi, temp, params)
+    t_cell = cell_temperature(temp, ghi, params)
+    got = _single_diode_mpp(ghi, t_cell, diode) / params.panel_area_m2
     assert np.isnan(got).tolist() == np.isnan(ghi).tolist()
     assert_matches_reference(got, ghi, temp, params)
 
@@ -431,13 +442,7 @@ def test_generation_kernel_shape_checks(pv_unit, wind_unit):
 
 def test_area_budget_totals(service_mix, fixture_nl):
     budget = AreaBudget(service_roofs=fixture_nl.roof_areas())
-    a_roof, pv_cap, wind_cap = area_budget_totals(service_mix, 100_000, budget)
-    assert a_roof == pytest.approx(5_130_333.0)
-    assert pv_cap == pytest.approx(3 * a_roof)
-    assert wind_cap == pytest.approx(2 * a_roof)
-    _, pv_roof_only, _ = area_budget_totals(service_mix, 100_000, budget,
-                                            roof_only_pv=True)
-    assert pv_roof_only == pytest.approx(a_roof)
+    assert area_budget_totals(service_mix, 100_000, budget) == pytest.approx(5_130_333.0)
 
 
 def test_area_budget_missing_type(fixture_nl):
@@ -449,7 +454,7 @@ def test_area_budget_missing_type(fixture_nl):
 
 def test_turbine_footprint():
     budget = AreaBudget()
-    assert budget.footprint_m2_per_turbine() == pytest.approx(172_500.0)
+    assert budget.footprint_m2_per_turbine(TURBINE_UNIT_MW) == pytest.approx(172_500.0)
 
 
 @settings(max_examples=50)

@@ -1,15 +1,14 @@
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from urbanmix.scaling import (METHODS, BuildingScalingSpec, OfficeBand, ScalingError,
-                              ScalingFixture, area_equivalents, build_service_mix,
-                              count_ratio_equivalents, national_count,
-                              office_band_counts, per_100k,
-                              recomputed_national, round_half_away,
-                              warehouse_equivalents)
+from urbanmix.scaling import (_METHODS, METHODS, BuildingScalingSpec, OfficeBand, ScalingError,
+                              ScalingFixture, national_count, office_band_counts, per_100k,
+                              recomputed_national, round_half_away)
+from urbanmix.validation import reconcile_published
 
 EXPECTED_PER_100K = {
     "hospital": 3,
@@ -61,32 +60,36 @@ def test_round_half_away_integers_fixed(n):
     assert round_half_away(n + 0.5) == (n + 1 if n >= 0 else n)
 
 
-def test_count_ratio_equivalents():
-    assert count_ratio_equivalents(134, 316, 161) == pytest.approx(263.0, abs=0.5)
-    with pytest.raises(ScalingError):
-        count_ratio_equivalents(10, 5, 0)
+# One spec per method, with inputs whose national equivalents are worked out by hand.
+HAND_WORKED = {
+    "count-ratio": ({"count": 10, "quantity": 6}, {"quantity": 4}, 10 * 6 / 4),
+    "total-area": ({"total": 1000}, {"per_building": 8}, 125.0),
+    "office-bands": ({"band_area_m2": 3000}, {"floor_area_m2": 1200}, 2.5),
+    "warehouse-energy-employees": (
+        {"sector_consumption_mwh": 12_000, "employees": 300},
+        {"building_consumption_mwh": 240, "employees": 600}, 12_000 / 240 * (300 / 600)),
+    "direct-count": ({"count": 7}, {}, 7.0),
+}
 
 
-def test_area_equivalents():
-    assert area_equivalents(91865, 77) == pytest.approx(1193.0, abs=0.5)
-    with pytest.raises(ScalingError):
-        area_equivalents(100, 0)
+def test_every_method_has_a_hand_worked_case():
+    assert tuple(HAND_WORKED) == METHODS
 
 
-def test_warehouse_equivalents():
-    result = warehouse_equivalents(12_000_000, 239, 82_600, 334_100)
-    assert result == pytest.approx(12413, abs=1)
-    with pytest.raises(ScalingError):
-        warehouse_equivalents(0, 239, 82_600, 334_100)
+@pytest.mark.parametrize("method", METHODS)
+def test_method_formula_hand_value(method):
+    local, reference, expected = HAND_WORKED[method]
+    spec = BuildingScalingSpec(name="x", method=method, local=local, reference=reference,
+                               roof_area_m2=1.0)
+    assert recomputed_national(spec) == expected
+    assert national_count(spec) == round_half_away(expected)
 
 
 def test_per_100k_rounding():
-    assert per_100k(263) == 3
-    assert per_100k(12903) == 170
-    assert per_100k(14372) == 189
-    assert per_100k(0) == 0
-    with pytest.raises(ScalingError):
-        per_100k(-1)
+    assert per_100k(263, 75.9) == 3
+    assert per_100k(12903, 75.9) == 170
+    assert per_100k(14372, 75.9) == 189
+    assert per_100k(0, 75.9) == 0
 
 
 def test_fixture_recomputed_nationals(fixture_nl):
@@ -97,7 +100,7 @@ def test_fixture_recomputed_nationals(fixture_nl):
 
 def test_fixture_published_per_100k(fixture_nl):
     for spec in fixture_nl.specs:
-        national = national_count(spec, use_published=True)
+        national = national_count(spec)
         assert per_100k(national, fixture_nl.households_per_100k) \
             == EXPECTED_PER_100K[spec.name], spec.name
 
@@ -171,15 +174,15 @@ def test_fixture_rejects_a_building_type_listed_twice(fixture_nl):
         ScalingFixture(name="x", households_per_100k=75.9, specs=specs)
 
 
-def test_build_service_mix_recomputed_differs_for_flagged_types(fixture_nl):
-    mix_pub = build_service_mix(fixture_nl.specs, use_published=True)
-    mix_rec = build_service_mix(fixture_nl.specs, use_published=False)
-    assert mix_pub["medium-office"] == 47
-    assert mix_rec["medium-office"] == 48
-    assert mix_pub["warehouse"] == 163
-    assert mix_rec["warehouse"] == 164
+def test_build_service_mix_recomputed_differs_for_flagged_types(fixture_nl, service_mix):
+    report = reconcile_published(fixture_nl)
+    recomputed = {row.building_type: row.recomputed_per_100k for row in report.rows}
+    assert service_mix["medium-office"] == 47
+    assert recomputed["medium-office"] == 48
+    assert service_mix["warehouse"] == 163
+    assert recomputed["warehouse"] == 164
     for name in ("hospital", "small-hotel", "supermarket", "full-service-restaurant"):
-        assert mix_pub[name] == mix_rec[name]
+        assert service_mix[name] == recomputed[name]
 
 
 def test_roof_areas_exposed(fixture_nl):
@@ -192,3 +195,21 @@ def test_roof_areas_exposed(fixture_nl):
 @given(st.floats(min_value=0, max_value=1e7, allow_nan=False))
 def test_per_100k_scaling_linearity(x):
     assert per_100k(x, households_per_100k=1.0) == round_half_away(x)
+
+
+def readme_method_table() -> dict:
+    """{method: (local inputs, reference inputs)} of the README's method table."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = {}
+    for line in text[text.index("| method | `local` inputs |"):].splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        method, *inputs = (cell.strip() for cell in line.split("|")[1:4])
+        table[method.strip("`")] = tuple(
+            () if cell == "none" else tuple(name.strip(" `") for name in cell.split(","))
+            for cell in inputs)
+    return table
+
+
+def test_readme_method_table_lists_every_method_and_its_inputs():
+    assert readme_method_table() == {method: row[:2] for method, row in _METHODS.items()}

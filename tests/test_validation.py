@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from urbanmix.validation import (DEFAULT_BENCHMARKS, national_total_check,
-                                 reconcile_published, render_reconciliation)
+from urbanmix.config import DEFAULT_BENCHMARKS
+from urbanmix.scaling import HOUSEHOLDS_PER_100K
+from urbanmix.validation import national_total_check, reconcile_published, render_reconciliation
 
 
 @pytest.fixture(scope="module")
@@ -92,17 +93,18 @@ def test_render_reconciliation_text(report):
 
 def test_national_check_skipped_for_synthetic():
     series = np.ones(8760)
-    out = national_total_check(series, real_inputs=False)
+    out = national_total_check(series, HOUSEHOLDS_PER_100K, DEFAULT_BENCHMARKS, real_inputs=False)
     assert out.skipped
     assert out.modeled_twh is None
     assert out.reason == "fixture-only, check skipped"
-    assert national_total_check(None, real_inputs=True).skipped
+    assert national_total_check(None, HOUSEHOLDS_PER_100K, DEFAULT_BENCHMARKS,
+                                real_inputs=True).skipped
 
 
 def test_national_check_scales_per_100k_total():
     # a flat 40 MW per-100k profile carries 350.4 GWh; nationally x75.9
     series = np.full(8760, 40_000.0)
-    out = national_total_check(series, households_per_100k=75.9)
+    out = national_total_check(series, 75.9, DEFAULT_BENCHMARKS, real_inputs=True)
     assert not out.skipped
     expected_twh = 40_000.0 * 8760 * 75.9 / 1e9
     assert out.modeled_twh == pytest.approx(expected_twh, rel=1e-12)
@@ -113,8 +115,8 @@ def test_national_check_scales_per_100k_total():
 def test_national_check_linear_in_profile():
     base = np.full(8760, 10_000.0)
     double = np.full(8760, 20_000.0)
-    a = national_total_check(base)
-    b = national_total_check(double)
+    a = national_total_check(base, HOUSEHOLDS_PER_100K, DEFAULT_BENCHMARKS, real_inputs=True)
+    b = national_total_check(double, HOUSEHOLDS_PER_100K, DEFAULT_BENCHMARKS, real_inputs=True)
     assert b.modeled_twh == pytest.approx(2.0 * a.modeled_twh, rel=1e-12)
 
 
