@@ -172,11 +172,16 @@ def _resolve(raw: dict, base_dir: Path) -> SimulationConfig:
     scaling_file = kwargs.get("scaling_fixture", _BUILTIN_SCALING)
     with _config_error(f"cannot read scaling file {scaling_file}", ScalingError):
         fixture = kwargs["scaling_fixture"] = load_scaling_fixture(scaling_file)
-    # an empty map means the fixture's roof areas; any other must give every building type
+    # an empty map means the fixture's roof areas; any other gives exactly its building types
     roofs = kwargs["area"].service_roofs if "area" in kwargs else {}
-    missing = [spec.name for spec in fixture.specs if spec.name not in roofs]
+    names = [spec.name for spec in fixture.specs]
+    missing = [name for name in names if name not in roofs]
     if roofs and missing:
         raise ConfigError(f"config: area.service_roofs.{missing[0]} is missing")
+    unknown = [name for name in roofs if name not in names]
+    if unknown:
+        raise ConfigError(f"config: area.service_roofs.{unknown[0]} is not a building type "
+                          f"of the scaling file {scaling_file}")
     with _config_error("config", ConfigError):
         return SimulationConfig(**kwargs)
 

@@ -104,14 +104,12 @@ def evaluate_cell(pv_mw: float, wind_mw: float, prep: Prepared,
         tests.append(welch_t_test(a, b, pooled=pooled))
         total = float((b - a).sum())
         deltas += (total, total / n_hours)     # what ndarray.mean computes
-    # hourly self-consumption U/G over the lit hours only (G > 0)
+    # hourly self-consumption U/G over the lit hours only (G > 0); with no
+    # lit hour both samples are empty and the test is untestable
     lit = g > 0
-    if lit.any():
-        g_lit = g[lit]
-        tests.append(welch_t_test(split_r.utilisation[lit] / g_lit,
-                                  split_m.utilisation[lit] / g_lit, pooled=pooled))
-    else:
-        tests.append(welch_t_test(np.zeros(1), np.zeros(1), pooled=pooled))
+    g_lit = g[lit]
+    tests.append(welch_t_test(split_r.utilisation[lit] / g_lit,
+                              split_m.utilisation[lit] / g_lit, pooled=pooled))
     row = [*split_r.annual(), *split_m.annual()]
     for test in tests:
         row += test[:3]                         # t, dof, p
@@ -210,16 +208,18 @@ def write_experiment1_tables(grid: ScenarioGrid, out_dir) -> list:
 
 class Experiment2Result(NamedTuple):
     """The category study. Each per-category column holds one entry per
-    category code, in the order of classify.all_category_keys."""
+    category code, in the order of classify.all_category_keys; each metric's
+    ``tests`` block has one row per code in the sweep's encoding: t, dof, p,
+    and 1.0 where the test is untestable (NaN t and dof), else 0.0."""
     pv_mw: float
     wind_mw: float
     phi: float
     edges: classify.BinEdges
     keys: np.ndarray          # category code per hour
-    counts: dict              # CategoryKey -> hours
+    counts: np.ndarray        # hours per category
     aggregates: dict          # (load_case, metric) -> (counts, sums) columns
     delta_aggregates: tuple   # (counts, sums) columns
-    tests: dict               # metric -> list of TestResult per category
+    tests: dict               # metric -> (categories, 4) t, dof, p, untestable
     reject: dict              # metric -> Holm flags per category
     summary: dict
 
@@ -252,7 +252,7 @@ def run_experiment2(config: SimulationConfig, out_dir=None,
     edges = classify.compute_bins(solar_pct, wind_pct, daylight)
     keys = classify.classify_year(solar_pct, wind_pct, edges, calendar,
                                   holidays_as_weekend=config.holidays_as_weekend)
-    counts = classify.category_counts(keys)
+    counts = np.array(list(classify.category_counts(keys).values()))  # in code order
 
     hourly = {}
     for case_name, load in ((RESIDENTIAL_ONLY, prep.load_r_mw), (MIXED, prep.load_m_mw)):
@@ -273,13 +273,13 @@ def run_experiment2(config: SimulationConfig, out_dir=None,
         members_r = classify.member_values(keys, hourly[(RESIDENTIAL_ONLY, metric)])
         members_m = classify.member_values(keys, hourly[(MIXED, metric)])
         try:
-            family = [welch_t_test(a, b, pooled=config.pooled)
-                      for a, b in zip(members_r, members_m)]
+            # a TestResult's untestable flag becomes 1.0 or 0.0
+            family = np.array([welch_t_test(a, b, pooled=config.pooled)
+                               for a, b in zip(members_r, members_m)], dtype=float)
         except StatsError as exc:
             raise StatsError(f"{exc} at {pv_mw!r} MW PV and {wind_mw!r} MW wind") from None
         tests[metric] = family
-        reject[metric] = apply_holm([r.p_value for r in family],
-                                    [r.untestable for r in family], alpha=config.alpha)
+        reject[metric] = apply_holm(family[:, 2], family[:, 3] == 1.0, alpha=config.alpha)
 
     summary = {
         "pv_mw": pv_mw,
@@ -305,58 +305,45 @@ def run_experiment2(config: SimulationConfig, out_dir=None,
     return result
 
 
-def _category_rows(aggregate: tuple, metric: str) -> list:
-    """One CATEGORY_HEADER row per category from its (counts, sums) columns;
-    an empty category's mean is None."""
-    from . import classify
-
-    counts, sums = aggregate
-    return [(key.day_kind, key.time_band, key.solar_bin, key.wind_bin,
-             n, metric, total / n if n else None, total)
-            for key, n, total in zip(classify.all_category_keys(), counts.tolist(),
-                                     sums.tolist())]
-
-
 def write_experiment2_tables(result: Experiment2Result, out_dir) -> list:
     from . import classify
 
     out_dir = Path(out_dir)
-    paths = []
-    for case_name in LOAD_CASES:
-        for metric in CATEGORY_METRICS:
-            rows = _category_rows(result.aggregates[(case_name, metric)], metric)
-            paths.append(tabular.write_csv(
-                out_dir / f"categories_{case_name}_{metric}.csv",
-                CATEGORY_HEADER, rows))
-    paths.append(tabular.write_csv(out_dir / "categories_delta_mismatch.csv",
-                                   CATEGORY_HEADER,
-                                   _category_rows(result.delta_aggregates,
-                                                  "delta_mismatch")))
-
-    # Table-2 style occupancy matrix: one row per (day kind, band, solar bin).
-    matrix_rows = []
     keys = classify.all_category_keys()
-    bins = range(1, classify.N_BINS + 1)
-    for start in range(0, len(keys), classify.N_BINS):   # wind bin is the inner axis
-        key = keys[start]
-        row_counts = [result.counts[k] for k in keys[start:start + classify.N_BINS]]
-        matrix_rows.append((key.day_kind, key.time_band, key.solar_bin, *row_counts,
-                            sum(row_counts)))
-    col_totals = [sum(row[3 + i] for row in matrix_rows) for i in range(classify.N_BINS)]
+    paths = []
+    # One CATEGORY_HEADER row per category from its (counts, sums) columns;
+    # an empty category's mean is None.
+    tables = [(f"categories_{case_name}_{metric}.csv", metric,
+               result.aggregates[(case_name, metric)])
+              for case_name in LOAD_CASES for metric in CATEGORY_METRICS]
+    tables.append(("categories_delta_mismatch.csv", "delta_mismatch",
+                   result.delta_aggregates))
+    for name, metric, (counts, sums) in tables:
+        paths.append(tabular.write_csv(
+            out_dir / name, CATEGORY_HEADER,
+            [(key.day_kind, key.time_band, key.solar_bin, key.wind_bin,
+              n, metric, total / n if n else None, total)
+             for key, n, total in zip(keys, counts.tolist(), sums.tolist())]))
+
+    # Table-2 style occupancy matrix: one row per (day kind, band, solar bin),
+    # the wind bin being the inner axis of the category codes.
+    matrix = result.counts.reshape(-1, classify.N_BINS)
+    matrix_rows = [(key.day_kind, key.time_band, key.solar_bin, *row, sum(row))
+                   for key, row in zip(keys[::classify.N_BINS], matrix.tolist())]
+    col_totals = matrix.sum(axis=0).tolist()
     matrix_rows.append(("all", "all", "all", *col_totals, sum(col_totals)))
     paths.append(tabular.write_csv(
         out_dir / "category_counts.csv",
         ("day_kind", "time_band", "solar_bin",
-         *(f"wind_bin_{w}" for w in bins), "row_total"),
+         *(f"wind_bin_{w}" for w in range(1, classify.N_BINS + 1)), "row_total"),
         matrix_rows))
 
     # An untestable result's NaN t and dof write empty cells.
     for metric in CATEGORY_METRICS:
         sig_rows = [(key.day_kind, key.time_band, key.solar_bin, key.wind_bin, metric,
-                     *test[:3], flag)   # t, dof, p, reject
-                    for key, test, flag in zip(classify.all_category_keys(),
-                                               result.tests[metric],
-                                               result.reject[metric].tolist())]
+                     t, dof, p, flag)
+                    for key, (t, dof, p, _), flag in zip(keys, result.tests[metric].tolist(),
+                                                         result.reject[metric].tolist())]
         paths.append(tabular.write_csv(
             out_dir / f"categories_significance_{metric}.csv",
             ("day_kind", "time_band", "solar_bin", "wind_bin", "metric")

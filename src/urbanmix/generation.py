@@ -205,8 +205,11 @@ def pv_unit_series(weather: WeatherFrame, params: PvParams = PvParams()) -> np.n
     if params.model == "linear-derate":
         values = np.where(ghi <= 0, 0.0, np.clip(linear, 0.0, params.rated_power_density_wm2))
     else:
-        values = (_single_diode_mpp(ghi, t_cell, params.diode or SingleDiodeParams())
-                  / params.panel_area_m2)
+        # an extreme diode parameter can overflow the kernel: the check below
+        # rejects the first hour it spoils
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = (_single_diode_mpp(ghi, t_cell, params.diode or SingleDiodeParams())
+                      / params.panel_area_m2)
     bad = np.flatnonzero(~np.isfinite(values))
     if len(bad):
         raise GenerationError(f"PV output at hour {bad[0]} is not finite, "

@@ -54,7 +54,8 @@ class HourlySplit(NamedTuple):
         return np.divide(self.utilisation, g, out=np.full(g.shape, np.nan), where=g > 0)
 
     def annual(self) -> AggregateMetrics:
-        return _reduce(self[1:], self.generation)
+        sums = [a.sum(axis=-1) for a in (*self[1:], self.generation)]  # M⁺, M⁻, U, G
+        return AggregateMetrics(*(map(float, sums) if self.generation.ndim == 1 else sums))
 
 
 def _checked(G, L):
@@ -67,45 +68,17 @@ def _checked(G, L):
     return g, load
 
 
-def _terms(g: np.ndarray, load: np.ndarray):
-    """Yield M⁺, M⁻ and U in turn.
-
-    M⁻ is written over M, which is not needed after it. A consumer that
-    reduces each term before taking the next holds at most three arrays the
-    size of G: G, M and one term.
-    """
-    m = g - load
-    yield np.maximum(m, 0.0)
-    yield np.minimum(m, 0.0, out=m)
-    yield np.minimum(g, load)
-
-
-def _hour_sum(a: np.ndarray):
-    return a.sum(axis=-1)
-
-
-def _reduce(terms, g: np.ndarray) -> AggregateMetrics:
-    # map() releases each term as soon as it is summed (see _terms).
-    sums = [*map(_hour_sum, terms), _hour_sum(g)]
-    if g.ndim == 1:
-        sums = [float(s) for s in sums]
-    return AggregateMetrics(*sums)
-
-
 def hourly_split(G, L) -> HourlySplit:
     """Hourly M⁺, M⁻ and U of G against L; G may have a scenario axis."""
     g, load = _checked(G, L)
-    return HourlySplit(g, *_terms(g, load))
+    m = g - load
+    # M⁻ is written over M, once M⁺ is taken from it
+    return HourlySplit(g, np.maximum(m, 0.0), np.minimum(m, 0.0, out=m), np.minimum(g, load))
 
 
 def annual_metrics(G, L) -> AggregateMetrics:
-    """Annual M⁺, M⁻, U and G sums of G against L, per scenario row.
-
-    Same numbers as ``hourly_split(G, L).annual()``, without keeping the
-    hourly terms.
-    """
-    g, load = _checked(G, L)
-    return _reduce(_terms(g, load), g)
+    """Annual M⁺, M⁻, U and G sums of G against L, per scenario row."""
+    return hourly_split(G, L).annual()
 
 
 def delta_mismatch(s, h, phi: float) -> np.ndarray:

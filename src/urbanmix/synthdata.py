@@ -102,30 +102,30 @@ def _ar1(rng: np.random.Generator, n: int, rho: float, sigma: float) -> np.ndarr
     return np.array(out)
 
 
-def household_weights(calendar: Calendar, holidays_as_weekend: bool = True) -> np.ndarray:
-    """Relative household demand weights, evening-peaking and winter-heavy, as
-    a read-only column."""
-    weekend = calendar.weekend_kind(holidays_as_weekend)
-    lh = calendar.local_hour
-    base = np.where(weekend, HOUSEHOLD_WEEKEND[lh], HOUSEHOLD_WEEKDAY[lh])
-    return _read_only(base * _seasonal(calendar.local_day_of_year, HOUSEHOLD_SEASONAL_AMP))
-
-
-def reference_profile_values(name: str, calendar: Calendar,
-                             annual_kwh: float | None = None,
-                             holidays_as_weekend: bool = True) -> np.ndarray:
-    """Hourly kW draw of one reference building of the given type, as a
-    read-only column."""
-    if name not in SHAPES:
-        raise KeyError(f"no synthetic shape for building type {name!r}")
-    weekday, weekend_shape, amp = SHAPES[name]
-    if annual_kwh is None:
-        annual_kwh = TYPE_ANNUAL_KWH[name]
+def _weights(calendar: Calendar, weekday: np.ndarray, weekend_shape: np.ndarray,
+             amp: float, holidays_as_weekend: bool) -> np.ndarray:
+    """The day kind's shape at each local clock hour, times the seasonal factor."""
     weekend = calendar.weekend_kind(holidays_as_weekend)
     lh = calendar.local_hour
     base = np.where(weekend, weekend_shape[lh], weekday[lh])
-    w = base * _seasonal(calendar.local_day_of_year, amp)
-    return _read_only(w * (annual_kwh / w.sum()))
+    return base * _seasonal(calendar.local_day_of_year, amp)
+
+
+def household_weights(calendar: Calendar, holidays_as_weekend: bool = True) -> np.ndarray:
+    """Relative household demand weights, evening-peaking and winter-heavy, as
+    a read-only column."""
+    return _read_only(_weights(calendar, HOUSEHOLD_WEEKDAY, HOUSEHOLD_WEEKEND,
+                               HOUSEHOLD_SEASONAL_AMP, holidays_as_weekend))
+
+
+def reference_profile_values(name: str, calendar: Calendar,
+                             holidays_as_weekend: bool = True) -> np.ndarray:
+    """Hourly kW draw of one reference building of the given type, its annual
+    energy TYPE_ANNUAL_KWH, as a read-only column."""
+    if name not in SHAPES:
+        raise KeyError(f"no synthetic shape for building type {name!r}")
+    w = _weights(calendar, *SHAPES[name], holidays_as_weekend)
+    return _read_only(w * (TYPE_ANNUAL_KWH[name] / w.sum()))
 
 
 def synthetic_weather_frame(calendar: Calendar, seed: int = DEFAULT_SEED) -> WeatherFrame:

@@ -254,24 +254,39 @@ def test_overflowing_demand_exits_2(tmp_path, capsys, command):
     assert not any(out.iterdir())
 
 
+_CELL_NOT_FINITE = ("PV cell temperature and linear-derate output at hour ",
+                    " must be finite, got ")
+_OUTPUT_NOT_FINITE = ("PV output at hour ", " is not finite, got ")
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("model", ["linear-derate", "single-diode"])
-@pytest.mark.parametrize("pv", [
-    # the cell temperature overflows, and 0 · inf is not a number
-    {"noct_offset_c": 1.7e308, "temp_coefficient": 0},
-    {"noct_offset_c": 1.7e308},
-    # a finite cell temperature whose linear derate overflows
-    {"noct_offset_c": 1e300, "temp_coefficient": -1e10},
+@pytest.mark.parametrize("pv, message", [
+    *(pytest.param({**pv, "model": model}, _CELL_NOT_FINITE, id=f"pv{i}-{model}")
+      for i, pv in enumerate([
+          # the cell temperature overflows, and 0 · inf is not a number
+          {"noct_offset_c": 1.7e308, "temp_coefficient": 0},
+          {"noct_offset_c": 1.7e308},
+          # a finite cell temperature whose linear derate overflows
+          {"noct_offset_c": 1e300, "temp_coefficient": -1e10},
+      ])
+      for model in ("linear-derate", "single-diode")),
+    # a finite cell temperature and linear derate, but a diode current or
+    # power that overflows
+    *(pytest.param({"model": "single-diode", "diode": diode}, _OUTPUT_NOT_FINITE,
+                   id=f"diode-{key}-{value!r}")
+      for diode in ({"isc_a": 1e308}, {"isc_a": 1e-320}, {"rs_ohm": 1e308},
+                    {"isc_temp_coeff": 1e308})
+      for key, value in diode.items()),
 ])
-def test_non_finite_pv_output_exits_2(tmp_path, capsys, model, pv):
+def test_non_finite_pv_output_exits_2(tmp_path, capsys, pv, message):
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"pv": {**pv, "model": model}}))
+    cfg.write_text(json.dumps({"pv": pv}))
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out), "generation"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("validation error: PV cell temperature and linear-derate output "
-                          "at hour ")
-    assert " must be finite, got " in err and err.count("\n") == 1
+    start, middle = message
+    assert err.startswith("validation error: " + start)
+    assert middle in err and err.count("\n") == 1
     assert not any(out.iterdir())
 
 
@@ -336,6 +351,8 @@ def assert_config_error(tmp_path, capsys, raw):
     {"area": {"phi_area": 0.5}},
     {"area": {"service_roofs": {"office": 10}}},
     {"turbine": {"hub_height_m": 1e308, "shear_exponent": 2}},
+    {"area": {"service_roofs": {**default_config().scaling_fixture.roof_areas(),
+                                "bogus-type": 5}}},
 ])
 def test_bad_config_sections_exit_1(tmp_path, capsys, raw):
     assert_config_error(tmp_path, capsys, raw)

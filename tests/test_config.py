@@ -72,7 +72,10 @@ def test_service_roofs_must_cover_the_fixture(tmp_path):
                        match=exactly("config: area.service_roofs.hospital is missing")):
         load_config(write(tmp_path, {"area": {"service_roofs": {"office": 10}}}))
     roofs = default_config().scaling_fixture.roof_areas()
-    for given in ({}, roofs, {**roofs, "office": 10.0}):  # names beyond the fixture are kept
+    with pytest.raises(ConfigError, match="^config: area.service_roofs.office is not a "
+                                          "building type of the scaling file "):
+        load_config(write(tmp_path, {"area": {"service_roofs": {**roofs, "office": 10.0}}}))
+    for given in ({}, roofs):
         config = load_config(write(tmp_path, {"area": {"service_roofs": given}}))
         assert config.area.service_roofs == given
 

@@ -107,8 +107,7 @@ def record_fields(path):
             values[name] = draw(scalars(kind, constraint))
         if path == "area" and draw(st.booleans()):
             values["service_roofs"] = draw(st.just({}) | st.fixed_dictionaries(
-                dict.fromkeys(BUILDING_TYPES, numbers(float, ">= 0")),
-                optional={"school": numbers(float, ">= 0")}))
+                dict.fromkeys(BUILDING_TYPES, numbers(float, ">= 0"))))
         return cross_field(record, values)
     return draw_fields()
 
@@ -233,7 +232,10 @@ def faults_at(path):
                    ({"office": -1.0}, "config: area.service_roofs.office must be >= 0, got -1.0"),
                    ({"office": "x"},
                     "config: area.service_roofs.office must be a finite number, got 'x'"),
-                   ({"office": 10}, "config: area.service_roofs.hospital is missing")]
+                   ({"office": 10}, "config: area.service_roofs.hospital is missing"),
+                   ({**dict.fromkeys(BUILDING_TYPES, 1.0), "school": 1.0},
+                    "config: area.service_roofs.school is not a building type of the "
+                    f"scaling file {_BUILTIN_SCALING}")]
     if kind == [float]:
         faults += [("x", "config: weights must be a list of 3 values, got 'x'"),
                    ([1.0, 2.0], "config: weights must be a list of 3 values, got [1.0, 2.0]"),

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from category_oracle import decode, oracle_aggregate, oracle_members
+from category_oracle import decode, oracle_aggregate, oracle_counts, oracle_members
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -324,11 +324,12 @@ def test_experiment2_defaults_to_preset(exp2, config2014):
 def test_experiment2_counts(exp2):
     counts = exp2.counts
     assert len(counts) == 150
-    assert sum(counts.values()) == 8760
+    assert counts.sum() == 8760
     wind_totals = {b: 0 for b in range(1, 6)}
-    for key, n in counts.items():
+    for key, n in zip(all_category_keys(), counts.tolist()):
         wind_totals[key.wind_bin] += n
     assert wind_totals == {b: 1752 for b in range(1, 6)}
+    assert counts.tolist() == list(oracle_counts(decode(exp2.keys)).values())
 
 
 def test_experiment2_dark_hours_land_in_solar_bin_1(exp2, prep):
@@ -338,7 +339,7 @@ def test_experiment2_dark_hours_land_in_solar_bin_1(exp2, prep):
     for key, pv in zip(decode(exp2.keys), pv_gen):
         if pv == 0.0:
             assert key.solar_bin == 1
-    assert any(n == 0 for n in exp2.counts.values())
+    assert any(n == 0 for n in exp2.counts.tolist())
 
 
 def test_experiment2_aggregates_consistent(exp2, prep):
@@ -381,7 +382,10 @@ def test_experiment2_categories_bit_equal_to_dict_loops(exp2, prep, config2014):
         members = [oracle_members(keys, values) for values in hourly]
         family = [welch_t_test(members[0][key], members[1][key], pooled=config2014.pooled)
                   for key in all_category_keys()]
-        assert exact_rows(exp2.tests[metric]) == exact_rows(family)
+        # the sweep's encoding: t, dof, p and 1.0 or 0.0 for untestable
+        assert exact_rows(exp2.tests[metric].tolist()) == \
+            exact_rows((*r[:3], float(r.untestable)) for r in family)
+        assert any(r.untestable for r in family)
         assert exp2.reject[metric].tolist() == holm_flags(family, alpha=config2014.alpha)
 
 
@@ -392,9 +396,13 @@ def exact_rows(rows):
 
 def test_experiment2_tests_cover_all_categories(exp2):
     for metric in CATEGORY_METRICS:
-        assert len(exp2.tests[metric]) == len(exp2.reject[metric]) == 150
-        for n, result in zip(exp2.counts.values(), exp2.tests[metric]):
-            assert result.untestable or n > 0
+        assert exp2.tests[metric].shape == (150, 4)
+        assert len(exp2.reject[metric]) == 150
+        for n, (t, dof, p, untestable) in zip(exp2.counts.tolist(),
+                                              exp2.tests[metric].tolist()):
+            assert untestable in (0.0, 1.0)
+            assert math.isnan(t) == math.isnan(dof) == (untestable == 1.0)
+            assert untestable == 1.0 or n > 0
 
 
 def test_experiment2_tables(exp2, tmp_path):
@@ -429,19 +437,18 @@ def test_untestable_category_writes_empty_t_and_dof(exp2, tmp_path):
         lines = (tmp_path / f"categories_significance_{metric}.csv").read_text().splitlines()
         assert lines[0].split(",")[-4:] == ["t", "dof", "p", "reject_holm"]
         cells = {tuple(line.split(",")[:4]): line.split(",")[5:] for line in lines[1:]}
-        results = exp2.tests[metric]
+        results = exp2.tests[metric].tolist()
         assert len(cells) == len(results) == 150
         kinds = set()
-        for key, result, reject in zip(all_category_keys(), results,
-                                       exp2.reject[metric].tolist()):
+        for key, (t, dof, p, untestable), reject in zip(all_category_keys(), results,
+                                                        exp2.reject[metric].tolist()):
             written = cells[(key.day_kind, key.time_band, str(key.solar_bin), str(key.wind_bin))]
-            if result.untestable:
+            if untestable:
                 assert written == ["", "", "1.0", "false"]
             else:
-                assert written == [repr(result.t_stat), repr(result.dof),
-                                   repr(result.p_value), str(reject).lower()]
-            kinds.add(result.untestable)
-        assert kinds == {False, True}
+                assert written == [repr(t), repr(dof), repr(p), str(reject).lower()]
+            kinds.add(untestable)
+        assert kinds == {0.0, 1.0}
 
 
 def test_build_problem_uses_fixture_roofs(prep):

@@ -195,3 +195,24 @@ def test_batched_kernel_rows_match_single_scenario(data):
         balance = single.pos_mismatch + single.neg_mismatch - (total_g - total_l)
         assert abs(balance) <= 1e-9 * scale
         assert 0.0 <= single.utilisation <= min(total_g, total_l)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_annual_metrics_is_the_sum_of_each_hourly_term(data):
+    # bit for bit the plain numpy sums of M⁺, M⁻, U and G, for one scenario
+    # and for a scenario axis, with hours of no generation and G == L drawn
+    n = data.draw(st.integers(1, 64), label="n")
+    shape = data.draw(st.sampled_from([(n,), (data.draw(st.integers(1, 4)), n)]),
+                      label="shape")
+    load = data.draw(hnp.arrays(np.float64, n, elements=st.floats(0, 1e6)), label="L")
+    free = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(0, 1e6)), label="G")
+    kind = data.draw(hnp.arrays(np.int8, shape, elements=st.integers(0, 2)), label="kind")
+    g = np.where(kind == 0, 0.0, np.where(kind == 1, load, free))
+    agg = annual_metrics(g, load)
+    terms = (np.maximum(g - load, 0.0), np.minimum(g - load, 0.0), np.minimum(g, load), g)
+    for got, term in zip(agg, terms):
+        expected = np.sum(term, axis=-1)
+        if g.ndim == 1:
+            assert type(got) is float
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()

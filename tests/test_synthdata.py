@@ -72,8 +72,6 @@ def test_reference_profiles_normalized(calendar2014):
         values = reference_profile_values(name, calendar2014)
         assert values.sum() == pytest.approx(TYPE_ANNUAL_KWH[name], rel=1e-9)
         assert (values >= 0).all()
-    custom = reference_profile_values("hospital", calendar2014, annual_kwh=1000.0)
-    assert custom.sum() == pytest.approx(1000.0, rel=1e-9)
 
 
 def test_unknown_reference_type():
