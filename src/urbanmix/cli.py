@@ -8,7 +8,6 @@ loads only what it uses.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import sys
 from pathlib import Path
@@ -269,29 +268,7 @@ _FLAG_DEFAULTS = {"config": None, "seed": None, "out": Path("out"), "parallel": 
                   "pv_mw": None, "wind_mw": None}
 
 
-def _keep_freed_memory() -> None:
-    """Fix glibc's malloc thresholds so freed numpy buffers stay in the process.
-
-    Each GA generation allocates and frees the mismatch kernel's terms for
-    chunks of 16 points, about 1 MiB each. Under glibc's adaptive defaults
-    the freed top of the heap is handed back to the OS after every chunk and
-    faults in again on the next: `optimize` took about 82,000 minor page
-    faults instead of 6,700, and 0.50 s instead of 0.40 s (medians of 6
-    alternating runs on a 2-vCPU Linux VM). A 61x61 sweep no longer gains:
-    about 5,870 faults either way, and the same wall time. Fixed thresholds
-    keep buffers under 16 MiB on the heap and trim it only past 32 MiB of
-    free top. Peak memory is unchanged. Linux only.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
-        mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
-
-
 def main(argv=None) -> int:
-    _keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

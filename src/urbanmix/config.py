@@ -29,9 +29,12 @@ class OptimizeError(ValidationError):
 
 
 def check_weights(weights, error: type[Exception]) -> None:
-    """Raise ``error`` unless the objective weights penalise both mismatches and
-    reward utilisation."""
-    p_pos, p_neg, p_ren = weights
+    """Raise ``error`` unless the objective weights are three finite numbers that
+    penalise both mismatches and reward utilisation."""
+    if not isinstance(weights, (tuple, list)) or len(weights) != 3:
+        raise error(f"weights must be three numbers, got {weights!r}")
+    p_pos, p_neg, p_ren = (ingest._check(f"weights[{i}]", value, float, None, error)
+                           for i, value in enumerate(weights))
     if p_pos <= 0 or p_neg <= 0 or p_ren >= 0:
         raise error(f"weights must satisfy p_pos > 0, p_neg > 0, p_ren < 0, got {weights}")
 

@@ -3,9 +3,11 @@
 Generation G is split against load L hour by hour: mismatch M = G − L into
 M⁺ = max(M, 0) and M⁻ = min(M, 0), and utilisation U = min(G, L). Per year
 each term is summed (M⁻ kept signed, ≤ 0, so that pos + neg = ΣG − ΣL
-holds) next to ΣG, and self-consumption is ΣU/ΣG. G may carry a leading
-scenario axis, one row per scenario, against a single load series. The
-load-case difference identity ΔM is provided as well.
+holds) next to ΣG, and self-consumption is ΣU/ΣG. Since U = G − M⁺ and
+M⁺ + M⁻ = G − L in every hour, the year's M⁻ and U also follow from ΣM⁺, ΣG
+and ΣL: M⁻ = ΣG − ΣL − M⁺ and U = ΣG − M⁺. G may carry a leading scenario
+axis, one row per scenario, against a single load series. The load-case
+difference identity ΔM is provided as well.
 """
 
 from __future__ import annotations
@@ -79,6 +81,19 @@ def hourly_split(G, L) -> HourlySplit:
 def annual_metrics(G, L) -> AggregateMetrics:
     """Annual M⁺, M⁻, U and G sums of G against L, per scenario row."""
     return hourly_split(G, L).annual()
+
+
+def annual_from_surplus(G, L, generation, load) -> AggregateMetrics:
+    """Annual terms from M⁺ summed over the hours given and the year's ΣG and ΣL.
+
+    The hours left out must have no surplus (G ≤ L in each), so that they add
+    nothing to M⁺; ``generation`` is ΣG per scenario row and ``load`` is ΣL.
+    """
+    g, hours_load = _checked(G, L)
+    m = g - hours_load
+    pos = np.maximum(m, 0.0, out=m).sum(axis=-1)
+    sums = pos, generation - load - pos, generation - pos, generation
+    return AggregateMetrics(*(map(float, sums) if g.ndim == 1 else sums))
 
 
 def delta_mismatch(s, h, phi: float) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 from .config import SIGN_CONVENTIONS, GAConfig, OptimizeError, check_weights
 from .generation import TURBINE_UNIT_MW, generation_mw
 from .ingest import checked_record
-from .metrics import AggregateMetrics, annual_metrics
+from .metrics import AggregateMetrics, annual_from_surplus, annual_metrics
 from .scaling import round_half_away
 
 
@@ -41,6 +41,13 @@ class MixProblem(checked_record(OptimizeError,
                                       for series in (g_pv, g_turbine, load_mw)), *args, **kwargs)
 
     def _rules(self):
+        for name, series in zip(self._fields, self[:3]):
+            if series.ndim != 1:
+                raise OptimizeError(f"{name} must be a 1-D hourly series, got shape {series.shape}")
+            bad = np.flatnonzero(~(np.isfinite(series) & (series >= 0)))
+            if len(bad):
+                raise OptimizeError(f"{name} at hour {bad[0]} must be a finite number >= 0, "
+                                    f"got {series[bad[0]]}")
         if not len(self.g_pv) == len(self.g_turbine) == len(self.load_mw):
             raise OptimizeError("profile length mismatch")
         check_weights(self.weights, OptimizeError)
@@ -65,16 +72,6 @@ class MixProblem(checked_record(OptimizeError,
                 and x_pv + x_turbine <= self.total_area_max + tol)
 
 
-def _annual_at(x_pv, x_turbine, problem: MixProblem) -> AggregateMetrics:
-    """Annual terms at one point, or at many given as 1-D arrays.
-
-    Turbine counts stay fractional (x_turbine / footprint) while searching.
-    """
-    g = generation_mw(x_pv, x_turbine / problem.turbine_footprint_m2,
-                      problem.g_pv, problem.g_turbine)
-    return annual_metrics(g, problem.load_mw)
-
-
 def _combined(terms: AggregateMetrics, problem: MixProblem):
     p_pos, p_neg, p_ren = problem.weights
     neg = terms.neg_mismatch
@@ -87,7 +84,10 @@ def objective_terms(x, problem: MixProblem) -> AggregateMetrics:
     x_pv, x_turbine = float(x[0]), float(x[1])
     if not problem.is_feasible(x_pv, x_turbine, tol=1e-9 * problem.total_area_max):
         raise OptimizeError(f"point ({x_pv}, {x_turbine}) violates the area constraints")
-    return _annual_at(x_pv, x_turbine, problem)
+    # turbine counts stay fractional (x_turbine / footprint) while searching
+    g = generation_mw(x_pv, x_turbine / problem.turbine_footprint_m2,
+                      problem.g_pv, problem.g_turbine)
+    return annual_metrics(g, problem.load_mw)
 
 
 def objective(x, problem: MixProblem) -> float:
@@ -95,17 +95,28 @@ def objective(x, problem: MixProblem) -> float:
 
 
 def _fitness(x_pv, x_turbine, problem: MixProblem) -> np.ndarray:
-    """Objective at many feasible points, 16 points per kernel call.
+    """Objective at many points inside the box, 16 points per kernel call.
 
-    Small chunks keep the kernel's temporaries cache-sized (16 × 8760
-    doubles is 1.1 MB); rows are independent, so the chunk size never
-    changes a value.
+    M⁺ is summed only over the surplus hours, where the largest G in the box
+    exceeds L: float operations are monotone, so no point in the box has a
+    surplus in any other hour. ΣG is the generation formula applied to the
+    year's per-unit sums. Small chunks keep the kernel's temporaries
+    cache-sized; rows are independent, so the chunk size never changes a value.
     """
+    footprint = problem.turbine_footprint_m2
+    g_pv, g_turbine, load = problem.g_pv, problem.g_turbine, problem.load_mw
+    turbines = x_turbine / footprint
+    totals = generation_mw(x_pv, turbines, [g_pv.sum()], [g_turbine.sum()])[:, 0]
+    total_load = load.sum()
+    surplus = generation_mw(problem.pv_area_max, problem.turbine_area_max / footprint,
+                            g_pv, g_turbine) > load
+    g_pv, g_turbine, load = g_pv[surplus], g_turbine[surplus], load[surplus]
     chunk = 16
     out = np.empty(len(x_pv))
     for start in range(0, len(x_pv), chunk):
         sl = slice(start, start + chunk)
-        out[sl] = _combined(_annual_at(x_pv[sl], x_turbine[sl], problem), problem)
+        g = generation_mw(x_pv[sl], turbines[sl], g_pv, g_turbine)
+        out[sl] = _combined(annual_from_surplus(g, load, totals[sl], total_load), problem)
     return out
 
 

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from urbanmix.metrics import (AggregateMetrics, MetricsError, annual_metrics,
-                              delta_mismatch, hourly_split)
+from urbanmix.metrics import (AggregateMetrics, MetricsError, annual_from_surplus,
+                              annual_metrics, delta_mismatch, hourly_split)
 
 
 def test_mismatch_sign():
@@ -216,3 +216,33 @@ def test_annual_metrics_is_the_sum_of_each_hourly_term(data):
         if g.ndim == 1:
             assert type(got) is float
         assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_annual_from_surplus_over_all_hours_is_annual_metrics(data):
+    # the identity M⁻ = ΣG − ΣL − M⁺, U = ΣG − M⁺; with G ≡ 0 or G ≤ L in
+    # every hour, M⁺ is exactly 0
+    n = data.draw(st.integers(1, 64), label="n")
+    shape = data.draw(st.sampled_from([(n,), (data.draw(st.integers(1, 4)), n)]),
+                      label="shape")
+    load = data.draw(hnp.arrays(np.float64, n, elements=st.floats(0, 1e6)), label="L")
+    free = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(0, 1e6)), label="G")
+    g = data.draw(st.sampled_from([free, np.zeros(shape), np.minimum(free, load)]),
+                  label="case")
+    want = annual_metrics(g, load)
+    got = annual_from_surplus(g, load, g.sum(axis=-1), load.sum())
+    bound = 1e-12 * (g.sum(axis=-1) + load.sum())
+    for got_term, want_term in zip(got, want):
+        if g.ndim == 1:
+            assert type(got_term) is float
+        assert (np.abs(np.subtract(got_term, want_term)) <= bound).all()
+    if (g <= load).all():
+        assert (np.asarray(got.pos_mismatch) == 0.0).all()
+
+
+def test_annual_from_surplus_checks_the_hours():
+    with pytest.raises(MetricsError, match="length"):
+        annual_from_surplus(np.ones((2, 3)), np.ones(4), np.ones(2), 4.0)
+    with pytest.raises(MetricsError, match="non-negative"):
+        annual_from_surplus(np.array([1.0, -1.0]), np.ones(2), 0.0, 2.0)

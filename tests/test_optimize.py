@@ -2,9 +2,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optimize_oracle import tournament_comparison
-from urbanmix.optimize import (GAConfig, MixProblem, OptimizeError,
+from urbanmix.config import ConfigError, default_config
+from urbanmix.generation import generation_mw
+from urbanmix.metrics import annual_metrics
+from urbanmix.optimize import (GAConfig, MixProblem, OptimizeError, _combined,
                                _fitness, _project, ga_optimize,
                                grid_oracle, objective, objective_terms,
                                solution_report)
@@ -40,6 +45,15 @@ def test_weight_sign_validation():
         tiny_problem(weights=(1.0, 0.0, -5.0))
     with pytest.raises(OptimizeError, match="weights"):
         tiny_problem(weights=(1.0, 1.0, 5.0))
+    with pytest.raises(OptimizeError, match=r"^weights\[0\] must be a finite number, got nan$"):
+        tiny_problem(weights=(float("nan"), 1.0, -5.0))
+    with pytest.raises(OptimizeError, match=r"^weights\[2\] must be a finite number, got -inf$"):
+        tiny_problem(weights=(1.0, 1.0, float("-inf")))
+    with pytest.raises(OptimizeError, match=r"^weights must be three numbers, "
+                                            r"got \(1\.0, 1\.0, -5\.0, 0\.0\)$"):
+        tiny_problem(weights=(1.0, 1.0, -5.0, 0.0))
+    with pytest.raises(ConfigError, match=r"^weights must be three numbers, got \(1\.0, 1\.0\)$"):
+        default_config()._replace(weights=(1.0, 1.0))
 
 
 def test_problem_validation():
@@ -57,6 +71,20 @@ def test_problem_validation():
     with pytest.raises(OptimizeError, match="length"):
         MixProblem(g_pv=np.ones(10), g_turbine=np.ones(11),
                    load_mw=np.ones(10), a_roof_m2=1.0)
+    load = np.ones(24)
+    load[5] = np.nan
+    with pytest.raises(OptimizeError, match=r"^load_mw at hour 5 must be a finite number >= 0, "
+                                            r"got nan$"):
+        tiny_problem(n=24, load_mw=load)
+    with pytest.raises(OptimizeError, match=r"^g_pv must be a 1-D hourly series, "
+                                            r"got shape \(2, 24\)$"):
+        tiny_problem(n=24, g_pv=np.ones((2, 24)))
+    with pytest.raises(OptimizeError, match=r"^g_turbine at hour 3 must be a finite number >= 0, "
+                                            r"got -1\.0$"):
+        tiny_problem(n=24, g_turbine=np.r_[np.ones(3), -1.0, np.ones(20)])
+    with pytest.raises(OptimizeError, match=r"^g_pv at hour 23 must be a finite number >= 0, "
+                                            r"got inf$"):
+        tiny_problem(n=24, g_pv=np.r_[np.ones(23), np.inf])
 
 
 def test_area_caps():
@@ -106,20 +134,38 @@ def test_objective_rejects_infeasible_point():
         objective((5000.0, 0.0), p)
 
 
-def test_batch_objective_matches_pointwise():
-    for convention in ("magnitude-neg", "signed-neg"):
-        p = tiny_problem(n=200, sign_convention=convention)
-        rng = np.random.default_rng(13)
-        x_pv = rng.uniform(0.0, p.pv_area_max, 600)
-        x_wt = rng.uniform(0.0, p.turbine_area_max, 600)
-        over = x_pv + x_wt > p.total_area_max
-        scale = p.total_area_max / (x_pv + x_wt)
-        x_pv[over] *= scale[over]
-        x_wt[over] *= scale[over]
-        batch = _fitness(x_pv, x_wt, p)
-        for i in range(0, 600, 37):
-            direct = objective((x_pv[i], x_wt[i]), p)
-            assert batch[i] == pytest.approx(direct, rel=1e-9)
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_batch_objective_matches_pointwise(data):
+    # _fitness sums M⁺ over the surplus hours only and takes ΣG from the
+    # per-unit sums; it must agree with annual_metrics over every hour, at
+    # the box corners and on the shared-area edge too, where the mask is tight
+    p = tiny_problem(n=data.draw(st.integers(1, 200), label="n"),
+                     seed=data.draw(st.integers(0, 2 ** 32 - 1), label="seed"),
+                     a_roof_m2=data.draw(st.floats(1e3, 1e5), label="a_roof_m2"),
+                     phi_area=data.draw(st.floats(1.0, 4.0), label="phi_area"),
+                     weights=(data.draw(st.floats(1e-3, 1e3), label="p_pos"),
+                              data.draw(st.floats(1e-3, 1e3), label="p_neg"),
+                              -data.draw(st.floats(1e-3, 1e3), label="-p_ren")),
+                     sign_convention=data.draw(st.sampled_from(["magnitude-neg", "signed-neg"]),
+                                               label="sign_convention"),
+                     roof_only_pv=data.draw(st.booleans(), label="roof_only_pv"))
+    pv_max, wt_max, total = p.pv_area_max, p.turbine_area_max, p.total_area_max
+    share = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+                               label="share"))
+    edge_pv = np.minimum(share * total, pv_max)
+    edge_wt = np.minimum(total - edge_pv, wt_max)
+    inner = np.array(data.draw(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                                        max_size=40), label="inner")).reshape(-1, 2)
+    x_pv = np.r_[0.0, pv_max, 0.0, pv_max, edge_pv, inner[:, 0] * pv_max]
+    x_wt = np.r_[0.0, 0.0, wt_max, wt_max, edge_wt, inner[:, 1] * wt_max]
+    batch = _fitness(x_pv, x_wt, p)
+    total_load = p.load_mw.sum()
+    scale = sum(map(abs, p.weights))
+    for i in range(len(x_pv)):
+        g = generation_mw(x_pv[i], x_wt[i] / p.turbine_footprint_m2, p.g_pv, p.g_turbine)
+        direct = _combined(annual_metrics(g, p.load_mw), p)
+        assert abs(batch[i] - direct) <= 1e-12 * scale * (g.sum() + total_load)
 
 
 def test_project_feasible_points_unchanged():
