@@ -60,7 +60,7 @@ class GAConfig(checked_record(OptimizeError,
                                 f"got {self.elite} >= {self.population}")
 
 
-class Benchmark(checked_record(ConfigError, ("name", str, None), ("twh", float, None))):
+class Benchmark(checked_record(ConfigError, ("name", str, None), ("twh", float, "> 0"))):
     __slots__ = ()
 
 
@@ -78,8 +78,8 @@ class SimulationConfig(checked_record(ConfigError,
                                      ("weather_path", Path, None, None),
                                      ("household_profile_path", Path, None, None),
                                      ("reference_profile_dir", Path, None, None),
-                                     ("households", int, None, 100_000),
-                                     ("household_annual_kwh", float, None, 3500.0),
+                                     ("households", int, "> 0", 100_000),
+                                     ("household_annual_kwh", float, "> 0", 3500.0),
                                      ("real_inputs", bool, None, False),
                                      # numpy's generators take no negative seed
                                      ("seed", int, ">= 0", 0),
@@ -88,23 +88,27 @@ class SimulationConfig(checked_record(ConfigError,
                                      ("pv", PvParams, None, PvParams()),
                                      ("area", AreaBudget, None, AreaBudget()),
                                      ("roof_only_pv", bool, None, False),
-                                     ("sweep_max_mw", float, None, 525.0),
-                                     ("sweep_steps", int, None, 11),
-                                     ("mix_pv_mw", float, None, 399.0),
-                                     ("mix_wind_mw", float, None, 30.0),
-                                     ("alpha", float, None, 0.05),
+                                     ("sweep_max_mw", float, "> 0", 525.0),
+                                     ("sweep_steps", int, ">= 2", 11),
+                                     ("mix_pv_mw", float, ">= 0", 399.0),
+                                     ("mix_wind_mw", float, ">= 0", 30.0),
+                                     ("alpha", float, "in (0, 1)", 0.05),
                                      ("pooled", bool, None, False),
-                                     ("weights", tuple, None, (1.0, 1.0, -5.0)),
-                                     ("sign_convention", str, None, "magnitude-neg"),
+                                     ("weights", [float], 3, (1.0, 1.0, -5.0)),
+                                     ("sign_convention", str, SIGN_CONVENTIONS, "magnitude-neg"),
                                      ("ga", GAConfig, None, GAConfig()),
-                                     ("benchmarks", tuple, None, DEFAULT_BENCHMARKS))):
-    """A run's settings. The rows of `_SCHEMA` check the config keys that set
-    them; this record checks only their kinds, the seed and the weights."""
+                                     ("benchmarks", [Benchmark], None, DEFAULT_BENCHMARKS))):
+    """A run's settings, each field checked by its row, the weights and the
+    benchmark names by `_rules`."""
 
     __slots__ = ()
 
     def _rules(self):
         check_weights(self.weights, ConfigError)
+        names = [bench.name for bench in self.benchmarks]
+        for name in names:
+            if names.count(name) > 1:
+                raise ConfigError(f"benchmarks lists {name!r} twice")
 
     @property
     def year(self) -> int:
@@ -117,37 +121,22 @@ class SimulationConfig(checked_record(ConfigError,
 _BUILTIN_CALENDAR = Path(__file__).parent / "data" / "calendar_nl2014.json"
 _BUILTIN_SCALING = Path(__file__).parent / "data" / "scaling_nl2014.json"
 
-# Every config key, one row each: (path, kind, constraint, SimulationConfig field),
-# read by `ingest._read_rows`, which also reads the calendar and scaling files.
-_SCHEMA = (
-    # not a field: checked against the calendar
-    ("year", int, f"in [{ingest.MIN_YEAR}, {ingest.MAX_YEAR}]", "year"),
-    ("calendar", Path, None, "calendar"),  # the two files `_resolve` reads
-    ("scaling", Path, None, "scaling_fixture"),
-    ("weather", Path, None, "weather_path"),
-    ("household_profile", Path, None, "household_profile_path"),
-    ("reference_profile_dir", Path, None, "reference_profile_dir"),
-    ("households", int, "> 0", "households"),
-    ("household_annual_kwh", float, "> 0", "household_annual_kwh"),
-    ("real_inputs", bool, None, "real_inputs"),
-    ("seed", int, None, "seed"),  # SimulationConfig's row checks >= 0, for --seed too
-    ("holidays_as_weekend", bool, None, "holidays_as_weekend"),
-    ("turbine", TurbineParams, None, "turbine"),
-    ("pv.diode", SingleDiodeParams, None, None),
-    ("pv", PvParams, None, "pv"),
-    ("area.roof_only_pv", bool, None, "roof_only_pv"),
-    ("area", AreaBudget, None, "area"),
-    ("sweep.max_mw", float, "> 0", "sweep_max_mw"),
-    ("sweep.steps", int, ">= 2", "sweep_steps"),
-    ("mix_preset.pv_mw", float, ">= 0", "mix_pv_mw"),
-    ("mix_preset.wind_mw", float, ">= 0", "mix_wind_mw"),
-    ("stats.alpha", float, "in (0, 1)", "alpha"),
-    ("stats.pooled", bool, None, "pooled"),
-    ("weights", [float], 3, "weights"),
-    ("sign_convention", str, SIGN_CONVENTIONS, "sign_convention"),
-    ("ga", GAConfig, None, "ga"),
-    ("benchmarks", [Benchmark], None, "benchmarks"),
-)
+# Where each config key sits and the SimulationConfig field it fills, read by
+# `ingest._read_rows` with that field's kind and constraint.
+_SCHEMA = ingest._field_rows(
+    SimulationConfig,
+    # not a field: the calendar's year, checked against the calendar
+    *ingest._field_rows(Calendar, "year"),
+    # the two files `_resolve` reads
+    ("calendar", Path, None, "calendar"), ("scaling", Path, None, "scaling_fixture"),
+    ("weather", "weather_path"), ("household_profile", "household_profile_path"),
+    "reference_profile_dir", "households", "household_annual_kwh", "real_inputs", "seed",
+    "holidays_as_weekend", "turbine",
+    ("pv.diode", SingleDiodeParams, None, None), "pv",  # a record's own keys come first
+    "area.roof_only_pv", "area",
+    ("sweep.max_mw", "sweep_max_mw"), ("sweep.steps", "sweep_steps"),
+    ("mix_preset.pv_mw", "mix_pv_mw"), ("mix_preset.wind_mw", "mix_wind_mw"),
+    "stats.alpha", "stats.pooled", "weights", "sign_convention", "ga", "benchmarks")
 
 
 @contextmanager

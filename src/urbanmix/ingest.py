@@ -58,6 +58,7 @@ _SCALARS = {int: (int, "an integer", None), float: ((int, float), "a finite numb
             Path: (str, "a file name", None),
             dt.date: (str, "an ISO date", dt.date.fromisoformat),
             dt.datetime: (str, "an ISO date and time", dt.datetime.fromisoformat)}
+_RECORD_SCALARS = (int, float, bool, str, dt.date, dt.datetime)  # what `checked_record` checks
 _COMPARISONS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
 
@@ -105,12 +106,10 @@ def _check_entries(name: str, entries, kind, constraint, error: type[Exception])
         _check(f"{name}.{key}", value, kind, constraint, error)
 
 
-def _checked_kind(kind):
-    """(the kind `_check` reads a field of ``kind`` as, or None for a kind that
-    only documents its field; whether the field also takes None, as "X | None" does)."""
+def _without_none(kind):
+    """(``kind``, an "X | None" kind read as X; whether it was one)."""
     optional = typing.get_args(kind)[1:] == (type(None),)
-    kind = typing.get_args(kind)[0] if optional else kind
-    return (kind if kind in (int, float, bool, str, dt.date, dt.datetime) else None), optional
+    return (typing.get_args(kind)[0] if optional else kind), optional
 
 
 def checked_record(error: type[Exception], *rows):
@@ -129,12 +128,12 @@ def checked_record(error: type[Exception], *rows):
     base = collections.namedtuple("Record", [row[0] for row in rows],
                                   defaults=[row[3] for row in rows if len(row) > 3])
     bind = base.__new__
-    checks = [(name, *_checked_kind(kind), constraint) for name, kind, constraint, *_ in rows]
+    checks = [(name, *_without_none(kind), constraint) for name, kind, constraint, *_ in rows]
 
     def __new__(cls, *args, **kwargs):
         given = zip(checks, bind(cls, *args, **kwargs))
         self = tuple.__new__(cls, [
-            value if kind is None or (optional and value is None)
+            value if kind not in _RECORD_SCALARS or (optional and value is None)
             else _check(name, value, kind, constraint, error)
             for (name, kind, optional, constraint), value in given])
         self._rules()
@@ -216,6 +215,20 @@ def _read_rows(raw: dict, rows, error: type[Exception], base_dir: Path = Path())
     if unknown:
         raise error(f"unknown keys {sorted(unknown)}")
     return fields
+
+
+def _field_rows(record, *places):
+    """The `_read_rows` rows, in order, of a file whose keys fill ``record``'s
+    fields. A (path, field) place reads its key with the kind ("X | None" read
+    as X: `_read` takes no union) and the constraint of the field's row, and a
+    path alone fills the field its last key names; a key that fills no field
+    gives its whole (path, kind, constraint, target) row."""
+    fields = {name: (_without_none(kind)[0], constraint)
+              for name, kind, constraint, *_ in record._rows}
+    places = [(place, place.rpartition(".")[2]) if isinstance(place, str) else place
+              for place in places]
+    return tuple(place if len(place) == 4 else (place[0], *fields[place[1]], place[1])
+                 for place in places)
 
 
 def _read_json(path, rows, error: type[Exception]) -> dict:

@@ -18,7 +18,7 @@ import math
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
-from .ingest import ValidationError, _check, _check_entries, _read_json, checked_record
+from .ingest import ValidationError, _check, _check_entries, _field_rows, _read_json, checked_record
 
 HOUSEHOLDS_PER_100K = 75.9
 
@@ -176,10 +176,10 @@ def build_service_mix(fixture: ScalingFixture) -> dict[str, int]:
 class ScalingFixture(checked_record(ScalingError,
                                    ("name", str, None),
                                    ("households_per_100k", float, "> 0"),
-                                   ("specs", tuple, None),  # of BuildingScalingSpec
-                                   ("office_bands", tuple, None, ()),  # of OfficeBand
-                                   ("office_total_used_area_m2", float | None, None, None),
-                                   ("documented_inconsistencies", tuple, None, ()))):
+                                   ("specs", [BuildingScalingSpec], None),
+                                   ("office_bands", [OfficeBand], None, ()),
+                                   ("office_total_used_area_m2", float | None, "> 0", None),
+                                   ("documented_inconsistencies", [str], None, ()))):
     """A full scaling dataset: building specs plus the office band table."""
 
     __slots__ = ()
@@ -211,18 +211,14 @@ class ScalingFixture(checked_record(ScalingError,
         return {s.name: s.roof_area_m2 for s in self.specs}
 
 
-# The keys of a scaling file, one row each: (path, kind, constraint,
-# ScalingFixture field), read by `ingest._read_rows`. ScalingFixture's row
-# checks households_per_100k, and its _rules the band shares' sum.
-_SCHEMA = (
-    ("name", str, None, "name"),  # default: the file's name without its suffix
-    ("description", str, None, None),  # checked, not kept
-    ("households_per_100k", float, None, "households_per_100k"),
-    ("documented_inconsistencies", [str], None, "documented_inconsistencies"),
-    ("office_bands.total_used_area_m2", float, "> 0", "office_total_used_area_m2"),
-    ("office_bands.bands", [OfficeBand], None, "office_bands"),
-    ("buildings", [BuildingScalingSpec], None, "specs"),
-)
+# Where each key of a scaling file sits and the ScalingFixture field it fills,
+# read by `ingest._read_rows` with that field's kind and constraint.
+_SCHEMA = _field_rows(ScalingFixture,
+                      "name",  # default: the file's name without its suffix
+                      ("description", str, None, None),  # checked, not kept
+                      "households_per_100k", "documented_inconsistencies",
+                      ("office_bands.total_used_area_m2", "office_total_used_area_m2"),
+                      ("office_bands.bands", "office_bands"), ("buildings", "specs"))
 
 
 def load_scaling_fixture(path) -> ScalingFixture:

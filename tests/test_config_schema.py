@@ -1,6 +1,7 @@
 """Configs drawn from the schema table and the records' rows: every valid draw
 loads, and every draw with one fault is rejected with the one-line ConfigError
-that names the fault."""
+that names the fault; a config or scaling fixture built in Python is checked by
+the same rows."""
 
 import contextlib
 import copy
@@ -9,6 +10,7 @@ import io
 import json
 import re
 import tempfile
+import typing
 from collections.abc import Mapping
 from pathlib import Path
 
@@ -18,11 +20,12 @@ from hypothesis import strategies as st
 
 from urbanmix import scaling
 from urbanmix.cli import main
-from urbanmix.config import (_BUILTIN_CALENDAR, _BUILTIN_SCALING, _SCHEMA, ConfigError, GAConfig,
-                             SimulationConfig, default_config, load_config)
+from urbanmix.config import (_BUILTIN_CALENDAR, _BUILTIN_SCALING, _SCHEMA, DEFAULT_BENCHMARKS,
+                             ConfigError, GAConfig, SimulationConfig, default_config, load_config)
 from urbanmix.generation import GenerationError, TurbineParams
 from urbanmix.ingest import _CALENDAR_SCHEMA
 from urbanmix.optimize import OptimizeError
+from urbanmix.scaling import ScalingError, ScalingFixture
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 ROWS = {path: (kind, constraint) for path, kind, constraint, _ in _SCHEMA}
@@ -131,7 +134,8 @@ def valid_value(path, kind, constraint):
         return st.tuples(numbers(float, "> 0"), numbers(float, "> 0"),
                          st.floats(-1e6, 0, exclude_max=True)).map(list)
     return st.lists(st.fixed_dictionaries({"name": st.text(max_size=5),
-                                           "twh": numbers(float, "> 0")}), max_size=3)
+                                           "twh": numbers(float, "> 0")}),
+                    max_size=3, unique_by=lambda bench: bench["name"])
 
 
 def put(config, path, value):
@@ -248,7 +252,12 @@ def faults_at(path):
                    ([{"name": 3, "twh": 1.0}],
                     "config: benchmarks[0].name must be a string, got 3"),
                    ([{"name": "X", "twh": False}],
-                    "config: benchmarks[0].twh must be a finite number, got False")]
+                    "config: benchmarks[0].twh must be a finite number, got False"),
+                   ([{"name": "X", "twh": 0}], "config: benchmarks[0].twh must be > 0, got 0.0"),
+                   ([{"name": "CBS", "twh": -30.6}],
+                    "config: benchmarks[0].twh must be > 0, got -30.6"),
+                   ([{"name": "PBL", "twh": 33.6}, {"name": "PBL", "twh": 1.0}],
+                    "config: benchmarks lists 'PBL' twice")]
     return faults
 
 
@@ -337,15 +346,78 @@ def test_every_record_field_has_one_rule():
         assert default._asdict() == record._field_defaults, path
 
 
-@pytest.mark.parametrize("path", sorted(RECORD_FIELDS))
+def without_none(kind):
+    """(``kind``, an "X | None" kind read as X; whether it was one)."""
+    args = typing.get_args(kind)
+    return (args[0], True) if args[1:] == (type(None),) else (kind, False)
+
+
+# Each record a file fills, built with its defaults, and its error class: the
+# config's records by their config path, and the records the config and
+# scaling files fill whole by their names.
+BUILT = {**{path: (record(), OptimizeError if record is GAConfig else GenerationError)
+            for path, record in RECORDS.items()},
+         "SimulationConfig": (default_config(), ConfigError),
+         "Benchmark": (DEFAULT_BENCHMARKS[0], ConfigError),
+         "ScalingFixture": (default_config().scaling_fixture, ScalingError)}
+BUILT_FIELDS = sorted(f"{label}.{name}" for label, (built, _) in BUILT.items()
+                      for name, kind, *_ in built._rows if without_none(kind)[0] in (int, float, str))
+
+
+@pytest.mark.parametrize("path", BUILT_FIELDS)
 def test_every_record_field_rejects_its_faults(path):
-    # from Python, each record raises its own error class, naming only the field
-    record, kind, constraint = RECORD_FIELDS[path]
-    name = path.rpartition(".")[2]
-    error = OptimizeError if record is GAConfig else GenerationError
+    # from Python, each record raises its own error class, naming only the
+    # field; `_replace` builds through the constructor, so a derived config or
+    # scaling fixture is checked by the same rows as a file
+    label, _, name = path.rpartition(".")
+    built, error = BUILT[label]
+    _, kind, constraint, *_ = built._rows[built._fields.index(name)]
+    kind, optional = without_none(kind)
     for value, message in scalar_faults(name, kind, constraint):
-        with pytest.raises(error, match=f"^{re.escape(message)}$"):
-            record(**{name: value})
+        if not (optional and value is None):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                built._replace(**{name: value})
+
+
+# The rows that fill a scalar SimulationConfig field: config path -> field
+SCALAR_ROWS = {path: target for path, kind, _, target in _SCHEMA
+               if kind in (int, float, bool, str) and target in SimulationConfig._fields}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_file_and_constructor_agree(data):
+    # a valid draw gives one config either way; a fault is rejected either way,
+    # by the file with its key path and from Python with its field
+    config, fields = {}, {}
+    for path in data.draw(st.lists(st.sampled_from(sorted(SCALAR_ROWS)), unique=True)):
+        value = fields[SCALAR_ROWS[path]] = data.draw(valid_value(path, *ROWS[path]), label=path)
+        put(config, path, value)
+    assert load(config) == default_config()._replace(**fields)
+    path = data.draw(st.sampled_from(sorted(SCALAR_ROWS)))
+    field = SCALAR_ROWS[path]
+    faults = list(zip(scalar_faults(path, *ROWS[path]), scalar_faults(field, *ROWS[path])))
+    (value, from_file), (_, from_python) = data.draw(st.sampled_from(faults))
+    with pytest.raises(ConfigError) as raised:
+        load(with_fault(config, path, value))
+    assert str(raised.value) == f"config: {from_file}"
+    with pytest.raises(ConfigError) as raised:
+        default_config()._replace(**{**fields, field: value})
+    assert str(raised.value) == from_python
+
+
+# The keys that fill a field with what `_resolve` reads from the file they name
+FILE_KEYS = {"calendar", "scaling"}
+
+
+def test_every_key_that_fills_a_field_reads_as_its_row():
+    # the tables only place keys: a key that fills a field states no kind or
+    # constraint of its own
+    for rows, record in ((_SCHEMA, SimulationConfig), (scaling._SCHEMA, ScalingFixture)):
+        for path, kind, constraint, target in rows:
+            if target in record._fields and path not in FILE_KEYS:
+                _, field_kind, field_constraint, *_ = record._rows[record._fields.index(target)]
+                assert (kind, constraint) == (without_none(field_kind)[0], field_constraint), path
 
 
 def as_json(value):
