@@ -29,12 +29,9 @@ class OptimizeError(ValidationError):
 
 
 def check_weights(weights, error: type[Exception]) -> None:
-    """Raise ``error`` unless the objective weights are three finite numbers that
-    penalise both mismatches and reward utilisation."""
-    if not isinstance(weights, (tuple, list)) or len(weights) != 3:
-        raise error(f"weights must be three numbers, got {weights!r}")
-    p_pos, p_neg, p_ren = (ingest._check(f"weights[{i}]", value, float, None, error)
-                           for i, value in enumerate(weights))
+    """Raise ``error`` unless the three objective weights penalise both
+    mismatches and reward utilisation."""
+    p_pos, p_neg, p_ren = weights
     if p_pos <= 0 or p_neg <= 0 or p_ren >= 0:
         raise error(f"weights must satisfy p_pos > 0, p_neg > 0, p_ren < 0, got {weights}")
 
@@ -75,9 +72,9 @@ DEFAULT_BENCHMARKS = (
 class SimulationConfig(checked_record(ConfigError,
                                      ("calendar", Calendar, None),
                                      ("scaling_fixture", ScalingFixture, None),
-                                     ("weather_path", Path, None, None),
-                                     ("household_profile_path", Path, None, None),
-                                     ("reference_profile_dir", Path, None, None),
+                                     ("weather_path", Path | None, None, None),
+                                     ("household_profile_path", Path | None, None, None),
+                                     ("reference_profile_dir", Path | None, None, None),
                                      ("households", int, "> 0", 100_000),
                                      ("household_annual_kwh", float, "> 0", 3500.0),
                                      ("real_inputs", bool, None, False),
@@ -98,8 +95,8 @@ class SimulationConfig(checked_record(ConfigError,
                                      ("sign_convention", str, SIGN_CONVENTIONS, "magnitude-neg"),
                                      ("ga", GAConfig, None, GAConfig()),
                                      ("benchmarks", [Benchmark], None, DEFAULT_BENCHMARKS))):
-    """A run's settings, each field checked by its row, the weights and the
-    benchmark names by `_rules`."""
+    """A run's settings, each field checked by its row; the weights' signs, the
+    benchmark names and the service roofs' building types by `_rules`."""
 
     __slots__ = ()
 
@@ -109,6 +106,15 @@ class SimulationConfig(checked_record(ConfigError,
         for name in names:
             if names.count(name) > 1:
                 raise ConfigError(f"benchmarks lists {name!r} twice")
+        # an empty map means the fixture's roof areas; any other gives exactly its building types
+        roofs, buildings = self.area.service_roofs, self.scaling_fixture.roof_areas()
+        missing = [name for name in buildings if name not in roofs]
+        if roofs and missing:
+            raise ConfigError(f"area.service_roofs.{missing[0]} is missing")
+        unknown = [name for name in roofs if name not in buildings]
+        if unknown:
+            raise ConfigError(f"area.service_roofs.{unknown[0]} is not a building type of "
+                              f"the scaling fixture {self.scaling_fixture.name!r}")
 
     @property
     def year(self) -> int:
@@ -163,17 +169,7 @@ def _resolve(raw: dict, base_dir: Path) -> SimulationConfig:
         raise ConfigError(f"config year {year} does not match calendar year {calendar.year}")
     scaling_file = kwargs.get("scaling_fixture", _BUILTIN_SCALING)
     with _config_error(f"cannot read scaling file {scaling_file}", ScalingError):
-        fixture = kwargs["scaling_fixture"] = load_scaling_fixture(scaling_file)
-    # an empty map means the fixture's roof areas; any other gives exactly its building types
-    roofs = kwargs["area"].service_roofs if "area" in kwargs else {}
-    names = [spec.name for spec in fixture.specs]
-    missing = [name for name in names if name not in roofs]
-    if roofs and missing:
-        raise ConfigError(f"config: area.service_roofs.{missing[0]} is missing")
-    unknown = [name for name in roofs if name not in names]
-    if unknown:
-        raise ConfigError(f"config: area.service_roofs.{unknown[0]} is not a building type "
-                          f"of the scaling file {scaling_file}")
+        kwargs["scaling_fixture"] = load_scaling_fixture(scaling_file)
     with _config_error("config", ConfigError):
         return SimulationConfig(**kwargs)
 

@@ -10,12 +10,10 @@ from __future__ import annotations
 import math
 import sys
 from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
-from .ingest import (MIN_TEMP_C, ValidationError, WeatherFrame, _check_entries, _read_only,
-                     checked_record)
+from .ingest import MIN_TEMP_C, ValidationError, WeatherFrame, _read_only, checked_record
 from .scaling import round_half_away
 
 R_DRY_AIR = 287.05          # J/(kg K)
@@ -74,7 +72,7 @@ class PvParams(checked_record(GenerationError,
                              ("noct_offset_c", float, None, 27.0),
                              ("panel_area_m2", float, "> 0", 0.556),
                              ("model", str, ("linear-derate", "single-diode"), "linear-derate"),
-                             ("diode", SingleDiodeParams, None, None))):
+                             ("diode", SingleDiodeParams | None, None, None))):
     """Flat-plate PV parameters (datasheet values supplied as config).
 
     Defaults describe a 60 W, 0.556 m² crystalline module: 107.9 W/m² rated
@@ -85,22 +83,14 @@ class PvParams(checked_record(GenerationError,
 
     __slots__ = ()
 
-    def _rules(self):
-        if self.diode is not None and not isinstance(self.diode, SingleDiodeParams):
-            raise GenerationError("diode must be SingleDiodeParams or None, "
-                                  f"got {type(self.diode).__name__}")
-
 
 class AreaBudget(checked_record(GenerationError,
                                ("household_roof_m2_each", float, "> 0", 33.0),
                                # building type -> roof m²; empty: the scaling fixture's
-                               ("service_roofs", Mapping, None, MappingProxyType({})),
+                               ("service_roofs", dict[str, float], ">= 0", MappingProxyType({})),
                                ("phi_area", float, ">= 1", 3.0),
                                ("turbine_footprint_km2_per_mw", float, "> 0", 0.345))):
     __slots__ = ()
-
-    def _rules(self):
-        _check_entries("service_roofs", self.service_roofs, float, ">= 0", GenerationError)
 
     def footprint_m2_per_turbine(self, turbine_unit_mw: float) -> float:
         return self.turbine_footprint_km2_per_mw * 1e6 * turbine_unit_mw
@@ -140,7 +130,7 @@ def _single_diode_mpp(ghi: np.ndarray, t_cell: np.ndarray,
     """
     t_kelvin = t_cell + 273.15
     vt_module = diode.n_cells * diode.ideality * 1.380649e-23 * t_kelvin / 1.602176634e-19
-    t_delta = (t_kelvin - 273.15) - STC_CELL_TEMP
+    t_delta = t_cell - STC_CELL_TEMP
     i_ph = diode.isc_a * (ghi / STC_IRRADIANCE) * (1.0 + diode.isc_temp_coeff / diode.isc_a * t_delta)
     voc = diode.voc_v + diode.voc_temp_coeff * t_delta
     mpp = np.zeros(len(ghi))

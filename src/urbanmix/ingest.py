@@ -12,11 +12,13 @@ from __future__ import annotations
 import calendar as _stdcal
 import collections
 import collections.abc
+import contextlib
 import csv
 import datetime as dt
 import json
 import operator
 import sys
+import types
 import typing
 import warnings
 from functools import cached_property
@@ -56,9 +58,9 @@ class IngestError(ValidationError):
 _SCALARS = {int: (int, "an integer", None), float: ((int, float), "a finite number", float),
             bool: (bool, "true or false", None), str: (str, "a string", None),
             Path: (str, "a file name", None),
-            dt.date: (str, "an ISO date", dt.date.fromisoformat),
-            dt.datetime: (str, "an ISO date and time", dt.datetime.fromisoformat)}
-_RECORD_SCALARS = (int, float, bool, str, dt.date, dt.datetime)  # what `checked_record` checks
+            dt.date: ((str, dt.date), "an ISO date", dt.date.fromisoformat),
+            dt.datetime: ((str, dt.datetime), "an ISO date and time", dt.datetime.fromisoformat)}
+_RECORD_SCALARS = (int, float, bool, str, dt.date, dt.datetime)  # the kinds `_field` reads by `_check`
 _COMPARISONS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
 
@@ -77,18 +79,18 @@ def _within(value, constraint):
 
 
 def _check(name: str, value, kind, constraint, error: type[Exception]):
-    """``value`` read as ``kind`` (an int is read as a float for float, an ISO
-    string as a date or datetime); raises ``error`` with one line naming ``name``
-    unless it is a ``kind`` that meets ``constraint``. A number is finite, and a
-    bool is not one. Every config schema row and every scalar field of a
-    `checked_record` is checked here."""
+    """``value`` read as ``kind`` (an int as a float for float, an ISO string or
+    a value of the kind as a date or datetime); raises ``error`` with one line
+    naming ``name`` unless it is a ``kind`` that meets ``constraint``. A number
+    is finite, and a bool is not one. Every config schema row and every scalar
+    field of a `checked_record` is checked here."""
     accepts, noun, parse = _SCALARS[kind]
     try:
         if not isinstance(value, accepts) or (kind in (int, float) and (
                 isinstance(value, bool) or not abs(value) <= sys.float_info.max)):
             raise ValueError
-        value = value if parse is None else parse(value)
-    except ValueError:
+        value = value if parse is None or type(value) is kind else parse(value)
+    except (TypeError, ValueError):  # TypeError: a datetime given for a date
         raise error(f"{name} must be {noun}, got {value!r}") from None
     if constraint is not None and not _within(value, constraint):
         allowed = f"one of {constraint}" if isinstance(constraint, tuple) else constraint
@@ -96,46 +98,66 @@ def _check(name: str, value, kind, constraint, error: type[Exception]):
     return value
 
 
-def _check_entries(name: str, entries, kind, constraint, error: type[Exception]) -> None:
-    """Raise ``error`` unless ``entries`` maps names to ``kind`` values that meet
-    ``constraint``, each checked by `_check` under the name "<name>.<key>"."""
-    if not (isinstance(entries, collections.abc.Mapping)
-            and all(isinstance(key, str) for key in entries)):
-        raise error(f"{name} must map names to numbers, got {entries!r}")
-    for key, value in entries.items():
-        _check(f"{name}.{key}", value, kind, constraint, error)
+def _entries(name: str, value, constraint, read, error: type[Exception]) -> tuple:
+    """``value``, a list or tuple of ``constraint`` entries (any number when it is
+    None), each read by ``read("<name>[i]", entry)``, as a tuple."""
+    if not isinstance(value, (list, tuple)) or constraint not in (None, len(value)):
+        size = f" of {constraint} values" if constraint else ""
+        raise error(f"{name} must be a list{size}, got {value!r}")
+    return tuple(read(f"{name}[{i}]", entry) for i, entry in enumerate(value))
 
 
-def _without_none(kind):
-    """(``kind``, an "X | None" kind read as X; whether it was one)."""
-    optional = typing.get_args(kind)[1:] == (type(None),)
-    return (typing.get_args(kind)[0] if optional else kind), optional
+def _field(name: str, value, kind, constraint, error: type[Exception]):
+    """``value`` read as a `checked_record` field of ``kind`` under ``constraint``;
+    raises ``error`` with one line naming ``name`` unless it is one. A union takes
+    None if it names it, else the first of its other kinds that takes the value
+    (an "int | float" field keeps an int); a list [X] reads `_entries` of X, and
+    a dict[str, X], kept as given, maps names to X values, each named "<name>.<key>".
+    """
+    if isinstance(kind, types.UnionType):
+        kinds = typing.get_args(kind)
+        if value is None and type(None) in kinds:
+            return None
+        *others, last = [other for other in kinds if other is not type(None)]
+        for other in others:
+            with contextlib.suppress(error):
+                return _field(name, value, other, constraint, error)
+        return _field(name, value, last, constraint, error)
+    if isinstance(kind, list):
+        return _entries(name, value, constraint,
+                        lambda at, entry: _field(at, entry, kind[0], None, error), error)
+    if typing.get_origin(kind) is dict:
+        if not (isinstance(value, collections.abc.Mapping)
+                and all(isinstance(key, str) for key in value)):
+            raise error(f"{name} must map names to numbers, got {value!r}")
+        for key, entry in value.items():
+            _check(f"{name}.{key}", entry, typing.get_args(kind)[1], constraint, error)
+        return value
+    if kind in _RECORD_SCALARS:
+        return _check(name, value, kind, constraint, error)
+    if not isinstance(value, kind):  # any other class
+        raise error(f"{name} must be {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 def checked_record(error: type[Exception], *rows):
     """The base of a record class with one field per (field, kind, constraint,
     default) row; a row without a default is a field every caller gives.
 
-    The constructor reads each int, float, bool, str, date or datetime field
-    (the last two given as ISO strings), and each such field that may be None
-    (an "X | None" row) unless it is None, with `_check` under its row's
-    constraint, keeps the value `_check` returns (so a float field holds a
-    float, and a date field a date), and then runs the class's `_rules`, which
-    check what no single row can state. Any other kind only documents its
-    field. `_make` and `_replace` build through the constructor, so a derived
-    record is checked too (and so takes a date field as an ISO string again).
+    The constructor reads each field with `_field` under its row's kind and
+    constraint, keeps the value it returns (so a float field holds a float, a
+    date field a date, and a list field a tuple), and then runs the class's
+    `_rules`, which check what no single row can state. `_make` and `_replace`
+    build through the constructor, so a derived record is checked too.
     """
     base = collections.namedtuple("Record", [row[0] for row in rows],
                                   defaults=[row[3] for row in rows if len(row) > 3])
     bind = base.__new__
-    checks = [(name, *_without_none(kind), constraint) for name, kind, constraint, *_ in rows]
 
     def __new__(cls, *args, **kwargs):
-        given = zip(checks, bind(cls, *args, **kwargs))
-        self = tuple.__new__(cls, [
-            value if kind not in _RECORD_SCALARS or (optional and value is None)
-            else _check(name, value, kind, constraint, error)
-            for (name, kind, optional, constraint), value in given])
+        self = tuple.__new__(cls, [_field(name, value, kind, constraint, error)
+                                   for (name, kind, constraint, *_), value
+                                   in zip(rows, bind(cls, *args, **kwargs))])
         self._rules()
         return self
 
@@ -158,12 +180,9 @@ def _object(path: str, value, error: type[Exception]) -> dict:
 def _read(path: str, value, kind, constraint, base_dir: Path, error: type[Exception]):
     """``value`` read as ``kind``; raises ``error`` with one line naming ``path``
     if it is not one."""
-    if isinstance(kind, list):  # a list of kind[0] values, read into a tuple
-        if not isinstance(value, list) or constraint not in (None, len(value)):
-            size = f" of {constraint} values" if constraint else ""
-            raise error(f"{path} must be a list{size}, got {value!r}")
-        return tuple(_read(f"{path}[{i}]", item, kind[0], None, base_dir, error)
-                     for i, item in enumerate(value))
+    if isinstance(kind, list):  # a list of kind[0] values
+        return _entries(path, value, constraint,
+                        lambda at, item: _read(at, item, kind[0], None, base_dir, error), error)
     if issubclass(kind, tuple):  # a record, which checks its own fields
         given = _object(path, value, error)
         unknown = sorted(f"{path}.{key}" for key in given.keys() - set(kind._fields))
@@ -223,8 +242,8 @@ def _field_rows(record, *places):
     as X: `_read` takes no union) and the constraint of the field's row, and a
     path alone fills the field its last key names; a key that fills no field
     gives its whole (path, kind, constraint, target) row."""
-    fields = {name: (_without_none(kind)[0], constraint)
-              for name, kind, constraint, *_ in record._rows}
+    fields = {name: (typing.get_args(kind)[0] if isinstance(kind, types.UnionType) else kind,
+                     constraint) for name, kind, constraint, *_ in record._rows}
     places = [(place, place.rpartition(".")[2]) if isinstance(place, str) else place
               for place in places]
     return tuple(place if len(place) == 4 else (place[0], *fields[place[1]], place[1])

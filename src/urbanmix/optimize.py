@@ -29,7 +29,7 @@ class MixProblem(checked_record(OptimizeError,
                                ("load_mw", np.ndarray, None),    # MW
                                ("a_roof_m2", float, "> 0"),
                                ("phi_area", float, ">= 1", 3.0),
-                               ("weights", tuple, None, (1.0, 1.0, -5.0)),
+                               ("weights", [float], 3, (1.0, 1.0, -5.0)),
                                ("turbine_footprint_m2", float, "> 0", 172500.0),
                                ("pv_rated_wm2", float, "> 0", 107.9),
                                ("sign_convention", str, SIGN_CONVENTIONS, "magnitude-neg"),

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
-from .ingest import ValidationError, _check, _check_entries, _field_rows, _read_json, checked_record
+from .ingest import ValidationError, _field_rows, _read_json, checked_record
 
 HOUSEHOLDS_PER_100K = 75.9
 
@@ -62,9 +62,8 @@ class OfficeBand(checked_record(ScalingError,
                                # midpoint unless given; an open-ended band must give it
                                ("avg_m2", float | None, "> 0", None),
                                ("published_count", int | None, ">= 0", None),
-                               # checked by _rules and kept as given, an int as an int:
-                               # scale_office_bands.csv writes it as read
-                               ("published_area_m2", int | float | None, None, None))):
+                               # an int kept as an int: scale_office_bands.csv writes it as read
+                               ("published_area_m2", int | float | None, ">= 0", None))):
     """One floor-area band of the office stock distribution."""
 
     __slots__ = ()
@@ -75,8 +74,6 @@ class OfficeBand(checked_record(ScalingError,
         if self.max_m2 is None and self.avg_m2 is None:
             raise ScalingError("avg_m2 is missing: an open-ended band (max_m2 null) "
                                "needs its average area")
-        if self.published_area_m2 is not None:
-            _check("published_area_m2", self.published_area_m2, float, ">= 0", ScalingError)
 
     def average_area(self) -> float:
         return self.avg_m2 if self.avg_m2 is not None else (self.min_m2 + self.max_m2) / 2.0
@@ -119,14 +116,14 @@ def office_band_counts(bands, total_used_area: float) -> list[OfficeBandResult]:
 class BuildingScalingSpec(checked_record(ScalingError,
                                         ("name", str, None),
                                         ("method", str, METHODS),
-                                        ("local", Mapping, None),  # input name -> number
-                                        ("reference", Mapping, None),
+                                        ("local", dict[str, float], "> 0"),  # input name -> number
+                                        ("reference", dict[str, float], "> 0"),
                                         ("roof_area_m2", float, "> 0"),
                                         ("quantity", str, None, ""),
                                         ("published_national", int | None, ">= 0", None),
                                         ("published_per_100k", int | None, ">= 0", None),
                                         ("alt_published_per_100k", int | None, ">= 0", None),
-                                        ("breakdown", Mapping | None, None, None),
+                                        ("breakdown", dict[str, int] | None, ">= 0", None),
                                         ("notes", str, None, ""))):
     """Declarative scaling recipe for one service-sector consumer type.
 
@@ -143,15 +140,12 @@ class BuildingScalingSpec(checked_record(ScalingError,
     def _rules(self):
         for side, names in zip(("local", "reference"), _METHODS[self.method][:2]):
             inputs = getattr(self, side)
-            _check_entries(side, inputs, float, "> 0", ScalingError)
             for key in inputs:
                 if key not in names:
                     raise ScalingError(f"{side}.{key} is not an input of the {self.method} method")
             for key in names:
                 if key not in inputs:
                     raise ScalingError(f"{side}.{key} is missing")
-        if self.breakdown is not None:
-            _check_entries("breakdown", self.breakdown, int, ">= 0", ScalingError)
 
 
 def recomputed_national(spec: BuildingScalingSpec) -> float:
@@ -176,7 +170,7 @@ def build_service_mix(fixture: ScalingFixture) -> dict[str, int]:
 class ScalingFixture(checked_record(ScalingError,
                                    ("name", str, None),
                                    ("households_per_100k", float, "> 0"),
-                                   ("specs", [BuildingScalingSpec], None),
+                                   ("specs", [BuildingScalingSpec], None, ()),
                                    ("office_bands", [OfficeBand], None, ()),
                                    ("office_total_used_area_m2", float | None, "> 0", None),
                                    ("documented_inconsistencies", [str], None, ()))):
@@ -185,6 +179,8 @@ class ScalingFixture(checked_record(ScalingError,
     __slots__ = ()
 
     def _rules(self):
+        if not self.specs:
+            raise ScalingError("buildings must list at least one building type")
         names = [spec.name for spec in self.specs]
         for name in names:
             if names.count(name) > 1:
@@ -225,7 +221,5 @@ def load_scaling_fixture(path) -> ScalingFixture:
     """Read a scaling file: a JSON object with the keys of `_SCHEMA`."""
     path = Path(path)
     fields = _read_json(path, _SCHEMA, ScalingError)
-    if not fields.get("specs"):
-        raise ScalingError("buildings must list at least one building type")
     return ScalingFixture(**{"name": path.stem, "households_per_100k": HOUSEHOLDS_PER_100K,
                              **fields})

@@ -72,8 +72,8 @@ def test_service_roofs_must_cover_the_fixture(tmp_path):
                        match=exactly("config: area.service_roofs.hospital is missing")):
         load_config(write(tmp_path, {"area": {"service_roofs": {"office": 10}}}))
     roofs = default_config().scaling_fixture.roof_areas()
-    with pytest.raises(ConfigError, match="^config: area.service_roofs.office is not a "
-                                          "building type of the scaling file "):
+    with pytest.raises(ConfigError, match=exactly("config: area.service_roofs.office is not a "
+                                                  "building type of the scaling fixture 'nl2014'")):
         load_config(write(tmp_path, {"area": {"service_roofs": {**roofs, "office": 10.0}}}))
     for given in ({}, roofs):
         config = load_config(write(tmp_path, {"area": {"service_roofs": given}}))

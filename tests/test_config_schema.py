@@ -239,7 +239,7 @@ def faults_at(path):
                    ({"office": 10}, "config: area.service_roofs.hospital is missing"),
                    ({**dict.fromkeys(BUILDING_TYPES, 1.0), "school": 1.0},
                     "config: area.service_roofs.school is not a building type of the "
-                    f"scaling file {_BUILTIN_SCALING}")]
+                    "scaling fixture 'nl2014'")]
     if kind == [float]:
         faults += [("x", "config: weights must be a list of 3 values, got 'x'"),
                    ([1.0, 2.0], "config: weights must be a list of 3 values, got [1.0, 2.0]"),
@@ -336,9 +336,7 @@ def test_scale_on_drawn_configs_exits_0_or_1(draw):
 
 
 def test_every_record_field_has_one_rule():
-    # each scalar row's default is a value of its kind that meets its
-    # constraint; diode and service_roofs are not scalars, and their records
-    # check them by hand
+    # each scalar row's default is a value of its kind that meets its constraint
     for path, record in RECORDS.items():
         default = record()
         for (name, kind, *_), value in zip(record._rows, default):

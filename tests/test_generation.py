@@ -153,9 +153,9 @@ def test_single_diode_monotonic_in_irradiance():
 
 def diode_operating_point(ghi, temp, params, diode):
     """(photocurrent A, open-circuit V, module thermal voltage V) for one hour."""
-    t_cell = cell_temperature(temp, ghi, params) + 273.15
-    vt_module = diode.n_cells * diode.ideality * 1.380649e-23 * t_cell / 1.602176634e-19
-    t_delta = (t_cell - 273.15) - STC_CELL_TEMP
+    t_cell = cell_temperature(temp, ghi, params)
+    vt_module = diode.n_cells * diode.ideality * 1.380649e-23 * (t_cell + 273.15) / 1.602176634e-19
+    t_delta = t_cell - STC_CELL_TEMP
     i_ph = diode.isc_a * (ghi / STC_IRRADIANCE) * (1.0 + diode.isc_temp_coeff / diode.isc_a * t_delta)
     voc = diode.voc_v + diode.voc_temp_coeff * t_delta
     return i_ph, voc, vt_module
@@ -197,7 +197,7 @@ def test_single_diode_year_matches_mpmath_reference(weather2014, diode):
 
 def test_single_diode_year_sum_pinned(weather2014):
     series = pv_unit_series(weather2014, PvParams(model="single-diode"))
-    assert float(series.sum()) == 109164.96500162831
+    assert float(series.sum()) == 109164.96500162833
 
 
 @st.composite
@@ -242,6 +242,17 @@ def test_single_diode_kernel_matches_mpmath_reference(diode, n_hours, seed, data
     got = _single_diode_mpp(ghi, t_cell, diode) / params.panel_area_m2
     assert np.isnan(got).tolist() == np.isnan(ghi).tolist()
     assert_matches_reference(got, ghi, temp, params)
+
+
+def test_single_diode_kernel_keeps_the_cell_temperature_in_celsius():
+    # V_oc nearly cancels in this hour, so one ulp lost by taking the cell
+    # temperature to kelvin and back put the kernel 2e-12 from the reference
+    diode = SingleDiodeParams(isc_a=1.0, voc_v=0.345, n_cells=1, ideality=1.0, rs_ohm=0.5,
+                              isc_temp_coeff=0.0, voc_temp_coeff=-0.0048356948131078594)
+    params = PvParams(model="single-diode", diode=diode)
+    ghi, temp = np.array([538.0]), np.array([78.15625])
+    got = _single_diode_mpp(ghi, cell_temperature(temp, ghi, params), diode)
+    assert_matches_reference(got / params.panel_area_m2, ghi, temp, params)
 
 
 def test_wind_year_matches_per_hour_power(weather2014, wind_unit):

@@ -49,10 +49,11 @@ def test_weight_sign_validation():
         tiny_problem(weights=(float("nan"), 1.0, -5.0))
     with pytest.raises(OptimizeError, match=r"^weights\[2\] must be a finite number, got -inf$"):
         tiny_problem(weights=(1.0, 1.0, float("-inf")))
-    with pytest.raises(OptimizeError, match=r"^weights must be three numbers, "
+    with pytest.raises(OptimizeError, match=r"^weights must be a list of 3 values, "
                                             r"got \(1\.0, 1\.0, -5\.0, 0\.0\)$"):
         tiny_problem(weights=(1.0, 1.0, -5.0, 0.0))
-    with pytest.raises(ConfigError, match=r"^weights must be three numbers, got \(1\.0, 1\.0\)$"):
+    with pytest.raises(ConfigError,
+                       match=r"^weights must be a list of 3 values, got \(1\.0, 1\.0\)$"):
         default_config()._replace(weights=(1.0, 1.0))
 
 
