@@ -21,8 +21,7 @@ _EXPORTS = {
     "demand": ("MIXED", "RESIDENTIAL_ONLY", "build_load_cases"),
     "generation": ("AreaBudget", "PvParams", "TurbineParams", "capacity_coefficients",
                    "generation_mw", "pv_unit_series", "wind_unit_series"),
-    "ingest": ("Calendar", "IngestError", "WeatherFrame", "build_calendar", "load_profile",
-               "load_weather"),
+    "ingest": ("Calendar", "IngestError", "WeatherFrame", "load_profile", "load_weather"),
     "metrics": ("AggregateMetrics", "HourlySplit", "annual_metrics", "delta_mismatch",
                 "hourly_split"),
     "optimize": ("MixProblem", "MixSolution", "ga_optimize", "grid_oracle"),

@@ -48,15 +48,13 @@ def all_category_keys() -> tuple[CategoryKey, ...]:
     )
 
 
-class BinEdges(checked_record(ClassifyError,
-                             ("solar_edges", tuple, None),  # four percent-of-capacity edges
-                             ("wind_edges", tuple, None))):
+class BinEdges(checked_record(ClassifyError,  # percent-of-capacity quantile edges
+                             ("solar_edges", [float], len(QUANTILE_LEVELS)),
+                             ("wind_edges", [float], len(QUANTILE_LEVELS)))):
     __slots__ = ()
 
     def _rules(self):
         for edges in (self.solar_edges, self.wind_edges):
-            if len(edges) != len(QUANTILE_LEVELS):
-                raise ClassifyError(f"need {len(QUANTILE_LEVELS)} edges, got {len(edges)}")
             if list(edges) != sorted(edges):
                 raise ClassifyError("edges must be non-decreasing")
             if edges[0] < 0 or edges[-1] > 100:

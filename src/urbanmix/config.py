@@ -116,10 +116,6 @@ class SimulationConfig(checked_record(ConfigError,
             raise ConfigError(f"area.service_roofs.{unknown[0]} is not a building type of "
                               f"the scaling fixture {self.scaling_fixture.name!r}")
 
-    @property
-    def year(self) -> int:
-        return self.calendar.year
-
     def with_seed(self, seed: int) -> "SimulationConfig":
         return self._replace(seed=seed)
 
@@ -162,8 +158,7 @@ def _resolve(raw: dict, base_dir: Path) -> SimulationConfig:
     year = kwargs.pop("year", None)
     calendar_file = kwargs.get("calendar", _BUILTIN_CALENDAR if year in (None, 2014) else None)
     with _config_error(f"cannot read calendar file {calendar_file}", IngestError):
-        calendar = kwargs["calendar"] = (ingest.build_calendar(year, holidays=())
-                                         if calendar_file is None
+        calendar = kwargs["calendar"] = (Calendar(year=year) if calendar_file is None
                                          else ingest.load_calendar_config(calendar_file))
     if year is not None and year != calendar.year:
         raise ConfigError(f"config year {year} does not match calendar year {calendar.year}")
@@ -194,15 +189,10 @@ def default_config() -> SimulationConfig:
 class ModelInputs(NamedTuple):
     """Everything the experiments need, assembled from one configuration."""
     config: SimulationConfig
-    calendar: Calendar
     weather: WeatherFrame
     service_mix: dict  # building type -> per-100k count
     household: np.ndarray  # kW, one read-only value per calendar hour
     service: np.ndarray    # kW, the service mix's reference profiles summed
-
-    @property
-    def seed(self) -> int:
-        return self.config.seed
 
 
 def assemble_weather(config: SimulationConfig) -> WeatherFrame:
@@ -254,5 +244,4 @@ def assemble(config: SimulationConfig) -> ModelInputs:
     bare configuration is still runnable end to end. The weather comes first,
     so a faulty weather file is reported before a faulty profile.
     """
-    return ModelInputs(config, config.calendar, assemble_weather(config),
-                       *assemble_demand(config))
+    return ModelInputs(config, assemble_weather(config), *assemble_demand(config))

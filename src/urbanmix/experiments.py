@@ -240,7 +240,7 @@ def run_experiment2(config: SimulationConfig, out_dir=None,
         pv_mw = config.mix_pv_mw
     if wind_mw is None:
         wind_mw = config.mix_wind_mw
-    calendar = prep.inputs.calendar
+    calendar = config.calendar
 
     area, turbines = capacity_coefficients(pv_mw, wind_mw, config.pv)
     # One scenario row each for PV alone, wind alone and the whole mix.

@@ -239,7 +239,7 @@ def capacity_coefficients(pv_mw: float, wind_mw: float,
     infinite capacity, or one whose area or turbine count overflows, is
     rejected.
     """
-    if not (pv_mw >= 0 and wind_mw >= 0):
+    if pv_mw < 0 or wind_mw < 0:
         raise GenerationError(
             f"capacities must be non-negative, got ({pv_mw}, {wind_mw})"
         )

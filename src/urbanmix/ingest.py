@@ -299,27 +299,41 @@ class WeatherFrame(checked_record(IngestError,
         return len(self.ghi)
 
 
+class DstTransition(checked_record(IngestError, ("at_utc", dt.datetime, None),
+                                   ("offset_hours", float, UTC_OFFSET_HOURS))):
+    """A DST transition: from the instant ``at_utc`` on, the clock runs
+    ``offset_hours`` ahead of UTC. The instant is held as an aware UTC
+    datetime; one given without an offset is read as UTC."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        at, offset_hours = super().__new__(cls, *args, **kwargs)
+        try:
+            at = (at.replace(tzinfo=dt.timezone.utc) if at.utcoffset() is None
+                  else at.astimezone(dt.timezone.utc))
+        except OverflowError:
+            raise IngestError(f"at_utc {at.isoformat()} falls outside years "
+                              f"1-{dt.MAXYEAR} in UTC") from None
+        return tuple.__new__(cls, (at, offset_hours))
+
+
 class Calendar(checked_record(IngestError,
                              ("year", int, f"in [{MIN_YEAR}, {MAX_YEAR}]"),
-                             ("holiday_dates", frozenset, None),
-                             ("base_utc_offset_hours", float, UTC_OFFSET_HOURS),
-                             ("transitions", tuple, None, ()))):
+                             ("holiday_dates", [dt.date], None, ()),
+                             ("base_utc_offset_hours", float, UTC_OFFSET_HOURS, 0.0),
+                             ("transitions", [DstTransition], None, ()))):
     """Simulation calendar: UTC hour index with local-time derivation.
 
-    ``transitions`` is a sorted tuple of (utc_instant, offset_hours_after)
-    pairs; before the first transition the offset is ``base_utc_offset_hours``.
-    Instances keep a ``__dict__`` for the cached local-time arrays.
+    ``transitions`` may be listed in any order; before the first of them the
+    clock runs ``base_utc_offset_hours`` ahead of UTC. Instances keep a
+    ``__dict__`` for the cached local-time arrays.
     """
 
     def _rules(self):
         for day in self.holiday_dates:
             if day.year != self.year:
                 raise IngestError(f"holiday {day} falls outside year {self.year}")
-        instants = [t for t, _ in self.transitions]
-        if any(t.tzinfo is None or t.utcoffset() is None for t in instants):
-            raise IngestError("DST transition instants must be timezone-aware")
-        if instants != sorted(instants):
-            raise IngestError("DST transitions must be sorted by instant")
 
     @property
     def n_hours(self) -> int:
@@ -334,9 +348,10 @@ class Calendar(checked_record(IngestError,
         """
         utc = (np.datetime64(f"{self.year:04d}-01-01T00", "us")
                + np.arange(self.n_hours) * np.timedelta64(1, "h"))
-        instants = np.array([t.astimezone(dt.timezone.utc).replace(tzinfo=None)
-                             for t, _ in self.transitions], dtype="datetime64[us]")
-        offsets = [self.base_utc_offset_hours, *(o for _, o in self.transitions)]
+        transitions = sorted(self.transitions)
+        instants = np.array([t.replace(tzinfo=None) for t, _ in transitions],
+                            dtype="datetime64[us]")
+        offsets = [self.base_utc_offset_hours, *(o for _, o in transitions)]
         offsets_us = np.array([dt.timedelta(hours=o) // dt.timedelta(microseconds=1)
                                for o in offsets], dtype="timedelta64[us]")
         return utc + offsets_us[np.searchsorted(instants, utc, side="right")]
@@ -373,46 +388,11 @@ class Calendar(checked_record(IngestError,
         return self.is_weekend_day
 
 
-class DstTransition(checked_record(IngestError, ("at_utc", dt.datetime, None),
-                                   ("offset_hours", float, UTC_OFFSET_HOURS))):
-    """A DST transition of a calendar file: from the ISO date and time
-    ``at_utc`` (read as UTC unless it names an offset) the clock runs
-    ``offset_hours`` ahead of UTC."""
-
-    __slots__ = ()
-
-
-# The keys of a calendar file, one row each: (path, kind, constraint,
-# `build_calendar` argument), read by `_read_rows`. `Calendar`'s rows check the
-# ranges of the year and the base offset.
-_CALENDAR_SCHEMA = (
-    ("year", int, None, "year"),
-    ("description", str, None, None),  # checked, not kept
-    ("holidays", [dt.date], None, "holidays"),
-    ("base_utc_offset_hours", float, None, "base_utc_offset_hours"),
-    ("dst_transitions", [DstTransition], None, "dst_transitions"),
-)
-
-
-def build_calendar(year: int, holidays, base_utc_offset_hours: float = 0.0,
-                   dst_transitions=()) -> Calendar:
-    """Build a calendar from ``datetime.date`` holidays and (instant, offset)
-    DST transitions, where a naive ``datetime`` instant is read as UTC."""
-    transitions = []
-    for when, offset in dst_transitions:
-        offset = _check("offset_hours", offset, float, UTC_OFFSET_HOURS, IngestError)
-        if when.tzinfo is not None:
-            when = when.astimezone(dt.timezone.utc)
-        else:
-            when = when.replace(tzinfo=dt.timezone.utc)
-        transitions.append((when, offset))
-    transitions.sort(key=lambda pair: pair[0])
-    return Calendar(
-        year=year,
-        holiday_dates=frozenset(holidays),
-        base_utc_offset_hours=base_utc_offset_hours,
-        transitions=tuple(transitions),
-    )
+# The keys of a calendar file and the `Calendar` field each fills, read by
+# `_read_rows` with that field's kind and constraint.
+_CALENDAR_SCHEMA = _field_rows(
+    Calendar, "year", ("description", str, None, None),  # checked, not kept
+    ("holidays", "holiday_dates"), "base_utc_offset_hours", ("dst_transitions", "transitions"))
 
 
 def load_calendar_config(path) -> Calendar:
@@ -420,7 +400,7 @@ def load_calendar_config(path) -> Calendar:
     fields = _read_json(path, _CALENDAR_SCHEMA, IngestError)
     if "year" not in fields:
         raise IngestError("year is missing")
-    return build_calendar(**{"holidays": (), **fields})
+    return Calendar(**fields)
 
 
 def _data_lines(path: Path) -> list[tuple[int, str]]:

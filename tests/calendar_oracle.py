@@ -14,9 +14,9 @@ def utc_time(calendar, hour_index: int) -> dt.datetime:
 
 def offset_hours_at(calendar, utc_instant: dt.datetime) -> float:
     """The UTC offset in force at the instant: the base offset, or that of the
-    last transition at or before it."""
+    last transition at or before it, the transitions taken in order of instant."""
     offset = calendar.base_utc_offset_hours
-    for instant, new_offset in calendar.transitions:
+    for instant, new_offset in sorted(calendar.transitions):
         if utc_instant >= instant:
             offset = new_offset
         else:

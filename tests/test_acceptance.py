@@ -23,7 +23,7 @@ from urbanmix.config import default_config
 from urbanmix.demand import build_load_cases
 from urbanmix.experiments import _SUMS, capacity_axis, prepare, run_experiment1
 from urbanmix.generation import TurbineParams, capacity_coefficients, generation_mw
-from urbanmix.ingest import build_calendar
+from urbanmix.ingest import Calendar
 from urbanmix.metrics import AggregateMetrics, annual_metrics, hourly_split
 from urbanmix.optimize import MixProblem, ga_optimize, grid_oracle, solution_report
 from urbanmix.scaling import build_service_mix
@@ -130,7 +130,7 @@ def test_criterion_05_load_case_delta_is_generation_free():
 def test_criterion_06_classifier_equal_fill():
     with verdict("criterion 06 tie-free classifier bins"):
         start = time.monotonic()
-        cal = build_calendar(2014, ())
+        cal = Calendar(2014)
         rng = np.random.default_rng(66)
         # continuous draws are tie-free with probability one; verify anyway
         wind = rng.uniform(0.0, 100.0, cal.n_hours)
@@ -239,7 +239,7 @@ def test_criterion_10_sweep_shape(config2014):
 def test_criterion_11_directional_claims(config2014):
     with verdict("criterion 11 directional load-mixing effects"):
         prep = prepare(config2014)
-        cal = prep.inputs.calendar
+        cal = config2014.calendar
         weekend = cal.weekend_kind(config2014.holidays_as_weekend)
         hour = cal.local_hour
         weekday_day = (~weekend) & (hour >= 8) & (hour < 16)

@@ -12,7 +12,7 @@ from urbanmix.classify import (N_BINS, N_CATEGORIES, BinEdges, CategoryKey, Clas
                                aggregate_by_category, all_category_keys, category_counts,
                                classify_year, compute_bins, member_values,
                                percent_of_capacity, time_band_of)
-from urbanmix.ingest import build_calendar
+from urbanmix.ingest import Calendar
 
 
 def edges(solar=(20.0, 40.0, 60.0, 80.0), wind=(20.0, 40.0, 60.0, 80.0)):
@@ -66,7 +66,7 @@ def test_percent_of_capacity():
 
 
 def test_value_on_edge_goes_to_upper_bin():
-    cal = build_calendar(2014, ())
+    cal = Calendar(2014)
     e = edges()
     solar = np.full(cal.n_hours, 40.0)
     wind = np.full(cal.n_hours, 0.0)
@@ -118,7 +118,7 @@ def test_constant_series_warns_degenerate():
 def test_tie_free_wind_fills_bins_equally():
     # a strictly increasing wind series has no ties, so the four percentile
     # cuts split 8760 hours into five bins of exactly 1752
-    cal = build_calendar(2014, ())
+    cal = Calendar(2014)
     wind = np.linspace(0.0, 100.0, cal.n_hours)
     solar = np.zeros(cal.n_hours)
     solar_src = np.linspace(0.0, 100.0, cal.n_hours)
@@ -151,7 +151,7 @@ def test_classify_year_length_check(calendar2014):
 def test_day_kind_uses_calendar():
     # 2014-01-01 is a Wednesday; with it as a holiday the first 24 hours
     # count as weekend when holidays are folded in, weekday otherwise
-    cal = build_calendar(2014, (dt.date(2014, 1, 1),))
+    cal = Calendar(2014, (dt.date(2014, 1, 1),))
     solar = np.zeros(cal.n_hours)
     wind = np.zeros(cal.n_hours)
     e = edges()
@@ -162,7 +162,7 @@ def test_day_kind_uses_calendar():
 
 
 def test_aggregate_by_category_reports_all_keys():
-    cal = build_calendar(2014, ())
+    cal = Calendar(2014)
     solar = np.zeros(cal.n_hours)
     wind = np.zeros(cal.n_hours)
     keys = classify_year(solar, wind, edges(), cal)
@@ -178,7 +178,7 @@ def test_aggregate_by_category_reports_all_keys():
 
 
 def test_aggregate_skips_nan_hours():
-    cal = build_calendar(2014, ())
+    cal = Calendar(2014)
     keys = classify_year(np.zeros(cal.n_hours), np.zeros(cal.n_hours), edges(), cal)
     metric = np.ones(cal.n_hours)
     metric[:100] = np.nan
@@ -190,7 +190,7 @@ def test_aggregate_skips_nan_hours():
 
 
 def test_member_values_match_aggregate():
-    cal = build_calendar(2014, ())
+    cal = Calendar(2014)
     rng = np.random.default_rng(5)
     solar = rng.uniform(0, 100, cal.n_hours)
     wind = rng.uniform(0, 100, cal.n_hours)

@@ -189,18 +189,20 @@ def test_bad_capacities_exit_1(tmp_path, capsys, raw):
     assert_config_error(tmp_path, capsys, raw)
 
 
-@pytest.mark.parametrize("raw, command", [
-    ({"sweep": {"max_mw": 1e308, "steps": 2}}, ["sweep"]),
-    ({}, ["classify", "--wind-mw", "inf"]),
+@pytest.mark.parametrize("raw, command, where", [
+    ({"sweep": {"max_mw": 1e308, "steps": 2}}, ["sweep"], "inf turbines"),
+    ({}, ["classify", "--wind-mw", "inf"], "inf turbines"),
+    # NaN is no negative number: it is reported as not finite
+    ({}, ["classify", "--pv-mw", "nan"], "got (nan, 30.0) MW: nan m² of panel"),
 ])
-def test_infinite_turbine_count_exits_2(tmp_path, capsys, raw, command):
+def test_non_finite_capacity_exits_2(tmp_path, capsys, raw, command, where):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(raw))
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out), *command]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error: capacities must be finite")
-    assert "inf turbines" in err
+    assert where in err
     assert len(err.strip().splitlines()) == 1
     assert not (out / "sweep_metrics.csv").exists()
     assert not (out / "mix_summary.json").exists()
@@ -457,6 +459,14 @@ def every_band(raw, **change):
      "dst_transitions[0].at_utc must be an ISO date and time, got 'x'"),
     ("calendar", "calendar_nl2014.json", lambda raw: raw["dst_transitions"][1].update(at_utc=5),
      "dst_transitions[1].at_utc must be an ISO date and time, got 5"),
+    ("calendar", "calendar_nl2014.json", lambda raw: raw.update(dst_transitions=[5]),
+     "dst_transitions[0] must be an object"),
+    ("calendar", "calendar_nl2014.json",
+     lambda raw: raw["dst_transitions"][0].update(offset_hours=15),
+     "dst_transitions[0].offset_hours must be in [-14, 14], got 15.0"),
+    ("calendar", "calendar_nl2014.json",
+     lambda raw: raw["dst_transitions"][0].update(at_utc="0001-01-01T00:00+02:00"),
+     "dst_transitions[0].at_utc 0001-01-01T00:00:00+02:00 falls outside years 1-9999 in UTC"),
     # every office band rule holds when the file is read, not only when `scale` runs
     ("scaling", "scaling_nl2014.json",
      lambda raw: raw["office_bands"]["bands"][0].update(share_pct=-5),

@@ -20,7 +20,7 @@ def exactly(message: str) -> str:
 
 def test_default_config():
     config = default_config()
-    assert config.year == 2014
+    assert config.calendar.year == 2014
     assert config.households == 100_000
     assert config.household_annual_kwh == 3500.0
     assert config.seed == 0
@@ -82,14 +82,14 @@ def test_service_roofs_must_cover_the_fixture(tmp_path):
 
 def test_minimal_config(tmp_path):
     config = load_config(write(tmp_path, {"year": 2014}))
-    assert config.year == 2014
+    assert config.calendar.year == 2014
     # the built-in 2014 calendar (with holidays) backs a bare year
     assert len(config.calendar.holiday_dates) > 0
 
 
 def test_other_year_builds_bare_calendar(tmp_path):
     config = load_config(write(tmp_path, {"year": 2015}))
-    assert config.year == 2015
+    assert config.calendar.year == 2015
     assert config.calendar.n_hours == 8760
     assert len(config.calendar.holiday_dates) == 0
 

@@ -415,6 +415,7 @@ def test_scenario_generation_rejects_negative(pv_unit, wind_unit):
 
 @pytest.mark.parametrize("pv_mw, wind_mw", [
     (math.inf, 0.0), (0.0, math.inf), (1e308, 0.0), (0.0, 1e308),
+    (math.nan, 0.0), (0.0, math.nan),
 ])
 def test_capacity_coefficients_reject_non_finite(pv_mw, wind_mw):
     # 1e308 MW is finite, but its panel area or turbine count is not

@@ -10,7 +10,7 @@ from calendar_oracle import local_time, offset_hours_at, utc_time
 from urbanmix.config import assemble_demand, assemble_weather, load_config
 from urbanmix.demand import build_load_cases, synthesize_service_profile
 from urbanmix.generation import PvParams, pv_unit_series, wind_unit_series
-from urbanmix.ingest import (Calendar, IngestError, build_calendar, hours_in_year, load_profile,
+from urbanmix.ingest import (Calendar, DstTransition, IngestError, hours_in_year, load_profile,
                              load_weather, read_series, write_series)
 from urbanmix.synthdata import household_weights, reference_profile_values, write_input_set
 
@@ -37,7 +37,7 @@ def test_hours_in_year():
 @pytest.fixture(scope="module", params=[2014, 2016])
 def file_config(request, tmp_path_factory):
     """The configuration of a generated input set for a common and a leap year."""
-    calendar = build_calendar(request.param, ())
+    calendar = Calendar(request.param)
     return load_config(write_input_set(tmp_path_factory.mktemp("inputs"), calendar, seed=0))
 
 
@@ -134,13 +134,12 @@ def calendars(draw):
     seconds = (st.integers(min_value=-48, max_value=367 * 24).map(lambda h: h * 3600)
                | st.integers(min_value=-2 * 86400, max_value=367 * 86400))
     transitions = draw(st.lists(
-        st.tuples(seconds, instant_zones,
-                  offsets).map(lambda t: ((start + dt.timedelta(seconds=t[0])).astimezone(t[1]),
-                                          t[2])),
+        st.tuples(seconds, instant_zones, offsets).map(lambda t: DstTransition(
+            (start + dt.timedelta(seconds=t[0])).astimezone(t[1]), t[2])),
         max_size=3))
     holidays = draw(st.sampled_from([(), (dt.date(year, 1, 1),), (dt.date(year, 12, 31),),
                                      (dt.date(year, 1, 1), dt.date(year, 12, 31))]))
-    return build_calendar(year, holidays, draw(offsets), transitions)
+    return Calendar(year, holidays, draw(offsets), transitions)
 
 
 @settings(max_examples=40, deadline=None)
@@ -154,10 +153,22 @@ def test_calendar_arrays_match_per_hour_local_time(calendar):
         assert not got.flags.writeable
 
 
-def test_calendar_rejects_naive_transition_instants():
-    with pytest.raises(ValueError, match="timezone-aware"):
-        Calendar(year=2014, holiday_dates=frozenset(), base_utc_offset_hours=1.0,
-                 transitions=((dt.datetime(2014, 3, 30, 1), 2.0),))
+def test_calendar_reads_transitions_in_any_form_and_order():
+    # a naive instant is read as UTC; one that names an offset is converted to UTC
+    spring = DstTransition(dt.datetime(2014, 3, 30, 1), 2.0)
+    autumn = DstTransition(dt.datetime(2014, 10, 26, 1), 1.0)
+    assert spring.at_utc == dt.datetime(2014, 3, 30, 1, tzinfo=dt.timezone.utc)
+    forms = [spring, DstTransition("2014-03-30T01:00+00:00", 2.0),
+             DstTransition("2014-03-30T03:00+02:00", 2.0)]
+    assert all(form == spring and form.at_utc.tzinfo is dt.timezone.utc for form in forms)
+    calendars = [Calendar(2014, (), 1.0, (form, autumn)) for form in forms]
+    calendars.append(Calendar(2014, (), 1.0, (autumn, spring)))
+    expected = calendars[0]
+    for calendar in calendars:
+        assert sorted(calendar.transitions) == [spring, autumn]
+        for name in ("local_hour", "local_day_of_year", "is_weekend_day", "is_holiday"):
+            assert np.array_equal(getattr(calendar, name), getattr(expected, name))
+    assert expected.local_hour[2112:2114].tolist() == [1, 3]
 
 
 @pytest.mark.parametrize("offset, message", [
@@ -166,28 +177,36 @@ def test_calendar_rejects_naive_transition_instants():
     (14.5, "offset_hours must be in [-14, 14], got 14.5"),
     (-1e20, "offset_hours must be in [-14, 14], got -1e+20"),
 ])
-def test_build_calendar_rejects_bad_dst_offset(offset, message):
+def test_dst_transition_rejects_bad_offset(offset, message):
     instant = dt.datetime(2014, 3, 30, 1)
     with pytest.raises(IngestError) as info:
-        build_calendar(2014, holidays=[], dst_transitions=[(instant, offset)])
+        DstTransition(instant, offset)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("instant", ["0001-01-01T00:00+02:00", "9999-12-31T23:00-02:00"])
+def test_dst_transition_rejects_an_instant_outside_the_utc_range(instant):
+    with pytest.raises(IngestError) as info:
+        DstTransition(instant, 1.0)
+    assert str(info.value) == (f"at_utc {dt.datetime.fromisoformat(instant).isoformat()} "
+                               "falls outside years 1-9999 in UTC")
 
 
 @pytest.mark.parametrize("offset", [-14.5, 15, 1e300])
 def test_calendar_rejects_base_offset_outside_range(offset):
     with pytest.raises(IngestError, match=r"^base_utc_offset_hours must be in \[-14, 14\]"):
-        build_calendar(2014, (), base_utc_offset_hours=offset)
+        Calendar(2014, base_utc_offset_hours=offset)
 
 
 @pytest.mark.parametrize("year", [1969, 10000, 10 ** 20])
 def test_calendar_rejects_year_outside_range(year):
     with pytest.raises(IngestError, match=r"year must be in \[1970, 9999\]"):
-        build_calendar(year, ())
+        Calendar(year)
 
 
 @pytest.mark.parametrize("year", [1970, 9999])
 def test_calendar_at_the_year_bounds_has_true_weekdays(year):
-    calendar = build_calendar(year, ())
+    calendar = Calendar(year)
     first = dt.date(year, 1, 1)
     expected = [(first + dt.timedelta(days=day)).weekday() >= 5
                 for day in range(calendar.n_hours // 24)]
@@ -196,8 +215,7 @@ def test_calendar_at_the_year_bounds_has_true_weekdays(year):
 
 def test_calendar_rejects_foreign_holiday():
     with pytest.raises(ValueError, match="outside year"):
-        Calendar(year=2014, holiday_dates=frozenset({dt.date(2015, 1, 1)}),
-                 base_utc_offset_hours=0.0)
+        Calendar(year=2014, holiday_dates=(dt.date(2015, 1, 1),))
 
 
 def test_load_weather_roundtrip(tmp_path, calendar2014):
