@@ -4,7 +4,7 @@
 import argparse
 from pathlib import Path
 
-from urbanmix.config import default_config
+from urbanmix.config import SimulationConfig, default_config
 from urbanmix.synthdata import DEFAULT_SEED, write_input_set
 
 
@@ -12,7 +12,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("out_dir", type=Path, help="directory to write into")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--households", type=int, default=100_000)
+    parser.add_argument("--households", type=int,
+                        default=SimulationConfig._field_defaults["households"])
     args = parser.parse_args()
 
     calendar = default_config().calendar

@@ -264,7 +264,7 @@ _HANDLERS = {
 }
 
 
-_FLAG_DEFAULTS = {"config": None, "seed": None, "out": Path("out"), "parallel": 1,
+_FLAG_DEFAULTS = {"config": None, "seed": None, "out": Path("out"),
                   "pv_mw": None, "wind_mw": None}
 
 

@@ -86,10 +86,10 @@ class ScenarioGrid(NamedTuple):
     reject: np.ndarray    # (scenarios, len(SWEEP_TEST_METRICS)) bool
 
 
-def evaluate_cell(pv_mw: float, wind_mw: float, prep: Prepared,
-                  pooled: bool = False) -> list:
+def evaluate_cell(pv_mw: float, wind_mw: float, prep: Prepared) -> list:
     """The scenario's ScenarioGrid.table row: TABLE_WIDTH floats in _SUMS,
-    _TESTS, _UNTESTABLE, _DELTAS order."""
+    _TESTS, _UNTESTABLE, _DELTAS order, tested as the config's ``pooled`` says."""
+    pooled = prep.config.pooled
     area, turbines = capacity_coefficients(pv_mw, wind_mw, prep.config.pv)
     g = generation_mw(area, turbines, prep.pv_unit, prep.wind_unit)
     split_r = hourly_split(g, prep.load_r_mw)
@@ -128,7 +128,7 @@ def run_experiment1(config: SimulationConfig, out_dir=None) -> ScenarioGrid:
     table = np.empty((len(caps) ** 2, TABLE_WIDTH))
     for row, (pv, wind) in enumerate(itertools.product(caps, caps)):
         try:
-            table[row] = evaluate_cell(pv, wind, prep, pooled=config.pooled)
+            table[row] = evaluate_cell(pv, wind, prep)
         except StatsError as exc:
             raise StatsError(f"{exc} at {pv!r} MW PV and {wind!r} MW wind") from None
 

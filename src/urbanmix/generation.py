@@ -165,6 +165,16 @@ def _single_diode_mpp(ghi: np.ndarray, t_cell: np.ndarray,
         low, high = new_low, new_high
 
 
+def _year_column(values: np.ndarray, what: str) -> np.ndarray:
+    """``values`` as a read-only column, once their year sum is finite: finite
+    hours of an extreme parameter can still sum past the float range."""
+    with np.errstate(over="ignore"):
+        total = float(values.sum())
+    if not total < math.inf:  # the values are >= 0, or NaN
+        raise GenerationError(f"{what} summed over the year must be finite, got {total!r}")
+    return _read_only(values)
+
+
 def pv_unit_series(weather: WeatherFrame, params: PvParams = PvParams()) -> np.ndarray:
     """Per-m² PV output for a weather year, W/m², as a read-only column.
 
@@ -175,7 +185,8 @@ def pv_unit_series(weather: WeatherFrame, params: PvParams = PvParams()) -> np.n
     hour), or whose cell temperature or unclipped linear-derate P is not finite
     (an overflowing offset or temperature coefficient), or whose output is not
     finite (an overflowing diode current), when a parameter is extreme; under
-    either model the first such hour is rejected.
+    either model the first such hour is rejected, and so is a year sum that is
+    not finite.
     """
     ghi = weather.ghi
     with np.errstate(over="ignore", invalid="ignore"):
@@ -204,7 +215,7 @@ def pv_unit_series(weather: WeatherFrame, params: PvParams = PvParams()) -> np.n
     if len(bad):
         raise GenerationError(f"PV output at hour {bad[0]} is not finite, "
                               f"got {float(values[bad[0]])!r}")
-    return _read_only(values)
+    return _year_column(values, "PV output per m²")
 
 
 def wind_unit_series(weather: WeatherFrame,
@@ -212,7 +223,8 @@ def wind_unit_series(weather: WeatherFrame,
     """Per-turbine output for a weather year, kW, as a read-only column.
 
     Swept-area power 0.5 ρ A V³ Cp at hub-height speed, zero outside the
-    cut-in/cut-out window, clipped at nominal power.
+    cut-in/cut-out window, clipped at nominal power. A year sum that is not
+    finite is rejected.
     """
     temp, pressure = weather.temp, weather.pressure
     bad = np.flatnonzero((temp <= MIN_TEMP_C) | (pressure <= 0))
@@ -224,10 +236,11 @@ def wind_unit_series(weather: WeatherFrame,
     run = ~((v < params.cut_in_ms) | (v > params.cut_out_ms))
     # Python floats: numpy's v ** 3 can differ in the last bit.
     v_cubed = np.array([x ** 3 for x in v[run].tolist()])
-    raw_w = 0.5 * rho[run] * params.rotor_area_m2 * v_cubed * params.cp
+    with np.errstate(over="ignore"):  # an overflowing hour is clipped to nominal power
+        raw_w = 0.5 * rho[run] * params.rotor_area_m2 * v_cubed * params.cp
     values = np.zeros(len(v))
     values[run] = np.minimum(raw_w / 1000.0, params.nominal_power_kw)
-    return _read_only(values)
+    return _year_column(values, "wind output per turbine")
 
 
 def capacity_coefficients(pv_mw: float, wind_mw: float,

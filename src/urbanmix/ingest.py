@@ -168,6 +168,13 @@ def checked_record(error: type[Exception], *rows):
     return base
 
 
+def _row(record, field: str, name: str | None = None, *default) -> tuple:
+    """``record``'s row of ``field``, for a record that declares the same field:
+    named ``name`` if given, with ``default`` in place of the row's own if given."""
+    row = next(row for row in record._rows if row[0] == field)
+    return (name or field, *row[1:3], *(default or row[3:]))
+
+
 def _object(path: str, value, error: type[Exception]) -> dict:
     """``value``, a JSON object; null reads as ``{}``."""
     if value is None:
@@ -443,12 +450,12 @@ def _not_utf8(path: Path) -> IngestError:
 def _read_columns(path: Path, header: tuple, n: int, limits=()) -> np.ndarray:
     """Value columns of an hourly CSV in hour order, shape (len(header) - 1, n).
 
-    ``header`` names the columns (``None`` accepts any name); the first holds
-    the hour, each of 0..n-1 exactly once, rows in any order. One
-    ``np.loadtxt`` call parses the body, skipping empty lines; the hour,
-    finiteness and ``limits`` ((column in ``header``, constraint) for `_within`,
-    in file-row order) checks then run over whole columns. Every rejection is an
-    IngestError that names the file, and the row and column where one is at fault.
+    ``header`` names the columns; the first holds the hour, each of 0..n-1
+    exactly once, rows in any order. One ``np.loadtxt`` call parses the body,
+    skipping empty lines; the hour, finiteness and ``limits`` ((column in
+    ``header``, constraint) for `_within`, in file-row order) checks then run
+    over whole columns. Every rejection is an IngestError that names the file,
+    and the row and column where one is at fault.
     """
     try:
         with path.open(encoding="utf-8") as handle:
@@ -459,10 +466,8 @@ def _read_columns(path: Path, header: tuple, n: int, limits=()) -> np.ndarray:
         raise IngestError(f"{path}: empty file")
     got = next(csv.reader([first]))
     names = tuple(cell.strip() for cell in got)
-    if len(names) != len(header) or any(want not in (None, name)
-                                        for want, name in zip(header, names)):
-        raise IngestError(f"{path}: header must be "
-                          f"{','.join(want or '*' for want in header)}, got {got}")
+    if names != header:
+        raise IngestError(f"{path}: header must be {','.join(header)}, got {got}")
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a header-only file
@@ -568,13 +573,10 @@ def write_series(series: np.ndarray, path, value_column: str = "value") -> None:
         handle.write(rows)
 
 
-def read_series(path, calendar: Calendar, value_column: str | None = None) -> np.ndarray:
-    """Read a ``hour,value`` CSV of non-negative values (a load or a generation
-    series) without rescaling: a read-only column, one value per calendar hour.
-
-    When ``value_column`` is given the file header must be exactly
-    ``hour,<value_column>``.
-    """
+def read_series(path, calendar: Calendar, value_column: str) -> np.ndarray:
+    """Read an ``hour,<value_column>`` CSV of non-negative values (a load or a
+    generation series) without rescaling: a read-only column, one value per
+    calendar hour."""
     path = Path(path)
     if not path.exists():
         raise IngestError(f"profile file not found: {path}")

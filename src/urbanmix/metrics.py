@@ -78,11 +78,6 @@ def hourly_split(G, L) -> HourlySplit:
     return HourlySplit(g, np.maximum(m, 0.0), np.minimum(m, 0.0, out=m), np.minimum(g, load))
 
 
-def annual_metrics(G, L) -> AggregateMetrics:
-    """Annual M⁺, M⁻, U and G sums of G against L, per scenario row."""
-    return hourly_split(G, L).annual()
-
-
 def annual_from_surplus(G, L, generation, load) -> AggregateMetrics:
     """Annual terms from M⁺ summed over the hours given and the year's ΣG and ΣL.
 

@@ -16,10 +16,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import SIGN_CONVENTIONS, GAConfig, OptimizeError, check_weights
-from .generation import TURBINE_UNIT_MW, generation_mw
-from .ingest import checked_record
-from .metrics import AggregateMetrics, annual_from_surplus, annual_metrics
+from .config import GAConfig, OptimizeError, SimulationConfig, check_weights
+from .generation import TURBINE_UNIT_MW, AreaBudget, PvParams, generation_mw
+from .ingest import _row, checked_record
+from .metrics import AggregateMetrics, annual_from_surplus, hourly_split
 from .scaling import round_half_away
 
 
@@ -28,12 +28,14 @@ class MixProblem(checked_record(OptimizeError,
                                ("g_turbine", np.ndarray, None),  # kW per turbine
                                ("load_mw", np.ndarray, None),    # MW
                                ("a_roof_m2", float, "> 0"),
-                               ("phi_area", float, ">= 1", 3.0),
-                               ("weights", [float], 3, (1.0, 1.0, -5.0)),
-                               ("turbine_footprint_m2", float, "> 0", 172500.0),
-                               ("pv_rated_wm2", float, "> 0", 107.9),
-                               ("sign_convention", str, SIGN_CONVENTIONS, "magnitude-neg"),
-                               ("roof_only_pv", bool, None, False))):
+                               _row(AreaBudget, "phi_area"),
+                               _row(SimulationConfig, "weights"),
+                               _row(AreaBudget, "turbine_footprint_km2_per_mw",
+                                    "turbine_footprint_m2",
+                                    AreaBudget().footprint_m2_per_turbine(TURBINE_UNIT_MW)),
+                               _row(PvParams, "rated_power_density_wm2", "pv_rated_wm2"),
+                               _row(SimulationConfig, "sign_convention"),
+                               _row(SimulationConfig, "roof_only_pv"))):
     __slots__ = ()
 
     def __new__(cls, g_pv, g_turbine, load_mw, *args, **kwargs):
@@ -87,7 +89,7 @@ def objective_terms(x, problem: MixProblem) -> AggregateMetrics:
     # turbine counts stay fractional (x_turbine / footprint) while searching
     g = generation_mw(x_pv, x_turbine / problem.turbine_footprint_m2,
                       problem.g_pv, problem.g_turbine)
-    return annual_metrics(g, problem.load_mw)
+    return hourly_split(g, problem.load_mw).annual()
 
 
 def objective(x, problem: MixProblem) -> float:
@@ -245,9 +247,10 @@ def grid_oracle(problem: MixProblem, resolution: int = 200) -> MixSolution:
 
 
 def solution_report(problem: MixProblem, solution: MixSolution,
-                    config: GAConfig | None = None, seed: int | None = None) -> dict:
-    """JSON-ready report: chosen point, slacks, objective decomposition."""
-    report = {
+                    config: GAConfig, seed: int) -> dict:
+    """JSON-ready report: chosen point, slacks, objective decomposition, and
+    the GA settings and seed that found it."""
+    return {
         "x_pv_m2": solution.x_pv_m2,
         "x_turbine_m2": solution.x_turbine_m2,
         "pv_mw": solution.pv_mw,
@@ -269,9 +272,6 @@ def solution_report(problem: MixProblem, solution: MixSolution,
         "sign_convention": problem.sign_convention,
         "generations": solution.generations,
         "evaluations": solution.evaluations,
+        "seed": seed,
+        "ga_config": config._asdict(),
     }
-    if seed is not None:
-        report["seed"] = seed
-    if config is not None:
-        report["ga_config"] = config._asdict()
-    return report

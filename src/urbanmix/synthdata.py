@@ -16,12 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import SimulationConfig
 from .ingest import Calendar, WeatherFrame, _read_only, write_series
 
 LATITUDE_DEG = 52.1
 DEFAULT_SEED = 1234
-DEFAULT_HOUSEHOLDS = 100_000
-DEFAULT_HOUSEHOLD_ANNUAL_KWH = 3500.0
+_CONFIG_DEFAULTS = SimulationConfig._field_defaults  # an input set's household defaults
 
 # Annual electricity use per single reference building, kWh.
 TYPE_ANNUAL_KWH = {
@@ -174,8 +174,8 @@ def write_weather_csv(path, frame: WeatherFrame) -> None:
 
 
 def write_input_set(out_dir, calendar: Calendar, seed: int = DEFAULT_SEED,
-                    households: int = DEFAULT_HOUSEHOLDS,
-                    household_annual_kwh: float = DEFAULT_HOUSEHOLD_ANNUAL_KWH) -> Path:
+                    households: int = _CONFIG_DEFAULTS["households"],
+                    household_annual_kwh: float = _CONFIG_DEFAULTS["household_annual_kwh"]) -> Path:
     """Write a complete runnable input set; returns the config file path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

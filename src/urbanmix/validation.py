@@ -185,7 +185,7 @@ class NationalTotalReport(NamedTuple):
     reason: str = ""
 
 
-def national_total_check(service_profile: np.ndarray | None, households_per_100k: float,
+def national_total_check(service_profile: np.ndarray, households_per_100k: float,
                          benchmarks, real_inputs: bool) -> NationalTotalReport:
     """National service-sector TWh implied by the per-100k profile.
 
@@ -194,7 +194,7 @@ def national_total_check(service_profile: np.ndarray | None, households_per_100k
     Synthetic inputs make the absolute level meaningless, so the check is
     marked skipped unless the caller declares the inputs real.
     """
-    if service_profile is None or not real_inputs:
+    if not real_inputs:
         return NationalTotalReport(
             modeled_twh=None, skipped=True,
             reason="fixture-only, check skipped",

@@ -19,12 +19,12 @@ from generation_oracle import wind_hour
 from optimize_oracle import tournament_comparison
 from urbanmix.classify import all_category_keys, classify_year, compute_bins
 from urbanmix.cli import main
-from urbanmix.config import default_config
+from urbanmix.config import GAConfig, default_config
 from urbanmix.demand import build_load_cases
 from urbanmix.experiments import _SUMS, capacity_axis, prepare, run_experiment1
 from urbanmix.generation import TurbineParams, capacity_coefficients, generation_mw
 from urbanmix.ingest import Calendar
-from urbanmix.metrics import AggregateMetrics, annual_metrics, hourly_split
+from urbanmix.metrics import AggregateMetrics, hourly_split
 from urbanmix.optimize import MixProblem, ga_optimize, grid_oracle, solution_report
 from urbanmix.scaling import build_service_mix
 from urbanmix.stats import apply_holm, welch_t_test
@@ -92,7 +92,7 @@ def test_criterion_04_metric_identities():
             n = int(rng.integers(1, 40))
             g = rng.uniform(0.0, 200.0, n)
             load = rng.uniform(0.0, 200.0, n)
-            agg = annual_metrics(g, load)
+            agg = hourly_split(g, load).annual()
             balance = float(g.sum() - load.sum())
             scale = max(abs(balance), agg.pos_mismatch, abs(agg.neg_mismatch), 1.0)
             assert abs((agg.pos_mismatch + agg.neg_mismatch) - balance) / scale < 1e-9
@@ -211,8 +211,8 @@ def test_criterion_09_optimizer_vs_grid(pv_unit, wind_unit, household_series,
         assert problem.is_feasible(solution.x_pv_m2, solution.x_turbine_m2, tol=0.0)
         repeat = ga_optimize(problem, seed=0)
         assert repeat == solution
-        report_a = json.dumps(solution_report(problem, solution), sort_keys=True)
-        report_b = json.dumps(solution_report(problem, repeat), sort_keys=True)
+        report_a = json.dumps(solution_report(problem, solution, GAConfig(), 0), sort_keys=True)
+        report_b = json.dumps(solution_report(problem, repeat, GAConfig(), 0), sort_keys=True)
         assert report_a == report_b
         assert time.monotonic() - start < 60.0
 

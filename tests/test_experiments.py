@@ -34,6 +34,12 @@ def prep(config2014):
     return prepare(config2014)
 
 
+def with_pooled(prep, pooled):
+    """``prep`` under a config whose ``pooled`` flag is ``pooled``."""
+    config = prep.config._replace(pooled=pooled)
+    return prep._replace(inputs=prep.inputs._replace(config=config))
+
+
 def components(pv_mw, wind_mw, prep):
     area, turbines = capacity_coefficients(pv_mw, wind_mw, prep.config.pv)
     pv_gen = generation_mw(area, 0, prep.pv_unit, prep.wind_unit)
@@ -110,7 +116,7 @@ def test_grid_cell_is_evaluate_cell_with_holm_flags(config2014, pooled):
     config = config2014._replace(sweep_steps=4, pooled=pooled)
     grid = run_experiment1(config)
     prep = prepare(config)
-    rows = [evaluate_cell(pv, wind, prep, pooled=pooled)
+    rows = [evaluate_cell(pv, wind, prep)
             for pv, wind in itertools.product(grid.pv_caps, grid.wind_caps)]
     flags = {name: holm_flags([row_tests(row)[name] for row in rows], alpha=config.alpha)
              for name in SWEEP_TEST_METRICS}
@@ -119,7 +125,39 @@ def test_grid_cell_is_evaluate_cell_with_holm_flags(config2014, pooled):
         assert grid.reject[i].tolist() == [flags[name][i] for name in SWEEP_TEST_METRICS]
     assert len(rows) == len(grid.table) == 16
     assert row_tests(grid.table[0])["self_consumption"].untestable
+    # the config's flag picks the test: pooled dof is n_r + n_m - 2 for each hourly metric
+    dofs = grid.table[:, TESTS][:, 1:3 * len(DELTA_METRICS):3]
+    assert ((dofs[~np.isnan(dofs)] == 2 * 8760 - 2) == pooled).all()
     assert any(any(f) for f in flags.values()) and not all(all(f) for f in flags.values())
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["welch", "pooled"])
+def test_swapping_the_load_cases_mirrors_the_sweep(config2014, monkeypatch, pooled):
+    # swapping residential-only and mixed negates every t and delta exactly,
+    # keeps dof, p, the untestable and Holm flags, and swaps the two cases' sums
+    config = config2014._replace(sweep_steps=5, pooled=pooled)
+    grid = run_experiment1(config)
+    prep = prepare(config)
+    swapped = prep._replace(load_r_mw=prep.load_m_mw, load_m_mw=prep.load_r_mw)
+    monkeypatch.setattr(experiments, "prepare", lambda _: swapped)
+    mirror = run_experiment1(config)
+
+    def same(a, b):
+        return a.tobytes() == b.tobytes()  # bit for bit, NaN included
+
+    def negated(a, b):
+        return np.array_equal(a, -b, equal_nan=True)  # an untestable t stays NaN
+
+    table, other = grid.table, mirror.table
+    assert same(other[:, SUMS], np.roll(table[:, SUMS], 4, axis=1))
+    t_dof_p, other_tests = table[:, TESTS], other[:, TESTS]
+    assert negated(other_tests[:, 0::3], t_dof_p[:, 0::3])
+    assert same(other_tests[:, 1::3], t_dof_p[:, 1::3])
+    assert same(other_tests[:, 2::3], t_dof_p[:, 2::3])
+    assert same(other[:, UNTESTABLE], table[:, UNTESTABLE])
+    assert same(mirror.reject, grid.reject)
+    assert negated(other[:, DELTAS], table[:, DELTAS])
+    assert grid.reject.any() and not grid.reject.all()
 
 
 def test_zero_capacity_cell(grid, prep):
@@ -291,7 +329,7 @@ def test_writing_the_61x61_tables_holds_under_1_mb(tmp_path):
 @example(pv_mw=0.0, wind_mw=0.0, pooled=False)
 @example(pv_mw=0.0, wind_mw=0.0, pooled=True)
 def test_evaluate_cell_row_invariants(prep, pv_mw, wind_mw, pooled):
-    row = evaluate_cell(pv_mw, wind_mw, prep, pooled=pooled)
+    row = evaluate_cell(pv_mw, wind_mw, with_pooled(prep, pooled))
     assert len(row) == TABLE_WIDTH
     for agg, load in zip(case_sums(row), (prep.load_r_mw, prep.load_m_mw)):
         pos, neg, util, gen = agg

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from urbanmix.metrics import (AggregateMetrics, MetricsError, annual_from_surplus,
-                              annual_metrics, delta_mismatch, hourly_split)
+                              delta_mismatch, hourly_split)
 
 
 def test_mismatch_sign():
@@ -37,7 +37,7 @@ def test_rejects_length_mismatch():
 def test_aggregate_fields():
     g = np.array([5.0, 1.0, 3.0])
     load = np.array([2.0, 4.0, 3.0])
-    agg = annual_metrics(g, load)
+    agg = hourly_split(g, load).annual()
     assert isinstance(agg, AggregateMetrics)
     assert agg.pos_mismatch == pytest.approx(3.0)
     assert agg.neg_mismatch == pytest.approx(-3.0)
@@ -46,13 +46,13 @@ def test_aggregate_fields():
 
 
 def test_negative_mismatch_kept_signed():
-    agg = annual_metrics(np.zeros(4), np.full(4, 2.5))
+    agg = hourly_split(np.zeros(4), np.full(4, 2.5)).annual()
     assert agg.neg_mismatch == -10.0
     assert agg.pos_mismatch == 0.0
 
 
 def test_self_consumption_zero_generation_is_none():
-    agg = annual_metrics(np.zeros(5), np.ones(5))
+    agg = hourly_split(np.zeros(5), np.ones(5)).annual()
     assert agg.self_consumption is None
 
 
@@ -72,7 +72,7 @@ def test_energy_balance_random_pairs():
         n = int(rng.integers(1, 50))
         g = rng.uniform(0.0, 100.0, n)
         load = rng.uniform(0.0, 100.0, n)
-        agg = annual_metrics(g, load)
+        agg = hourly_split(g, load).annual()
         balance = float(g.sum() - load.sum())
         scale = max(abs(balance), agg.pos_mismatch, abs(agg.neg_mismatch), 1.0)
         assert abs((agg.pos_mismatch + agg.neg_mismatch) - balance) / scale < 1e-9
@@ -83,7 +83,7 @@ def test_utilisation_matches_brute_force():
     g = rng.uniform(0.0, 50.0, 2000)
     load = rng.uniform(0.0, 50.0, 2000)
     expected = sum(min(a, b) for a, b in zip(g, load))
-    assert annual_metrics(g, load).utilisation == pytest.approx(expected, rel=1e-12)
+    assert hourly_split(g, load).annual().utilisation == pytest.approx(expected, rel=1e-12)
 
 
 def test_self_consumption_in_unit_interval():
@@ -91,7 +91,7 @@ def test_self_consumption_in_unit_interval():
     for _ in range(200):
         g = rng.uniform(0.0, 10.0, 100)
         load = rng.uniform(0.0, 10.0, 100)
-        sc = annual_metrics(g, load).self_consumption
+        sc = hourly_split(g, load).annual().self_consumption
         assert sc is not None
         assert 0.0 <= sc <= 1.0
 
@@ -132,7 +132,7 @@ def test_delta_utilisation():
     l_r = np.array([2.0, 4.0, 3.0])
     l_m = np.array([3.0, 2.0, 3.0])
     expected = (2.0 + 1.0 + 3.0) - (3.0 + 1.0 + 3.0)
-    delta = annual_metrics(g, l_r).utilisation - annual_metrics(g, l_m).utilisation
+    delta = hourly_split(g, l_r).annual().utilisation - hourly_split(g, l_m).annual().utilisation
     assert delta == pytest.approx(expected)
 
 
@@ -140,7 +140,7 @@ def test_delta_utilisation():
 @given(hnp.arrays(np.float64, 24, elements=st.floats(0, 1e6)),
        hnp.arrays(np.float64, 24, elements=st.floats(0, 1e6)))
 def test_split_reconstructs_mismatch(g, load):
-    agg = annual_metrics(g, load)
+    agg = hourly_split(g, load).annual()
     m = hourly_split(g, load).mismatch
     assert agg.pos_mismatch == float(np.maximum(m, 0.0).sum())
     assert agg.neg_mismatch == float(np.minimum(m, 0.0).sum())
@@ -158,9 +158,9 @@ def test_utilisation_bounded_by_both(g, load):
 
 def test_batched_generation_needs_matching_hours():
     with pytest.raises(MetricsError, match="length"):
-        annual_metrics(np.ones((3, 4)), np.ones(5))
+        hourly_split(np.ones((3, 4)), np.ones(5)).annual()
     with pytest.raises(MetricsError, match="non-negative"):
-        annual_metrics(np.array([[1.0, 2.0], [0.5, -0.1]]), np.ones(2))
+        hourly_split(np.array([[1.0, 2.0], [0.5, -0.1]]), np.ones(2)).annual()
 
 
 def _bits(x) -> bytes:
@@ -177,10 +177,10 @@ def test_batched_kernel_rows_match_single_scenario(data):
     n = data.draw(st.integers(1, 64), label="n")
     g = data.draw(hnp.arrays(np.float64, (k, n), elements=st.floats(0, 1e6)), label="G")
     load = data.draw(hnp.arrays(np.float64, n, elements=st.floats(0, 1e6)), label="L")
-    batch = annual_metrics(g, load)
+    batch = hourly_split(g, load).annual()
     batch_split = hourly_split(g, load)
     for i in range(k):
-        single = annual_metrics(g[i], load)
+        single = hourly_split(g[i], load).annual()
         for field in ("pos_mismatch", "neg_mismatch", "utilisation", "generation"):
             assert _bits(getattr(batch, field)[i]) == _bits(getattr(single, field))
         row_split = hourly_split(g[i], load)
@@ -199,7 +199,7 @@ def test_batched_kernel_rows_match_single_scenario(data):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_annual_metrics_is_the_sum_of_each_hourly_term(data):
+def test_split_annual_is_the_sum_of_each_hourly_term(data):
     # bit for bit the plain numpy sums of M⁺, M⁻, U and G, for one scenario
     # and for a scenario axis, with hours of no generation and G == L drawn
     n = data.draw(st.integers(1, 64), label="n")
@@ -209,7 +209,7 @@ def test_annual_metrics_is_the_sum_of_each_hourly_term(data):
     free = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(0, 1e6)), label="G")
     kind = data.draw(hnp.arrays(np.int8, shape, elements=st.integers(0, 2)), label="kind")
     g = np.where(kind == 0, 0.0, np.where(kind == 1, load, free))
-    agg = annual_metrics(g, load)
+    agg = hourly_split(g, load).annual()
     terms = (np.maximum(g - load, 0.0), np.minimum(g - load, 0.0), np.minimum(g, load), g)
     for got, term in zip(agg, terms):
         expected = np.sum(term, axis=-1)
@@ -220,7 +220,7 @@ def test_annual_metrics_is_the_sum_of_each_hourly_term(data):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_annual_from_surplus_over_all_hours_is_annual_metrics(data):
+def test_annual_from_surplus_over_all_hours_is_split_annual(data):
     # the identity M⁻ = ΣG − ΣL − M⁺, U = ΣG − M⁺; with G ≡ 0 or G ≤ L in
     # every hour, M⁺ is exactly 0
     n = data.draw(st.integers(1, 64), label="n")
@@ -230,7 +230,7 @@ def test_annual_from_surplus_over_all_hours_is_annual_metrics(data):
     free = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(0, 1e6)), label="G")
     g = data.draw(st.sampled_from([free, np.zeros(shape), np.minimum(free, load)]),
                   label="case")
-    want = annual_metrics(g, load)
+    want = hourly_split(g, load).annual()
     got = annual_from_surplus(g, load, g.sum(axis=-1), load.sum())
     bound = 1e-12 * (g.sum(axis=-1) + load.sum())
     for got_term, want_term in zip(got, want):

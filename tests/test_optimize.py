@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from optimize_oracle import tournament_comparison
 from urbanmix.config import ConfigError, default_config
 from urbanmix.generation import generation_mw
-from urbanmix.metrics import annual_metrics
+from urbanmix.metrics import hourly_split
 from urbanmix.optimize import (GAConfig, MixProblem, OptimizeError, _combined,
                                _fitness, _project, ga_optimize,
                                grid_oracle, objective, objective_terms,
@@ -139,7 +139,7 @@ def test_objective_rejects_infeasible_point():
 @given(st.data())
 def test_batch_objective_matches_pointwise(data):
     # _fitness sums M⁺ over the surplus hours only and takes ΣG from the
-    # per-unit sums; it must agree with annual_metrics over every hour, at
+    # per-unit sums; it must agree with hourly_split over every hour, at
     # the box corners and on the shared-area edge too, where the mask is tight
     p = tiny_problem(n=data.draw(st.integers(1, 200), label="n"),
                      seed=data.draw(st.integers(0, 2 ** 32 - 1), label="seed"),
@@ -165,7 +165,7 @@ def test_batch_objective_matches_pointwise(data):
     scale = sum(map(abs, p.weights))
     for i in range(len(x_pv)):
         g = generation_mw(x_pv[i], x_wt[i] / p.turbine_footprint_m2, p.g_pv, p.g_turbine)
-        direct = _combined(annual_metrics(g, p.load_mw), p)
+        direct = _combined(hourly_split(g, p.load_mw).annual(), p)
         assert abs(batch[i] - direct) <= 1e-12 * scale * (g.sum() + total_load)
 
 

@@ -97,8 +97,6 @@ def test_national_check_skipped_for_synthetic():
     assert out.skipped
     assert out.modeled_twh is None
     assert out.reason == "fixture-only, check skipped"
-    assert national_total_check(None, HOUSEHOLDS_PER_100K, DEFAULT_BENCHMARKS,
-                                real_inputs=True).skipped
 
 
 def test_national_check_scales_per_100k_total():
