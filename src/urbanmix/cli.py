@@ -8,7 +8,6 @@ loads only what it uses.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -97,6 +96,7 @@ def cmd_scale(args, config: SimulationConfig) -> int:
 
 
 def cmd_profiles(args, config: SimulationConfig) -> int:
+    from . import tabular
     from .demand import MIXED, RESIDENTIAL_ONLY, build_load_cases
 
     _, household, service = assemble_demand(config)
@@ -113,13 +113,13 @@ def cmd_profiles(args, config: SimulationConfig) -> int:
         "peak_residential_only_kw": float(residential.max()),
         "peak_mixed_kw": float(mixed.max()),
     }
-    (out / "profiles_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    tabular.write_json(out / "profiles_summary.json", summary)
     print(f"phi = {phi!r}; wrote demand series to {out}")
     return 0
 
 
 def cmd_generation(args, config: SimulationConfig) -> int:
+    from . import tabular
     from .generation import pv_unit_series, wind_unit_series
 
     weather = assemble_weather(config)
@@ -134,8 +134,7 @@ def cmd_generation(args, config: SimulationConfig) -> int:
         "pv_peak_w_per_m2": float(pv_unit.max()),
         "wind_peak_kw": float(wind_unit.max()),
     }
-    (out / "generation_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    tabular.write_json(out / "generation_summary.json", summary)
     print(f"wrote per-unit generation series to {out}")
     return 0
 
@@ -146,7 +145,7 @@ def cmd_sweep(args, config: SimulationConfig) -> int:
     grid = experiments.run_experiment1(config, out_dir=args.out)
     rejected = dict(zip(experiments.SWEEP_TEST_METRICS, grid.reject.sum(axis=0).tolist()))
     print(f"swept {len(grid.table)} scenarios "
-          f"({len(grid.pv_caps)}x{len(grid.wind_caps)}); phi = {grid.phi!r}")
+          f"({len(grid.caps)}x{len(grid.caps)}); phi = {grid.phi!r}")
     print("Holm rejections per metric: "
           + ", ".join(f"{k}={v}" for k, v in rejected.items()))
     return 0
@@ -203,7 +202,7 @@ def cmd_validate(args, config: SimulationConfig) -> int:
 
     prep = experiments.prepare(config)
     # the kW load cases: prep keeps only their MW copies
-    kw_r, kw_m, phi = build_load_cases(prep.inputs.household, prep.inputs.service)
+    kw_r, kw_m, phi = build_load_cases(prep.household, prep.service)
     residential, mixed = float(kw_r.sum()), float(kw_m.sum())
     check("load cases share annual energy",
           abs(residential - mixed) <= 1e-6 * mixed,
@@ -222,7 +221,7 @@ def cmd_validate(args, config: SimulationConfig) -> int:
               f"pos+neg={balance!r} vs G-L={expected!r}")
 
     national = validation.national_total_check(
-        prep.inputs.service, households_per_100k=fixture.households_per_100k,
+        prep.service, households_per_100k=fixture.households_per_100k,
         benchmarks=config.benchmarks, real_inputs=config.real_inputs)
     if national.skipped:
         lines.append(f"SKIP national demand benchmarks: {national.reason}")

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -186,15 +185,6 @@ def default_config() -> SimulationConfig:
     return _resolve({}, Path())
 
 
-class ModelInputs(NamedTuple):
-    """Everything the experiments need, assembled from one configuration."""
-    config: SimulationConfig
-    weather: WeatherFrame
-    service_mix: dict  # building type -> per-100k count
-    household: np.ndarray  # kW, one read-only value per calendar hour
-    service: np.ndarray    # kW, the service mix's reference profiles summed
-
-
 def assemble_weather(config: SimulationConfig) -> WeatherFrame:
     """The configuration's weather file, or the synthetic year from its seed."""
     if config.weather_path is None:
@@ -236,12 +226,13 @@ def assemble_demand(config: SimulationConfig) -> tuple[dict, np.ndarray, np.ndar
     return mix, household, synthesize_service_profile(mix, profiles)
 
 
-def assemble(config: SimulationConfig) -> ModelInputs:
-    """Load (or synthesize) weather and demand inputs for a configuration.
+def assemble(config: SimulationConfig) -> tuple[WeatherFrame, dict, np.ndarray, np.ndarray]:
+    """The weather, the service mix and the household and service demand
+    (read-only kW columns) of a configuration.
 
     File-backed inputs are used when the configuration names them; any input
     left unspecified falls back to the deterministic synthetic generator so a
     bare configuration is still runnable end to end. The weather comes first,
     so a faulty weather file is reported before a faulty profile.
     """
-    return ModelInputs(config, assemble_weather(config), *assemble_demand(config))
+    return (assemble_weather(config), *assemble_demand(config))

@@ -7,14 +7,13 @@ sweep loads neither.
 from __future__ import annotations
 
 import itertools
-import json
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import tabular
-from .config import ModelInputs, SimulationConfig, assemble
+from .config import SimulationConfig, assemble
 from .demand import MIXED, RESIDENTIAL_ONLY, build_load_cases
 from .generation import (TURBINE_UNIT_MW, area_budget_totals, capacity_coefficients,
                          generation_mw, pv_unit_series, wind_unit_series)
@@ -39,26 +38,25 @@ SIGNIFICANCE_COLUMNS = ("t", "dof", "p", "reject_holm")
 
 
 class Prepared(NamedTuple):
-    """Inputs resolved into the read-only columns every scenario shares."""
-    inputs: ModelInputs
+    """A configuration's inputs resolved into the columns every scenario shares."""
+    config: SimulationConfig
+    service_mix: dict       # building type -> per-100k count
+    household: np.ndarray   # kW, one value per calendar hour
+    service: np.ndarray     # kW, the service mix's reference profiles summed
     phi: float
     load_r_mw: np.ndarray   # MW, phi · household
     load_m_mw: np.ndarray   # MW, household + service
     pv_unit: np.ndarray     # W per m² of panel
     wind_unit: np.ndarray   # kW per turbine
 
-    @property
-    def config(self) -> SimulationConfig:
-        return self.inputs.config
-
 
 def prepare(config: SimulationConfig) -> Prepared:
-    inputs = assemble(config)
-    residential, mixed, phi = build_load_cases(inputs.household, inputs.service)
-    return Prepared(inputs=inputs, phi=phi, load_r_mw=_read_only(residential / 1000.0),
-                    load_m_mw=_read_only(mixed / 1000.0),
-                    pv_unit=pv_unit_series(inputs.weather, config.pv),
-                    wind_unit=wind_unit_series(inputs.weather, config.turbine))
+    weather, service_mix, household, service = assemble(config)
+    residential, mixed, phi = build_load_cases(household, service)
+    return Prepared(config, service_mix, household, service, phi,
+                    _read_only(residential / 1000.0), _read_only(mixed / 1000.0),
+                    pv_unit_series(weather, config.pv),
+                    wind_unit_series(weather, config.turbine))
 
 
 def capacity_axis(max_mw: float, steps: int) -> tuple:
@@ -68,52 +66,45 @@ def capacity_axis(max_mw: float, steps: int) -> tuple:
 
 # Columns of ScenarioGrid.table, one row per scenario.
 _SUMS = slice(0, 8)          # ΣM⁺, ΣM⁻, ΣU, ΣG: residential, then mixed
-_TESTS = slice(8, 20)        # t, dof, p per SWEEP_TEST_METRICS
-_UNTESTABLE = slice(20, 24)  # 1.0 where that test is untestable, else 0.0
-_DELTAS = slice(24, 30)      # annual sum, hourly mean per DELTA_METRICS
-TABLE_WIDTH = 30
+_TESTS = slice(8, 20)        # t, dof, p per SWEEP_TEST_METRICS; NaN t where untestable
+_DELTAS = slice(20, 23)      # annual sum of mixed minus residential per DELTA_METRICS
+TABLE_WIDTH = 23
 
 
 class ScenarioGrid(NamedTuple):
     """Sweep results in columns: one ``table`` row per scenario (see _SUMS,
-    _TESTS, _UNTESTABLE, _DELTAS) and one ``reject`` row of Holm flags per
-    scenario, in the sweep's order, PV outer and wind inner.
+    _TESTS, _DELTAS) and one ``reject`` row of Holm flags per scenario, in
+    the sweep's order over the ``caps`` axis, PV outer and wind inner.
     """
-    pv_caps: tuple
-    wind_caps: tuple
+    caps: tuple
     phi: float
+    n_hours: int
     table: np.ndarray     # (scenarios, TABLE_WIDTH) float64
     reject: np.ndarray    # (scenarios, len(SWEEP_TEST_METRICS)) bool
 
 
 def evaluate_cell(pv_mw: float, wind_mw: float, prep: Prepared) -> list:
     """The scenario's ScenarioGrid.table row: TABLE_WIDTH floats in _SUMS,
-    _TESTS, _UNTESTABLE, _DELTAS order, tested as the config's ``pooled`` says."""
+    _TESTS, _DELTAS order, tested as the config's ``pooled`` says."""
     pooled = prep.config.pooled
     area, turbines = capacity_coefficients(pv_mw, wind_mw, prep.config.pv)
     g = generation_mw(area, turbines, prep.pv_unit, prep.wind_unit)
     split_r = hourly_split(g, prep.load_r_mw)
     split_m = hourly_split(g, prep.load_m_mw)
 
-    tests = []
+    row = [*split_r.annual(), *split_m.annual()]
     deltas = []
-    n_hours = len(g)
     for a, b in ((split_r.positive, split_m.positive),
                  (split_r.negative, split_m.negative),
                  (split_r.utilisation, split_m.utilisation)):
-        tests.append(welch_t_test(a, b, pooled=pooled))
-        total = float((b - a).sum())
-        deltas += (total, total / n_hours)     # what ndarray.mean computes
+        row += welch_t_test(a, b, pooled=pooled)
+        deltas.append(float((b - a).sum()))
     # hourly self-consumption U/G over the lit hours only (G > 0); with no
     # lit hour both samples are empty and the test is untestable
     lit = g > 0
     g_lit = g[lit]
-    tests.append(welch_t_test(split_r.utilisation[lit] / g_lit,
-                              split_m.utilisation[lit] / g_lit, pooled=pooled))
-    row = [*split_r.annual(), *split_m.annual()]
-    for test in tests:
-        row += test[:3]                         # t, dof, p
-    row += [float(test.untestable) for test in tests]
+    row += welch_t_test(split_r.utilisation[lit] / g_lit,
+                        split_m.utilisation[lit] / g_lit, pooled=pooled)
     return row + deltas
 
 
@@ -133,13 +124,13 @@ def run_experiment1(config: SimulationConfig, out_dir=None) -> ScenarioGrid:
             raise StatsError(f"{exc} at {pv!r} MW PV and {wind!r} MW wind") from None
 
     # Holm families: one correction across all scenarios per metric, on the
-    # table's p and untestable columns.
+    # table's p columns.
     reject = np.empty((len(table), len(SWEEP_TEST_METRICS)), dtype=bool)
-    p_values, untestable = table[:, _TESTS][:, 2::3], table[:, _UNTESTABLE] == 1.0
+    p_values = table[:, _TESTS][:, 2::3]
     for k in range(len(SWEEP_TEST_METRICS)):
-        reject[:, k] = apply_holm(p_values[:, k], untestable[:, k], alpha=config.alpha)
+        reject[:, k] = apply_holm(p_values[:, k], alpha=config.alpha)
 
-    grid = ScenarioGrid(pv_caps=caps, wind_caps=caps, phi=prep.phi,
+    grid = ScenarioGrid(caps=caps, phi=prep.phi, n_hours=len(prep.load_r_mw),
                         table=table, reject=reject)
     if out_dir is not None:
         write_experiment1_tables(grid, out_dir)
@@ -168,7 +159,7 @@ class _LongRows:
 
     def __iter__(self):
         table, labels = self.grid.table, self.labels
-        keys = itertools.product(self.grid.pv_caps, self.grid.wind_caps, labels)
+        keys = itertools.product(self.grid.caps, self.grid.caps, labels)
         for start in range(0, len(table), _BLOCK):
             block = table[start:start + _BLOCK, self.columns]
             values = block.reshape(len(block) * len(labels), -1).T.tolist()
@@ -189,7 +180,8 @@ def _metric_row(key, *sums) -> tuple:
 
 def write_experiment1_tables(grid: ScenarioGrid, out_dir) -> list:
     """The three sweep tables, each streamed from the grid's columns. An
-    untestable test's NaN t and dof write empty cells, as None does."""
+    untestable test's NaN t and dof write empty cells, as None does; a delta's
+    hourly mean is its annual sum over the year's hours, as ndarray.mean divides."""
     out_dir = Path(out_dir)
     return [
         tabular.write_csv(out_dir / "sweep_metrics.csv", METRIC_HEADER,
@@ -202,15 +194,16 @@ def write_experiment1_tables(grid: ScenarioGrid, out_dir) -> list:
         tabular.write_csv(out_dir / "sweep_deltas.csv",
                           ("scenario_pv_mw", "scenario_wind_mw", "metric",
                            "annual_sum_diff_mwh", "hourly_mean_diff_mw"),
-                          _LongRows(grid, _DELTAS, DELTA_METRICS, _joined)),
+                          _LongRows(grid, _DELTAS, DELTA_METRICS,
+                                    lambda key, total: (*key, total, total / grid.n_hours))),
     ]
 
 
 class Experiment2Result(NamedTuple):
     """The category study. Each per-category column holds one entry per
     category code, in the order of classify.all_category_keys; each metric's
-    ``tests`` block has one row per code in the sweep's encoding: t, dof, p,
-    and 1.0 where the test is untestable (NaN t and dof), else 0.0."""
+    ``tests`` block has one row per code as the sweep holds it: t, dof and p,
+    NaN t and dof where the test is untestable."""
     pv_mw: float
     wind_mw: float
     phi: float
@@ -219,7 +212,7 @@ class Experiment2Result(NamedTuple):
     counts: np.ndarray        # hours per category
     aggregates: dict          # (load_case, metric) -> (counts, sums) columns
     delta_aggregates: tuple   # (counts, sums) columns
-    tests: dict               # metric -> (categories, 4) t, dof, p, untestable
+    tests: dict               # metric -> (categories, 3) t, dof, p
     reject: dict              # metric -> Holm flags per category
     summary: dict
 
@@ -264,8 +257,7 @@ def run_experiment2(config: SimulationConfig, out_dir=None,
     aggregates = {pair: classify.aggregate_by_category(keys, values)
                   for pair, values in hourly.items()}
 
-    delta = delta_mismatch(prep.inputs.service / 1000.0,
-                           prep.inputs.household / 1000.0, prep.phi)
+    delta = delta_mismatch(prep.service / 1000.0, prep.household / 1000.0, prep.phi)
     delta_aggregates = classify.aggregate_by_category(keys, delta)
 
     tests, reject = {}, {}
@@ -273,13 +265,12 @@ def run_experiment2(config: SimulationConfig, out_dir=None,
         members_r = classify.member_values(keys, hourly[(RESIDENTIAL_ONLY, metric)])
         members_m = classify.member_values(keys, hourly[(MIXED, metric)])
         try:
-            # a TestResult's untestable flag becomes 1.0 or 0.0
             family = np.array([welch_t_test(a, b, pooled=config.pooled)
                                for a, b in zip(members_r, members_m)], dtype=float)
         except StatsError as exc:
             raise StatsError(f"{exc} at {pv_mw!r} MW PV and {wind_mw!r} MW wind") from None
         tests[metric] = family
-        reject[metric] = apply_holm(family[:, 2], family[:, 3] == 1.0, alpha=config.alpha)
+        reject[metric] = apply_holm(family[:, 2], alpha=config.alpha)
 
     summary = {
         "pv_mw": pv_mw,
@@ -342,17 +333,14 @@ def write_experiment2_tables(result: Experiment2Result, out_dir) -> list:
     for metric in CATEGORY_METRICS:
         sig_rows = [(key.day_kind, key.time_band, key.solar_bin, key.wind_bin, metric,
                      t, dof, p, flag)
-                    for key, (t, dof, p, _), flag in zip(keys, result.tests[metric].tolist(),
-                                                         result.reject[metric].tolist())]
+                    for key, (t, dof, p), flag in zip(keys, result.tests[metric].tolist(),
+                                                      result.reject[metric].tolist())]
         paths.append(tabular.write_csv(
             out_dir / f"categories_significance_{metric}.csv",
             ("day_kind", "time_band", "solar_bin", "wind_bin", "metric")
             + SIGNIFICANCE_COLUMNS, sig_rows))
 
-    summary_path = out_dir / "mix_summary.json"
-    summary_path.write_text(json.dumps(result.summary, indent=2, sort_keys=True) + "\n",
-                            encoding="utf-8")
-    paths.append(summary_path)
+    paths.append(tabular.write_json(out_dir / "mix_summary.json", result.summary))
     return paths
 
 
@@ -364,7 +352,7 @@ def build_problem(prep: Prepared) -> MixProblem:
     budget = config.area
     if not budget.service_roofs:
         budget = budget._replace(service_roofs=config.scaling_fixture.roof_areas())
-    a_roof = area_budget_totals(prep.inputs.service_mix, config.households, budget)
+    a_roof = area_budget_totals(prep.service_mix, config.households, budget)
     return MixProblem(g_pv=prep.pv_unit,
                       g_turbine=prep.wind_unit,
                       load_mw=prep.load_m_mw,
@@ -387,9 +375,7 @@ def run_optimize(config: SimulationConfig, out_dir=None):
     report = solution_report(problem, solution, config.ga, config.seed)
     if out_dir is not None:
         out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "optimize_report.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        tabular.write_json(out_dir / "optimize_report.json", report)
         tabular.write_csv(out_dir / "optimize_solution.csv",
                           ("x_pv_m2", "x_turbine_m2", "pv_mw", "turbines",
                            "wind_mw", "objective", "objective_rounded",

@@ -137,7 +137,14 @@ def _single_diode_mpp(ghi: np.ndarray, t_cell: np.ndarray,
     # "not <= 0" rather than "> 0": a NaN input stays NaN instead of reading as night
     lit = ~((ghi <= 0) | (i_ph <= 0) | (voc <= 0))
     i_ph, voc, vt = i_ph[lit], voc[lit], vt_module[lit]
-    ratio = voc / vt
+    # an extreme ideality leaves the double range: vt rounds to 0 or overflows
+    off = np.flatnonzero((vt <= 0) | (vt == math.inf))
+    if len(off):
+        raise GenerationError(f"single-diode thermal voltage must be positive and finite, got "
+                              f"{float(vt[off[0]])!r} V (n_cells={diode.n_cells!r}, "
+                              f"ideality={diode.ideality!r})")
+    with np.errstate(over="ignore"):
+        ratio = voc / vt
     if (ratio > _EXPM1_MAX).any():
         raise GenerationError(f"single-diode voc/vt reaches {float(np.nanmax(ratio))!r} "
                               f"(voc_v={diode.voc_v!r}, n_cells={diode.n_cells!r}); "

@@ -53,6 +53,10 @@ class MixProblem(checked_record(OptimizeError,
         if not len(self.g_pv) == len(self.g_turbine) == len(self.load_mw):
             raise OptimizeError("profile length mismatch")
         check_weights(self.weights, OptimizeError)
+        if not self.turbine_area_max / self.turbine_footprint_m2 < math.inf:
+            raise OptimizeError(f"turbine_footprint_m2 must leave the turbine count of the "
+                                f"{self.turbine_area_max!r} m² wind area finite, got "
+                                f"{self.turbine_footprint_m2!r} m²")
 
     @property
     def pv_area_max(self) -> float:
@@ -183,6 +187,13 @@ def ga_optimize(problem: MixProblem, config: GAConfig = GAConfig(),
     """
     if problem.total_area_max <= 0:
         raise OptimizeError("feasible region is empty")
+    widest = max(problem.pv_area_max, problem.turbine_area_max)
+    # a child's blend interval spans up to 1 + 2 blend_alpha parent spans
+    for name, factor in (("blend_alpha", 1.0 + 2.0 * config.blend_alpha),
+                         ("mutation_sigma_frac", config.mutation_sigma_frac)):
+        if not factor * widest < math.inf:
+            raise OptimizeError(f"{name} must keep the search's steps over the {widest!r} m² "
+                                f"range finite, got {getattr(config, name)!r}")
     rng = np.random.default_rng(seed)
     n = config.population
     ranges = np.array([problem.pv_area_max, problem.turbine_area_max])
@@ -200,17 +211,18 @@ def ga_optimize(problem: MixProblem, config: GAConfig = GAConfig(),
 
         children = np.empty_like(pop)
         children[:config.elite] = pop[:config.elite]
-        for i in range(config.elite, n):
-            pa = pop[rng.integers(0, n, size=config.tournament_k).min()]
-            pb = pop[rng.integers(0, n, size=config.tournament_k).min()]
-            lo = np.minimum(pa, pb)
-            hi = np.maximum(pa, pb)
-            span = hi - lo
-            child = rng.uniform(lo - config.blend_alpha * span,
-                                hi + config.blend_alpha * span)
-            mutate = rng.uniform(size=2) < config.mutation_rate
-            child = child + mutate * rng.normal(0.0, 1.0, size=2) * sigma
-            children[i] = child
+        # a mutation step past the double range is projected like any other
+        with np.errstate(over="ignore"):
+            for i in range(config.elite, n):
+                pa = pop[rng.integers(0, n, size=config.tournament_k).min()]
+                pb = pop[rng.integers(0, n, size=config.tournament_k).min()]
+                lo = np.minimum(pa, pb)
+                hi = np.maximum(pa, pb)
+                span = hi - lo
+                child = rng.uniform(lo - config.blend_alpha * span,
+                                    hi + config.blend_alpha * span)
+                mutate = rng.uniform(size=2) < config.mutation_rate
+                children[i] = child + mutate * rng.normal(0.0, 1.0, size=2) * sigma
         pop = _project(children, problem)
         fitness = _fitness(pop[:, 0], pop[:, 1], problem)
         evaluations += n

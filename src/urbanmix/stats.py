@@ -28,11 +28,14 @@ class TestResult(NamedTuple):
     t_stat: float
     dof: float
     p_value: float
-    untestable: bool = False
+
+    @property
+    def untestable(self) -> bool:
+        """A NaN t marks the untestable result, and nothing else: its p is 1."""
+        return math.isnan(self.t_stat)
 
 
-UNTESTABLE = TestResult(t_stat=float("nan"), dof=float("nan"), p_value=1.0,
-                        untestable=True)
+UNTESTABLE = TestResult(t_stat=float("nan"), dof=float("nan"), p_value=1.0)
 
 
 _LN_GAMMA_HALF = 0.5 * math.log(math.pi)
@@ -142,10 +145,11 @@ def _moments(x: np.ndarray) -> tuple[float, float]:
 def welch_t_test(a, b, pooled: bool = False) -> TestResult:
     """Two-sample t-test of mean difference.
 
-    Returns the distinguished untestable result (p = 1) when either sample
-    has fewer than two values or both samples are constant, instead of
-    raising: such cases occur naturally for sparse categories.
-    A sample whose variance overflows the double range raises StatsError.
+    Returns the distinguished untestable result (NaN t and dof, p = 1) when
+    either sample has fewer than two values or both samples are constant,
+    instead of raising: such cases occur naturally for sparse categories.
+    A sample whose variance overflows the double range, or any other test
+    whose t is NaN (a sample holding NaN or infinity), raises StatsError.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -154,12 +158,11 @@ def welch_t_test(a, b, pooled: bool = False) -> TestResult:
     na, nb = len(a), len(b)
     if na < 2 or nb < 2:
         return UNTESTABLE
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         mean_a, var_a = _moments(a)
         mean_b, var_b = _moments(b)
     if var_a == math.inf or var_b == math.inf:
         raise StatsError("sample variance overflows the double range")
-    diff = mean_a - mean_b
     if pooled:
         dof = na + nb - 2
         sp2 = ((na - 1) * var_a + (nb - 1) * var_b) / dof
@@ -167,41 +170,32 @@ def welch_t_test(a, b, pooled: bool = False) -> TestResult:
     else:
         sa2, sb2 = var_a / na, var_b / nb
         denom2 = sa2 + sb2
-        if denom2 > 0:
-            try:
-                dof = denom2 ** 2 / (
-                    sa2 ** 2 / (na - 1) + sb2 ** 2 / (nb - 1)
-                )
-            except (OverflowError, ZeroDivisionError):
-                # the squares left the double range; the ratio is scale-free
-                ra, rb = sa2 / denom2, sb2 / denom2
-                dof = 1.0 / (ra ** 2 / (na - 1) + rb ** 2 / (nb - 1))
-        else:
-            dof = float("nan")
     if denom2 <= 0:
         # zero variance in both samples: no spread to test against
         return UNTESTABLE
-    t = diff / math.sqrt(denom2)
+    t = (mean_a - mean_b) / math.sqrt(denom2)
+    if math.isnan(t):
+        raise StatsError("samples must hold finite numbers, got a t statistic of nan")
+    if not pooled:
+        try:
+            dof = denom2 ** 2 / (sa2 ** 2 / (na - 1) + sb2 ** 2 / (nb - 1))
+        except (OverflowError, ZeroDivisionError):
+            # the squares left the double range; the ratio is scale-free
+            ra, rb = sa2 / denom2, sb2 / denom2
+            dof = 1.0 / (ra ** 2 / (na - 1) + rb ** 2 / (nb - 1))
     return TestResult(t_stat=t, dof=float(dof),
                       p_value=student_t_two_sided_p(t, float(dof)))
 
 
-def apply_holm(p_values, untestable, alpha: float = 0.05) -> np.ndarray:
-    """Step-down (Holm 1979) rejection flags of one family, in input order.
-
-    The family is two equal-length columns: the p-values, and flags marking
-    the untestable entries, which count as p = 1 whatever p-value they hold.
+def apply_holm(p_values, alpha: float = 0.05) -> np.ndarray:
+    """Step-down (Holm 1979) rejection flags of one family of p-values, in
+    input order; an untestable test's p of 1 counts in the family's size.
     Sorted ascending, p_(k) is rejected while p_(k) <= alpha/(m-k+1); the
     first failure stops the procedure.
     """
     p = np.asarray(p_values, dtype=float)
-    untestable = np.asarray(untestable, dtype=bool)
     if p.ndim != 1:
         raise StatsError("p-values must be one-dimensional")
-    if untestable.shape != p.shape:
-        raise StatsError(f"untestable flags of shape {untestable.shape} "
-                         f"for {len(p)} p-values")
-    p = np.where(untestable, 1.0, p)
     if np.any(p < 0) or np.any(p > 1) or np.any(np.isnan(p)):
         raise StatsError("p-values must lie within [0, 1]")
     m = len(p)

@@ -1,7 +1,8 @@
-"""CSV table writers with deterministic, round-trippable formatting."""
+"""CSV table and JSON summary writers with deterministic, round-trippable formatting."""
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from pathlib import Path
@@ -64,3 +65,10 @@ def write_csv(path, header, rows) -> Path:
         raise
     return path
 
+
+def write_json(path, obj) -> Path:
+    """Write ``obj`` as indented JSON with sorted keys and a final newline."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return path

@@ -169,9 +169,8 @@ def test_criterion_07_holm_oracle():
             m = int(rng.integers(1, 60))
             p = rng.uniform(0.0, 1.0, m)
             alpha = float(rng.uniform(0.005, 0.25))
-            assert apply_holm(p, np.zeros(m, dtype=bool),
-                              alpha=alpha).tolist() == oracle(list(p), alpha)
-        assert apply_holm([0.01, 0.02, 0.04], [False] * 3, alpha=0.05).tolist() == [
+            assert apply_holm(p, alpha=alpha).tolist() == oracle(list(p), alpha)
+        assert apply_holm([0.01, 0.02, 0.04], alpha=0.05).tolist() == [
             True, True, True]
         assert time.monotonic() - start < 1.0
 
@@ -223,8 +222,7 @@ def test_criterion_10_sweep_shape(config2014):
         grid = run_experiment1(config2014)
         assert len(grid.table) == 121
         caps = capacity_axis(525.0, 11)
-        assert grid.pv_caps == caps
-        assert grid.wind_caps == caps
+        assert grid.caps == caps
         assert caps[0] == 0.0
         assert caps[-1] == 525.0
         assert all(abs(b - a - 52.5) < 1e-9 for a, b in zip(caps, caps[1:]))
@@ -249,10 +247,10 @@ def test_criterion_11_directional_claims(config2014):
         # household, service concentrated in opening hours
         np.testing.assert_allclose(prep.load_r_mw.sum(), prep.load_m_mw.sum(),
                                    rtol=1e-9)
-        h_prof = np.array([prep.inputs.household[(~weekend) & (hour == t)].mean()
+        h_prof = np.array([prep.household[(~weekend) & (hour == t)].mean()
                            for t in range(24)])
         assert 16 <= int(h_prof.argmax()) < 24
-        s = prep.inputs.service
+        s = prep.service
         assert s[weekday_day].mean() > 2.0 * s[(~weekend) & (hour < 8)].mean()
 
         for pv_mw, wind_mw in ((100.0, 0.0), (300.0, 0.0), (399.0, 30.0),
@@ -267,7 +265,7 @@ def test_criterion_11_directional_claims(config2014):
             assert abs(neg_r[weekday_evening].sum()) < abs(neg_m[weekday_evening].sum())
 
         # absolute national level needs measured inputs; fixture run skips it
-        national = national_total_check(prep.inputs.service,
+        national = national_total_check(prep.service,
                                         config2014.scaling_fixture.households_per_100k,
                                         config2014.benchmarks, config2014.real_inputs)
         assert national.skipped

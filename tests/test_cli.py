@@ -312,6 +312,36 @@ def test_non_finite_year_sum_exits_2(tmp_path, capsys, raw, message):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, raw, message", [
+    # the GA's widest blend interval, then its mutation scale, leaves the double range
+    ("optimize", {"ga": {"blend_alpha": 1e308}},
+     "blend_alpha must keep the search's steps over the 15390999.0 m² range finite, "
+     "got 1e+308"),
+    ("optimize", {"ga": {"mutation_sigma_frac": 1e308}},
+     "mutation_sigma_frac must keep the search's steps over the 15390999.0 m² range finite, "
+     "got 1e+308"),
+    # the module's thermal voltage overflows, then rounds to zero
+    ("generation", {"pv": {"model": "single-diode", "diode": {"ideality": 1e308}}},
+     "single-diode thermal voltage must be positive and finite, got inf V "
+     "(n_cells=36, ideality=1e+308)"),
+    ("generation", {"pv": {"model": "single-diode", "diode": {"ideality": 5e-324}}},
+     "single-diode thermal voltage must be positive and finite, got 0.0 V "
+     "(n_cells=36, ideality=5e-324)"),
+    # a subnormal footprint puts infinitely many turbines on the wind area
+    ("optimize", {"area": {"turbine_footprint_km2_per_mw": 5e-324}},
+     "turbine_footprint_m2 must leave the turbine count of the 10260666.0 m² wind area "
+     "finite, got 2.47033e-318 m²"),
+])
+def test_extreme_setting_exits_2_with_one_line(tmp_path, capsys, command, raw, message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), command]) == 2
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert not any(out.iterdir())
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("model", ["linear-derate", "single-diode"])
 def test_pv_cell_below_absolute_zero_exits_2(tmp_path, capsys, model):
     # a NOCT offset of -300 °C puts a bright hour's cell below 0 K
@@ -920,10 +950,9 @@ def test_unknown_ga_key_exits_1(tmp_path, capsys):
 UNUSED_MODULES = {
     "scale": {"classify", "demand", "experiments", "metrics", "optimize", "stats",
               "synthdata"},
-    "profiles": {"classify", "experiments", "metrics", "optimize", "stats", "tabular",
-                 "validation"},
+    "profiles": {"classify", "experiments", "metrics", "optimize", "stats", "validation"},
     "generation": {"classify", "demand", "experiments", "metrics", "optimize", "stats",
-                   "tabular", "validation"},
+                   "validation"},
     "sweep": {"classify", "optimize", "validation"},
     "classify": {"optimize", "validation"},
     "optimize": {"classify", "validation"},

@@ -225,17 +225,17 @@ def test_benchmarks_override(tmp_path):
 
 
 def test_assemble_synthetic_fallback():
-    inputs = assemble(default_config())
-    assert len(inputs.weather) == 8760
-    assert len(inputs.household) == 8760
-    assert len(inputs.service) == 8760
-    assert inputs.household.sum() == pytest.approx(3.5e8, rel=1e-9)
-    assert sum(inputs.service_mix.values()) == 834
+    weather, service_mix, household, service = assemble(default_config())
+    assert len(weather) == 8760
+    assert len(household) == 8760
+    assert len(service) == 8760
+    assert household.sum() == pytest.approx(3.5e8, rel=1e-9)
+    assert sum(service_mix.values()) == 834
 
 
 def test_assemble_seed_controls_weather():
-    base = assemble(default_config())
-    other = assemble(default_config().with_seed(5))
-    assert base.weather.temp[100] != other.weather.temp[100]
-    again = assemble(default_config())
-    assert base.weather.temp[100] == again.weather.temp[100]
+    base = assemble(default_config())[0]
+    other = assemble(default_config().with_seed(5))[0]
+    assert base.temp[100] != other.temp[100]
+    again = assemble(default_config())[0]
+    assert base.temp[100] == again.temp[100]

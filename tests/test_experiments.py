@@ -25,8 +25,7 @@ from urbanmix.metrics import AggregateMetrics, hourly_split
 from urbanmix.stats import TestResult as TResult
 from urbanmix.stats import apply_holm, welch_t_test
 
-SUMS, TESTS = experiments._SUMS, experiments._TESTS
-UNTESTABLE, DELTAS = experiments._UNTESTABLE, experiments._DELTAS
+SUMS, TESTS, DELTAS = experiments._SUMS, experiments._TESTS, experiments._DELTAS
 
 
 @pytest.fixture(scope="module")
@@ -36,8 +35,7 @@ def prep(config2014):
 
 def with_pooled(prep, pooled):
     """``prep`` under a config whose ``pooled`` flag is ``pooled``."""
-    config = prep.config._replace(pooled=pooled)
-    return prep._replace(inputs=prep.inputs._replace(config=config))
+    return prep._replace(config=prep.config._replace(pooled=pooled))
 
 
 def components(pv_mw, wind_mw, prep):
@@ -59,8 +57,7 @@ def exp2(config2014):
 
 def holm_flags(family, alpha):
     """apply_holm's reject flags over a family of TestResults."""
-    return apply_holm([r.p_value for r in family], [r.untestable for r in family],
-                      alpha=alpha).tolist()
+    return apply_holm([r.p_value for r in family], alpha=alpha).tolist()
 
 
 def test_capacity_axis_default():
@@ -77,7 +74,7 @@ def test_prepare_units(prep):
     # both cases carry the same annual energy by construction
     assert prep.load_r_mw.sum() == pytest.approx(prep.load_m_mw.sum(), rel=1e-9)
     # residential case is phi * household, in MW
-    household_mw = prep.inputs.household / 1000.0
+    household_mw = prep.household / 1000.0
     assert prep.load_r_mw == pytest.approx(prep.phi * household_mw, rel=1e-12)
     assert not prep.load_r_mw.flags.writeable
 
@@ -90,17 +87,16 @@ def case_sums(row):
 
 def row_tests(row):
     """A table row's test results by metric."""
-    t_dof_p, untestable = list(row[TESTS]), list(row[UNTESTABLE])
-    return {name: TResult(*t_dof_p[3 * k:3 * k + 3], untestable=untestable[k] == 1.0)
-            for k, name in enumerate(SWEEP_TEST_METRICS)}
+    t_dof_p = list(row[TESTS])
+    return {name: TResult(*t_dof_p[3 * k:3 * k + 3]) for k, name in enumerate(SWEEP_TEST_METRICS)}
 
 
 def test_grid_has_121_cells(grid):
     assert grid.table.shape == (121, TABLE_WIDTH)
     assert grid.reject.shape == (121, len(SWEEP_TEST_METRICS))
-    assert grid.pv_caps == capacity_axis(525.0, 11)
-    assert grid.wind_caps == capacity_axis(525.0, 11)
-    seen = set(itertools.product(grid.pv_caps, grid.wind_caps))
+    assert grid.caps == capacity_axis(525.0, 11)
+    assert grid.n_hours == 8760
+    seen = set(itertools.product(grid.caps, grid.caps))
     assert len(seen) == 121
 
 
@@ -116,8 +112,7 @@ def test_grid_cell_is_evaluate_cell_with_holm_flags(config2014, pooled):
     config = config2014._replace(sweep_steps=4, pooled=pooled)
     grid = run_experiment1(config)
     prep = prepare(config)
-    rows = [evaluate_cell(pv, wind, prep)
-            for pv, wind in itertools.product(grid.pv_caps, grid.wind_caps)]
+    rows = [evaluate_cell(pv, wind, prep) for pv, wind in itertools.product(grid.caps, grid.caps)]
     flags = {name: holm_flags([row_tests(row)[name] for row in rows], alpha=config.alpha)
              for name in SWEEP_TEST_METRICS}
     for i, row in enumerate(rows):
@@ -133,8 +128,9 @@ def test_grid_cell_is_evaluate_cell_with_holm_flags(config2014, pooled):
 
 @pytest.mark.parametrize("pooled", [False, True], ids=["welch", "pooled"])
 def test_swapping_the_load_cases_mirrors_the_sweep(config2014, monkeypatch, pooled):
-    # swapping residential-only and mixed negates every t and delta exactly,
-    # keeps dof, p, the untestable and Holm flags, and swaps the two cases' sums
+    # swapping residential-only and mixed negates every t and delta exactly
+    # (an untestable test's NaN t stays NaN), keeps dof, p and the Holm flags,
+    # and swaps the two cases' sums
     config = config2014._replace(sweep_steps=5, pooled=pooled)
     grid = run_experiment1(config)
     prep = prepare(config)
@@ -154,10 +150,35 @@ def test_swapping_the_load_cases_mirrors_the_sweep(config2014, monkeypatch, pool
     assert negated(other_tests[:, 0::3], t_dof_p[:, 0::3])
     assert same(other_tests[:, 1::3], t_dof_p[:, 1::3])
     assert same(other_tests[:, 2::3], t_dof_p[:, 2::3])
-    assert same(other[:, UNTESTABLE], table[:, UNTESTABLE])
     assert same(mirror.reject, grid.reject)
     assert negated(other[:, DELTAS], table[:, DELTAS])
     assert grid.reject.any() and not grid.reject.all()
+
+
+@pytest.mark.parametrize("j", [1, -2, 10, -30, 30])
+def test_scaling_loads_and_units_by_a_power_of_two_scales_the_sweep(config2014, monkeypatch, j):
+    # both loads and both per-unit series times k = 2**j: every annual sum and
+    # delta is k times its value bit for bit, and t, dof, p and Holm flags are
+    # unchanged; at j = -30 the smallest generation is below 1e-9 MW
+    k = 2.0 ** j
+    config = config2014._replace(sweep_steps=5)
+    grid = run_experiment1(config)
+    prep = prepare(config)
+    scaled = prep._replace(load_r_mw=k * prep.load_r_mw, load_m_mw=k * prep.load_m_mw,
+                           pv_unit=k * prep.pv_unit, wind_unit=k * prep.wind_unit)
+    monkeypatch.setattr(experiments, "prepare", lambda _: scaled)
+    other = run_experiment1(config)
+
+    def same(a, b):
+        return a.tobytes() == b.tobytes()  # bit for bit, NaN included
+
+    assert same(other.table[:, TESTS], grid.table[:, TESTS])
+    assert same(other.reject, grid.reject)
+    assert same(other.table[:, SUMS], k * grid.table[:, SUMS])
+    assert same(other.table[:, DELTAS], k * grid.table[:, DELTAS])
+    # the grid holds untestable tests, and rejections in every metric but not everywhere
+    assert np.isnan(grid.table[:, TESTS][:, 0::3]).any()
+    assert grid.reject.any(axis=0).all() and not grid.reject.all()
 
 
 def test_zero_capacity_cell(grid, prep):
@@ -190,9 +211,8 @@ def test_cell_matches_pipeline_composition(prep):
     m_r = g - prep.load_r_mw
     m_m = g - prep.load_m_mw
     pos_diff = float(np.maximum(m_m, 0).sum() - np.maximum(m_r, 0).sum())
-    pos_sum, pos_mean = row[DELTAS][0:2]     # DELTA_METRICS[0] is pos_mwh
+    pos_sum = row[DELTAS][0]     # DELTA_METRICS[0] is pos_mwh
     assert pos_sum == pytest.approx(pos_diff, rel=1e-9)
-    assert pos_mean == pytest.approx(pos_diff / 8760.0, rel=1e-9)
 
 
 @pytest.mark.parametrize("pv_mw, wind_mw", [(105.0, 0.0), (105.0, 157.5)])
@@ -256,9 +276,9 @@ def list_oracle_tables(grid) -> dict:
     def long_rows(columns, labels):
         block = grid.table[:, columns]
         values = block.reshape(len(block) * len(labels), -1).T.tolist()
-        return zip(itertools.product(grid.pv_caps, grid.wind_caps, labels), *values)
+        return zip(itertools.product(grid.caps, grid.caps, labels), *values)
 
-    # table columns: 0-7 annual sums, 8-19 t, dof, p per test, 24-29 deltas
+    # table columns: 0-7 annual sums, 8-19 t, dof, p per test, 20-22 deltas
     tables = {
         "sweep_metrics.csv": (
             ("scenario_pv_mw", "scenario_wind_mw", "load_case",
@@ -273,7 +293,9 @@ def list_oracle_tables(grid) -> dict:
         "sweep_deltas.csv": (
             ("scenario_pv_mw", "scenario_wind_mw", "metric",
              "annual_sum_diff_mwh", "hourly_mean_diff_mw"),
-            [(*key, *values) for key, *values in long_rows(slice(24, 30), DELTA_METRICS)]),
+            # the hourly mean as ndarray.mean computes it: the sum over the 8760 hours
+            [(*key, total, total / 8760) for key, total in long_rows(slice(20, 23),
+                                                                     DELTA_METRICS)]),
     }
     return {name: "".join(",".join(tabular.fmt(cell) for cell in row) + "\n"
                           for row in [header, *rows]).encode("utf-8")
@@ -312,7 +334,7 @@ def test_writing_the_61x61_tables_holds_under_1_mb(tmp_path):
     caps = capacity_axis(525.0, 61)
     table = rng.uniform(0.0, 1e3, (61 * 61, TABLE_WIDTH))
     table[0, 8:10] = np.nan
-    grid = ScenarioGrid(pv_caps=caps, wind_caps=caps, phi=2.0, table=table,
+    grid = ScenarioGrid(caps=caps, phi=2.0, n_hours=8760, table=table,
                         reject=rng.random((61 * 61, len(SWEEP_TEST_METRICS))) < 0.3)
     tracemalloc.start()
     try:
@@ -337,19 +359,15 @@ def test_evaluate_cell_row_invariants(prep, pv_mw, wind_mw, pooled):
         assert pos >= 0.0 >= neg
         assert abs(pos + neg - (gen - total_load)) <= 1e-9 * max(gen, total_load, 1.0)
         assert 0.0 <= util <= min(gen, total_load) * (1 + 1e-9)
-    t_dof_p, untestable = row[TESTS], row[UNTESTABLE]
-    for k, flag in enumerate(untestable):
+    t_dof_p = row[TESTS]
+    for k in range(len(SWEEP_TEST_METRICS)):
         t, dof, p = t_dof_p[3 * k:3 * k + 3]
-        assert flag in (0.0, 1.0)
-        assert math.isnan(t) == math.isnan(dof) == (flag == 1.0)
-        if flag == 1.0:
-            assert p == 1.0
-        else:
-            assert 0.0 <= p <= 1.0
+        # an untestable test: NaN t and dof, p = 1
+        assert math.isnan(t) == math.isnan(dof)
+        assert (p == 1.0) if math.isnan(t) else (0.0 <= p <= 1.0)
     sums = row[SUMS]
-    for k, (total, mean) in enumerate(zip(row[DELTAS][0::2], row[DELTAS][1::2])):
+    for k, total in enumerate(row[DELTAS]):
         residential, mixed = sums[k], sums[4 + k]   # ΣM⁺, ΣM⁻, ΣU per DELTA_METRICS
-        assert mean == total / len(prep.load_r_mw)
         assert abs(total - (mixed - residential)) <= 1e-9 * (abs(mixed) + abs(residential) + 1)
 
 
@@ -392,8 +410,7 @@ def test_experiment2_aggregates_consistent(exp2, prep):
 
 def test_experiment2_delta_is_generation_free(exp2, prep):
     # per-category sums of the load-case delta recover s - (phi-1) h
-    delta = (prep.inputs.service / 1000.0
-             - (prep.phi - 1.0) * prep.inputs.household / 1000.0)
+    delta = prep.service / 1000.0 - (prep.phi - 1.0) * prep.household / 1000.0
     direct = {}
     for key, value in zip(decode(exp2.keys), delta):
         direct[key] = direct.get(key, 0.0) + float(value)
@@ -420,9 +437,7 @@ def test_experiment2_categories_bit_equal_to_dict_loops(exp2, prep, config2014):
         members = [oracle_members(keys, values) for values in hourly]
         family = [welch_t_test(members[0][key], members[1][key], pooled=config2014.pooled)
                   for key in all_category_keys()]
-        # the sweep's encoding: t, dof, p and 1.0 or 0.0 for untestable
-        assert exact_rows(exp2.tests[metric].tolist()) == \
-            exact_rows((*r[:3], float(r.untestable)) for r in family)
+        assert exact_rows(exp2.tests[metric].tolist()) == exact_rows(family)
         assert any(r.untestable for r in family)
         assert exp2.reject[metric].tolist() == holm_flags(family, alpha=config2014.alpha)
 
@@ -434,13 +449,12 @@ def exact_rows(rows):
 
 def test_experiment2_tests_cover_all_categories(exp2):
     for metric in CATEGORY_METRICS:
-        assert exp2.tests[metric].shape == (150, 4)
+        assert exp2.tests[metric].shape == (150, 3)
         assert len(exp2.reject[metric]) == 150
-        for n, (t, dof, p, untestable) in zip(exp2.counts.tolist(),
-                                              exp2.tests[metric].tolist()):
-            assert untestable in (0.0, 1.0)
-            assert math.isnan(t) == math.isnan(dof) == (untestable == 1.0)
-            assert untestable == 1.0 or n > 0
+        for n, (t, dof, p) in zip(exp2.counts.tolist(), exp2.tests[metric].tolist()):
+            # an untestable test: NaN t and dof, p = 1; an empty category is one
+            assert math.isnan(t) == math.isnan(dof)
+            assert (p == 1.0) if math.isnan(t) else (n > 0)
 
 
 def test_experiment2_tables(exp2, tmp_path):
@@ -478,15 +492,16 @@ def test_untestable_category_writes_empty_t_and_dof(exp2, tmp_path):
         results = exp2.tests[metric].tolist()
         assert len(cells) == len(results) == 150
         kinds = set()
-        for key, (t, dof, p, untestable), reject in zip(all_category_keys(), results,
-                                                        exp2.reject[metric].tolist()):
+        for key, (t, dof, p), reject in zip(all_category_keys(), results,
+                                            exp2.reject[metric].tolist()):
             written = cells[(key.day_kind, key.time_band, str(key.solar_bin), str(key.wind_bin))]
+            untestable = math.isnan(t)
             if untestable:
                 assert written == ["", "", "1.0", "false"]
             else:
                 assert written == [repr(t), repr(dof), repr(p), str(reject).lower()]
             kinds.add(untestable)
-        assert kinds == {0.0, 1.0}
+        assert kinds == {False, True}
 
 
 def test_build_problem_uses_fixture_roofs(prep):

@@ -256,6 +256,16 @@ def test_ga_respects_max_generations():
     assert sol.evaluations == 100
 
 
+@pytest.mark.filterwarnings("error")
+def test_ga_mutation_step_past_the_double_range_is_projected():
+    # a mutation scale of 1.5e308 m² is finite, but most steps overflow; each
+    # such child is projected onto the box like any other, with no warning
+    p = tiny_problem(n=48)
+    assert max(p.pv_area_max, p.turbine_area_max) == 150_000.0
+    sol = ga_optimize(p, config=GAConfig(mutation_sigma_frac=1e303, max_generations=3), seed=0)
+    assert p.is_feasible(sol.x_pv_m2, sol.x_turbine_m2, tol=1e-9 * p.total_area_max)
+
+
 def test_ga_within_two_percent_of_grid_oracle(desk_problem):
     start = time.monotonic()
     oracle = grid_oracle(desk_problem, resolution=200)

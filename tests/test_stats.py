@@ -45,11 +45,6 @@ def holm_oracle(p_values, alpha):
     return reject
 
 
-def holm(p_values, alpha=0.05):
-    """apply_holm on a family with no untestable entry."""
-    return apply_holm(p_values, np.zeros(np.shape(p_values), dtype=bool), alpha=alpha)
-
-
 def test_p_value_against_high_precision_beta():
     rng = np.random.default_rng(21)
     for _ in range(100):
@@ -234,6 +229,49 @@ def test_welch_bit_equal_to_mean_var_formula(a, b, pooled):
     assert bits(welch_t_test(a, b, pooled=pooled)) == bits(reference_welch(a, b, pooled))
 
 
+@st.composite
+def any_samples(draw):
+    """A sample of any size: a sweep-like one from ``samples``, an all-zero
+    one, as the hours without surplus give, or one of fewer than two values."""
+    kind = draw(st.sampled_from(("sweep", "zero", "short")))
+    if kind == "zero":
+        return np.zeros(draw(st.integers(min_value=2, max_value=50)))
+    if kind == "short":
+        return np.full(draw(st.integers(min_value=0, max_value=1)),
+                       draw(st.floats(min_value=-1e3, max_value=1e3)))
+    return draw(samples())
+
+
+@settings(max_examples=100, deadline=None)
+@example(np.zeros(3), np.arange(3.0), False)
+@example(np.zeros(3), np.arange(3.0), True)
+@example(np.zeros(4), np.full(2, 5.0), False)
+@example(np.ones(1), np.arange(4.0), True)
+@given(any_samples(), any_samples(), st.booleans())
+def test_swapping_the_samples_negates_t_alone(a, b, pooled):
+    # whether a test is untestable, and its dof and p, do not depend on which
+    # sample comes first; its t changes sign exactly, and a NaN t stays NaN
+    straight, swapped = welch_t_test(a, b, pooled=pooled), welch_t_test(b, a, pooled=pooled)
+    assert np.array_equal([swapped.t_stat], [-straight.t_stat], equal_nan=True)
+    assert bits(swapped)[1:] == bits(straight)[1:]
+
+
+def test_untestable_is_a_nan_t():
+    assert UNTESTABLE.untestable and UNTESTABLE.p_value == 1.0
+    assert math.isnan(UNTESTABLE.t_stat) and math.isnan(UNTESTABLE.dof)
+    assert TResult(float("nan"), 3.0, 1.0).untestable
+    assert not TResult(0.0, 3.0, 1.0).untestable
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["welch", "pooled"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_a_sample_holding_nan_or_infinity_raises(pooled, bad):
+    # a NaN t means untestable and nothing else, so a test that computes one raises
+    with pytest.raises(StatsError, match="^samples must hold finite numbers, "
+                                         "got a t statistic of nan$"):
+        welch_t_test(np.array([1.0, 2.0, bad]), np.array([1.0, 3.0]), pooled=pooled)
+
+
 @pytest.mark.parametrize("scale", [1e-100, 1e100])
 def test_welch_dof_where_its_squares_leave_the_double_range(scale):
     # the variance squares underflow to 0 or overflow; t and dof are scale-free
@@ -247,35 +285,35 @@ def test_welch_dof_where_its_squares_leave_the_double_range(scale):
 
 def test_holm_worked_example():
     # alpha=0.05, m=3: thresholds 0.05/3, 0.05/2, 0.05/1 -> all reject
-    flags = holm([0.01, 0.02, 0.04], alpha=0.05)
+    flags = apply_holm([0.01, 0.02, 0.04], alpha=0.05)
     assert flags.tolist() == [True, True, True]
 
 
 def test_holm_stops_at_first_failure():
     # 0.03 > 0.05/2 stops the walk, so the later 0.04 stays accepted
-    flags = holm([0.01, 0.03, 0.04], alpha=0.05)
+    flags = apply_holm([0.01, 0.03, 0.04], alpha=0.05)
     assert flags.tolist() == [True, False, False]
 
 
 def test_holm_none_reject():
-    flags = holm([0.9, 0.8, 0.7], alpha=0.05)
+    flags = apply_holm([0.9, 0.8, 0.7], alpha=0.05)
     assert not flags.any()
 
 
 def test_holm_input_order_preserved():
-    flags = holm([0.04, 0.01, 0.02], alpha=0.05)
+    flags = apply_holm([0.04, 0.01, 0.02], alpha=0.05)
     assert flags.tolist() == [True, True, True]
-    flags = holm([0.04, 0.01, 0.9], alpha=0.05)
+    flags = apply_holm([0.04, 0.01, 0.9], alpha=0.05)
     assert flags.tolist() == [False, True, False]
 
 
 def test_holm_validation():
     with pytest.raises(StatsError, match="within"):
-        holm([0.5, 1.5])
+        apply_holm([0.5, 1.5])
     with pytest.raises(StatsError, match="within"):
-        holm([0.5, float("nan")])
+        apply_holm([0.5, float("nan")])
     with pytest.raises(StatsError, match="one-dimensional"):
-        holm(np.ones((2, 2)))
+        apply_holm(np.ones((2, 2)))
 
 
 def test_holm_against_oracle_random_families():
@@ -288,40 +326,36 @@ def test_holm_against_oracle_random_families():
             p[1] = p[0]
             p[2] = 1.0
         alpha = float(rng.uniform(0.005, 0.2))
-        got = holm(p, alpha=alpha).tolist()
+        got = apply_holm(p, alpha=alpha).tolist()
         assert got == holm_oracle(list(p), alpha)
 
 
 def test_holm_monotone_in_alpha():
     rng = np.random.default_rng(23)
     p = rng.uniform(0, 1, 50)
-    loose = holm(p, alpha=0.2)
-    tight = holm(p, alpha=0.01)
+    loose = apply_holm(p, alpha=0.2)
+    tight = apply_holm(p, alpha=0.01)
     assert (tight <= loose).all()
 
 
 def test_apply_holm_counts_untestable_as_one():
-    nan = float("nan")
-    flags = apply_holm([1e-6, nan, 1e-4], [False, True, False], alpha=0.05)
+    untestable = UNTESTABLE.p_value
+    flags = apply_holm([1e-6, untestable, 1e-4], alpha=0.05)
     assert flags.tolist() == [True, False, True]
     # thresholds divide by the full family size including untestable entries
-    assert apply_holm([0.03, 1.0], [False, True], alpha=0.05).tolist() == [False, False]
-    # an untestable entry's p-value is ignored, even a small one
-    assert apply_holm([0.001, 0.01], [True, False], alpha=0.05).tolist() == [False, True]
+    assert apply_holm([0.03, untestable], alpha=0.05).tolist() == [False, False]
 
 
-def test_apply_holm_checks_its_columns():
-    with pytest.raises(StatsError, match="untestable flags of shape"):
-        apply_holm([0.1, 0.2], [False])
+def test_apply_holm_checks_its_p_values():
     with pytest.raises(StatsError, match="within"):
-        apply_holm([0.1, -0.2], [False, False])
-    assert apply_holm([], []).tolist() == []
+        apply_holm([0.1, -0.2])
+    assert apply_holm([]).tolist() == []
 
 
 def test_apply_holm_family_of_121():
     rng = np.random.default_rng(31)
     p = rng.uniform(0, 1, 121)
-    assert holm(p, alpha=0.05).tolist() == holm_oracle(p.tolist(), 0.05)
+    assert apply_holm(p, alpha=0.05).tolist() == holm_oracle(p.tolist(), 0.05)
 
 
 @settings(max_examples=100)
@@ -329,26 +363,21 @@ def test_apply_holm_family_of_121():
                 max_size=30),
        st.floats(min_value=0.001, max_value=0.5))
 def test_holm_matches_oracle_property(p, alpha):
-    got = holm(p, alpha=alpha).tolist()
+    got = apply_holm(p, alpha=alpha).tolist()
     assert got == holm_oracle(p, alpha)
 
 
 @settings(max_examples=200)
-@given(st.lists(st.one_of(
-           st.tuples(st.floats(min_value=0.0, max_value=1.0), st.just(False)),
-           # an untestable entry's p-value is ignored, NaN included
-           st.tuples(st.floats(min_value=0.0, max_value=1.0) | st.just(float("nan")),
-                     st.just(True))), max_size=30),
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0) | st.just(UNTESTABLE.p_value),
+                max_size=30),
        st.floats(min_value=0.001, max_value=0.5))
 @example([], 0.05)
-@example([(0.001, True), (float("nan"), True), (0.5, True)], 0.05)
-@example([(0.01, False), (0.0, True), (0.02, False)], 0.05)
-def test_apply_holm_is_oracle_with_untestable_as_one(family, alpha):
-    p = [value for value, _ in family]
-    untestable = [flag for _, flag in family]
-    got = apply_holm(p, untestable, alpha=alpha).tolist()
-    assert got == holm_oracle([1.0 if u else v for v, u in family], alpha)
-    assert not any(g and u for g, u in zip(got, untestable))
+@example([1.0, 1.0, 1.0], 0.05)
+@example([0.01, 1.0, 0.02], 0.05)
+def test_apply_holm_is_oracle_with_untestable_as_one(p, alpha):
+    got = apply_holm(p, alpha=alpha).tolist()
+    assert got == holm_oracle(p, alpha)
+    assert not any(g and v == UNTESTABLE.p_value for g, v in zip(got, p))
 
 
 @settings(max_examples=60)

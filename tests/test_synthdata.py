@@ -102,14 +102,12 @@ def test_write_input_set_round_trip(tmp_path, calendar2014, config2014):
     raw = json.loads(config_path.read_text())
     assert raw["weather"] == "weather.csv"
     config = load_config(config_path)
-    inputs = assemble(config)
+    weather, _, household, _ = assemble(config)
     # file-backed inputs reproduce the in-memory synthetic pipeline
-    synthetic = assemble(config2014.with_seed(1234))
-    assert inputs.household == pytest.approx(synthetic.household,
-                                                    rel=1e-12)
+    synthetic_weather, _, synthetic_household, _ = assemble(config2014.with_seed(1234))
+    assert household == pytest.approx(synthetic_household, rel=1e-12)
     for column in ("ghi", "temp", "pressure", "wind_speed_10m"):
-        assert np.array_equal(getattr(inputs.weather, column),
-                              getattr(synthetic.weather, column))
+        assert np.array_equal(getattr(weather, column), getattr(synthetic_weather, column))
     for name in ("hospital", "warehouse"):
         assert (out / "profiles" / f"{name}.csv").exists()
 
